@@ -218,6 +218,13 @@ def _need(problem: dict, key: str, command: str) -> Any:
 # ---------------------------------------------------------------- dispatch
 
 
+def _csv_header(n: int) -> list[str]:
+    """Coordinate column names for n-dimensional points."""
+    if n <= 3:
+        return ["x", "y", "z"][:n]
+    return [f"x{i}" for i in range(1, n + 1)]
+
+
 def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dict, int, Optional[list]]:
     """Run one command; returns (result-dict, exit-code, csv-rows)."""
     M = problem["M"]
@@ -231,7 +238,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
     if command == "zero-set":
         D = _need(problem, "D", command)
         zs = zero_set(D, q_hints=problem.get("q_hints", ()))
-        rows = [["x", "y"]] + [[str(c) for c in pt] for pt in zs.points]
+        rows = [_csv_header(len(M))] + [[str(c) for c in pt] for pt in zs.points]
         result = {
             "points": _enc(list(zs.points)),
             "q": zs.q,
@@ -402,7 +409,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             N=pick("N", 2000),
             seed=pick("seed"),
         )
-        rows = [["x", "y"]] + [
+        rows = [_csv_header(len(M))] + [
             [repr(c) for c in pt] for pt in sample.points
         ]
         result = {
@@ -418,7 +425,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         C = _need(problem, "C", command)
         levels = pick("levels", 1)
         cand = spectrum_candidate(M, D, C, levels)
-        rows = [["x", "y"]] + [
+        rows = [_csv_header(len(M))] + [
             [str(c) for c in f] for f in cand.frequencies
         ]
         result = {

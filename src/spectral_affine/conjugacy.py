@@ -140,6 +140,20 @@ def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
     return SpectralityVerdict(verdict=verdict, A=A, B=B)
 
 
+def divide_digits(D: DigitSet, B: Matrix) -> DigitSet:
+    """The digit set B^{-1} D, which must be integral."""
+    dB, adjB = det_and_adjugate(B)
+    new = []
+    for d in D:
+        w = mat_vec(adjB, d)
+        if any(x % dB != 0 for x in w):
+            raise NonIntegerDigits(
+                "digit set is not divisible by B; conjugacy mode 'b' fails"
+            )
+        new.append(tuple(x // dB for x in w))
+    return as_digit_set(new)
+
+
 @dataclass(frozen=True)
 class ConjugateWitness:
     p: int
@@ -173,16 +187,7 @@ def make_conjugate(
     A = gl_inverse_mod(B, p)
     Mt = mat_mul(mat_mul(A, M), B)
     if mode == "b":
-        dB, adjB = det_and_adjugate(B)
-        new = []
-        for d in D:
-            w = mat_vec(adjB, d)
-            if any(x % dB != 0 for x in w):
-                raise NonIntegerDigits(
-                    "digit set is not divisible by B; conjugacy mode 'b' fails"
-                )
-            new.append(tuple(x // dB for x in w))
-        Dt = tuple(new)
+        Dt = divide_digits(D, B)
     else:
         Dt = tuple(tuple(mat_vec(A, d)) for d in D)
     if len(set(Dt)) != len(Dt):

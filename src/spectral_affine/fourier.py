@@ -294,7 +294,8 @@ def spectrum_candidate(
             for term in terms
         }
         power = mat_mul(power, Mt)
-    assert len(freqs) == len(pts) ** levels, "level sums must be distinct"
+    if len(freqs) != len(pts) ** levels:
+        raise AssertionError("level sums must be distinct")
     ordered = tuple(sorted(freqs))
 
     memo: dict[RationalPoint, bool] = {}
@@ -447,8 +448,8 @@ def completeness_scan(
     )
     min_q = min(flat)
     max_q = max(flat)
-    if candidate.orthogonal:
-        assert max_q <= 1 + 1e-9, "frame sum exceeded the orthogonality bound"
+    if candidate.orthogonal and not max_q <= 1 + 1e-9:
+        raise AssertionError("frame sum exceeded the orthogonality bound")
     return QScanResult(
         center=(0.0,) * n,
         eta=float(eta),

@@ -7,6 +7,17 @@ Membership is decided exactly: iterate xi <- M^{-T} xi, compare against
 the finite mask zero set after reduction mod 1, and stop once a certified
 contraction bound shows no future iterate can reach it.
 
+The walk runs on the integer lattice. A frequency is an integer numerator
+vector N over a positive denominator Q, and M^{-T} = adj(M)^T / det M is
+kept as the sign-normalised integer matrix adj(M)^T over |det M|, so one
+step is an integer mat-vec followed by division by gcd(Q, N). With q the
+common denominator of the mask zeros, stored as residues q*z mod q, the
+iterate is a zero mod Z^n iff Q divides q and N*(q/Q) mod q is one of
+those residues; the contraction stop is an integer comparison too. The
+candidate frequencies of the orthogonal-family search, the transported
+zeros and the zero orbits all lie on the (1/q)-grid and are handled as
+integer vectors q*x. Fractions appear only at the public boundary.
+
 On top of that decision procedure sit the maximal-orthogonal-family
 bounds (exact max clique below, Cayley-graph counting above), the scaled
 zero-set transport inclusions between conjugate digit systems, and the
@@ -19,16 +30,19 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
+from operator import mul, neg, sub
 from typing import Optional, Sequence
 
+from .conjugacy import divide_digits
 from .errors import (
     HypothesisViolation,
     IncompleteZeroSet,
-    NonIntegerDigits,
     SingularMatrix,
     WrongDimension,
 )
 from .linalg import (
+    IntVector,
     Matrix,
     as_matrix,
     det_and_adjugate,
@@ -54,8 +68,21 @@ from .zeros import (
 )
 
 
+def _scaled_zeros(zs: ZeroSet) -> tuple[IntVector, ...]:
+    """The mask zeros as integer vectors q*z, in the zero set's order."""
+    return tuple(tuple(int(c * zs.q) for c in pt) for pt in zs.points)
+
+
+def _lattice_point(xi: Sequence) -> tuple[IntVector, int]:
+    """A rational vector as (N, Q): integer numerators over their least
+    common denominator."""
+    x = as_rational_point(xi)
+    Q = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (Q // c.denominator) for c in x), Q
+
+
 class _Measure:
-    """Exact cached data for one digit system (M, D)."""
+    """Exact cached data for one digit system (M, D), in lattice form."""
 
     def __init__(self, M: Matrix, D: DigitSet):
         self.M = M
@@ -65,74 +92,86 @@ class _Measure:
         if d == 0:
             raise SingularMatrix("expanding map must be invertible")
         self.det = d
-        adjT = tuple(zip(*adj))
-        self.minvT = tuple(
-            tuple(Fraction(x, d) for x in row) for row in adjT
-        )
+        # M^{-T} = adjT / absdet with the sign of det M moved into adjT
+        sign = 1 if d > 0 else -1
+        self.adjT = tuple(tuple(sign * x for x in col) for col in zip(*adj))
+        self.absdet = abs(d)
         self.zs: ZeroSet = zero_set(D)
         if not self.zs.complete:
             raise IncompleteZeroSet(
                 "orthogonality decisions need a provably complete zero set"
             )
-        self.zpoints = self.zs.point_set
-        if self.zs.points:
-            self.delta = min(
-                max(min(c, 1 - c) for c in pt) for pt in self.zs.points
-            )
-        else:
-            self.delta = None
+        self.q = self.zs.q
+        self.zq = _scaled_zeros(self.zs)
+        self.residues = frozenset(self.zq)
         # growth: sup_k ||(M^{-T})^k||_inf <= C, certified by finding the
-        # first power with norm below one and taking the max before it
+        # first power with norm below one and taking the max before it;
+        # the k-th power is P / absdet^k with P the integer power of adjT
         C = Fraction(1)
-        P = self.minvT
+        P = self.adjT
+        scale = self.absdet
         for _ in range(200):
-            Nk = max(sum(abs(x) for x in row) for row in P)
+            Nk = Fraction(max(sum(abs(x) for x in row) for row in P), scale)
             if Nk < 1:
                 break
             if Nk > C:
                 C = Nk
-            P = tuple(
-                tuple(
-                    sum(a * b for a, b in zip(row, col))
-                    for col in zip(*self.minvT)
-                )
-                for row in P
-            )
+            P = mat_mul(P, self.adjT)
+            scale *= self.absdet
         else:
             raise HypothesisViolation(
                 "inverse-transpose powers do not contract; matrix not expanding"
             )
-        self.growth = C
-        self._pair: dict[RationalPoint, bool] = {}
+        # an iterate with max-norm below delta / C never returns to a
+        # zero; None when there are no zeros
+        self.bound: Optional[Fraction] = None
+        if self.zs.points:
+            delta = min(max(min(c, 1 - c) for c in pt) for pt in self.zs.points)
+            self.bound = delta / C
+        self._pair: dict[IntVector, bool] = {}
 
-    def membership(self, xi: Sequence) -> Optional[int]:
-        """Least j >= 1 with M^{-T j} xi in the mask zeros mod Z^n, or None."""
-        x = as_rational_point(xi)
-        if len(x) != self.n:
-            raise WrongDimension("frequency dimension does not match the map")
-        if self.delta is None:
+    def membership(self, N: IntVector, Q: int) -> Optional[int]:
+        """Least j >= 1 with M^{-T j}(N/Q) in the mask zeros mod Z^n, or None.
+
+        N is an integer vector of the map's dimension and Q > 0; N/Q need
+        not be in lowest terms.
+        """
+        if self.bound is None:
             return None
-        bound = self.delta / self.growth
+        num, den = self.bound.numerator, self.bound.denominator
+        adjT = self.adjT
+        absdet = self.absdet
+        q = self.q
+        residues = self.residues
         for j in range(1, 100_000):
-            x = mat_vec(self.minvT, x)
-            if reduce_mod1(x) in self.zpoints:
-                return j
-            if max(abs(c) for c in x) < bound:
+            N = [sum(map(mul, row, N)) for row in adjT]
+            Q *= absdet
+            g = gcd(Q, *N)
+            if g != 1:
+                N = [x // g for x in N]
+                Q //= g
+            if q % Q == 0:
+                s = q // Q
+                if tuple(x * s % q for x in N) in residues:
+                    return j
+            if max(map(abs, N)) * den < num * Q:
                 return None
         raise AssertionError("membership iteration did not terminate")
 
-    def difference_orthogonal(self, a: RationalPoint, b: RationalPoint) -> bool:
-        w = tuple(x - y for x, y in zip(a, b))
-        if all(c == 0 for c in w):
-            return False
+    def difference_orthogonal(self, a: IntVector, b: IntVector) -> bool:
+        """Whether (a - b)/q lies in the Fourier zero set, for integer
+        vectors a and b on the (1/q)-grid scaled by q."""
+        w = tuple(map(sub, a, b))
         for c in w:
-            if c != 0:
+            if c:
                 if c < 0:
-                    w = tuple(-x for x in w)
+                    w = tuple(map(neg, w))
                 break
+        else:
+            return False
         hit = self._pair.get(w)
         if hit is None:
-            hit = self.membership(w) is not None
+            hit = self.membership(w, self.q) is not None
             self._pair[w] = hit
         return hit
 
@@ -149,7 +188,11 @@ def zero_membership(M: Matrix, D: DigitSet, xi: Sequence) -> Optional[int]:
     mask zero of D. Termination is certified by an exact contraction bound,
     so None is a proof of non-membership rather than a timeout.
     """
-    return _measure(as_matrix(M), as_digit_set(D)).membership(xi)
+    eng = _measure(as_matrix(M), as_digit_set(D))
+    N, Q = _lattice_point(xi)
+    if len(N) != eng.n:
+        raise WrongDimension("frequency dimension does not match the map")
+    return eng.membership(N, Q)
 
 
 def has_infinite_orthogonal(
@@ -159,8 +202,8 @@ def has_infinite_orthogonal(
 
     When it does, scaling that zero through successive powers yields
     arbitrarily large orthogonal families, so the count n* is infinite.
-    The witness is the least such j. Decided by exact orbit iteration on
-    the finite grid containing the mask zeros.
+    The witness is the least such j. Decided by exact orbit iteration of
+    the residues q*z mod q, q the common denominator of the mask zeros.
     """
     M = as_matrix(M)
     D = as_digit_set(D)
@@ -168,14 +211,14 @@ def has_infinite_orthogonal(
     if not zs.complete:
         raise IncompleteZeroSet("orbit test needs a complete zero set")
     Mt = transpose(M)
+    q = zs.q
     best: Optional[int] = None
-    for z in zs.points:
-        x = z
+    for x in _scaled_zeros(zs):
         seen = set()
         j = 0
         while x not in seen:
             seen.add(x)
-            x = reduce_mod1(mat_vec(Mt, x))
+            x = tuple(c % q for c in mat_vec(Mt, x))
             j += 1
             if all(c == 0 for c in x):
                 if best is None or j < best:
@@ -370,25 +413,30 @@ def nstar_bounds(
         upper = None
         method = "inapplicable"
 
+    # every candidate M^{T j} z + v lies on the (1/q)-grid, so the search
+    # runs on the integer vectors q*x and converts the chosen clique back
+    q = eng.q
     Mt = transpose(M)
-    zero = (Fraction(0),) * n
-    box = sorted(product(range(-R, R + 1), repeat=n))
-    candidates: list[RationalPoint] = []
-    seen: set[RationalPoint] = set()
-    shells = [list(pt) for pt in eng.zs.points]
-    for _ in range(1, J + 1):
-        for idx in range(len(shells)):
-            shells[idx] = list(mat_vec(Mt, shells[idx]))
+    zero = (0,) * n
+    box = [
+        tuple(q * c for c in v)
+        for v in sorted(product(range(-R, R + 1), repeat=n))
+    ]
+    candidates: list[IntVector] = []
+    seen: set[IntVector] = set()
+    shells = list(eng.zq)
+    for _ in range(J):
+        shells = [mat_vec(Mt, vec) for vec in shells]
         for vec in shells:
             for v in box:
                 cand = tuple(c + o for c, o in zip(vec, v))
                 if cand in seen or cand == zero:
                     continue
                 seen.add(cand)
-                if eng.membership(cand) is not None:
+                if eng.membership(cand, q) is not None:
                     candidates.append(cand)
 
-    vertices: list[RationalPoint] = [zero] + candidates
+    vertices: list[IntVector] = [zero] + candidates
     adj = [0] * len(vertices)
     for i, a in enumerate(vertices):
         for j in range(i + 1, len(vertices)):
@@ -396,11 +444,12 @@ def nstar_bounds(
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     best, nodes, complete = _max_clique(adj, node_budget)
-    family = tuple(vertices[i] for i in sorted(best))
-    for a, b in combinations(family, 2):
+    chosen = [vertices[i] for i in sorted(best)]
+    for a, b in combinations(chosen, 2):
         w = tuple(x - y for x, y in zip(a, b))
-        if eng.membership(w) is None:
+        if eng.membership(w, q) is None:
             raise AssertionError("witness family failed re-verification")
+    family = tuple(tuple(Fraction(c, q) for c in v) for v in chosen)
     witness = OrthogonalFamily(frequencies=family, verified=True)
     return NStarBounds(
         lower=len(family),
@@ -467,14 +516,7 @@ def transport_inclusion_check(
         raise HypothesisViolation("transport needs det M coprime to p")
     Mt_mat = mat_mul(mat_mul(A, M), B)
     if mode == "b":
-        dB, adjB = det_and_adjugate(B)
-        Dt = []
-        for d in D:
-            w = mat_vec(adjB, d)
-            if any(x % dB != 0 for x in w):
-                raise NonIntegerDigits("digit set is not divisible by B")
-            Dt.append(tuple(x // dB for x in w))
-        Dt = as_digit_set(Dt)
+        Dt = divide_digits(D, B)
     elif mode == "a":
         Dt = as_digit_set(tuple(tuple(mat_vec(A, d)) for d in D))
     else:
@@ -494,37 +536,23 @@ def transport_inclusion_check(
     c1 = dA * dB_ * abs(dMt) ** e
     c2 = abs(dM) ** e
 
-    Bt = transpose(B)
-    At = transpose(A)
-    MtT = transpose(M)
-    MtT_t = transpose(Mt_mat)
+    def hits(frm: _Measure, to: _Measure, T: Matrix, c: int) -> list:
+        # c T^T M_frm^{T j} z for the zeros z of frm, on frm's (1/q)-grid
+        MT = transpose(frm.M)
+        Tt = transpose(T)
+        out = []
+        shells = list(frm.zq)
+        for j in range(1, J + 1):
+            shells = [mat_vec(MT, vec) for vec in shells]
+            for z, vec in zip(frm.zs.points, shells):
+                xi = tuple(c * x for x in mat_vec(Tt, vec))
+                hit = to.membership(xi, frm.q)
+                out.append((j, z, -1 if hit is None else hit))
+        return out
 
-    ok = True
-    forward = []
-    shells = [list(z) for z in src.zs.points]
-    for j in range(1, J + 1):
-        for idx in range(len(shells)):
-            shells[idx] = list(mat_vec(MtT, shells[idx]))
-        for z, vec in zip(src.zs.points, shells):
-            xi = tuple(c1 * c for c in mat_vec(Bt, vec))
-            hit = dst.membership(xi)
-            if hit is None:
-                ok = False
-                hit = -1
-            forward.append((j, z, hit))
-
-    backward = []
-    shells = [list(z) for z in dst.zs.points]
-    for j in range(1, J + 1):
-        for idx in range(len(shells)):
-            shells[idx] = list(mat_vec(MtT_t, shells[idx]))
-        for z, vec in zip(dst.zs.points, shells):
-            xi = tuple(c2 * c for c in mat_vec(At, vec))
-            hit = src.membership(xi)
-            if hit is None:
-                ok = False
-                hit = -1
-            backward.append((j, z, hit))
+    forward = hits(src, dst, B, c1)
+    backward = hits(dst, src, A, c2)
+    ok = all(hit != -1 for _, _, hit in forward + backward)
 
     return TransportReport(
         c1=c1,

@@ -150,12 +150,13 @@ class ZeroSet:
     complete: bool
 
     def __post_init__(self):
+        members = set(self.points)
         for pt in self.points:
             for c in pt:
                 if not (0 <= c < 1):
                     raise AssertionError("zero set points must lie in [0,1)")
             neg = tuple((-c) % 1 for c in pt)
-            if neg not in set(self.points):
+            if neg not in members:
                 raise AssertionError("zero set must be symmetric under negation")
 
     @property

@@ -222,6 +222,19 @@ def test_attractor_csv_and_chaos(tmp_path, capsys):
     assert payload["result"]["count"] == 50
 
 
+def test_csv_header_follows_dimension(tmp_path, capsys):
+    path = problem(tmp_path, M=[[3]], D=[[0], [1]], k=2)
+    code, out, _ = run(capsys, "attractor", "--input", path, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x" and len(lines) == 5
+    assert all("," not in line for line in lines)
+    code, out, _ = run(
+        capsys, "zero-set", "--input", path, "--format", "csv", "--q-hints", "2"
+    )
+    assert code == 2 and out.splitlines() == ["x", "1/2"]
+
+
 def test_spectrum(tmp_path, capsys):
     path = problem(
         tmp_path,

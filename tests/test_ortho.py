@@ -1,9 +1,10 @@
 """Orthogonality counting, transport inclusions, certificates."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_affine.errors import (
@@ -11,7 +12,10 @@ from spectral_affine.errors import (
     IncompleteZeroSet,
     NonIntegerDigits,
 )
+from spectral_affine.linalg import Expansion, is_expanding
 from spectral_affine.ortho import (
+    _lattice_point,
+    _measure,
     has_infinite_orthogonal,
     nonspectral_certificate,
     nstar_bounds,
@@ -19,6 +23,7 @@ from spectral_affine.ortho import (
     transport_inclusion_check,
     zero_membership,
 )
+from spectral_affine.zeros import zero_set
 
 THREE = ((0, 0), (1, 0), (0, 1))
 FOUR = ((0, 0), (1, 0), (0, 1), (-1, -1))
@@ -75,6 +80,73 @@ def test_membership_is_shift_covariant(v, j):
         assert lifted == base + 1
 
 
+def fraction_membership(M, D, xi):
+    """Reference walk in Fractions: xi <- M^{-T} xi until the iterate is a
+    mask zero mod 1 or drops below the certified contraction bound."""
+    d = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    minvT = (
+        (Fraction(M[1][1], d), Fraction(-M[1][0], d)),
+        (Fraction(-M[0][1], d), Fraction(M[0][0], d)),
+    )
+    zeros = set(zero_set(D).points)
+    if not zeros:
+        return None
+    delta = min(max(min(c, 1 - c) for c in pt) for pt in zeros)
+    growth, P = Fraction(1), minvT
+    while max(abs(a) + abs(b) for a, b in P) >= 1:
+        growth = max(growth, max(abs(a) + abs(b) for a, b in P))
+        P = tuple(
+            tuple(r[0] * minvT[0][j] + r[1] * minvT[1][j] for j in range(2))
+            for r in P
+        )
+    x = tuple(Fraction(c) for c in xi)
+    for j in count(1):
+        x = tuple(r[0] * x[0] + r[1] * x[1] for r in minvT)
+        if tuple(c % 1 for c in x) in zeros:
+            return j
+        if max(abs(c) for c in x) < delta / growth:
+            return None
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def planar_systems(draw):
+    """An expanding 2x2 matrix with a three-digit or an antipodal
+    four-digit set whose zero set is complete."""
+    entry = st.integers(-6, 6)
+    M = draw(st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)))
+    assume(is_expanding(M) is Expansion.EXPANDING)
+    a, b = draw(st.tuples(small, small)), draw(st.tuples(small, small))
+    assume(a[0] * b[1] - a[1] * b[0] != 0)
+    if draw(st.booleans()):
+        return M, ((0, 0), a, b)
+    return M, ((0, 0), a, b, (-a[0] - b[0], -a[1] - b[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_systems(), st.data())
+def test_lattice_membership_matches_fraction_walk(system, data):
+    M, D = system
+    eng = _measure(M, D)
+    assume(eng.zs.points)
+    rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    for _ in range(6):
+        if data.draw(st.booleans()):
+            xi = data.draw(st.tuples(rational, rational))
+        else:
+            # M^{T j}(z + k) + v, which enters the zero set unless v spoils it
+            z = data.draw(st.sampled_from(eng.zs.points))
+            k = data.draw(st.tuples(small, small))
+            xi = tuple(c + o for c, o in zip(z, k))
+            for _ in range(data.draw(st.integers(0, 3))):
+                xi = tuple(M[0][i] * xi[0] + M[1][i] * xi[1] for i in range(2))
+            v = data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+            xi = tuple(c + o for c, o in zip(xi, v))
+        assert eng.membership(*_lattice_point(xi)) == fraction_membership(M, D, xi)
+
+
 def test_nstar_clique_small():
     out = nstar_bounds(((2, 0), (0, 2)), THREE, 3, J=1, R=0)
     assert (out.lower, out.upper) == (3, 3)
@@ -88,6 +160,41 @@ def test_nstar_nine_exponentials():
     assert (out.lower, out.upper) == (9, 9)
     assert out.method == "clique"
     assert len(out.witness.frequencies) == 9
+
+
+@pytest.mark.parametrize(
+    "M, window, nodes, witness",
+    [
+        (
+            SKEW,
+            dict(J=8, R=0),
+            10,
+            [
+                (0, 0),
+                ("2446/3", 1329),
+                ("2177/3", 1117),
+                (3775, "18394/3"),
+                (3294, "15581/3"),
+                ("52369/3", "84901/3"),
+                ("45227/3", "72206/3"),
+                ("242008/3", "391973/3"),
+                ("207887/3", "334051/3"),
+            ],
+        ),
+        (
+            ((2, 0), (0, 2)),
+            dict(J=8, R=2),
+            4,
+            [(0, 0), ("262/3", "518/3"), ("518/3", "262/3")],
+        ),
+    ],
+)
+def test_nstar_pinned_witness(M, window, nodes, witness):
+    out = nstar_bounds(M, THREE, 3, **window)
+    assert out.search_nodes == nodes and out.search_complete
+    assert out.witness.frequencies == tuple(
+        tuple(Fraction(c) for c in f) for f in witness
+    )
 
 
 def test_nstar_inapplicable_when_det_shares_p():
