@@ -14,8 +14,8 @@ undetermined (budget exhausted, incomplete zero set, failed certificate),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -107,10 +107,6 @@ def _int_matrix(x: Any, where: str):
     return tuple(rows)
 
 
-def _int_vectors(x: Any, where: str):
-    return _int_matrix(x, where)
-
-
 def _rat_vectors(x: Any, where: str):
     if not isinstance(x, list) or not x:
         raise _fail(where, "expected a list of points")
@@ -150,13 +146,13 @@ def parse_problem(path: str) -> dict:
     n = len(out["M"])
 
     if "D" in raw:
-        D = as_digit_set(_int_vectors(raw["D"], "D"))
+        D = as_digit_set(_int_matrix(raw["D"], "D"))
         if len(D[0]) != n:
             raise _fail("D", "digit dimension does not match M")
         out["D"] = D
     for key in ("S",):
         if key in raw:
-            vec = _int_vectors(raw[key], key)
+            vec = _int_matrix(raw[key], key)
             if any(len(v) != n for v in vec):
                 raise _fail(key, "dimension does not match M")
             out[key] = vec
@@ -249,7 +245,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
     if command == "find-hadamard":
         D = _need(problem, "D", command)
         budget = pick("budget", 10_000_000)
-        found = find_spectrum_set(M, D, budget=budget, threads=opts.threads)
+        found = find_spectrum_set(M, D, budget=budget)
         result = {
             "status": found.status,
             "S": _enc(list(found.S)) if found.S is not None else None,
@@ -458,12 +454,12 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             float(eta),
             resolution=resolution,
             depth=depth,
-            threads=opts.threads,
         )
-        rows = [["x", "y", "q"]]
-        for i, x in enumerate(scan.axis):
-            for j, y in enumerate(scan.axis):
-                rows.append([repr(x), repr(y), repr(scan.values[i][j])])
+        flat = [q for row in scan.values for q in row]
+        grid = itertools.product(scan.axis, repeat=len(M))
+        rows = [_csv_header(len(M)) + ["q"]] + [
+            [repr(c) for c in pt] + [repr(q)] for pt, q in zip(grid, flat)
+        ]
         result = {
             "eta": scan.eta,
             "eta_source": eta_source,
@@ -512,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--input", required=True, help="JSON problem file")
     ap.add_argument("--format", default="text", choices=("json", "text", "csv"))
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--depth", type=int, default=None)
     ap.add_argument("--levels", type=int, default=None)
     ap.add_argument("--eta", type=float, default=None)
@@ -527,9 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     opts = build_parser().parse_args(argv)
-    if opts.threads is None:
-        env = os.environ.get("SPECTRAL_AFFINE_THREADS")
-        opts.threads = int(env) if env else 1
     start = time.perf_counter()
     try:
         problem = parse_problem(opts.input)

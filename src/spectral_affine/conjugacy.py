@@ -36,7 +36,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
 )
-from .zeros import DigitSet, as_digit_set
+from .zeros import DigitSet, _three_digit_frame, as_digit_set
 
 
 def _expand_sign_table(half: Sequence[Matrix]) -> frozenset[Matrix]:
@@ -126,11 +126,7 @@ def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
         raise BadDigitForm("criterion needs exactly three digits")
     if is_expanding(M) is not Expansion.EXPANDING:
         raise HypothesisViolation("criterion requires an expanding matrix")
-    d0, d1, d2 = D
-    B = (
-        (d1[0] - d0[0], d2[0] - d0[0]),
-        (d1[1] - d0[1], d2[1] - d0[1]),
-    )
+    B = _three_digit_frame(D)
     try:
         A = gl_inverse_mod(B, 3)
     except SingularModP:

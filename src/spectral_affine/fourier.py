@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -77,7 +76,8 @@ def _rational_points(rows: Sequence[Sequence]) -> tuple[RationalPoint, ...]:
 
 
 def _pairwise_sum(vals: Sequence[float]) -> float:
-    """Sum in a fixed balanced order, independent of any thread schedule."""
+    """Sum in a balanced order fixed by len(vals) alone, so that every Q
+    value is reproducible bit for bit."""
     k = len(vals)
     if k == 0:
         return 0.0
@@ -404,14 +404,13 @@ def completeness_scan(
     eta: float,
     resolution: int = 11,
     depth: int = 40,
-    threads: int = 1,
 ) -> QScanResult:
     """Evaluate the frame sum Q over the origin-centered eta grid.
 
     Q at a grid point is the sum over candidate frequencies of the
     squared transform modulus at point + frequency. Accumulation uses a
-    fixed balanced summation order and grid points are assembled in index
-    order, so results are bit-identical for any thread count.
+    fixed balanced summation order, so every Q value is reproducible bit
+    for bit.
     """
     M = as_matrix(M)
     D = as_digit_set(D)
@@ -419,28 +418,21 @@ def completeness_scan(
         raise ValueError("scan radius must be positive")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if threads < 1:
-        raise ValueError("thread count must be positive")
     n = len(M)
     engine = _MuHat(M, D, depth)
     freqs = [tuple(float(c) for c in f) for f in candidate.frequencies]
     axis = tuple(
         -eta + 2 * eta * i / (resolution - 1) for i in range(resolution)
     )
-    grid = list(itertools.product(axis, repeat=n))
-
-    def q_at(pt: tuple[float, ...]) -> float:
-        vals = [
-            abs(engine.value(tuple(p + l for p, l in zip(pt, f)))) ** 2
-            for f in freqs
-        ]
-        return _pairwise_sum(vals)
-
-    if threads == 1:
-        flat = [q_at(pt) for pt in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            flat = list(ex.map(q_at, grid))
+    flat = [
+        _pairwise_sum(
+            [
+                abs(engine.value(tuple(p + l for p, l in zip(pt, f)))) ** 2
+                for f in freqs
+            ]
+        )
+        for pt in itertools.product(axis, repeat=n)
+    ]
 
     rows = tuple(
         tuple(flat[i * resolution : (i + 1) * resolution])

@@ -11,7 +11,6 @@ any of the vanishing conditions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -41,21 +40,16 @@ from .zeros import (
 FrequencySet = tuple[tuple[int, ...], ...]
 
 
-def _inv_transpose_times(M: Matrix, v: Sequence) -> tuple[Fraction, ...]:
-    d, adj = det_and_adjugate(M)
-    if d == 0:
-        raise SingularMatrix("matrix must be invertible over Q")
-    adjT = tuple(zip(*adj))
-    return tuple(Fraction(x, d) for x in mat_vec(adjT, v))
-
-
 def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
     """Max-norm distance of the normalized exponential matrix from unitarity."""
     D = as_digit_set(D)
+    det_m, adj = det_and_adjugate(M)
+    if det_m == 0:
+        raise SingularMatrix("matrix must be invertible over Q")
+    adjT = transpose(adj)
     cols = []
     for s in S:
-        x = _inv_transpose_times(M, s)
-        xf = [float(c) for c in x]
+        xf = [float(Fraction(x, det_m)) for x in mat_vec(adjT, s)]
         cols.append(
             [
                 np.exp(2j * np.pi * sum(di * xi for di, xi in zip(d, xf)))
@@ -85,10 +79,15 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     for s in S:
         if len(s) != len(D[0]):
             raise WrongDimension("frequency dimension does not match digits")
+    d, adj = det_and_adjugate(M)
+    if d == 0:
+        raise SingularMatrix("matrix must be invertible over Q")
+    adjT = transpose(adj)
     ok = True
     for s, t in combinations(S, 2):
         diff = tuple(a - b for a, b in zip(s, t))
-        if not is_zero_exact(D, _inv_transpose_times(M, diff)):
+        x = tuple(Fraction(c, d) for c in mat_vec(adjT, diff))
+        if not is_zero_exact(D, x):
             ok = False
             break
     if ok:
@@ -119,7 +118,6 @@ def find_spectrum_set(
     M: Matrix,
     D: DigitSet,
     budget: int = 10_000_000,
-    threads: int = 1,
 ) -> HadamardSearch:
     """Deterministic search for a frequency set making (M, D, S) Hadamard.
 
@@ -131,7 +129,7 @@ def find_spectrum_set(
     budget yields status "undetermined" rather than a guess.
     """
     D = as_digit_set(D)
-    d, _ = det_and_adjugate(M)
+    d, adj = det_and_adjugate(M)
     if d == 0:
         raise SingularMatrix("expanding map must be invertible")
     k = len(D) - 1
@@ -145,9 +143,10 @@ def find_spectrum_set(
     reps = coset_transversal(transpose(M)).reps
     zs = zero_set(D)
     zpoints = zs.point_set if zs.complete else None
+    adjT = transpose(adj)
 
     def vanishes(vec: Sequence[int]) -> bool:
-        x = _inv_transpose_times(M, vec)
+        x = tuple(Fraction(c, d) for c in mat_vec(adjT, vec))
         if zpoints is not None:
             return reduce_mod1(x) in zpoints
         return is_zero_exact(D, x)
@@ -167,62 +166,17 @@ def find_spectrum_set(
             pair_cache[diff] = hit
         return hit
 
-    m = len(filtered)
-    # stream i enumerates subsets whose first element is filtered[i];
-    # prefix budgets reproduce the sequential cutoff exactly
-    stream_sizes = [math.comb(m - 1 - i, k - 1) for i in range(m)]
-    caps = []
-    used_before = 0
-    for size in stream_sizes:
-        caps.append(max(0, budget - used_before))
-        used_before += size
-
-    def run_stream(i: int) -> tuple[Optional[FrequencySet], int, bool]:
-        cap = caps[i]
-        count = 0
-        head = filtered[i]
-        for tail in combinations(filtered[i + 1 :], k - 1):
-            if count >= cap:
-                return None, count, True
-            count += 1
-            subset = (head, *tail)
-            if all(pair_ok(a, b) for a, b in combinations(subset, 2)):
-                return subset, count, False
-        return None, count, False
-
-    def reduce(results_in_order) -> HadamardSearch:
-        examined = 0
-        for subset, count, truncated in results_in_order:
-            examined += count
-            if subset is not None:
-                zero = (0,) * len(D[0])
-                S = (zero, *subset)
-                if not verify_triple(M, D, S):
-                    raise AssertionError("search result failed re-verification")
-                return HadamardSearch("found", S, search_space, examined)
-            if truncated:
-                return HadamardSearch("undetermined", None, search_space, examined)
-        return HadamardSearch("none", None, search_space, examined)
-
-    if threads > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_stream, i) for i in range(m)]
-
-            def ordered():
-                for i, fut in enumerate(futures):
-                    yield fut.result()
-
-            try:
-                return reduce(ordered())
-            finally:
-                for fut in futures:
-                    fut.cancel()
-
-    def sequential():
-        for i in range(m):
-            yield run_stream(i)
-
-    return reduce(sequential())
+    examined = 0
+    for subset in combinations(filtered, k):
+        if examined >= budget:
+            return HadamardSearch("undetermined", None, search_space, examined)
+        examined += 1
+        if all(pair_ok(a, b) for a, b in combinations(subset, 2)):
+            S = ((0,) * len(D[0]), *subset)
+            if not verify_triple(M, D, S):
+                raise AssertionError("search result failed re-verification")
+            return HadamardSearch("found", S, search_space, examined)
+    return HadamardSearch("none", None, search_space, examined)
 
 
 def transport_spectrum_set(

@@ -35,10 +35,6 @@ def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     return out
 
 
-def dim(M: Matrix) -> int:
-    return len(M)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -67,10 +63,6 @@ def mat_scale(M: Matrix, c: int) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in M)
 
 
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_pow(M: Matrix, k: int) -> Matrix:
     if k < 0:
         raise ValueError("negative matrix power not supported here")
@@ -88,7 +80,7 @@ def mat_mod(M: Matrix, p: int) -> Matrix:
     return tuple(tuple(x % p for x in row) for row in M)
 
 
-def _det(M: Matrix) -> int:
+def det(M: Matrix) -> int:
     # Bareiss fraction-free elimination; exact for integer matrices.
     n = len(M)
     a = [[int(x) for x in row] for row in M]
@@ -111,10 +103,6 @@ def _det(M: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det(M: Matrix) -> int:
-    return _det(M)
-
-
 def _minor(M: Matrix, i: int, j: int) -> Matrix:
     return tuple(
         tuple(x for cj, x in enumerate(row) if cj != j)
@@ -128,10 +116,10 @@ def det_and_adjugate(M: Matrix) -> tuple[int, Matrix]:
     n = len(M)
     if n == 1:
         return M[0][0], ((1,),)
-    d = _det(M)
+    d = det(M)
     # adj[j][i] is the (i, j) cofactor.
     adj = tuple(
-        tuple((-1) ** (i + j) * _det(_minor(M, i, j)) for i in range(n))
+        tuple((-1) ** (i + j) * det(_minor(M, i, j)) for i in range(n))
         for j in range(n)
     )
     return d, adj
@@ -202,7 +190,7 @@ def order_mod(M: Matrix, p: int) -> int:
     """Multiplicative order of M in GL_n(p); asserts it is <= p^n - 1."""
     n = len(M)
     R = mat_mod(M, p)
-    if _det(R) % p == 0:
+    if det(R) % p == 0:
         raise SingularModP(f"matrix is singular mod {p}")
     I = identity(n)
     P = R
@@ -357,7 +345,7 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     Rm = tuple(tuple(row) for row in R)
     if not _is_snf(S):
         raise AssertionError("Smith reduction did not reach normal form")
-    if abs(_det(Lm)) != 1 or abs(_det(Rm)) != 1:
+    if abs(det(Lm)) != 1 or abs(det(Rm)) != 1:
         raise AssertionError("Smith factors must be unimodular")
     if mat_mul(mat_mul(Lm, A), Rm) != S:
         raise AssertionError("Smith factorization check failed")
@@ -385,7 +373,7 @@ def coset_transversal(M: Matrix) -> CosetTransversal:
     Derived from the Smith form L*M*R = S: the boxes [0, s_i) pushed through
     L^{-1} enumerate each coset exactly once, and the count is |det M|.
     """
-    d = _det(M)
+    d = det(M)
     if d == 0:
         raise SingularMatrix("lattice matrix must be nonsingular")
     S, L, _ = smith_normal_form(M)

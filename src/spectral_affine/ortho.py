@@ -45,6 +45,7 @@ from .linalg import (
     IntVector,
     Matrix,
     as_matrix,
+    det,
     det_and_adjugate,
     identity,
     is_prime,
@@ -59,6 +60,8 @@ from .zeros import (
     DigitSet,
     RationalPoint,
     ZeroSet,
+    _four_digit_frame,
+    _three_digit_frame,
     as_digit_set,
     as_rational_point,
     reduce_mod1,
@@ -297,23 +300,13 @@ def _family_upper_applies(D: DigitSet, p: int) -> bool:
     their own mask zeros leave the (1/p)-grid: planar three-digit sets with
     difference frame invertible mod 3, and planar antipodal four-digit sets
     with odd difference frame, each under the matching modulus."""
-    from .zeros import _four_digit_frame
-
-    n = len(D[0])
-    if n != 2:
+    if len(D[0]) != 2:
         return False
     if len(D) == 3 and p == 3:
-        d0, d1, d2 = D
-        det = (d1[0] - d0[0]) * (d2[1] - d0[1]) - (d1[1] - d0[1]) * (
-            d2[0] - d0[0]
-        )
-        return det % 3 != 0
+        return det(_three_digit_frame(D)) % 3 != 0
     if len(D) == 4 and p == 2:
         B = _four_digit_frame(D)
-        if B is None:
-            return False
-        det = B[0][0] * B[1][1] - B[0][1] * B[1][0]
-        return det % 2 != 0
+        return B is not None and det(B) % 2 != 0
     return False
 
 

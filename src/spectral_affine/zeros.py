@@ -200,6 +200,15 @@ def _lattice_preimage(B: Matrix, base: Iterable[RationalPoint]) -> tuple[Rationa
     return tuple(sorted(set(found)))
 
 
+def _three_digit_frame(D: DigitSet) -> Matrix:
+    """Difference frame [d1-d0 | d2-d0] of a planar three-digit set."""
+    d0, d1, d2 = D
+    return (
+        (d1[0] - d0[0], d2[0] - d0[0]),
+        (d1[1] - d0[1], d2[1] - d0[1]),
+    )
+
+
 def _four_digit_frame(D: DigitSet) -> Matrix | None:
     """Difference frame [alpha | beta] when D is a translate of a set
     {0, alpha, beta, -alpha-beta}; None when it is not of that shape."""
@@ -232,41 +241,26 @@ def zero_set(D: DigitSet, q_hints: Sequence[int] = ()) -> ZeroSet:
     if len(D) == 1:
         # a unimodular exponential never vanishes
         return ZeroSet(points=(), q=1, complete=True)
+    B = None
     if len(D) == 3 and n == 2:
-        d0, d1, d2 = D
-        B = (
-            (d1[0] - d0[0], d2[0] - d0[0]),
-            (d1[1] - d0[1], d2[1] - d0[1]),
-        )
-        pts = _lattice_preimage(B, _THIRD_PAIR)
-        q = 1
-        for pt in pts:
-            for c in pt:
-                q = lcm(q, c.denominator)
-        return ZeroSet(points=pts, q=q, complete=True)
-    if len(D) == 4 and n == 2:
-        B = _four_digit_frame(D)
-        if B is not None:
-            pts = _lattice_preimage(B, _HALF_TRIPLE)
-            q = 1
-            for pt in pts:
-                for c in pt:
-                    q = lcm(q, c.denominator)
-            return ZeroSet(points=pts, q=q, complete=True)
-    # hint mode: exact scan of each (1/q)Z^n grid
-    found = set()
-    for qh in q_hints:
-        if qh < 1:
-            raise ValueError("grid denominators must be positive")
-        for coords in itertools.product(range(qh), repeat=n):
-            x = tuple(Fraction(c, qh) for c in coords)
-            if is_zero_exact(D, x):
-                found.add(x)
-    q = 1
-    for pt in found:
-        for c in pt:
-            q = lcm(q, c.denominator)
-    return ZeroSet(points=tuple(sorted(found)), q=q, complete=False)
+        B, base = _three_digit_frame(D), _THIRD_PAIR
+    elif len(D) == 4 and n == 2:
+        B, base = _four_digit_frame(D), _HALF_TRIPLE
+    if B is not None:
+        pts, complete = _lattice_preimage(B, base), True
+    else:
+        # hint mode: exact scan of each (1/q)Z^n grid
+        found = set()
+        for qh in q_hints:
+            if qh < 1:
+                raise ValueError("grid denominators must be positive")
+            for coords in itertools.product(range(qh), repeat=n):
+                x = tuple(Fraction(c, qh) for c in coords)
+                if is_zero_exact(D, x):
+                    found.add(x)
+        pts, complete = tuple(sorted(found)), False
+    q = lcm(*(c.denominator for pt in pts for c in pt))
+    return ZeroSet(points=pts, q=q, complete=complete)
 
 
 def zero_set_in_punctured_grid(Z: ZeroSet, p: int) -> bool:

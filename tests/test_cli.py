@@ -281,6 +281,21 @@ def test_q_scan_csv(tmp_path, capsys):
     assert lines[0] == "x,y,q" and len(lines) == 10
 
 
+@pytest.mark.parametrize("n, header", [(1, "x,q"), (3, "x,y,z,q")])
+def test_q_scan_csv_off_the_plane(tmp_path, capsys, n, header):
+    M = [[4 if i == j else 0 for j in range(n)] for i in range(n)]
+    path = problem(tmp_path, M=M, D=[[0] * n], C=[[0] * n], eta=[1, 10])
+    code, out, _ = run(
+        capsys, "q-scan", "--input", path, "--format", "csv", "--grid", "3"
+    )
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == header and len(lines) == 1 + 3**n
+    assert all(len(line.split(",")) == n + 1 for line in lines)
+    assert lines[1] == ",".join(["-0.1"] * n + ["1.0"])
+    code, out, _ = run(capsys, "q-scan", "--input", path, "--grid", "3")
+    assert code == 0 and "min_q: 1.0" in out
+
+
 def test_float_input_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"M": [[3, 0], [0, 3]], "eta": 0.1}))

@@ -184,19 +184,9 @@ def test_completeness_scan_monotone_in_levels():
     assert mins[0] <= mins[1] <= mins[2]
 
 
-def test_completeness_scan_thread_determinism():
-    cand = spectrum_candidate(SWAP, SWAP_D, SWAP_C, 2)
-    one = completeness_scan(SWAP, SWAP_D, cand, 0.16, resolution=5, depth=40, threads=1)
-    three = completeness_scan(SWAP, SWAP_D, cand, 0.16, resolution=5, depth=40, threads=3)
-    assert one.values == three.values
-    assert one.min_q == three.min_q and one.max_q == three.max_q
-
-
 def test_completeness_scan_validations():
     cand = spectrum_candidate(M3, THREE, S3, 1)
     with pytest.raises(ValueError):
         completeness_scan(M3, THREE, cand, 0.0)
     with pytest.raises(ValueError):
         completeness_scan(M3, THREE, cand, 0.1, resolution=1)
-    with pytest.raises(ValueError):
-        completeness_scan(M3, THREE, cand, 0.1, threads=0)

@@ -92,10 +92,17 @@ def test_find_spectrum_set_budget_zero():
     assert out.status == "undetermined" and out.examined == 0
 
 
-def test_find_spectrum_set_threads_agree():
-    base = find_spectrum_set(M3, THREE)
-    threaded = find_spectrum_set(M3, THREE, threads=3)
-    assert base == threaded and base.status == "found"
+def test_find_spectrum_set_budget_cutoff():
+    # a hint-mode zero set and a long prefix of failing subsets
+    M = ((4, 0), (6, -5))
+    D = ((-1, 3), (0, -1), (1, 3), (2, 0))
+    full = find_spectrum_set(M, D)
+    assert full.status == "found" and full.examined == 21
+    assert full.S == ((0, 0), (-5, 15), (-10, 30), (-15, 45))
+    assert find_spectrum_set(M, D, budget=21) == full
+    cut = find_spectrum_set(M, D, budget=20)
+    assert cut.status == "undetermined" and cut.S is None
+    assert cut.examined == 20 and cut.search_space == full.search_space
 
 
 def test_find_spectrum_set_singular():
