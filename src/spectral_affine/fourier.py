@@ -16,6 +16,7 @@ exact verdicts live in the zeros, hadamard, and ortho modules.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import (
     HypothesisViolation,
     IncompleteZeroSet,
-    SingularMatrix,
     WrongDimension,
 )
 from .linalg import (
@@ -53,13 +53,6 @@ from .ortho import zero_membership
 def _require_expanding(M: Matrix) -> None:
     if is_expanding(M) is not Expansion.EXPANDING:
         raise HypothesisViolation("map must be expanding")
-
-
-def _inverse_fractions(M: Matrix):
-    d, adj = det_and_adjugate(M)
-    if d == 0:
-        raise SingularMatrix("map must be invertible")
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def _rational_points(rows: Sequence[Sequence]) -> tuple[RationalPoint, ...]:
@@ -161,24 +154,32 @@ def attractor_sample(
     pts = _rational_points(digits)
     if len(pts[0]) != len(M):
         raise WrongDimension("digit dimension does not match the map")
-    Minv = _inverse_fractions(M)
+    det_m, adj = det_and_adjugate(M)
+    Minv = tuple(tuple(Fraction(x, det_m) for x in row) for row in adj)
 
     if mode == "digit_expansion":
         if k < 1:
             raise ValueError("expansion length must be positive")
-        sums: set[RationalPoint] = {(Fraction(0),) * len(M)}
-        power = Minv
+        # with q the digits' common denominator, a k-term sum of
+        # M^{-j} d_j is the integer vector sum_j det^{k-j} adj^j (q d_j)
+        # over q det^k; the sign of det^k moves into the numerators, so
+        # they sort like the points and divide once, correctly rounded
+        q = math.lcm(*(c.denominator for d in pts for c in d))
+        sign = -1 if det_m**k < 0 else 1
+        den = q * abs(det_m) ** k
+        scaled = [tuple(int(c * q) for c in d) for d in pts]
+        sums: set[tuple[int, ...]] = {(0,) * len(M)}
+        power = adj
         for j in range(1, k + 1):
-            terms = [tuple(mat_vec(power, d)) for d in pts]
+            scale = sign * det_m ** (k - j)
+            terms = [tuple(scale * x for x in mat_vec(power, d)) for d in scaled]
             sums = {
                 tuple(s + t for s, t in zip(base, term))
                 for base in sums
                 for term in terms
             }
-            power = mat_mul(power, Minv)
-        cloud = tuple(
-            tuple(float(c) for c in p) for p in sorted(sums)
-        )
+            power = mat_mul(power, adj)
+        cloud = tuple(tuple(c / den for c in p) for p in sorted(sums))
         eps = _tail_bound(Minv, pts, k)
         return AttractorSample(
             points=cloud, eps=float(eps), mode=mode, detail=k
@@ -231,6 +232,49 @@ class _MuHat:
             if abs(prod) < 1e-300:
                 return 0j
         return prod
+
+    def values(self, Y: np.ndarray) -> list[complex]:
+        """value() at every row of Y, one product level for all rows at once.
+
+        Each step repeats the scalar path's IEEE operations in its order on
+        separate float64 real and imaginary arrays: the mat-vec and the
+        phases as 0.0 + a0*y0 + a1*y1 + ..., the mask as cos and sin of
+        (2*pi)*phase summed over the digits and divided by len(D), the
+        product as (ar*br - ai*bi, ar*bi + ai*br), and the 1e-300 cutoff
+        on the hypot of the product. numpy's complex multiply, divide and
+        abs are not used, since they may round differently from Python's.
+        So every entry equals value() bit for bit. mu_hat_numeric keeps
+        the scalar path: for a single point the array path is several
+        times slower than the scalar product.
+        """
+        ys = [Y[:, i] for i in range(Y.shape[1])]
+        re = np.ones(len(Y))
+        im = np.zeros(len(Y))
+        two_pi = 2 * math.pi
+        for _ in range(self.depth):
+            ys = [_dot(row, ys) for row in self.minvT]
+            mr = mi = 0.0
+            for d in self.D:
+                th = two_pi * _dot(d, ys)
+                mr = mr + np.cos(th)
+                mi = mi + np.sin(th)
+            mr = mr / len(self.D)
+            mi = mi / len(self.D)
+            re, im = re * mr - im * mi, re * mi + im * mr
+            dead = np.hypot(re, im) < 1e-300
+            re[dead] = 0.0
+            im[dead] = 0.0
+        return [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
+
+
+def _dot(coeffs: Sequence, ys: Sequence[np.ndarray]) -> np.ndarray:
+    """0.0 + c0*y0 + c1*y1 + ..., the order in which the builtin sum adds
+    floats up to Python 3.11 (from 3.12 it compensates, which can move the
+    last bit of a sum of three or more terms)."""
+    acc = 0.0
+    for c, y in zip(coeffs, ys):
+        acc = acc + c * y
+    return acc
 
 
 def mu_hat_numeric(M: Matrix, D: DigitSet, xi: Sequence, depth: int = 40) -> complex:
@@ -295,7 +339,7 @@ def spectrum_candidate(
         }
         power = mat_mul(power, Mt)
     if len(freqs) != len(pts) ** levels:
-        raise AssertionError("level sums must be distinct")
+        raise ValueError("level sums must be distinct")
     ordered = tuple(sorted(freqs))
 
     memo: dict[RationalPoint, bool] = {}
@@ -364,9 +408,14 @@ def suggest_eta(
         )
     ) + lo
     zarr = np.array([[float(c) for c in z] for z in zs.points])
-    lattice = (zarr[:, None, :] + shifts[None, :, :]).reshape(-1, n)
-    diff = pts[:, None, :] - lattice[None, :, :]
-    dist = float(np.sqrt((diff**2).sum(axis=2)).min())
+    # one mask zero at a time keeps the difference array at points x
+    # shifts; sqrt is monotone and correctly rounded, so one sqrt of the
+    # smallest square is the smallest distance
+    nearest = min(
+        float(((pts[:, None, :] - (z + shifts)[None, :, :]) ** 2).sum(axis=2).min())
+        for z in zarr
+    )
+    dist = math.sqrt(nearest)
     eta = (dist - sample.eps) / 2
     if eta <= 0:
         raise HypothesisViolation(
@@ -397,6 +446,9 @@ class QScanResult:
     max_q: float
 
 
+_BATCH = 1 << 16
+
+
 def completeness_scan(
     M: Matrix,
     D: DigitSet,
@@ -420,19 +472,20 @@ def completeness_scan(
         raise ValueError("resolution must be at least 2")
     n = len(M)
     engine = _MuHat(M, D, depth)
-    freqs = [tuple(float(c) for c in f) for f in candidate.frequencies]
+    freqs = np.array([[float(c) for c in f] for f in candidate.frequencies])
+    nf = len(freqs)
     axis = tuple(
         -eta + 2 * eta * i / (resolution - 1) for i in range(resolution)
     )
-    flat = [
-        _pairwise_sum(
-            [
-                abs(engine.value(tuple(p + l for p, l in zip(pt, f)))) ** 2
-                for f in freqs
-            ]
-        )
-        for pt in itertools.product(axis, repeat=n)
-    ]
+    grid = np.array(list(itertools.product(axis, repeat=n)))
+    # blocks of grid points bound the arrays at about _BATCH rows
+    step = max(1, _BATCH // nf)
+    flat: list[float] = []
+    for start in range(0, len(grid), step):
+        block = grid[start : start + step]
+        Y = (block[:, None, :] + freqs[None, :, :]).reshape(-1, n)
+        sq = [abs(v) ** 2 for v in engine.values(Y)]
+        flat += [_pairwise_sum(sq[i * nf : (i + 1) * nf]) for i in range(len(block))]
 
     rows = tuple(
         tuple(flat[i * resolution : (i + 1) * resolution])

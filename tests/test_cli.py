@@ -296,6 +296,18 @@ def test_q_scan_csv_off_the_plane(tmp_path, capsys, n, header):
     assert code == 0 and "min_q: 1.0" in out
 
 
+@pytest.mark.parametrize("command", ["spectrum", "q-scan"])
+def test_colliding_level_sums_reported(tmp_path, capsys, command):
+    # 2*2 + 4*0 = 2*0 + 4*1: the level sums of C collide at two levels
+    path = problem(tmp_path, M=[[2]], D=[[0], [1]], C=[[0], [1], [2]], levels=2)
+    code, payload = run_json(capsys, command, "--input", path)
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ValueError",
+        "message": "level sums must be distinct",
+    }
+
+
 def test_float_input_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"M": [[3, 0], [0, 3]], "eta": 0.1}))

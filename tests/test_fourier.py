@@ -3,22 +3,28 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_affine import fourier
 from spectral_affine.errors import (
     HypothesisViolation,
     IncompleteZeroSet,
     WrongDimension,
 )
 from spectral_affine.fourier import (
+    SpectrumCandidate,
+    _MuHat,
+    _pairwise_sum,
     attractor_sample,
     completeness_scan,
     mu_hat_numeric,
     spectrum_candidate,
     suggest_eta,
 )
+from spectral_affine.linalg import det_and_adjugate, mat_mul, mat_vec, transpose
 
 THREE = ((0, 0), (1, 0), (0, 1))
 M3 = ((3, 0), (0, 3))
@@ -135,7 +141,7 @@ def test_spectrum_candidate_validations():
         spectrum_candidate(M3, THREE, ((1, 2), (2, 1)), 1)
     with pytest.raises(ValueError):
         spectrum_candidate(M3, THREE, S3, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="level sums must be distinct"):
         # (3,6) = M^T (1,2) collides across levels
         spectrum_candidate(M3, THREE, ((0, 0), (3, 6), (1, 2)), 2)
 
@@ -190,3 +196,173 @@ def test_completeness_scan_validations():
         completeness_scan(M3, THREE, cand, 0.0)
     with pytest.raises(ValueError):
         completeness_scan(M3, THREE, cand, 0.1, resolution=1)
+
+
+# ------------------------------------------- differential: batch and integer
+
+
+@st.composite
+def expanding_maps(draw, n=st.integers(1, 3)):
+    """Triangular integer maps with diagonal entries of modulus at least 2,
+    conjugated by an integer shear so that they need not stay triangular."""
+    n = draw(n)
+    diag = st.sampled_from((-4, -3, -2, 2, 3, 5))
+    M = [
+        [draw(diag) if i == j else draw(st.integers(-2, 2)) if i < j else 0
+         for j in range(n)]
+        for i in range(n)
+    ]
+    if n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        t = draw(st.integers(-2, 2))
+        U = [[int(r == c) for c in range(n)] for r in range(n)]
+        Uinv = [row[:] for row in U]
+        U[i][j], Uinv[i][j] = t, -t
+        M = mat_mul(mat_mul(U, M), Uinv)
+    return tuple(tuple(row) for row in M)
+
+
+def _fraction_expansion(M, digits, k):
+    """Every k-term sum of M^{-j} d_j in Fractions, sorted exactly and
+    rounded once per coordinate."""
+    det_m, adj = det_and_adjugate(M)
+    Minv = tuple(tuple(Fraction(x, det_m) for x in row) for row in adj)
+    pts = [tuple(Fraction(c) for c in d) for d in digits]
+    sums = {(Fraction(0),) * len(M)}
+    power = Minv
+    for _ in range(k):
+        terms = [mat_vec(power, d) for d in pts]
+        sums = {tuple(s + t for s, t in zip(b, term)) for b in sums for term in terms}
+        power = mat_mul(power, Minv)
+    return tuple(tuple(float(c) for c in p) for p in sorted(sums))
+
+
+@pytest.mark.parametrize(
+    "M, digits, k",
+    [
+        (SWAP, SWAP_C, 5),  # det -90, odd k: negative denominator
+        (SWAP, SWAP_D, 4),
+        (((-3,),), ((0,), (Fraction(1, 2),), (Fraction(-2, 3),)), 5),
+        (
+            ((2, 1, 0), (0, -3, 1), (1, 0, 2)),
+            ((0, 0, 0), (1, 0, 0), (0, Fraction(1, 4), 1)),
+            3,
+        ),
+        (((0, 0, 2), (1, 0, 0), (0, 1, 0)), ((0, 0, 0), (1, 2, 0), (0, 0, 1)), 4),
+    ],
+)
+def test_attractor_expansion_matches_fraction_reference(M, digits, k):
+    assert attractor_sample(M, digits, k=k).points == _fraction_expansion(M, digits, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    expanding_maps(),
+    st.lists(
+        st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 4),
+)
+def test_attractor_expansion_matches_fraction_reference_random(M, rows, k):
+    digits = {tuple(r[: len(M)]) for r in rows}
+    assert attractor_sample(M, digits, k=k).points == _fraction_expansion(M, digits, k)
+
+
+def _orbit(M, z, k, m):
+    """(M^T)^m (z + k) as floats."""
+    x = tuple(Fraction(c) + e for c, e in zip(z, k))
+    for _ in range(m):
+        x = mat_vec(transpose(M), x)
+    return tuple(float(c) for c in x)
+
+
+small = st.integers(-3, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    expanding_maps(),
+    st.lists(small, min_size=6, max_size=6),
+    st.lists(st.tuples(small, small, small, st.integers(1, 3)), max_size=4),
+    st.lists(st.tuples(*[st.floats(-30, 30)] * 3), min_size=1, max_size=4),
+)
+def test_mu_hat_batch_matches_scalar(M, coords, orbits, free):
+    n = len(M)
+    # a_0 = 1 and b_0 = 2 mod 3 make z = (1/3, 0, ...) a zero of the mask;
+    # the orbit points (M^T)^m (z + k) are zeros of the transform
+    a = (1 + 3 * coords[0],) + tuple(coords[2 : n + 1])
+    b = (2 + 3 * coords[1],) + tuple(coords[n + 1 : 2 * n])
+    D = ((0,) * n, a, b)
+    z = (Fraction(1, 3),) + (Fraction(0),) * (n - 1)
+    xs = [_orbit(M, z, o[:n], o[3]) for o in orbits] + [tuple(f[:n]) for f in free]
+    engine = _MuHat(M, D, 30)
+    assert engine.values(np.array(xs)) == [engine.value(x) for x in xs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mu_hat_batch_cutoff_matches_scalar(n):
+    # M^T = -2I fixes the mask zero z = (1/3, 0, ...) mod 1 and M^{-T} is
+    # exact in binary, so along (M^T)^m z every factor is tiny: the product
+    # crosses the 1e-300 cutoff for m = 25 to 27 before it underflows
+    M = tuple(tuple(-2 if i == j else 0 for j in range(n)) for i in range(n))
+    e = tuple(int(i == 0) for i in range(n))
+    D = ((0,) * n, e, tuple(2 * c for c in e))
+    z = (Fraction(1, 3),) + (Fraction(0),) * (n - 1)
+    xs = [_orbit(M, z, (0,) * n, m) for m in range(18, 32)] + [(0.3,) * n]
+    engine = _MuHat(M, D, 40)
+    want = [engine.value(x) for x in xs]
+    assert engine.values(np.array(xs)) == want
+    assert want[24 - 18] != 0 and want[25 - 18] == 0
+
+
+def _scalar_scan(M, D, freqs, eta, resolution, depth):
+    engine = _MuHat(M, D, depth)
+    axis = tuple(-eta + 2 * eta * i / (resolution - 1) for i in range(resolution))
+    fl = [tuple(float(c) for c in f) for f in freqs]
+    return [
+        _pairwise_sum(
+            [abs(engine.value(tuple(p + l for p, l in zip(pt, f)))) ** 2 for f in fl]
+        )
+        for pt in itertools.product(axis, repeat=len(M))
+    ]
+
+
+def _candidate(freqs):
+    return SpectrumCandidate(
+        base=(), levels=1, frequencies=freqs, orthogonal=False, failing_pair=None
+    )
+
+
+@pytest.mark.parametrize(
+    "M, D, cand, eta, resolution",
+    [
+        (SWAP, SWAP_D, spectrum_candidate(SWAP, SWAP_D, SWAP_C, 2), 0.16, 5),
+        (M3, THREE, spectrum_candidate(M3, THREE, S3, 2), 0.3, 4),
+        (
+            ((3,),),
+            ((0,), (1,), (2,)),
+            _candidate(((0,), (1,), (Fraction(5, 2),))),
+            0.4,
+            7,
+        ),
+        (
+            ((2, 1, 0), (0, 3, 0), (0, 0, -2)),
+            ((0, 0, 0), (1, 0, 0), (0, 1, 1)),
+            _candidate(((0, 0, 0), (1, 2, 0), (Fraction(1, 3), 0, 4))),
+            0.25,
+            3,
+        ),
+    ],
+)
+@pytest.mark.parametrize("batch", [1 << 16, 5])
+def test_completeness_scan_matches_scalar_loop(
+    monkeypatch, M, D, cand, eta, resolution, batch
+):
+    # a small batch splits the grid into uneven blocks
+    monkeypatch.setattr(fourier, "_BATCH", batch)
+    scan = completeness_scan(M, D, cand, eta, resolution=resolution, depth=40)
+    want = _scalar_scan(M, D, cand.frequencies, eta, resolution, 40)
+    assert [q for row in scan.values for q in row] == want
+    assert (scan.min_q, scan.max_q) == (min(want), max(want))
