@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .zeros import (
     DigitSet,
     as_digit_set,
     is_zero_exact,
-    reduce_mod1,
     zero_set,
 )
 
@@ -128,6 +128,8 @@ def find_spectrum_set(
     every member of a valid S containing 0 must satisfy it. Exceeding the
     budget yields status "undetermined" rather than a guess.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     D = as_digit_set(D)
     d, adj = det_and_adjugate(M)
     if d == 0:
@@ -142,14 +144,24 @@ def find_spectrum_set(
 
     reps = coset_transversal(transpose(M)).reps
     zs = zero_set(D)
-    zpoints = zs.point_set if zs.complete else None
     adjT = transpose(adj)
+    if zs.complete:
+        # x = adj(M)^T v / d is a zero iff w = q adj(M)^T v is divisible by
+        # d and the integer vector w / d reduces mod q to a residue q*z
+        q = zs.q
+        qadjT = tuple(tuple(q * a for a in row) for row in adjT)
+        residues = frozenset(zs.residues)
 
-    def vanishes(vec: Sequence[int]) -> bool:
-        x = tuple(Fraction(c, d) for c in mat_vec(adjT, vec))
-        if zpoints is not None:
-            return reduce_mod1(x) in zpoints
-        return is_zero_exact(D, x)
+        def vanishes(vec: Sequence[int]) -> bool:
+            w = [sum(map(mul, row, vec)) for row in qadjT]
+            if any(c % d for c in w):
+                return False
+            return tuple(c // d % q for c in w) in residues
+
+    else:
+
+        def vanishes(vec: Sequence[int]) -> bool:
+            return is_zero_exact(D, tuple(Fraction(c, d) for c in mat_vec(adjT, vec)))
 
     nonzero = [r for r in reps if any(r)]
     filtered = [r for r in nonzero if vanishes(r)]

@@ -42,12 +42,14 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import (
+    Expansion,
     IntVector,
     Matrix,
     as_matrix,
     det,
     det_and_adjugate,
     identity,
+    is_expanding,
     is_prime,
     mat_mod,
     mat_mul,
@@ -69,11 +71,6 @@ from .zeros import (
     zero_set,
     zero_set_in_punctured_grid,
 )
-
-
-def _scaled_zeros(zs: ZeroSet) -> tuple[IntVector, ...]:
-    """The mask zeros as integer vectors q*z, in the zero set's order."""
-    return tuple(tuple(int(c * zs.q) for c in pt) for pt in zs.points)
 
 
 def _lattice_point(xi: Sequence) -> tuple[IntVector, int]:
@@ -105,8 +102,7 @@ class _Measure:
                 "orthogonality decisions need a provably complete zero set"
             )
         self.q = self.zs.q
-        self.zq = _scaled_zeros(self.zs)
-        self.residues = frozenset(self.zq)
+        self.residues = frozenset(self.zs.residues)
         # growth: sup_k ||(M^{-T})^k||_inf <= C, certified by finding the
         # first power with norm below one and taking the max before it;
         # the k-th power is P / absdet^k with P the integer power of adjT
@@ -210,13 +206,15 @@ def has_infinite_orthogonal(
     """
     M = as_matrix(M)
     D = as_digit_set(D)
+    if is_expanding(M) is not Expansion.EXPANDING:
+        raise HypothesisViolation("orbit test requires an expanding matrix")
     zs = zero_set(D)
     if not zs.complete:
         raise IncompleteZeroSet("orbit test needs a complete zero set")
     Mt = transpose(M)
     q = zs.q
     best: Optional[int] = None
-    for x in _scaled_zeros(zs):
+    for x in zs.residues:
         seen = set()
         j = 0
         while x not in seen:
@@ -391,6 +389,8 @@ def nstar_bounds(
         raise ValueError("modulus must be prime")
     if R < 0 or (J is not None and J < 1):
         raise ValueError("search window must be positive")
+    if node_budget < 0:
+        raise ValueError("node budget must be nonnegative")
     eng = _measure(M, D)
     n = eng.n
     if J is None:
@@ -417,7 +417,7 @@ def nstar_bounds(
     ]
     candidates: list[IntVector] = []
     seen: set[IntVector] = set()
-    shells = list(eng.zq)
+    shells = list(eng.zs.residues)
     for _ in range(J):
         shells = [mat_vec(Mt, vec) for vec in shells]
         for vec in shells:
@@ -534,7 +534,7 @@ def transport_inclusion_check(
         MT = transpose(frm.M)
         Tt = transpose(T)
         out = []
-        shells = list(frm.zq)
+        shells = list(frm.zs.residues)
         for j in range(1, J + 1):
             shells = [mat_vec(MT, vec) for vec in shells]
             for z, vec in zip(frm.zs.points, shells):

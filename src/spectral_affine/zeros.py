@@ -14,13 +14,13 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Sequence
 
 from .errors import DegenerateDigits, IncompleteZeroSet, WrongDimension
-from .linalg import Matrix, det_and_adjugate, mat_vec
+from .linalg import IntVector, Matrix, coset_transversal, det_and_adjugate, transpose
 
 DigitSet = tuple[tuple[int, ...], ...]
 RationalPoint = tuple[Fraction, ...]
@@ -143,61 +143,72 @@ class ZeroSet:
 
     q is the least common denominator of the listed points. When complete
     is true the points are provably all of the zeros in the unit cube.
+    residues holds the same points as integer vectors q*z, in point order.
     """
 
     points: tuple[RationalPoint, ...]
     q: int
     complete: bool
+    residues: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = set(self.points)
+        q = self.q
+        residues = []
         for pt in self.points:
+            r = []
             for c in pt:
-                if not (0 <= c < 1):
+                if q % c.denominator:
+                    raise AssertionError("zero set points must lie on the (1/q)-grid")
+                v = c.numerator * (q // c.denominator)
+                if not (0 <= v < q):
                     raise AssertionError("zero set points must lie in [0,1)")
-            neg = tuple((-c) % 1 for c in pt)
-            if neg not in members:
+                r.append(v)
+            residues.append(tuple(r))
+        members = set(residues)
+        for r in residues:
+            if tuple(-v % q for v in r) not in members:
                 raise AssertionError("zero set must be symmetric under negation")
+        object.__setattr__(self, "residues", tuple(residues))
 
     @property
     def point_set(self) -> frozenset[RationalPoint]:
         return frozenset(self.points)
 
 
-_THIRD_PAIR = (
-    (Fraction(1, 3), Fraction(2, 3)),
-    (Fraction(2, 3), Fraction(1, 3)),
-)
-_HALF_TRIPLE = (
-    (Fraction(0), Fraction(1, 2)),
-    (Fraction(1, 2), Fraction(0)),
-    (Fraction(1, 2), Fraction(1, 2)),
-)
+# base zeros as integer numerators over their common denominator
+_THIRD_PAIR = (3, ((1, 2), (2, 1)))
+_HALF_TRIPLE = (2, ((0, 1), (1, 0), (1, 1)))
 
 
-def _lattice_preimage(B: Matrix, base: Iterable[RationalPoint]) -> tuple[RationalPoint, ...]:
-    """All x in [0,1)^2 with B^T x congruent mod Z^2 to a base point."""
+def _lattice_preimage(
+    B: Matrix, base: tuple[int, Sequence[IntVector]]
+) -> tuple[RationalPoint, ...]:
+    """All x in [0,1)^2 with B^T x congruent mod Z^2 to a base point b/m.
+
+    Those x are adj(B)^T (b + m r) / (m det B) for the representatives r of
+    Z^2 / B^T Z^2: exactly |det B| classes mod Z^2 per base point, found as
+    integer numerators over the one positive denominator m |det B|. Both
+    base sets are closed under negation, so the sign of det B only permutes
+    the preimages and is dropped.
+    """
     d, adj = det_and_adjugate(B)
     if d == 0:
         raise DegenerateDigits("digit difference matrix is singular")
-    Bt = tuple(zip(*B))
-    adjT = tuple(zip(*adj))
-    # corners of B^T [0,1)^2 bound the k-search box
-    corners = [mat_vec(Bt, c) for c in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    lo = [min(c[i] for c in corners) - 1 for i in range(2)]
-    hi = [max(c[i] for c in corners) + 1 for i in range(2)]
-    found = []
-    base = tuple(base)
-    for pt in base:
-        for k1 in range(lo[0], hi[0] + 1):
-            for k2 in range(lo[1], hi[1] + 1):
-                y = (pt[0] + k1, pt[1] + k2)
-                x = tuple(Fraction(v, d) for v in mat_vec(adjT, y))
-                if all(0 <= c < 1 for c in x):
-                    found.append(x)
-    if len(found) != len(base) * abs(d):
+    m, numerators = base
+    den = m * abs(d)
+    (a00, a01), (a10, a11) = adj
+    reps = coset_transversal(transpose(B)).reps
+    found = set()
+    for b0, b1 in numerators:
+        for r0, r1 in reps:
+            y0 = b0 + m * r0
+            y1 = b1 + m * r1
+            found.add(((a00 * y0 + a10 * y1) % den, (a01 * y0 + a11 * y1) % den))
+    # distinct cosets and distinct base classes give distinct preimages
+    if len(found) != len(numerators) * abs(d):
         raise AssertionError("preimage count must equal |base| * |det|")
-    return tuple(sorted(set(found)))
+    # one positive denominator, so integer order is Fraction order
+    return tuple(tuple(Fraction(v, den) for v in x) for x in sorted(found))
 
 
 def _three_digit_frame(D: DigitSet) -> Matrix:

@@ -72,6 +72,15 @@ def test_find_hadamard(tmp_path, capsys):
     assert code == 2 and payload["result"]["status"] == "undetermined"
 
 
+@pytest.mark.parametrize("command", ["find-hadamard", "nstar"])
+def test_negative_budget_rejected(tmp_path, capsys, command):
+    path = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, p=3, J=1, R=0)
+    code, payload = run_json(capsys, command, "--input", path, "--budget", "-1")
+    assert code == 1 and "result" not in payload
+    assert payload["error"]["type"] == "ValueError"
+    assert "budget" in payload["error"]["message"]
+
+
 def test_verify_triple(tmp_path, capsys):
     path = problem(
         tmp_path, M=[[3, 0], [0, 3]], D=THREE, S=[[0, 0], [1, 2], [2, 1]]
@@ -130,6 +139,14 @@ def test_infinite_orthogonal(tmp_path, capsys):
     code, payload = run_json(capsys, "infinite-orthogonal", "--input", path)
     assert code == 0
     assert payload["result"] == {"infinite": True, "witness_level": 1}
+
+
+@pytest.mark.parametrize("M", [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[1, 1], [0, 2]]])
+def test_infinite_orthogonal_refuses_non_expanding(tmp_path, capsys, M):
+    path = problem(tmp_path, M=M, D=THREE)
+    code, payload = run_json(capsys, "infinite-orthogonal", "--input", path)
+    assert code == 1 and "result" not in payload
+    assert payload["error"]["type"] == "HypothesisViolation"
 
 
 def test_nstar_with_flag_overrides(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Triple verification and spectrum-set search."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectral_affine.errors import SingularMatrix, WrongDimension
@@ -11,6 +14,8 @@ from spectral_affine.hadamard import (
     unitarity_defect,
     verify_triple,
 )
+from spectral_affine.linalg import coset_transversal, det, det_and_adjugate, mat_vec, transpose
+from spectral_affine.zeros import is_zero_exact
 
 THREE = ((0, 0), (1, 0), (0, 1))
 FOUR = ((0, 0), (1, 0), (0, 1), (-1, -1))
@@ -103,6 +108,79 @@ def test_find_spectrum_set_budget_cutoff():
     cut = find_spectrum_set(M, D, budget=20)
     assert cut.status == "undetermined" and cut.S is None
     assert cut.examined == 20 and cut.search_space == full.search_space
+
+
+def test_find_spectrum_set_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        find_spectrum_set(M3, THREE, budget=-1)
+    # refused before the trivial one-digit answer, too
+    with pytest.raises(ValueError, match="budget"):
+        find_spectrum_set(M3, ((0, 0),), budget=-1)
+
+
+def _reference_search(M, D, budget):
+    """find_spectrum_set's contract with the exact mask test as predicate:
+    (status, S, examined) over lexicographic subsets of the transversal."""
+    d, adj = det_and_adjugate(M)
+    adjT = transpose(adj)
+
+    def vanishes(v):
+        return is_zero_exact(D, tuple(Fraction(c, d) for c in mat_vec(adjT, v)))
+
+    k = len(D) - 1
+    reps = coset_transversal(transpose(M)).reps
+    filtered = [r for r in reps if any(r) and vanishes(r)]
+    examined = 0
+    for subset in combinations(filtered, k):
+        if examined >= budget:
+            return "undetermined", None, examined
+        examined += 1
+        if all(vanishes(tuple(x - y for x, y in zip(a, b))) for a, b in combinations(subset, 2)):
+            return "found", ((0, 0), *subset), examined
+    return "none", None, examined
+
+
+small = st.integers(-4, 4)
+
+
+@st.composite
+def planar_systems(draw):
+    four = draw(st.booleans())
+    M = ((draw(small), draw(small)), (draw(small), draw(small)))
+    if draw(st.booleans()):
+        # multiples of |D| carry many dual sets and long searches
+        M = tuple(tuple((3 + four) * x for x in row) for row in M)
+    assume(2 <= abs(det(M)) <= 48)
+    c = (draw(small), draw(small))
+    alpha = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    beta = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    assume(alpha[0] * beta[1] - alpha[1] * beta[0] != 0)
+    shape = [(0, 0), alpha, beta]
+    if four:
+        shape.append((-alpha[0] - beta[0], -alpha[1] - beta[1]))
+    D = tuple((c[0] + v[0], c[1] + v[1]) for v in shape)
+    assume(len(set(D)) == len(D))
+    return M, D
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_systems())
+# long searches, both signs of det M: found after 6 or 71 subsets, none after 56
+@example((((-6, 9), (0, 3)), ((0, 0), (-3, 1), (0, 2))))
+@example((((12, -9), (0, 3)), ((0, 0), (0, -2), (-3, -1))))
+@example((((-4, 0), (16, 12)), ((0, 0), (3, 0), (-1, -2), (-2, 2))))
+@example((((-12, -12), (8, 4)), ((0, 0), (-3, -3), (-3, 3), (6, 0))))
+@example((((-12, -4), (4, 4)), ((0, 0), (-2, -2), (-1, 3), (3, -1))))
+@example((((8, -12), (-4, 8)), ((0, 0), (-2, -2), (2, -2), (0, 4))))
+def test_find_spectrum_set_matches_reference_search(system):
+    M, D = system
+    full = find_spectrum_set(M, D)
+    status, S, examined = _reference_search(M, D, 10_000_000)
+    assert (full.status, full.S, full.examined) == (status, S, examined)
+    for budget in sorted({0, 1, max(examined - 1, 0), examined}):
+        out = find_spectrum_set(M, D, budget=budget)
+        assert (out.status, out.S, out.examined) == _reference_search(M, D, budget)
+        assert out.search_space == full.search_space
 
 
 def test_find_spectrum_set_singular():

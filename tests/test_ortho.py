@@ -65,6 +65,15 @@ def test_has_infinite_orthogonal():
     assert has_infinite_orthogonal(((4, 1), (2, 5)), THREE) == (True, 2)
 
 
+@pytest.mark.parametrize(
+    "M", [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 1), (0, 2)), ((1, 0), (0, 3))]
+)
+def test_has_infinite_orthogonal_needs_expanding_matrix(M):
+    # the measure, and with it n*, is not defined for these maps
+    with pytest.raises(HypothesisViolation, match="expanding"):
+        has_infinite_orthogonal(M, THREE)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
@@ -231,6 +240,10 @@ def test_nstar_validations():
         nstar_bounds(M3, THREE, 3, J=0)
     with pytest.raises(ValueError):
         nstar_bounds(M3, THREE, 3, R=-1)
+    with pytest.raises(ValueError, match="budget"):
+        nstar_bounds(M3, THREE, 3, node_budget=-1)
+    # a zero budget is an honest, truncated search
+    assert not nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=0).search_complete
 
 
 def test_transport_identity_witness():

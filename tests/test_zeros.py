@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_affine.errors import (
@@ -187,16 +187,49 @@ def test_zero_set_symmetry_guard():
         ZeroSet(points=((F(1, 3), F(1, 3)),), q=3, complete=True)
     with pytest.raises(AssertionError):
         ZeroSet(points=((F(4, 3), F(2, 3)),), q=3, complete=True)
+    with pytest.raises(AssertionError, match="symmetric"):
+        ZeroSet(points=((F(1, 3), F(1, 3)), (F(1, 3), F(2, 3))), q=3, complete=True)
+    # points off the (1/q)-grid, one of them symmetric once truncated
+    with pytest.raises(AssertionError, match="grid"):
+        ZeroSet(points=((F(1, 2), F(1, 2)),), q=1, complete=True)
+    with pytest.raises(AssertionError, match="grid"):
+        ZeroSet(points=((F(1, 2), F(1, 2)),), q=3, complete=True)
 
 
-frame_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+def test_zero_set_residues_are_scaled_points():
+    stretched = ((0, 0), (1, 0), (0, 2))
+    negative = ((0, 0), (1, 3), (2, -1), (-3, -2))  # det B = -7
+    for D in (THREE, FOUR, stretched, ((0, 0), (3, 1), (1, 3)), negative):
+        zs = zero_set(D)
+        # Fraction == int only when the scaled coordinate is integral
+        assert zs.residues == tuple(tuple(c * zs.q for c in pt) for pt in zs.points)
+    hinted = zero_set(((0, 0), (1, 0), (0, 1), (1, 1)), q_hints=[2])
+    assert hinted.residues == ((0, 1), (1, 0), (1, 1))
+    assert zero_set(((4, 7),)).residues == ()
+
+
+def _grid_scan(D, q):
+    """Every zero of the mask of D on the (1/q)-grid, by exact testing."""
+    found = set()
+    for a in range(q):
+        for b in range(q):
+            x = (F(a, q), F(b, q))
+            if is_zero_exact(D, x):
+                found.add(x)
+    return found
+
+
+frame_vectors = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(frame_vectors, frame_vectors, frame_vectors)
+@example((0, 0), (2, 1), (1, 3))
+@example((1, -2), (1, 3), (2, 1))
+@example((0, 0), (4, 1), (0, -3))
 def test_three_digit_closed_form_against_exact_scan(d0, alpha, beta):
     detB = alpha[0] * beta[1] - alpha[1] * beta[0]
-    if detB == 0 or abs(detB) > 6:
+    if detB == 0 or abs(detB) > 12:
         return
     D = (d0, (d0[0] + alpha[0], d0[1] + alpha[1]), (d0[0] + beta[0], d0[1] + beta[1]))
     if len(set(D)) != 3:
@@ -204,23 +237,25 @@ def test_three_digit_closed_form_against_exact_scan(d0, alpha, beta):
     zs = zero_set(D)
     assert zs.complete
     assert len(zs.points) == 2 * abs(detB)
-    for pt in zs.points:
-        assert is_zero_exact(D, pt)
+    assert zs.points == tuple(sorted(zs.points))
     # the closed form must find everything the grid scan finds
-    scan = set()
-    for a in range(zs.q):
-        for b in range(zs.q):
-            x = (F(a, zs.q), F(b, zs.q))
-            if is_zero_exact(D, x):
-                scan.add(x)
-    assert scan == zs.point_set
+    assert _grid_scan(D, zs.q) == zs.point_set
+    # and no zero hides off that grid: every zero has denominator 3|det B|
+    assert _grid_scan(D, 3 * abs(detB)) == zs.point_set
 
 
 @settings(max_examples=60, deadline=None)
-@given(frame_vectors, st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+@given(
+    frame_vectors,
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+@example((0, 0), (2, 1), (1, 3))
+@example((1, 1), (1, 3), (2, 1))
+@example((0, 0), (3, 1), (0, -3))
 def test_four_digit_closed_form_is_exact(c, alpha, beta):
     detB = alpha[0] * beta[1] - alpha[1] * beta[0]
-    if detB == 0:
+    if detB == 0 or abs(detB) > 12:
         return
     gamma = (-alpha[0] - beta[0], -alpha[1] - beta[1])
     D = tuple((c[0] + v[0], c[1] + v[1]) for v in ((0, 0), alpha, beta, gamma))
@@ -229,8 +264,9 @@ def test_four_digit_closed_form_is_exact(c, alpha, beta):
     zs = zero_set(D)
     assert zs.complete
     assert len(zs.points) == 3 * abs(detB)
-    for pt in zs.points:
-        assert is_zero_exact(D, pt)
+    assert zs.points == tuple(sorted(zs.points))
+    assert _grid_scan(D, zs.q) == zs.point_set
+    assert _grid_scan(D, 2 * abs(detB)) == zs.point_set
 
 
 def test_punctured_grid_inclusion():
