@@ -28,7 +28,7 @@ from .conjugacy import (
     spectral_residue_criterion,
     spectrality_criterion,
 )
-from .errors import ProblemFormatError, SpectralAffineError
+from .errors import ProblemFormatError
 from .fourier import (
     attractor_sample,
     completeness_scan,
@@ -538,7 +538,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "timing_seconds": time.perf_counter() - start,
         }
         rendered = emit(report, opts.format, csv_rows)
-    except (SpectralAffineError, ValueError) as exc:
+    except Exception as exc:
+        # every failure, an overflow in the float layer included, gets the
+        # same parseable report with the exception's class name
         report = {
             "library": {"name": "spectral-affine", "version": __version__},
             "schema": 1,

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,12 +32,14 @@ from .errors import (
 )
 from .linalg import (
     Expansion,
+    IntVector,
     Matrix,
     as_matrix,
     det_and_adjugate,
     is_expanding,
     mat_mul,
     mat_vec,
+    sign_canonical,
     transpose,
 )
 from .zeros import (
@@ -47,7 +50,7 @@ from .zeros import (
     mask_eval,
     zero_set,
 )
-from .ortho import zero_membership
+from .ortho import _measure
 
 
 def _require_expanding(M: Matrix) -> None:
@@ -327,48 +330,46 @@ def spectrum_candidate(
     if levels < 1:
         raise ValueError("level count must be positive")
 
+    # the level sums run on the integer vectors Q*x, Q the base points'
+    # common denominator; one positive denominator keeps the sort order of
+    # the rational points, and a difference goes to the walk as (N, Q)
+    Q = math.lcm(*(c.denominator for p in pts for c in p))
+    scaled = [tuple(c.numerator * (Q // c.denominator) for c in p) for p in pts]
     Mt = transpose(M)
-    freqs: set[RationalPoint] = {zero}
+    sums: set[IntVector] = {(0,) * n}
     power = Mt
     for _ in range(levels):
-        terms = [tuple(mat_vec(power, c)) for c in pts]
-        freqs = {
-            tuple(f + t for f, t in zip(base_f, term))
-            for base_f in freqs
-            for term in terms
-        }
+        terms = [mat_vec(power, c) for c in scaled]
+        sums = {tuple(map(add, f, t)) for f in sums for t in terms}
         power = mat_mul(power, Mt)
-    if len(freqs) != len(pts) ** levels:
+    if len(sums) != len(pts) ** levels:
         raise ValueError("level sums must be distinct")
-    ordered = tuple(sorted(freqs))
+    ordered = sorted(sums)
 
-    memo: dict[RationalPoint, bool] = {}
-    orthogonal = True
-    failing: Optional[tuple[RationalPoint, RationalPoint]] = None
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            w = tuple(x - y for x, y in zip(a, b))
-            for c in w:
-                if c != 0:
-                    if c < 0:
-                        w = tuple(-x for x in w)
+    # indices of the first failing pair; one walk per distinct difference
+    failing: Optional[tuple[int, int]] = None
+    if len(ordered) > 1:
+        eng = _measure(M, D)
+        memo: dict[IntVector, bool] = {}
+        for i, a in enumerate(ordered):
+            for j in range(i + 1, len(ordered)):
+                w = sign_canonical(tuple(map(sub, a, ordered[j])))
+                hit = memo.get(w)
+                if hit is None:
+                    hit = eng.membership(w, Q) is not None
+                    memo[w] = hit
+                if not hit:
+                    failing = (i, j)
                     break
-            hit = memo.get(w)
-            if hit is None:
-                hit = zero_membership(M, D, w) is not None
-                memo[w] = hit
-            if not hit:
-                orthogonal = False
-                failing = (a, b)
+            if failing is not None:
                 break
-        if not orthogonal:
-            break
+    freqs = tuple(tuple(Fraction(c, Q) for c in f) for f in ordered)
     return SpectrumCandidate(
         base=pts,
         levels=levels,
-        frequencies=ordered,
-        orthogonal=orthogonal,
-        failing_pair=failing,
+        frequencies=freqs,
+        orthogonal=failing is None,
+        failing_pair=None if failing is None else tuple(freqs[i] for i in failing),
     )
 
 
@@ -387,6 +388,28 @@ class EtaSuggestion:
     sampling_error: float
 
 
+def _nearest_zero_square(pts: np.ndarray, zeros: np.ndarray) -> float:
+    """Smallest squared distance from a row of pts to a translate z + k of
+    a row z of zeros, k an integer vector in the box one unit beyond the
+    cloud's integer hull.
+
+    The squared distance is one term per coordinate, added left to right
+    (as numpy sums a short axis), and float addition is monotone in each
+    argument. So its minimum over the box is, bit for bit, the same sum of
+    each coordinate's minimum over its own shifts; the box is never built.
+    """
+    lo = np.floor(pts.min(axis=0)).astype(int) - 1
+    hi = np.ceil(pts.max(axis=0)).astype(int) + 1
+    ks = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+    best = math.inf
+    for z in zeros:
+        acc = 0.0
+        for i, k in enumerate(ks):
+            acc = acc + ((pts[:, i, None] - (z[i] + k)[None, :]) ** 2).min(axis=1)
+        best = min(best, float(acc.min()))
+    return best
+
+
 def suggest_eta(
     M: Matrix, D: DigitSet, base: Sequence[Sequence], k: int = 8
 ) -> EtaSuggestion:
@@ -399,23 +422,10 @@ def suggest_eta(
         raise HypothesisViolation("mask has no zeros; any radius works")
     sample = attractor_sample(M, base, "digit_expansion", k=k)
     pts = np.array(sample.points, dtype=float)
-    lo = np.floor(pts.min(axis=0)).astype(int) - 1
-    hi = np.ceil(pts.max(axis=0)).astype(int) + 1
-    n = pts.shape[1]
-    shifts = np.array(
-        list(
-            np.ndindex(*[int(h - l + 1) for l, h in zip(lo, hi)])
-        )
-    ) + lo
     zarr = np.array([[float(c) for c in z] for z in zs.points])
-    # one mask zero at a time keeps the difference array at points x
-    # shifts; sqrt is monotone and correctly rounded, so one sqrt of the
-    # smallest square is the smallest distance
-    nearest = min(
-        float(((pts[:, None, :] - (z + shifts)[None, :, :]) ** 2).sum(axis=2).min())
-        for z in zarr
-    )
-    dist = math.sqrt(nearest)
+    # sqrt is monotone and correctly rounded, so one sqrt of the smallest
+    # square is the smallest distance
+    dist = math.sqrt(_nearest_zero_square(pts, zarr))
     eta = (dist - sample.eps) / 2
     if eta <= 0:
         raise HypothesisViolation(

@@ -28,6 +28,7 @@ from .linalg import (
     mat_mod,
     mat_mul,
     mat_vec,
+    sign_canonical,
     transpose,
 )
 from .zeros import (
@@ -169,9 +170,7 @@ def find_spectrum_set(
     pair_cache: dict[tuple[int, ...], bool] = {}
 
     def pair_ok(a: Sequence[int], b: Sequence[int]) -> bool:
-        diff = tuple(x - y for x, y in zip(a, b))
-        if diff[0] < 0 or (diff[0] == 0 and diff[1:] < (0,) * (len(diff) - 1)):
-            diff = tuple(-x for x in diff)
+        diff = sign_canonical(tuple(x - y for x, y in zip(a, b)))
         hit = pair_cache.get(diff)
         if hit is None:
             hit = vanishes(diff)

@@ -13,7 +13,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import neg
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +58,15 @@ def mat_vec(M: Matrix, v: Sequence) -> tuple:
     if len(M[0]) != len(v):
         raise WrongDimension("matrix-vector dimension mismatch")
     return tuple(sum(m * x for m, x in zip(row, v)) for row in M)
+
+
+def sign_canonical(v: IntVector) -> Optional[IntVector]:
+    """The one of v and -v whose first nonzero coordinate is positive, or
+    None for the zero vector: one key for a difference and its negative."""
+    for c in v:
+        if c:
+            return v if c > 0 else tuple(map(neg, v))
+    return None
 
 
 def mat_scale(M: Matrix, c: int) -> Matrix:

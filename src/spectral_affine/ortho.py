@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from operator import mul, neg, sub
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .conjugacy import divide_digits
@@ -56,6 +56,7 @@ from .linalg import (
     mat_pow,
     mat_vec,
     order_mod,
+    sign_canonical,
     transpose,
 )
 from .zeros import (
@@ -160,13 +161,8 @@ class _Measure:
     def difference_orthogonal(self, a: IntVector, b: IntVector) -> bool:
         """Whether (a - b)/q lies in the Fourier zero set, for integer
         vectors a and b on the (1/q)-grid scaled by q."""
-        w = tuple(map(sub, a, b))
-        for c in w:
-            if c:
-                if c < 0:
-                    w = tuple(map(neg, w))
-                break
-        else:
+        w = sign_canonical(tuple(map(sub, a, b)))
+        if w is None:
             return False
         hit = self._pair.get(w)
         if hit is None:
@@ -203,6 +199,9 @@ def has_infinite_orthogonal(
     arbitrarily large orthogonal families, so the count n* is infinite.
     The witness is the least such j. Decided by exact orbit iteration of
     the residues q*z mod q, q the common denominator of the mask zeros.
+    One memo across all zeros holds each visited residue's least number
+    of steps to 0, or None when its orbit cycles without reaching 0, so
+    every residue is stepped from once.
     """
     M = as_matrix(M)
     D = as_digit_set(D)
@@ -213,20 +212,20 @@ def has_infinite_orthogonal(
         raise IncompleteZeroSet("orbit test needs a complete zero set")
     Mt = transpose(M)
     q = zs.q
-    best: Optional[int] = None
+    zero = (0,) * len(M)
+    steps: dict[IntVector, Optional[int]] = {zero: 0}
     for x in zs.residues:
-        seen = set()
-        j = 0
-        while x not in seen:
-            seen.add(x)
+        path: dict[IntVector, None] = {}
+        while x not in steps and x not in path:
+            path[x] = None
             x = tuple(c % q for c in mat_vec(Mt, x))
-            j += 1
-            if all(c == 0 for c in x):
-                if best is None or j < best:
-                    best = j
-                break
-            if best is not None and j >= best:
-                break
+        # x is either known or a repeat on the path: a cycle that misses 0
+        tail = steps.get(x)
+        for x in reversed(path):
+            tail = None if tail is None else tail + 1
+            steps[x] = tail
+    hits = [steps[x] for x in zs.residues if steps[x] is not None]
+    best = min(hits, default=None)
     return (best is not None, best)
 
 

@@ -325,6 +325,27 @@ def test_colliding_level_sums_reported(tmp_path, capsys, command):
     }
 
 
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("fourier-eval", {"D": THREE, "xi": [[10**400, 1], 0]}),
+        ("q-scan", {"D": SWAP_D, "C": SWAP_C, "levels": 1, "eta": [10**400, 1]}),
+        ("attractor", {"C": [[0, 0], [[10**400, 3], 0]], "k": 2}),
+    ],
+)
+def test_float_overflow_reported(tmp_path, capsys, command, fields):
+    M = SWAP if command == "q-scan" else [[3, 0], [0, 3]]
+    path = problem(tmp_path, M=M, **fields)
+    code, out, err = run(capsys, command, "--input", path, "--format", "json")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert "result" not in payload
+    assert payload["error"]["type"] == "OverflowError"
+    code, out, err = run(capsys, command, "--input", path, "--format", "text")
+    assert code == 1 and err.startswith("error (OverflowError): ")
+    assert "Traceback" not in err
+
+
 def test_float_input_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"M": [[3, 0], [0, 3]], "eta": 0.1}))

@@ -1,20 +1,22 @@
 """Numerical transform, attractor sampling, and frame-sum scans."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_affine import fourier
+from spectral_affine import fourier, ortho
 from spectral_affine.errors import (
     HypothesisViolation,
     IncompleteZeroSet,
     WrongDimension,
 )
 from spectral_affine.fourier import (
+    EtaSuggestion,
     SpectrumCandidate,
     _MuHat,
     _pairwise_sum,
@@ -24,7 +26,16 @@ from spectral_affine.fourier import (
     spectrum_candidate,
     suggest_eta,
 )
-from spectral_affine.linalg import det_and_adjugate, mat_mul, mat_vec, transpose
+from spectral_affine.hadamard import find_spectrum_set
+from spectral_affine.linalg import (
+    as_matrix,
+    det_and_adjugate,
+    mat_mul,
+    mat_vec,
+    transpose,
+)
+from spectral_affine.ortho import zero_membership
+from spectral_affine.zeros import as_digit_set, zero_set
 
 THREE = ((0, 0), (1, 0), (0, 1))
 M3 = ((3, 0), (0, 3))
@@ -202,11 +213,11 @@ def test_completeness_scan_validations():
 
 
 @st.composite
-def expanding_maps(draw, n=st.integers(1, 3)):
-    """Triangular integer maps with diagonal entries of modulus at least 2,
-    conjugated by an integer shear so that they need not stay triangular."""
+def expanding_maps(draw, n=st.integers(1, 3), diag=st.sampled_from((-4, -3, -2, 2, 3, 5))):
+    """Triangular integer maps with diagonal entries drawn from diag (of
+    modulus at least 2 by default), conjugated by an integer shear so that
+    they need not stay triangular."""
     n = draw(n)
-    diag = st.sampled_from((-4, -3, -2, 2, 3, 5))
     M = [
         [draw(diag) if i == j else draw(st.integers(-2, 2)) if i < j else 0
          for j in range(n)]
@@ -366,3 +377,242 @@ def test_completeness_scan_matches_scalar_loop(
     want = _scalar_scan(M, D, cand.frequencies, eta, resolution, 40)
     assert [q for row in scan.values for q in row] == want
     assert (scan.min_q, scan.max_q) == (min(want), max(want))
+
+
+# ------------------------------- differential: integer level sums, radius
+
+
+def _outcome(f, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _fraction_spectrum_candidate(M, D, base, levels):
+    """Reference: level sums and differences in Fractions, each sign-
+    canonical difference walked by zero_membership."""
+    M = as_matrix(M)
+    D = as_digit_set(D)
+    pts = fourier._rational_points(base)
+    n = len(M)
+    if len(pts[0]) != n:
+        raise WrongDimension("base dimension does not match the map")
+    zero = (Fraction(0),) * n
+    if zero not in pts:
+        raise ValueError("base must contain the zero vector")
+    if levels < 1:
+        raise ValueError("level count must be positive")
+    Mt = transpose(M)
+    freqs = {zero}
+    power = Mt
+    for _ in range(levels):
+        terms = [tuple(mat_vec(power, c)) for c in pts]
+        freqs = {tuple(f + t for f, t in zip(b, term)) for b in freqs for term in terms}
+        power = mat_mul(power, Mt)
+    if len(freqs) != len(pts) ** levels:
+        raise ValueError("level sums must be distinct")
+    ordered = tuple(sorted(freqs))
+    memo = {}
+    failing = None
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            w = tuple(x - y for x, y in zip(a, b))
+            for c in w:
+                if c != 0:
+                    if c < 0:
+                        w = tuple(-x for x in w)
+                    break
+            hit = memo.get(w)
+            if hit is None:
+                hit = zero_membership(M, D, w) is not None
+                memo[w] = hit
+            if not hit:
+                failing = (a, b)
+                break
+        if failing is not None:
+            break
+    return SpectrumCandidate(
+        base=pts,
+        levels=levels,
+        frequencies=ordered,
+        orthogonal=failing is None,
+        failing_pair=failing,
+    )
+
+
+def _full_box_square(pts, zeros):
+    """Reference: every point against every zero translate in the box."""
+    lo = np.floor(pts.min(axis=0)).astype(int) - 1
+    hi = np.ceil(pts.max(axis=0)).astype(int) + 1
+    shifts = np.array(list(np.ndindex(*[int(h - l + 1) for l, h in zip(lo, hi)]))) + lo
+    return min(
+        float(((pts[:, None, :] - (z + shifts)[None, :, :]) ** 2).sum(axis=2).min())
+        for z in zeros
+    )
+
+
+def _full_box_suggest_eta(M, D, base, k):
+    M = as_matrix(M)
+    D = as_digit_set(D)
+    zs = zero_set(D)
+    if not zs.complete:
+        raise IncompleteZeroSet("radius suggestion needs a complete zero set")
+    if not zs.points:
+        raise HypothesisViolation("mask has no zeros; any radius works")
+    sample = attractor_sample(M, base, "digit_expansion", k=k)
+    pts = np.array(sample.points, dtype=float)
+    zarr = np.array([[float(c) for c in z] for z in zs.points])
+    dist = math.sqrt(_full_box_square(pts, zarr))
+    eta = (dist - sample.eps) / 2
+    if eta <= 0:
+        raise HypothesisViolation(
+            "sampled attractor is not separated from the mask zeros"
+        )
+    return EtaSuggestion(eta=eta, distance=dist, sampling_error=sample.eps)
+
+
+frame = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+# base coordinates with mixed denominators 1, 2, 3 and 6
+base_coord = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 6))
+)
+
+
+@st.composite
+def digit_systems(draw):
+    """(M, D, zeros): a planar three- or four-digit set with its complete
+    zero set, or, in any of n = 1, 2, 3, a single digit (complete, no zeros)
+    or two digits (no complete zero set)."""
+    n = draw(st.sampled_from((1, 2, 2, 2, 3)))
+    M = draw(expanding_maps(st.just(n)))
+    if n == 2 and draw(st.integers(0, 3)):
+        a, b = draw(frame), draw(frame)
+        assume(a[0] * b[1] - a[1] * b[0] != 0)
+        m = draw(st.sampled_from((3, 2)))
+        if m == 3:
+            D = ((0, 0), a, b)
+        else:
+            D = ((0, 0), a, b, (-a[0] - b[0], -a[1] - b[1]))
+        if draw(st.booleans()):
+            # m K with det K prime to m: (M, D) often has a dual set
+            units = (-2, -1, 1, 2) if m == 3 else (-1, 1)
+            K = draw(expanding_maps(st.just(2), st.sampled_from(units)))
+            M = tuple(tuple(m * x for x in row) for row in K)
+    else:
+        D = ((0,) * n,)
+        if draw(st.booleans()):
+            D += (tuple(draw(st.integers(-2, 2)) for _ in range(n)),)
+            assume(any(D[1]))
+    zs = zero_set(D)
+    return M, D, zs.points if zs.complete else ()
+
+
+@st.composite
+def spectrum_problems(draw):
+    """Base sets with 0: a dual set S of (M, D), or M^{-T} S with the
+    denominators of det M (orthogonal families at every level), mask
+    zeros, random rationals (failing families), and c with M^T c
+    (colliding level sums)."""
+    M, D, zeros = draw(digit_systems())
+    n = len(M)
+    base = {(Fraction(0),) * n}
+    found = find_spectrum_set(M, D) if zeros else None
+    if found is not None and found.status == "found" and draw(st.booleans()):
+        d, adj = det_and_adjugate(M)
+        minvT = [[Fraction(x, d) for x in row] for row in transpose(adj)]
+        scale = draw(st.sampled_from((None, minvT)))
+        base |= {tuple(s) if scale is None else tuple(mat_vec(scale, s)) for s in found.S}
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("zero", "random", "collide")))
+        if kind == "zero" and zeros:
+            z = draw(st.sampled_from(zeros))
+            shift = tuple(draw(st.integers(-1, 1)) for _ in range(n))
+            base.add(tuple(c + s for c, s in zip(z, shift)))
+        elif kind == "collide":
+            c = tuple(draw(base_coord) for _ in range(n))
+            base |= {c, tuple(mat_vec(transpose(M), c))}
+        else:
+            base.add(tuple(draw(base_coord) for _ in range(n)))
+    levels = draw(st.integers(1, 3 if len(base) <= 5 else 2))
+    return M, D, sorted(base), levels
+
+
+def _walked(f, *args):
+    """_outcome of f and the number of membership walks it started."""
+    real = ortho._Measure.membership
+    walks = []
+
+    def counted(self, N, Q):
+        walks.append(N)
+        return real(self, N, Q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ortho._Measure, "membership", counted)
+        return _outcome(f, *args), len(walks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_problems())
+def test_spectrum_candidate_matches_fraction_reference(problem):
+    M, D, base, levels = problem
+    # one walk per distinct difference, as in the reference
+    got = _walked(spectrum_candidate, M, D, base, levels)
+    assert got == _walked(_fraction_spectrum_candidate, M, D, base, levels)
+
+
+@pytest.mark.parametrize("levels, walks", [(1, 2), (2, 12), (3, 62), (4, 312)])
+def test_spectrum_candidate_swap_matches_fraction_reference(levels, walks):
+    got = _walked(spectrum_candidate, SWAP, SWAP_D, SWAP_C, levels)
+    assert got == _walked(_fraction_spectrum_candidate, SWAP, SWAP_D, SWAP_C, levels)
+    assert got[1] == walks
+
+
+@st.composite
+def eta_problems(draw):
+    """Digit systems with a rational base; sometimes the base holds M z for
+    a mask zero z, so the expansion lands on z and no radius exists."""
+    M, D, zeros = draw(digit_systems())
+    n = len(M)
+    # small digits keep the attractor near 0 and away from most zeros
+    coord = st.builds(Fraction, st.integers(-1, 1), st.sampled_from((1, 2, 3, 6)))
+    base = {tuple(draw(coord) for _ in range(n)) for _ in range(draw(st.integers(1, 3)))}
+    if zeros and draw(st.booleans()):
+        base |= {(0,) * n, tuple(mat_vec(M, draw(st.sampled_from(zeros))))}
+    k = draw(st.integers(1, 4 if len(base) <= 3 else 3))
+    return M, D, sorted(base), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(eta_problems())
+def test_suggest_eta_matches_full_box(problem):
+    M, D, base, k = problem
+    got = _outcome(suggest_eta, M, D, base, k)
+    want = _outcome(_full_box_suggest_eta, M, D, base, k)
+    # float equality is exact: equal results have bit-identical floats
+    assert got == want
+
+
+def test_suggest_eta_swap_matches_full_box():
+    assert suggest_eta(SWAP, SWAP_D, SWAP_C) == _full_box_suggest_eta(SWAP, SWAP_D, SWAP_C, 8)
+
+
+# clouds on a ninths grid make ties and near ties between shifts common
+cloud_coord = st.one_of(
+    st.floats(-4, 4, allow_nan=False), st.builds(lambda t: t / 9, st.integers(-36, 36))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_nearest_zero_square_matches_full_box(n, data):
+    rows = st.lists(st.tuples(*[cloud_coord] * n), min_size=1, max_size=30)
+    pts = np.array(data.draw(rows), dtype=float)
+    zeros = np.array(
+        data.draw(
+            st.lists(st.tuples(*[st.floats(0, 1, exclude_max=True)] * n), min_size=1, max_size=5)
+        ),
+        dtype=float,
+    )
+    assert fourier._nearest_zero_square(pts, zeros) == _full_box_square(pts, zeros)

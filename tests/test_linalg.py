@@ -23,6 +23,7 @@ from spectral_affine.linalg import (
     mat_mul,
     mat_vec,
     order_mod,
+    sign_canonical,
     smith_normal_form,
     transpose,
     unimodular_inverse,
@@ -246,3 +247,24 @@ def test_transpose_and_mat_vec_fraction_support():
     assert transpose(M) == ((1, 3), (2, 4))
     out = mat_vec(M, (Fraction(1, 2), Fraction(1, 3)))
     assert out == (Fraction(7, 6), Fraction(17, 6))
+
+
+def test_sign_canonical_fixed_cases():
+    assert sign_canonical((0, -1, 2)) == (0, 1, -2)
+    assert sign_canonical((3, -4)) == (3, -4)
+    assert sign_canonical((-5,)) == (5,)
+    assert sign_canonical((0, 0)) is None
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+def test_sign_canonical_keys_a_vector_and_its_negative(v):
+    v = tuple(v)
+    key = sign_canonical(v)
+    neg = tuple(-x for x in v)
+    assert key == sign_canonical(neg)
+    if any(v):
+        assert key in (v, neg)
+        assert next(c for c in key if c) > 0
+    else:
+        assert key is None

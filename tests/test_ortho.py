@@ -335,3 +335,46 @@ def test_suggest_certificate_none_cases():
     # spectral systems enter at level one; this one never enters at all
     assert suggest_certificate(M3, THREE) is None
     assert suggest_certificate(SKEW, THREE) is None
+
+
+def per_zero_orbit_walk(M, D):
+    """Reference for has_infinite_orthogonal: each mask zero's residue
+    orbit under M^T mod q, walked with its own seen set."""
+    zs = zero_set(D)
+    Mt = tuple(zip(*M))
+    q = zs.q
+    best = None
+    for x in zs.residues:
+        seen = set()
+        j = 0
+        while x not in seen:
+            seen.add(x)
+            x = tuple(sum(m * c for m, c in zip(row, x)) % q for row in Mt)
+            j += 1
+            if not any(x):
+                if best is None or j < best:
+                    best = j
+                break
+            if best is not None and j >= best:
+                break
+    return (best is not None, best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_systems())
+def test_has_infinite_orthogonal_matches_per_zero_walk(system):
+    M, D = system
+    assert has_infinite_orthogonal(M, D) == per_zero_orbit_walk(M, D)
+
+
+@pytest.mark.parametrize(
+    "M, D",
+    [
+        # 372 zeros with q = 248: 11,532 residues on 345,620 reference steps
+        (((-3, 4), (-6, 1)), ((3, 1), (15, -4), (7, -11), (-13, 18))),
+        (SKEW, THREE),
+        (((4, 1), (2, 5)), THREE),
+    ],
+)
+def test_has_infinite_orthogonal_matches_per_zero_walk_fixed(M, D):
+    assert has_infinite_orthogonal(M, D) == per_zero_orbit_walk(M, D)
