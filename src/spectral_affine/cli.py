@@ -14,6 +14,7 @@ undetermined (budget exhausted, incomplete zero set, failed certificate),
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -500,7 +501,10 @@ def emit(report: dict, fmt: str, csv_rows: Optional[list]) -> str:
     raise ProblemFormatError(f"unknown format: {fmt}")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    keeps no state in the parser, and every option's default is immutable."""
     ap = argparse.ArgumentParser(
         prog="spectral-affine",
         description="Exact spectrality tools for self-affine digit systems.",

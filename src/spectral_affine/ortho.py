@@ -7,16 +7,25 @@ Membership is decided exactly: iterate xi <- M^{-T} xi, compare against
 the finite mask zero set after reduction mod 1, and stop once a certified
 contraction bound shows no future iterate can reach it.
 
-The walk runs on the integer lattice. A frequency is an integer numerator
-vector N over a positive denominator Q, and M^{-T} = adj(M)^T / det M is
-kept as the sign-normalised integer matrix adj(M)^T over |det M|, so one
-step is an integer mat-vec followed by division by gcd(Q, N). With q the
-common denominator of the mask zeros, stored as residues q*z mod q, the
-iterate is a zero mod Z^n iff Q divides q and N*(q/Q) mod q is one of
-those residues; the contraction stop is an integer comparison too. The
-candidate frequencies of the orthogonal-family search, the transported
-zeros and the zero orbits all lie on the (1/q)-grid and are handled as
-integer vectors q*x. Fractions appear only at the public boundary.
+The walk runs on the integer lattice. With q the common denominator of
+the mask zeros, stored as residues q*z mod q, the zero set lies on the
+(1/q)-grid, and M^T maps that grid into itself: an iterate that leaves
+the grid never comes back. A frequency N/Q is therefore mapped to the
+integer vector u = q*N/Q (not in the zero set when that is not integral),
+and M^{-T} = adj(M)^T / det M is kept as the sign-normalised integer
+matrix adj(M)^T over |det M|, so one step is an integer mat-vec followed
+by an exact division by |det M|; the first inexact division ends the walk.
+The iterate is a zero mod Z^n iff u mod q is a residue, and the
+contraction stop is an integer comparison too. The candidate frequencies
+of the orthogonal-family search, the transported zeros and the zero
+orbits all lie on the (1/q)-grid and are handled as integer vectors q*x.
+Fractions appear only at the public boundary.
+
+The orthogonality graph of the search is built without pairwise walks:
+a - b is in the zero set iff a = b mod M^{T j} Z^n and M^{-T j}(a - b)
+mod q is a residue for some j >= 1, so the vertices are split level by
+level into classes mod M^{T j} Z^n, and within a class a dict on the
+scaled iterate mod q joins the pairs whose difference is a residue.
 
 On top of that decision procedure sit the maximal-orthogonal-family
 bounds (exact max clique below, Cayley-graph counting above), the scaled
@@ -30,8 +39,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
-from operator import mul, sub
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .conjugacy import divide_digits
@@ -56,7 +65,6 @@ from .linalg import (
     mat_pow,
     mat_vec,
     order_mod,
-    sign_canonical,
     transpose,
 )
 from .zeros import (
@@ -128,47 +136,89 @@ class _Measure:
         if self.zs.points:
             delta = min(max(min(c, 1 - c) for c in pt) for pt in self.zs.points)
             self.bound = delta / C
-        self._pair: dict[IntVector, bool] = {}
 
     def membership(self, N: IntVector, Q: int) -> Optional[int]:
         """Least j >= 1 with M^{-T j}(N/Q) in the mask zeros mod Z^n, or None.
 
         N is an integer vector of the map's dimension and Q > 0; N/Q need
-        not be in lowest terms.
+        not be in lowest terms. The zero set lies on the (1/q)-grid and M^T
+        maps that grid into itself, so an iterate off the grid has no
+        successor on it: the walk runs on u = q*M^{-T j}(N/Q) and stops with
+        None at the first step whose division by |det M| is not exact.
         """
         if self.bound is None:
             return None
-        num, den = self.bound.numerator, self.bound.denominator
         adjT = self.adjT
         absdet = self.absdet
         q = self.q
         residues = self.residues
+        if any(q * x % Q for x in N):
+            return None
+        u = [q * x // Q for x in N]
+        # |u/q| below the bound: no later iterate reaches a zero
+        lim = self.bound.numerator * q
+        den = self.bound.denominator
         for j in range(1, 100_000):
-            N = [sum(map(mul, row, N)) for row in adjT]
-            Q *= absdet
-            g = gcd(Q, *N)
-            if g != 1:
-                N = [x // g for x in N]
-                Q //= g
-            if q % Q == 0:
-                s = q // Q
-                if tuple(x * s % q for x in N) in residues:
-                    return j
-            if max(map(abs, N)) * den < num * Q:
+            s = [sum(map(mul, row, u)) for row in adjT]
+            if any(x % absdet for x in s):
+                return None
+            u = [x // absdet for x in s]
+            if tuple(x % q for x in u) in residues:
+                return j
+            if max(map(abs, u)) * den < lim:
                 return None
         raise AssertionError("membership iteration did not terminate")
 
-    def difference_orthogonal(self, a: IntVector, b: IntVector) -> bool:
-        """Whether (a - b)/q lies in the Fourier zero set, for integer
-        vectors a and b on the (1/q)-grid scaled by q."""
-        w = sign_canonical(tuple(map(sub, a, b)))
-        if w is None:
-            return False
-        hit = self._pair.get(w)
-        if hit is None:
-            hit = self.membership(w, self.q) is not None
-            self._pair[w] = hit
-        return hit
+    def orthogonality_graph(self, vertices: Sequence[IntVector]) -> list[int]:
+        """Adjacency bitmasks of the relation "a - b is in the Fourier zero
+        set" on distinct integer vectors a, b of the (1/q)-grid scaled by q.
+
+        a - b is in the zero set iff for some j >= 1, a = b mod M^{T j} Z^n
+        and M^{-T j}(a - b) mod q is a residue. Level by level, every
+        vertex a carries an integer t with a = c + M^{T j} t, c constant on
+        its class of a mod M^{T j} Z^n: the next level splits a class by
+        adjT*t mod |det M| and takes t <- adjT*t // |det M|, so two members
+        of one class have M^{-T j}(a - b) = t_a - t_b, and a dict on t mod q
+        joins each member with those differing from it by a residue (the
+        residues are closed under negation, so the relation is symmetric).
+        A class with one member is dropped. Since M is expanding (certified
+        by the contraction check in __init__), the powers of M^{-T} tend
+        to 0, so the intersection of the lattices M^{T j} Z^n is {0}: two
+        distinct vertices share a class at finitely many levels only, and
+        the loop ends once every class is a singleton.
+        """
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("orthogonality graph vertices must be distinct")
+        adjT = self.adjT
+        absdet = self.absdet
+        q = self.q
+        residues = self.residues
+        adj = [0] * len(vertices)
+        t = list(vertices)
+        classes = [list(range(len(vertices)))]
+        while classes:
+            refined: list[list[int]] = []
+            for members in classes:
+                parts: dict[IntVector, list[int]] = {}
+                for i in members:
+                    s = [sum(map(mul, row, t[i])) for row in adjT]
+                    parts.setdefault(tuple(x % absdet for x in s), []).append(i)
+                    t[i] = tuple(x // absdet for x in s)
+                refined += [part for part in parts.values() if len(part) > 1]
+            for part in refined:
+                groups: dict[IntVector, list[int]] = {}
+                for i in part:
+                    groups.setdefault(tuple(x % q for x in t[i]), []).append(i)
+                masks = {g: sum(1 << i for i in grp) for g, grp in groups.items()}
+                for g, grp in groups.items():
+                    hit = 0
+                    for r in residues:
+                        hit |= masks.get(tuple((x - y) % q for x, y in zip(g, r)), 0)
+                    if hit:
+                        for i in grp:
+                            adj[i] |= hit
+            classes = refined
+        return adj
 
 
 @functools.lru_cache(maxsize=64)
@@ -429,12 +479,7 @@ def nstar_bounds(
                     candidates.append(cand)
 
     vertices: list[IntVector] = [zero] + candidates
-    adj = [0] * len(vertices)
-    for i, a in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if eng.difference_orthogonal(a, vertices[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = eng.orthogonality_graph(vertices)
     best, nodes, complete = _max_clique(adj, node_budget)
     chosen = [vertices[i] for i in sorted(best)]
     for a, b in combinations(chosen, 2):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spectral_affine.cli import main
+from spectral_affine.cli import build_parser, main
 
 THREE = [[0, 0], [1, 0], [0, 1]]
 SWAP = [[0, 10], [9, 0]]
@@ -378,6 +378,35 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     _, second = run_json(capsys, "classify", "--input", path)
     del first["timing_seconds"], second["timing_seconds"]
     assert first == second
+
+
+def untimed(capsys, argv):
+    """Exit code and report of one in-process call, timing removed."""
+    code, out, err = run(capsys, *argv)
+    if "json" in argv:
+        payload = json.loads(out or err)
+        del payload["timing_seconds"]
+        return code, payload
+    lines = (out or err).splitlines()
+    return code, [line for line in lines if not line.startswith("elapsed:")]
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    path = problem(tmp_path, M=[[2, 0], [0, 2]], D=THREE, p=3, J=5, R=2)
+    calls = [
+        ["nstar", "--input", path, "--J", "3", "--R", "0", "--format", "json"],
+        ["nstar", "--input", path, "--format", "json"],
+        ["classify", "--input", path],
+    ]
+    reused = [untimed(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(untimed(capsys, argv))
+    assert reused == fresh
+    # the flags narrow the window, so a leaked --J or --R would show
+    assert reused[0][1]["result"]["witness"] != reused[1][1]["result"]["witness"]
+    assert reused[2][0] == 0 and reused[2][1][0] == "command: classify"
 
 
 def test_text_format(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Orthogonality counting, transport inclusions, certificates."""
 
+import random
 from fractions import Fraction
 from itertools import count
 
@@ -154,6 +155,113 @@ def test_lattice_membership_matches_fraction_walk(system, data):
             v = data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
             xi = tuple(c + o for c, o in zip(xi, v))
         assert eng.membership(*_lattice_point(xi)) == fraction_membership(M, D, xi)
+    # far out on the (1/q)-grid: a long contraction walk, unless an iterate
+    # leaves the grid, after which none can return to a zero
+    z = data.draw(st.sampled_from(eng.zs.points))
+    xi = z
+    for _ in range(data.draw(st.integers(3, 6))):
+        xi = tuple(M[0][i] * xi[0] + M[1][i] * xi[1] for i in range(2))
+    v = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    xi = tuple(c + Fraction(o, eng.q) for c, o in zip(xi, v))
+    assert eng.membership(*_lattice_point(xi)) == fraction_membership(M, D, xi)
+
+
+def mat_t_vec(M, v):
+    return tuple(sum(M[k][i] * v[k] for k in range(len(v))) for i in range(len(v)))
+
+
+def graph_vertices(M, eng, picks):
+    """Distinct integer vectors q*x: 0 first, then for each pick either
+    M^{T j}(r + q k) + q v, r = q z for a mask zero z, or a raw point
+    of the (1/q)-grid."""
+    q = eng.q
+    residues = sorted(eng.residues)
+    out = {(0, 0): None}
+    for pick in picks:
+        if len(pick) == 2:
+            out[pick] = None
+            continue
+        i, j, k, v = pick
+        x = tuple(c + q * o for c, o in zip(residues[i % len(residues)], k))
+        for _ in range(j):
+            x = mat_t_vec(M, x)
+        out[tuple(c + q * o for c, o in zip(x, v))] = None
+    return list(out)
+
+
+def pairwise_graph(M, D, q, vertices):
+    """Reference adjacency: one Fraction walk per ordered vertex pair."""
+    adj = [0] * len(vertices)
+    for i, a in enumerate(vertices):
+        for j, b in enumerate(vertices):
+            w = tuple(Fraction(x - y, q) for x, y in zip(a, b))
+            if i != j and fraction_membership(M, D, w) is not None:
+                adj[i] |= 1 << j
+    return adj
+
+
+unit = st.integers(-1, 1)
+picks = st.lists(
+    st.one_of(
+        st.tuples(
+            st.integers(0, 50),
+            st.integers(1, 4),
+            st.tuples(small, small),
+            st.one_of(st.just((0, 0)), st.tuples(unit, unit)),
+        ),
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(planar_systems(), picks)
+def test_orthogonality_graph_matches_pairwise_walks(system, chosen):
+    M, D = system
+    eng = _measure(M, D)
+    vertices = graph_vertices(M, eng, chosen)
+    assert eng.orthogonality_graph(vertices) == pairwise_graph(M, D, eng.q, vertices)
+
+
+@pytest.mark.parametrize(
+    "M, D",
+    [
+        (((0, 3), (2, 1)), THREE),  # det -6
+        (((1, 3), (3, -1)), FOUR),  # det -10
+        (((-2, 1), (0, 3)), ((0, 1), (3, 2), (1, 0))),  # det -6
+        (((2, 0), (0, 2)), THREE),
+        (SKEW, FOUR),
+    ],
+)
+def test_orthogonality_graph_matches_pairwise_walks_fixed(M, D):
+    eng = _measure(M, D)
+    rng = random.Random(repr((M, D)))
+    chosen = [
+        (
+            rng.randrange(50),
+            rng.randint(1, 4),
+            (rng.randint(-3, 3), rng.randint(-3, 3)),
+            rng.choice([(0, 0), (0, 0), (1, 0), (0, -1), (1, 1)]),
+        )
+        if rng.random() < 0.7
+        else (rng.randint(-40, 40), rng.randint(-40, 40))
+        for _ in range(24)
+    ]
+    vertices = graph_vertices(M, eng, chosen)
+    adj = eng.orthogonality_graph(vertices)
+    assert adj == pairwise_graph(M, D, eng.q, vertices)
+    assert any(adj)
+
+
+def test_orthogonality_graph_edge_cases():
+    eng = _measure(SKEW, THREE)
+    assert eng.orthogonality_graph([]) == []
+    assert eng.orthogonality_graph([(0, 0)]) == [0]
+    # (1, 2)/3 is a mask zero, so its image under M^T is a level-1 zero
+    assert eng.orthogonality_graph([(0, 0), (5, 9)]) == [0b10, 0b01]
+    with pytest.raises(ValueError, match="distinct"):
+        eng.orthogonality_graph([(0, 0), (1, 2), (0, 0)])
 
 
 def test_nstar_clique_small():
@@ -203,6 +311,19 @@ def test_nstar_pinned_witness(M, window, nodes, witness):
     assert out.search_nodes == nodes and out.search_complete
     assert out.witness.frequencies == tuple(
         tuple(Fraction(c) for c in f) for f in witness
+    )
+
+
+def test_nstar_2i_default_window():
+    # 721 vertices: the whole graph is built, then searched
+    out = nstar_bounds(((2, 0), (0, 2)), THREE, 3)
+    assert (out.lower, out.upper, out.method) == (3, 3, "clique")
+    assert out.search_nodes == 4 and out.search_complete
+    assert out.witness.verified
+    assert out.witness.frequencies == (
+        (0, 0),
+        (Fraction(65548, 3), Fraction(131084, 3)),
+        (Fraction(131084, 3), Fraction(65548, 3)),
     )
 
 
