@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     CosetTransversal,
-    Expansion,
     as_matrix,
     char_poly,
     coset_transversal,

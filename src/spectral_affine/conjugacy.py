@@ -24,7 +24,6 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import (
-    Expansion,
     Matrix,
     as_matrix,
     det_and_adjugate,
@@ -124,7 +123,7 @@ def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
         raise WrongDimension("criterion is defined in the plane")
     if len(D) != 3:
         raise BadDigitForm("criterion needs exactly three digits")
-    if is_expanding(M) is not Expansion.EXPANDING:
+    if not is_expanding(M):
         raise HypothesisViolation("criterion requires an expanding matrix")
     B = _three_digit_frame(D)
     try:

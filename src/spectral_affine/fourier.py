@@ -31,7 +31,6 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import (
-    Expansion,
     IntVector,
     Matrix,
     as_matrix,
@@ -39,6 +38,7 @@ from .linalg import (
     is_expanding,
     mat_mul,
     mat_vec,
+    power_norms,
     sign_canonical,
     transpose,
 )
@@ -54,7 +54,7 @@ from .ortho import _measure
 
 
 def _require_expanding(M: Matrix) -> None:
-    if is_expanding(M) is not Expansion.EXPANDING:
+    if not is_expanding(M):
         raise HypothesisViolation("map must be expanding")
 
 
@@ -83,40 +83,30 @@ def _pairwise_sum(vals: Sequence[float]) -> float:
     return _pairwise_sum(vals[:mid]) + _pairwise_sum(vals[mid:])
 
 
-def _sup_norm(P) -> Fraction:
-    return max(sum(abs(x) for x in row) for row in P)
-
-
-def _tail_bound(Minv, digits: Sequence[RationalPoint], k: int) -> Fraction:
+def _tail_bound(
+    adj: Matrix, absdet: int, digits: Sequence[RationalPoint], k: int
+) -> Fraction:
     """Bound on the distance from k-term truncated sums to the attractor.
 
-    With K the first inverse power whose sup norm theta drops below one,
-    the norm tail X past level k satisfies X <= S0 + theta * X for the
-    exact K-term partial sum S0 starting at k + 1, so X <= S0/(1 - theta)
-    and the point error is that times the largest digit coordinate.
+    M^{-1} = adj / det M, so its powers have the norms of adj / |det M|.
+    With K the first inverse power whose sup norm theta drops below one
+    (it exists because M is expanding), the norm tail X past level k
+    satisfies X <= S0 + theta * X for the exact K-term partial sum S0
+    starting at k + 1, so X <= S0/(1 - theta) and the point error is that
+    times the largest digit coordinate.
     """
     dmax = max(max(abs(c) for c in d) for d in digits)
     if dmax == 0:
         return Fraction(0)
-    K = None
-    Q = Minv
-    for i in range(1, 400):
-        theta = _sup_norm(Q)
-        if theta < 1:
-            K = i
-            break
-        Q = mat_mul(Q, Minv)
-    if K is None:
-        raise HypothesisViolation(
-            "inverse powers do not contract; matrix not expanding"
-        )
-    P = Minv
-    for _ in range(k):
-        P = mat_mul(P, Minv)
-    S0 = Fraction(0)
-    for _ in range(K):
-        S0 += _sup_norm(P)
-        P = mat_mul(P, Minv)
+    K, theta = next(
+        (j, Fraction(num, den))
+        for j, (num, den) in enumerate(power_norms(adj, absdet), 1)
+        if num < den
+    )
+    S0 = sum(
+        Fraction(num, den)
+        for num, den in itertools.islice(power_norms(adj, absdet), k, k + K)
+    )
     return dmax * S0 / (1 - theta)
 
 
@@ -158,7 +148,6 @@ def attractor_sample(
     if len(pts[0]) != len(M):
         raise WrongDimension("digit dimension does not match the map")
     det_m, adj = det_and_adjugate(M)
-    Minv = tuple(tuple(Fraction(x, det_m) for x in row) for row in adj)
 
     if mode == "digit_expansion":
         if k < 1:
@@ -183,7 +172,7 @@ def attractor_sample(
             }
             power = mat_mul(power, adj)
         cloud = tuple(tuple(c / den for c in p) for p in sorted(sums))
-        eps = _tail_bound(Minv, pts, k)
+        eps = _tail_bound(adj, abs(det_m), pts, k)
         return AttractorSample(
             points=cloud, eps=float(eps), mode=mode, detail=k
         )
@@ -194,7 +183,7 @@ def attractor_sample(
         if N < 1:
             raise ValueError("sample count must be positive")
         rng = random.Random(seed)
-        Mf = tuple(tuple(float(f) for f in row) for row in Minv)
+        Mf = tuple(tuple(x / det_m for x in row) for row in adj)
         df = [tuple(float(c) for c in d) for d in pts]
         x = (0.0,) * len(M)
         out = []
@@ -203,7 +192,7 @@ def attractor_sample(
             x = tuple(mat_vec(Mf, tuple(a + b for a, b in zip(x, d))))
             if t >= burn_in:
                 out.append(x)
-        eps = _tail_bound(Minv, pts, burn_in)
+        eps = _tail_bound(adj, abs(det_m), pts, burn_in)
         return AttractorSample(
             points=tuple(out), eps=float(eps), mode=mode, detail=N
         )

@@ -23,7 +23,9 @@ from .errors import HypothesisViolation, NonIntegerResult, SingularMatrix, Wrong
 from .linalg import (
     Matrix,
     coset_transversal,
+    det,
     det_and_adjugate,
+    euler_phi,
     identity,
     mat_mod,
     mat_mul,
@@ -50,7 +52,7 @@ def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
     adjT = transpose(adj)
     cols = []
     for s in S:
-        xf = [float(Fraction(x, det_m)) for x in mat_vec(adjT, s)]
+        xf = [x / det_m for x in mat_vec(adjT, s)]
         cols.append(
             [
                 np.exp(2j * np.pi * sum(di * xi for di, xi in zip(d, xf)))
@@ -204,8 +206,6 @@ def transport_spectrum_set(
     is always an integer matrix. Both scalings are congruent to 1 mod p,
     so points on the (1/p)-grid are moved to the matching classes.
     """
-    from .linalg import euler_phi
-
     if mat_mod(mat_mul(A, B), p) != identity(len(A)):
         raise HypothesisViolation("A*B must be the identity mod p")
     if direction not in ("forward", "backward"):
@@ -213,8 +213,7 @@ def transport_spectrum_set(
     Bt = transpose(B)
     dB, adjB = det_and_adjugate(B)
     if direction == "forward":
-        dA, _ = det_and_adjugate(A)
-        scale = dA * dB
+        scale = det(A) * dB
         out = tuple(tuple(scale * x for x in mat_vec(Bt, s)) for s in S)
     else:
         adjBT = tuple(zip(*adjB))

@@ -2,21 +2,18 @@
 
 Matrices are immutable tuples of tuples of Python ints, so determinants,
 adjugates, Smith normal forms and coset transversals are computed without
-floating point. The single numeric escape hatch is the eigenvalue-modulus
-test, which returns a three-way verdict with an explicit refusal band
-instead of guessing near the unit circle.
+floating point. The expansion test is exact too: the Schur-Cohn recursion
+on the integer characteristic polynomial decides whether every eigenvalue
+lies strictly outside the unit circle, with no tolerance, so an eigenvalue
+of modulus exactly 1 gives a plain "not expanding".
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import neg
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Iterator, Optional, Sequence
 
 from .errors import SingularMatrix, SingularModP, WrongDimension
 
@@ -138,8 +135,8 @@ def det_and_adjugate(M: Matrix) -> tuple[int, Matrix]:
 def char_poly(M: Matrix) -> tuple[int, ...]:
     """Monic characteristic polynomial coefficients, highest degree first.
 
-    Computed by the trace recursion on powers of M (Newton identities),
-    carried out in exact rationals and verified to be integral.
+    Computed by the trace recursion on powers of M (Newton identities) in
+    integers; every division by k is exact for an integer matrix.
     """
     n = len(M)
     traces = []
@@ -147,43 +144,49 @@ def char_poly(M: Matrix) -> tuple[int, ...]:
     for _ in range(n):
         traces.append(sum(P[i][i] for i in range(n)))
         P = mat_mul(P, M)
-    coeffs: list[Fraction] = [Fraction(1)]
+    coeffs = [1]
     for k in range(1, n + 1):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            s += coeffs[k - i] * traces[i - 1]
-        coeffs.append(-s / k)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+        s = sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1))
+        if s % k:
             raise AssertionError("characteristic polynomial must be integral")
-        out.append(int(c))
-    return tuple(out)
+        coeffs.append(-s // k)
+    return tuple(coeffs)
 
 
-class Expansion(enum.Enum):
-    EXPANDING = "expanding"
-    NOT_EXPANDING = "not_expanding"
-    MARGINAL = "marginal"
+def is_expanding(M: Matrix) -> bool:
+    """Whether every eigenvalue of M has modulus strictly greater than 1.
 
-
-def is_expanding(M: Matrix, tol: float = 1e-9) -> Expansion:
-    """Eigenvalue-modulus verdict with a refusal band of width 2*tol.
-
-    Expanding means every eigenvalue modulus exceeds 1 + tol, not expanding
-    means some modulus is below 1 - tol, and anything caught in between is
-    reported as marginal for the caller to decide.
+    Decided by the Schur-Cohn recursion (Jury's stability table) on the
+    reversed characteristic polynomial g(z) = z^n P(1/z), whose
+    coefficients in ascending order are char_poly(M). Its roots are the
+    reciprocal eigenvalues, and they all lie strictly inside the unit disc
+    iff |g_0| < |g_m| and (g_m g(z) - g_0 z^m g(1/z)) / z, of degree m - 1,
+    has the same property; a constant has no roots. In the plane this is
+    |det| > 1 and |tr| < |1 + det|.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    coeffs = char_poly(M)
-    roots = np.roots(np.array(coeffs, dtype=float))
-    m = float(min(abs(r) for r in roots)) if len(roots) else 0.0
-    if m > 1.0 + tol:
-        return Expansion.EXPANDING
-    if m < 1.0 - tol:
-        return Expansion.NOT_EXPANDING
-    return Expansion.MARGINAL
+    g = list(char_poly(M))
+    while len(g) > 1:
+        g0, gm = g[0], g[-1]
+        if abs(g0) >= abs(gm):
+            return False
+        m = len(g) - 1
+        g = [gm * g[i] - g0 * g[m - i] for i in range(1, m + 1)]
+    return True
+
+
+def power_norms(A: Matrix, scale: int) -> Iterator[tuple[int, int]]:
+    """Yield (||A^j||_inf, scale^j) for j = 1, 2, ...: the max-row-sum norm
+    of (A / scale)^j as an integer numerator over its denominator.
+
+    With A / scale the inverse of an expanding matrix (or its transpose),
+    the norms tend to 0, so a search for the first one below 1 ends.
+    """
+    P = A
+    den = scale
+    while True:
+        yield max(sum(map(abs, row)) for row in P), den
+        P = mat_mul(P, A)
+        den *= scale
 
 
 def gl_inverse_mod(B: Matrix, p: int) -> Matrix:

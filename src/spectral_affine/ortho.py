@@ -38,12 +38,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .conjugacy import divide_digits
+from .conjugacy import divide_digits, spectrality_criterion
 from .errors import (
     HypothesisViolation,
     IncompleteZeroSet,
@@ -51,12 +51,12 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import (
-    Expansion,
     IntVector,
     Matrix,
     as_matrix,
     det,
     det_and_adjugate,
+    gl_inverse_mod,
     identity,
     is_expanding,
     is_prime,
@@ -65,6 +65,7 @@ from .linalg import (
     mat_pow,
     mat_vec,
     order_mod,
+    power_norms,
     transpose,
 )
 from .zeros import (
@@ -112,24 +113,18 @@ class _Measure:
             )
         self.q = self.zs.q
         self.residues = frozenset(self.zs.residues)
-        # growth: sup_k ||(M^{-T})^k||_inf <= C, certified by finding the
-        # first power with norm below one and taking the max before it;
-        # the k-th power is P / absdet^k with P the integer power of adjT
-        C = Fraction(1)
-        P = self.adjT
-        scale = self.absdet
-        for _ in range(200):
-            Nk = Fraction(max(sum(abs(x) for x in row) for row in P), scale)
-            if Nk < 1:
-                break
-            if Nk > C:
-                C = Nk
-            P = mat_mul(P, self.adjT)
-            scale *= self.absdet
-        else:
+        if not is_expanding(M):
             raise HypothesisViolation(
                 "inverse-transpose powers do not contract; matrix not expanding"
             )
+        # growth: sup_k ||(M^{-T})^k||_inf <= C, the max over the powers
+        # before the first one with norm below one, which exists because M
+        # is expanding; the k-th power is (adjT / absdet)^k
+        C = Fraction(1)
+        for num, den in power_norms(self.adjT, self.absdet):
+            if num < den:
+                break
+            C = max(C, Fraction(num, den))
         # an iterate with max-norm below delta / C never returns to a
         # zero; None when there are no zeros
         self.bound: Optional[Fraction] = None
@@ -158,7 +153,8 @@ class _Measure:
         # |u/q| below the bound: no later iterate reaches a zero
         lim = self.bound.numerator * q
         den = self.bound.denominator
-        for j in range(1, 100_000):
+        # the iterates tend to 0 (M is expanding), so the walk ends
+        for j in count(1):
             s = [sum(map(mul, row, u)) for row in adjT]
             if any(x % absdet for x in s):
                 return None
@@ -167,7 +163,6 @@ class _Measure:
                 return j
             if max(map(abs, u)) * den < lim:
                 return None
-        raise AssertionError("membership iteration did not terminate")
 
     def orthogonality_graph(self, vertices: Sequence[IntVector]) -> list[int]:
         """Adjacency bitmasks of the relation "a - b is in the Fourier zero
@@ -182,7 +177,7 @@ class _Measure:
         joins each member with those differing from it by a residue (the
         residues are closed under negation, so the relation is symmetric).
         A class with one member is dropped. Since M is expanding (certified
-        by the contraction check in __init__), the powers of M^{-T} tend
+        exactly by is_expanding in __init__), the powers of M^{-T} tend
         to 0, so the intersection of the lattices M^{T j} Z^n is {0}: two
         distinct vertices share a class at finitely many levels only, and
         the loop ends once every class is a singleton.
@@ -255,7 +250,7 @@ def has_infinite_orthogonal(
     """
     M = as_matrix(M)
     D = as_digit_set(D)
-    if is_expanding(M) is not Expansion.EXPANDING:
+    if not is_expanding(M):
         raise HypothesisViolation("orbit test requires an expanding matrix")
     zs = zero_set(D)
     if not zs.complete:
@@ -539,8 +534,6 @@ def transport_inclusion_check(
         raise ValueError("modulus must be prime")
     if J < 1:
         raise ValueError("level window must be positive")
-    from .linalg import gl_inverse_mod
-
     if A is None:
         A = gl_inverse_mod(B, p)
     else:
@@ -548,7 +541,7 @@ def transport_inclusion_check(
         if mat_mod(mat_mul(A, B), p) != identity(len(A)):
             raise HypothesisViolation("A*B must be the identity mod p")
     n = len(M)
-    dM, _ = det_and_adjugate(M)
+    dM = det(M)
     if dM % p == 0:
         raise HypothesisViolation("transport needs det M coprime to p")
     Mt_mat = mat_mul(mat_mul(A, M), B)
@@ -567,10 +560,7 @@ def transport_inclusion_check(
         )
 
     e = (p - 1) * (p**n - 1)
-    dA, _ = det_and_adjugate(A)
-    dB_, _ = det_and_adjugate(B)
-    dMt, _ = det_and_adjugate(Mt_mat)
-    c1 = dA * dB_ * abs(dMt) ** e
+    c1 = det(A) * det(B) * abs(det(Mt_mat)) ** e
     c2 = abs(dM) ** e
 
     def hits(frm: _Measure, to: _Measure, T: Matrix, c: int) -> list:
@@ -722,8 +712,6 @@ def suggest_certificate(
     """
     M = as_matrix(M)
     D = as_digit_set(D)
-    from .conjugacy import spectrality_criterion
-
     res = spectrality_criterion(M, D)
     Mt = mat_mul(mat_mul(res.A, M), res.B)
     MtT = transpose(Mt)
@@ -736,7 +724,5 @@ def suggest_certificate(
             break
     if j0 is None or j0 < 2:
         return None
-    dA, _ = det_and_adjugate(res.A)
-    dB, _ = det_and_adjugate(res.B)
-    L = abs(dA * dB) ** (j0 + 1)
+    L = abs(det(res.A) * det(res.B)) ** (j0 + 1)
     return (L, j0)

@@ -149,6 +149,24 @@ def test_infinite_orthogonal_refuses_non_expanding(tmp_path, capsys, M):
     assert payload["error"]["type"] == "HypothesisViolation"
 
 
+@pytest.mark.parametrize(
+    "command, M, message",
+    [
+        (
+            "nstar",
+            [[1, 1], [0, 2]],
+            "inverse-transpose powers do not contract; matrix not expanding",
+        ),
+        ("attractor", [[0, -1], [1, 0]], "map must be expanding"),
+    ],
+)
+def test_unit_eigenvalue_maps_refused(tmp_path, capsys, command, M, message):
+    path = problem(tmp_path, M=M, D=THREE, C=THREE, p=3, J=1, R=0, k=2)
+    code, payload = run_json(capsys, command, "--input", path)
+    assert code == 1 and "result" not in payload
+    assert payload["error"] == {"type": "HypothesisViolation", "message": message}
+
+
 def test_nstar_with_flag_overrides(tmp_path, capsys):
     path = problem(tmp_path, M=[[2, 0], [0, 2]], D=THREE, p=3, J=1, R=0)
     code, payload = run_json(capsys, "nstar", "--input", path)

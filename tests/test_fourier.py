@@ -281,6 +281,56 @@ def test_attractor_expansion_matches_fraction_reference_random(M, rows, k):
     assert attractor_sample(M, digits, k=k).points == _fraction_expansion(M, digits, k)
 
 
+def _fraction_tail_bound(Minv, digits, k):
+    """The tail bound computed on Fraction matrix powers of M^{-1}, with the
+    first contracting power searched among the first 400."""
+
+    def sup_norm(P):
+        return max(sum(abs(x) for x in row) for row in P)
+
+    dmax = max(max(abs(c) for c in d) for d in digits)
+    if dmax == 0:
+        return Fraction(0)
+    Q = Minv
+    for K in range(1, 400):
+        theta = sup_norm(Q)
+        if theta < 1:
+            break
+        Q = mat_mul(Q, Minv)
+    else:
+        raise AssertionError("no contracting power among the first 400")
+    P = Minv
+    for _ in range(k):
+        P = mat_mul(P, Minv)
+    S0 = Fraction(0)
+    for _ in range(K):
+        S0 += sup_norm(P)
+        P = mat_mul(P, Minv)
+    return dmax * S0 / (1 - theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    expanding_maps(),
+    st.lists(
+        st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 12),
+)
+def test_tail_bound_matches_fraction_reference(M, rows, k):
+    digits = {tuple(r[: len(M)]) for r in rows}
+    pts = tuple(tuple(Fraction(c) for c in d) for d in digits)
+    det_m, adj = det_and_adjugate(M)
+    Minv = tuple(tuple(Fraction(x, det_m) for x in row) for row in adj)
+    assert fourier._tail_bound(adj, abs(det_m), pts, k) == _fraction_tail_bound(
+        Minv, pts, k
+    )
+    chaos = attractor_sample(M, digits, mode="chaos_game", N=1, seed=0)
+    assert chaos.eps == float(_fraction_tail_bound(Minv, pts, 50))
+
+
 def _orbit(M, z, k, m):
     """(M^T)^m (z + k) as floats."""
     x = tuple(Fraction(c) + e for c, e in zip(z, k))

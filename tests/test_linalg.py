@@ -1,14 +1,16 @@
 """Exact integer linear algebra."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_affine.errors import SingularMatrix, SingularModP, WrongDimension
 from spectral_affine.linalg import (
-    Expansion,
     as_matrix,
     char_poly,
     coset_transversal,
@@ -21,6 +23,7 @@ from spectral_affine.linalg import (
     is_expanding,
     is_prime,
     mat_mul,
+    mat_scale,
     mat_vec,
     order_mod,
     sign_canonical,
@@ -89,13 +92,56 @@ def test_char_poly_matches_resolvent_determinant(rows):
 
 
 def test_is_expanding():
-    assert is_expanding(((3, 0), (0, 3))) is Expansion.EXPANDING
-    assert is_expanding(((0, 10), (9, 0))) is Expansion.EXPANDING
-    assert is_expanding(((2, 3), (1, 2))) is Expansion.NOT_EXPANDING
-    assert is_expanding(((1, 0), (0, 5))) is Expansion.MARGINAL
-    assert is_expanding(((0, 1), (1, 0))) is Expansion.MARGINAL
-    with pytest.raises(ValueError):
-        is_expanding(((2, 0), (0, 2)), tol=0)
+    assert is_expanding(((3, 0), (0, 3))) is True
+    assert is_expanding(((0, 10), (9, 0))) is True
+    assert is_expanding(((2, 3), (1, 2))) is False
+    assert is_expanding(((1, 0), (0, 5))) is False
+    assert is_expanding(((0, 1), (1, 0))) is False
+    assert is_expanding(((3,),)) and is_expanding(((-2,),))
+    assert not any(is_expanding(((c,),)) for c in (-1, 0, 1))
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic z^n + coeffs[n-1] z^(n-1) + ... +
+    coeffs[0]."""
+    n = len(coeffs)
+    return tuple(
+        tuple(int(i == j + 1) for j in range(n - 1)) + (-coeffs[i],)
+        for i in range(n)
+    )
+
+
+def test_is_expanding_refuses_unit_eigenvalues():
+    # cyclotomic Phi_3, Phi_4, Phi_5, Phi_6, Phi_8: every root on the circle
+    for coeffs in ((1, 1), (1, 0), (1, 1, 1, 1), (1, -1), (1, 0, 0, 0)):
+        C = _companion(coeffs)
+        assert char_poly(C) == (1,) + tuple(reversed(coeffs))
+        assert is_expanding(C) is False
+        assert is_expanding(mat_scale(C, 2)) is True
+    diag_2_rot90 = ((2, 0, 0), (0, 0, -1), (0, 1, 0))
+    for M in (((1, 1), (0, 2)), ((0, -1), (1, 0)), diag_2_rot90):
+        assert is_expanding(M) is False
+
+
+def test_is_expanding_planar_closed_form():
+    for a, b, c, d in product(range(-4, 5), repeat=4):
+        tr, dt = a + d, a * d - b * c
+        closed = abs(dt) > 1 and abs(tr) < abs(1 + dt)
+        assert is_expanding(((a, b), (c, d))) is closed, (a, b, c, d)
+
+
+def test_is_expanding_matches_eigenvalue_moduli():
+    rng = random.Random(909090)
+    checked = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        M = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
+        moduli = np.abs(np.linalg.eigvals(np.array(M, dtype=float)))
+        if np.any(np.abs(moduli - 1.0) < 1e-6):
+            continue
+        assert is_expanding(M) is bool(moduli.min() > 1.0), M
+        checked += 1
+    assert checked > 2500
 
 
 def test_gl_inverse_mod_fixtures():

@@ -13,7 +13,7 @@ from spectral_affine.errors import (
     IncompleteZeroSet,
     NonIntegerDigits,
 )
-from spectral_affine.linalg import Expansion, is_expanding
+from spectral_affine.linalg import det_and_adjugate, is_expanding, mat_mul
 from spectral_affine.ortho import (
     _lattice_point,
     _measure,
@@ -56,6 +56,57 @@ def test_zero_membership_validations():
         zero_membership(M3, ((0, 0), (1, 1)), (1, 1))
     with pytest.raises(HypothesisViolation):
         zero_membership(((1, 0), (0, 2)), THREE, (1, 1))
+
+
+NOT_EXPANDING = "inverse-transpose powers do not contract; matrix not expanding"
+
+
+def test_unit_eigenvalue_refusals():
+    # eigenvalues 1 and 2: refused as not expanding, with the same message
+    # from the search and from a single membership query
+    M = ((1, 1), (0, 2))
+    with pytest.raises(HypothesisViolation) as exc:
+        nstar_bounds(M, THREE, 3)
+    assert str(exc.value) == NOT_EXPANDING
+    with pytest.raises(HypothesisViolation) as exc:
+        zero_membership(M, THREE, (1, 1))
+    assert str(exc.value) == NOT_EXPANDING
+    # off the plane the incomplete zero set is reported before the map
+    diag_2_rot90 = ((2, 0, 0), (0, 0, -1), (0, 1, 0))
+    with pytest.raises(IncompleteZeroSet):
+        zero_membership(diag_2_rot90, ((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 0, 0))
+
+
+def _capped_bound(M, D):
+    """delta / C with C taken from the first 200 powers of M^{-T} at
+    most, the growth constant's original capped search."""
+    d, adj = det_and_adjugate(M)
+    minvT = tuple(tuple(Fraction(x, d) for x in col) for col in zip(*adj))
+    C, P = Fraction(1), minvT
+    for _ in range(200):
+        Nk = max(sum(abs(x) for x in row) for row in P)
+        if Nk < 1:
+            break
+        C = max(C, Nk)
+        P = mat_mul(P, minvT)
+    else:
+        raise AssertionError("no contracting power among the first 200")
+    zeros = zero_set(D).points
+    return min(max(min(c, 1 - c) for c in pt) for pt in zeros) / C
+
+
+@pytest.mark.parametrize(
+    "M, D",
+    [
+        (SKEW, THREE),
+        (((2, 0), (0, 2)), THREE),
+        (((0, 10), (9, 0)), FOUR),  # det -90
+        (((-2, 1), (0, 3)), THREE),  # det -6
+        (((1, 2), (-2, 1)), FOUR),  # eigenvalue modulus sqrt(5)
+    ],
+)
+def test_measure_bound_matches_capped_power_loop(M, D):
+    assert _measure(M, D).bound == _capped_bound(M, D)
 
 
 def test_has_infinite_orthogonal():
@@ -127,7 +178,7 @@ def planar_systems(draw):
     four-digit set whose zero set is complete."""
     entry = st.integers(-6, 6)
     M = draw(st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)))
-    assume(is_expanding(M) is Expansion.EXPANDING)
+    assume(is_expanding(M))
     a, b = draw(st.tuples(small, small)), draw(st.tuples(small, small))
     assume(a[0] * b[1] - a[1] * b[0] != 0)
     if draw(st.booleans()):
