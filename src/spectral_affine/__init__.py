@@ -18,7 +18,6 @@ from .errors import (
     HypothesisViolation,
     IncompleteZeroSet,
     NonIntegerDigits,
-    NonIntegerResult,
     ProblemFormatError,
     SingularMatrix,
     SingularModP,
@@ -56,12 +55,11 @@ from .zeros import (
 from .hadamard import (
     HadamardSearch,
     find_spectrum_set,
-    transport_spectrum_set,
     unitarity_defect,
     verify_triple,
 )
 from .conjugacy import (
-    ConjugateWitness,
+    Conjugacy,
     SierpinskiClass,
     SpectralityVerdict,
     check_witness,

@@ -271,15 +271,15 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         B = _need(problem, "B", command)
         p = _need(problem, "p", command)
         mode = problem.get("mode", "b")
-        Mt, Dt, wit = make_conjugate(M, D, B, p, mode=mode)
+        conj = make_conjugate(M, D, B, p, mode=mode)
         result = {
-            "M_conjugate": _enc(list(Mt)),
-            "D_conjugate": _enc(list(Dt)),
+            "M_conjugate": _enc(list(conj.Mt)),
+            "D_conjugate": _enc(list(conj.Dt)),
             "witness": {
-                "p": wit.p,
-                "A": _enc(list(wit.A)),
-                "B": _enc(list(wit.B)),
-                "mode": wit.mode,
+                "p": conj.p,
+                "A": _enc(list(conj.A)),
+                "B": _enc(list(conj.B)),
+                "mode": conj.mode,
             },
         }
         return result, 0, None
@@ -395,9 +395,11 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
     if command == "attractor":
         digits = problem.get("C") or _need(problem, "D", command)
         mode = problem.get("mode", "digit_expansion")
+        # k comes from the problem, then --depth; the problem's own depth
+        # field belongs to fourier-eval and q-scan
         k = problem.get("k")
         if k is None:
-            k = pick("depth", 8)
+            k = 8 if opts.depth is None else opts.depth
         sample = attractor_sample(
             M,
             digits,

@@ -6,14 +6,17 @@ the associated three-digit measures admit: the family whose two rows agree
 mod 3 (label "M1", the spectral case), the twelve order-eight residues of
 determinant 2 mod 3 (label "M2", where nine orthogonal exponentials are
 attained), and everything else. The conjugacy machinery moves a digit
-system (M, D) to (A M B, D~) through a witness pair A B = I mod p, which
-preserves admissibility and orthogonal-exponential counts.
+system (M, D) to (A M B, D~) through a witness pair A B = I mod p. When
+the mask zeros of D lie in the punctured (1/p)-grid, the similarity
+carries spectra across (Conjugacy.transport checks that hypothesis and
+re-verifies what it moves); it does not preserve admissibility in
+general.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BadDigitForm,
@@ -23,9 +26,11 @@ from .errors import (
     SingularModP,
     WrongDimension,
 )
+from .hadamard import FrequencySet, verify_triple
 from .linalg import (
     Matrix,
     as_matrix,
+    det,
     det_and_adjugate,
     gl_inverse_mod,
     identity,
@@ -34,8 +39,15 @@ from .linalg import (
     mat_mod,
     mat_mul,
     mat_vec,
+    transpose,
 )
-from .zeros import DigitSet, _three_digit_frame, as_digit_set
+from .zeros import (
+    DigitSet,
+    _three_digit_frame,
+    as_digit_set,
+    zero_set,
+    zero_set_in_punctured_grid,
+)
 
 
 def _expand_sign_table(half: Sequence[Matrix]) -> frozenset[Matrix]:
@@ -150,11 +162,55 @@ def divide_digits(D: DigitSet, B: Matrix) -> DigitSet:
 
 
 @dataclass(frozen=True)
-class ConjugateWitness:
+class Conjugacy:
+    """The similarity (M, D) -> (Mt, Dt) = (A M B, D~) for A B = I (mod p).
+
+    mode "b": the digits satisfy D = B Dt; mode "a": Dt = A D. Only
+    integers are held, so building the value costs no zero set.
+    """
+
+    M: Matrix
+    D: DigitSet
     p: int
     A: Matrix
     B: Matrix
-    mode: str  # "b": digits satisfy D = B D~; "a": digits satisfy D~ = A D
+    mode: str
+    Mt: Matrix
+    Dt: DigitSet
+
+    def transport(
+        self, S: Sequence[Sequence[int]], direction: str = "forward"
+    ) -> FrequencySet:
+        """Move a spectrum S of (M, D) to one of (Mt, Dt), or back.
+
+        Forward maps s to det A det B B^T s; backward maps t to
+        |det B|^phi(p) B^{-T} t, which is integral. The transport is valid
+        when the mask zeros of the original D lie in the punctured
+        (1/p)-grid: a zero x then comes back as adj(AB)^T x in mode "b",
+        or as c x with c = 1 (mod p) in mode "a", both congruent to x mod
+        Z^n since adj(AB) = I (mod p). The hypothesis and S itself are
+        checked first, and the moved set is re-verified.
+        """
+        if direction not in ("forward", "backward"):
+            raise ValueError("direction must be 'forward' or 'backward'")
+        if not zero_set_in_punctured_grid(zero_set(self.D), self.p):
+            raise HypothesisViolation(
+                "mask zeros of D must lie in the punctured (1/p)-grid"
+            )
+        src, dst = (self.M, self.D), (self.Mt, self.Dt)
+        dB, adjB = det_and_adjugate(self.B)
+        if direction == "forward":
+            T, scale = transpose(self.B), det(self.A) * dB
+        else:
+            src, dst = dst, src
+            # phi(p) = p - 1 >= 1, so det B divides |det B|^phi(p)
+            T, scale = transpose(adjB), abs(dB) ** (self.p - 1) // dB
+        if not verify_triple(*src, S):
+            raise HypothesisViolation("S is not a spectrum of the source system")
+        out = tuple(tuple(scale * x for x in mat_vec(T, s)) for s in S)
+        if not verify_triple(*dst, out):
+            raise AssertionError("transported set failed re-verification")
+        return out
 
 
 def make_conjugate(
@@ -163,8 +219,10 @@ def make_conjugate(
     B: Matrix,
     p: int,
     mode: str = "b",
-) -> tuple[Matrix, DigitSet, ConjugateWitness]:
-    """Conjugated system (A M B, D~) with A the canonical inverse of B mod p.
+    A: Optional[Matrix] = None,
+) -> Conjugacy:
+    """Conjugated system (A M B, D~), by default with A the canonical
+    inverse of B mod p; a given A must satisfy A B = I (mod p).
 
     Mode "b" divides the digits by B (requiring B^{-1} D to be integral);
     mode "a" multiplies them by A. Either way the new digits inherit
@@ -179,7 +237,9 @@ def make_conjugate(
         raise ValueError("modulus must be prime")
     if mode not in ("b", "a"):
         raise ValueError("mode must be 'b' or 'a'")
-    A = gl_inverse_mod(B, p)
+    A = gl_inverse_mod(B, p) if A is None else as_matrix(A)
+    if not check_witness(A, B, p):
+        raise HypothesisViolation("A*B must be the identity mod p")
     Mt = mat_mul(mat_mul(A, M), B)
     if mode == "b":
         Dt = divide_digits(D, B)
@@ -187,7 +247,7 @@ def make_conjugate(
         Dt = tuple(tuple(mat_vec(A, d)) for d in D)
     if len(set(Dt)) != len(Dt):
         raise AssertionError("conjugated digits must stay distinct")
-    return Mt, as_digit_set(Dt), ConjugateWitness(p=p, A=A, B=B, mode=mode)
+    return Conjugacy(M, D, p, A, B, mode, Mt, as_digit_set(Dt))
 
 
 def check_witness(A: Matrix, B: Matrix, p: int) -> bool:

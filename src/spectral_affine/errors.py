@@ -36,10 +36,6 @@ class NonIntegerDigits(SpectralAffineError):
     """A digit transport produced non-integral digits."""
 
 
-class NonIntegerResult(SpectralAffineError):
-    """A spectrum transport produced non-integral frequencies."""
-
-
 class BadDigitForm(SpectralAffineError):
     """Digit set not of the shape a criterion requires."""
 

@@ -1,11 +1,13 @@
-"""Hadamard triple verification, spectrum-set search, and transport.
+"""Hadamard triple verification and spectrum-set search.
 
 A triple (M, D, S) is verified by testing, for every pair of distinct
 frequencies s, s' in S, that the mask of D vanishes exactly at
 M^{-T}(s - s'). The search for S enumerates subsets of a canonical coset
 transversal of Z^n / M^T Z^n, which is complete because a valid S can
 always be translated to contain 0 and reduced coset-wise without changing
-any of the vanishing conditions.
+any of the vanishing conditions. Moving a dual set across a GL_n(p)
+similarity is conjugacy.Conjugacy.transport, which verifies with
+verify_triple on both sides.
 """
 
 from __future__ import annotations
@@ -19,16 +21,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import HypothesisViolation, NonIntegerResult, SingularMatrix, WrongDimension
+from .errors import SingularMatrix, WrongDimension
 from .linalg import (
     Matrix,
     coset_transversal,
-    det,
     det_and_adjugate,
-    euler_phi,
-    identity,
-    mat_mod,
-    mat_mul,
     mat_vec,
     sign_canonical,
     transpose,
@@ -190,39 +187,3 @@ def find_spectrum_set(
                 raise AssertionError("search result failed re-verification")
             return HadamardSearch("found", S, search_space, examined)
     return HadamardSearch("none", None, search_space, examined)
-
-
-def transport_spectrum_set(
-    S: Sequence[Sequence[int]],
-    A: Matrix,
-    B: Matrix,
-    p: int,
-    direction: str = "forward",
-) -> FrequencySet:
-    """Move a spectrum set across a mod-p conjugacy witness (A, B).
-
-    Forward maps S for the original pair to det(AB) * B^T s for the
-    conjugated pair; backward maps through |det B|^phi(p) * B^{-T}, which
-    is always an integer matrix. Both scalings are congruent to 1 mod p,
-    so points on the (1/p)-grid are moved to the matching classes.
-    """
-    if mat_mod(mat_mul(A, B), p) != identity(len(A)):
-        raise HypothesisViolation("A*B must be the identity mod p")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    Bt = transpose(B)
-    dB, adjB = det_and_adjugate(B)
-    if direction == "forward":
-        scale = det(A) * dB
-        out = tuple(tuple(scale * x for x in mat_vec(Bt, s)) for s in S)
-    else:
-        adjBT = tuple(zip(*adjB))
-        scale = Fraction(abs(dB) ** euler_phi(p), dB)
-        out = []
-        for s in S:
-            w = tuple(scale * x for x in mat_vec(adjBT, s))
-            if any(c.denominator != 1 for c in w):
-                raise NonIntegerResult("backward transport left the integer lattice")
-            out.append(tuple(int(c) for c in w))
-        out = tuple(out)
-    return out

@@ -43,7 +43,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .conjugacy import divide_digits, spectrality_criterion
+from .conjugacy import make_conjugate, spectrality_criterion
 from .errors import (
     HypothesisViolation,
     IncompleteZeroSet,
@@ -56,7 +56,6 @@ from .linalg import (
     as_matrix,
     det,
     det_and_adjugate,
-    gl_inverse_mod,
     identity,
     is_expanding,
     is_prime,
@@ -527,40 +526,22 @@ def transport_inclusion_check(
     are c1 = det(AB) |det(AMB)|^e and c2 = |det M|^e; both are congruent
     to 1 mod p, which is what lets them re-enter the grid classes.
     """
-    M = as_matrix(M)
-    D = as_digit_set(D)
-    B = as_matrix(B)
-    if not is_prime(p):
-        raise ValueError("modulus must be prime")
     if J < 1:
         raise ValueError("level window must be positive")
-    if A is None:
-        A = gl_inverse_mod(B, p)
-    else:
-        A = as_matrix(A)
-        if mat_mod(mat_mul(A, B), p) != identity(len(A)):
-            raise HypothesisViolation("A*B must be the identity mod p")
-    n = len(M)
-    dM = det(M)
+    conj = make_conjugate(M, D, B, p, mode, A)
+    n = len(conj.M)
+    dM = det(conj.M)
     if dM % p == 0:
         raise HypothesisViolation("transport needs det M coprime to p")
-    Mt_mat = mat_mul(mat_mul(A, M), B)
-    if mode == "b":
-        Dt = divide_digits(D, B)
-    elif mode == "a":
-        Dt = as_digit_set(tuple(tuple(mat_vec(A, d)) for d in D))
-    else:
-        raise ValueError("mode must be 'b' or 'a'")
-
-    src = _measure(M, D)
-    dst = _measure(Mt_mat, Dt)
+    src = _measure(conj.M, conj.D)
+    dst = _measure(conj.Mt, conj.Dt)
     if not zero_set_in_punctured_grid(dst.zs, p):
         raise HypothesisViolation(
             "conjugated mask zeros must lie in the punctured (1/p)-grid"
         )
 
     e = (p - 1) * (p**n - 1)
-    c1 = det(A) * det(B) * abs(det(Mt_mat)) ** e
+    c1 = det(conj.A) * det(conj.B) * abs(det(conj.Mt)) ** e
     c2 = abs(dM) ** e
 
     def hits(frm: _Measure, to: _Measure, T: Matrix, c: int) -> list:
@@ -577,8 +558,8 @@ def transport_inclusion_check(
                 out.append((j, z, -1 if hit is None else hit))
         return out
 
-    forward = hits(src, dst, B, c1)
-    backward = hits(dst, src, A, c2)
+    forward = hits(src, dst, conj.B, c1)
+    backward = hits(dst, src, conj.A, c2)
     ok = all(hit != -1 for _, _, hit in forward + backward)
 
     return TransportReport(
@@ -587,8 +568,8 @@ def transport_inclusion_check(
         forward_hits=tuple(forward),
         backward_hits=tuple(backward),
         ok=ok,
-        conjugate_matrix=Mt_mat,
-        conjugate_digits=Dt,
+        conjugate_matrix=conj.Mt,
+        conjugate_digits=conj.Dt,
     )
 
 

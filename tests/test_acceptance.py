@@ -30,7 +30,6 @@ from spectral_affine import (
     suggest_certificate,
     suggest_eta,
     transport_inclusion_check,
-    transport_spectrum_set,
     unimodular_inverse,
     verify_triple,
     zero_set,
@@ -174,23 +173,22 @@ def test_acceptance_6_conjugate_pairs_agree_on_all_verdicts():
         if mode == "b":
             # divisibility: feed digits that B divides exactly
             D = tuple(mat_vec(B, d) for d in D)
-        Mt, Dt, witness = make_conjugate(M, D, B, p, mode)
+        conj = make_conjugate(M, D, B, p, mode)
+        Mt, Dt = conj.Mt, conj.Dt
         if not is_expanding(Mt):
             continue
         if not zero_set_in_punctured_grid(zero_set(Dt), p):
             continue
         if not zero_set_in_punctured_grid(zero_set(D), p):
             continue
-        pairs.append((p, M, D, Mt, Dt, witness))
-    for p, M, D, Mt, Dt, witness in pairs:
+        pairs.append((p, M, D, Mt, Dt, conj))
+    for p, M, D, Mt, Dt, conj in pairs:
         first = find_spectrum_set(M, D)
         second = find_spectrum_set(Mt, Dt)
         assert first.status != "undetermined"
         assert first.status == second.status
         if first.status == "found":
-            moved = transport_spectrum_set(
-                first.S, witness.A, witness.B, p, "forward"
-            )
+            moved = conj.transport(first.S)
             assert verify_triple(Mt, Dt, moved)
         ours = nstar_bounds(M, D, p, J=8, R=0)
         theirs = nstar_bounds(Mt, Dt, p, J=8, R=0)

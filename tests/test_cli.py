@@ -257,6 +257,19 @@ def test_attractor_csv_and_chaos(tmp_path, capsys):
     assert payload["result"]["count"] == 50
 
 
+def test_attractor_level_ignores_problem_depth(tmp_path, capsys):
+    # depth is the fourier-eval product depth; read as k it would ask for
+    # 3^40 expansions
+    path = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, depth=40)
+    code, payload = run_json(capsys, "attractor", "--input", path)
+    assert code == 0 and payload["result"]["count"] == 3**8
+    code, payload = run_json(capsys, "attractor", "--input", path, "--depth", "3")
+    assert code == 0 and payload["result"]["count"] == 3**3
+    both = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, depth=40, k=2)
+    code, payload = run_json(capsys, "attractor", "--input", both, "--depth", "3")
+    assert code == 0 and payload["result"]["count"] == 3**2
+
+
 def test_csv_header_follows_dimension(tmp_path, capsys):
     path = problem(tmp_path, M=[[3]], D=[[0], [1]], k=2)
     code, out, _ = run(capsys, "attractor", "--input", path, "--format", "csv")

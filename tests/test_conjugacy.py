@@ -124,19 +124,20 @@ def test_spectrality_criterion_validations():
 
 
 def test_make_conjugate_identity_witness():
-    Mt, Dt, w = make_conjugate(((3, 0), (0, 3)), THREE, identity(2), 3)
-    assert Mt == ((3, 0), (0, 3)) and Dt == THREE
-    assert w.p == 3 and w.mode == "b"
-    assert check_witness(w.A, w.B, 3)
+    c = make_conjugate(((3, 0), (0, 3)), THREE, identity(2), 3)
+    assert c.Mt == ((3, 0), (0, 3)) and c.Dt == THREE
+    assert (c.M, c.D) == (((3, 0), (0, 3)), THREE)
+    assert c.p == 3 and c.mode == "b"
+    assert check_witness(c.A, c.B, 3)
 
 
 def test_make_conjugate_mode_b_divides_digits():
     B = ((1, 0), (1, 1))
     D = tuple(tuple(sum(B[i][j] * d[j] for j in range(2)) for i in range(2)) for d in THREE)
-    Mt, Dt, w = make_conjugate(((3, 1), (1, 4)), D, B, 3, mode="b")
-    assert Dt == THREE
-    assert mat_mod(mat_mul(w.A, w.B), 3) == identity(2)
-    assert Mt == mat_mul(mat_mul(w.A, ((3, 1), (1, 4))), B)
+    c = make_conjugate(((3, 1), (1, 4)), D, B, 3, mode="b")
+    assert c.Dt == THREE
+    assert mat_mod(mat_mul(c.A, c.B), 3) == identity(2)
+    assert c.Mt == mat_mul(mat_mul(c.A, ((3, 1), (1, 4))), B)
 
 
 def test_make_conjugate_mode_b_rejects_indivisible():
@@ -146,10 +147,23 @@ def test_make_conjugate_mode_b_rejects_indivisible():
 
 def test_make_conjugate_mode_a():
     B = ((1, 0), (0, 2))
-    Mt, Dt, w = make_conjugate(((3, 0), (0, 3)), THREE, B, 3, mode="a")
-    assert w.A == ((1, 0), (0, 2))
-    assert Dt == ((0, 0), (1, 0), (0, 2))
-    assert Mt == ((3, 0), (0, 12))
+    c = make_conjugate(((3, 0), (0, 3)), THREE, B, 3, mode="a")
+    assert c.A == ((1, 0), (0, 2))
+    assert c.Dt == ((0, 0), (1, 0), (0, 2))
+    assert c.Mt == ((3, 0), (0, 12))
+
+
+def test_make_conjugate_explicit_witness():
+    # A + pI is a valid witness too, and the value is built from it
+    M, B = ((3, 1), (1, 4)), ((1, 0), (0, 2))
+    D = ((0, 0), (1, 0), (0, 2))
+    canonical = make_conjugate(M, D, B, 3)
+    assert canonical.A == ((1, 0), (0, 2))
+    other = ((4, 0), (0, 5))
+    c = make_conjugate(M, D, B, 3, A=other)
+    assert c.A == other and c.Mt == mat_mul(mat_mul(other, M), B)
+    assert c.Mt == ((12, 8), (5, 40)) != canonical.Mt
+    assert c.Dt == canonical.Dt == THREE
 
 
 def test_make_conjugate_validations():
@@ -157,6 +171,10 @@ def test_make_conjugate_validations():
         make_conjugate(((3, 0), (0, 3)), THREE, identity(2), 4)
     with pytest.raises(ValueError):
         make_conjugate(((3, 0), (0, 3)), THREE, identity(2), 3, mode="c")
+    with pytest.raises(HypothesisViolation, match="A\\*B must be the identity mod p"):
+        make_conjugate(((3, 0), (0, 3)), THREE, ((1, 0), (1, 1)), 3, A=((1, 0), (1, 1)))
+    with pytest.raises(WrongDimension):
+        make_conjugate(((3, 0), (0, 3)), THREE, identity(2), 3, A=((1,),))
 
 
 def test_check_witness_examples():
@@ -195,9 +213,9 @@ def test_conjugation_preserves_spectrality_verdict(M, B):
     )
     if det(B) % 3 == 0:
         return
-    Mt, Dt, _ = make_conjugate(M, D, B, 3, mode="b")
-    assert Dt == THREE
+    c = make_conjugate(M, D, B, 3, mode="b")
+    assert c.Dt == THREE
     left = spectrality_criterion(M, D).verdict
     # for canonical digits the criterion reduces to the bare residue test,
     # which needs no expansion hypothesis on the conjugated matrix
-    assert (left == "Spectral") == spectral_residue_criterion(Mt)
+    assert (left == "Spectral") == spectral_residue_criterion(c.Mt)

@@ -1,4 +1,5 @@
-"""Triple verification and spectrum-set search."""
+"""Triple verification, spectrum-set search, and the transport of dual
+sets across a conjugacy, which verify_triple checks on both sides."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,15 +8,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spectral_affine.errors import SingularMatrix, WrongDimension
-from spectral_affine.hadamard import (
-    find_spectrum_set,
-    transport_spectrum_set,
-    unitarity_defect,
-    verify_triple,
+from spectral_affine.conjugacy import make_conjugate
+from spectral_affine.errors import (
+    HypothesisViolation,
+    IncompleteZeroSet,
+    SingularMatrix,
+    WrongDimension,
 )
+from spectral_affine.hadamard import find_spectrum_set, unitarity_defect, verify_triple
 from spectral_affine.linalg import coset_transversal, det, det_and_adjugate, mat_vec, transpose
-from spectral_affine.zeros import is_zero_exact
+from spectral_affine.zeros import is_zero_exact, zero_set, zero_set_in_punctured_grid
 
 THREE = ((0, 0), (1, 0), (0, 1))
 FOUR = ((0, 0), (1, 0), (0, 1), (-1, -1))
@@ -188,57 +190,126 @@ def test_find_spectrum_set_singular():
         find_spectrum_set(((1, 2), (2, 4)), THREE)
 
 
+def _fixture_conjugacy():
+    # 3I with the canonical digits, moved by B = diag(1, 2) in mode "a"
+    return make_conjugate(M3, THREE, ((1, 0), (0, 2)), 3, mode="a")
+
+
 def test_transport_forward_fixture():
-    A = ((1, 0), (0, 2))
-    B = ((1, 0), (0, 2))
-    out = transport_spectrum_set(S3, A, B, 3, direction="forward")
+    conj = _fixture_conjugacy()
+    assert conj.A == ((1, 0), (0, 2))
+    out = conj.transport(S3, direction="forward")
     assert out == ((0, 0), (4, 16), (8, 8))
+    assert verify_triple(conj.Mt, conj.Dt, out)
 
 
 def test_transport_backward_inverts_classes_mod_p():
-    A = ((1, 0), (0, 2))
-    B = ((1, 0), (0, 2))
-    fwd = transport_spectrum_set(S3, A, B, 3, direction="forward")
-    back = transport_spectrum_set(fwd, A, B, 3, direction="backward")
+    conj = _fixture_conjugacy()
+    fwd = conj.transport(S3, direction="forward")
+    back = conj.transport(fwd, direction="backward")
     assert back == ((0, 0), (16, 32), (32, 16))
+    assert verify_triple(M3, THREE, back)
     # the round trip multiplies by a scalar congruent to 1 mod p
     for s, t in zip(S3, back):
         assert tuple(x % 3 for x in s) == tuple(x % 3 for x in t)
 
 
 def test_transport_validations():
+    conj = _fixture_conjugacy()
     with pytest.raises(ValueError):
-        transport_spectrum_set(S3, ((1, 0), (0, 1)), ((1, 0), (0, 1)), 3, direction="sideways")
-    from spectral_affine.errors import HypothesisViolation
+        conj.transport(S3, direction="sideways")
+    # only a spectrum of the source system is moved
+    with pytest.raises(HypothesisViolation, match="not a spectrum"):
+        conj.transport(((0, 0), (1, 0), (2, 0)))
+    with pytest.raises(HypothesisViolation, match="not a spectrum"):
+        conj.transport(S3, direction="backward")
+    with pytest.raises(WrongDimension):
+        conj.transport(S3[:2])
+    with pytest.raises(HypothesisViolation, match="identity mod p"):
+        make_conjugate(M3, THREE, ((1, 0), (0, 2)), 3, mode="a", A=((1, 0), (0, 1)))
+    # a 1-D digit set has only a hint-mode zero set, so nothing certifies
+    # the grid hypothesis
+    line = make_conjugate(((4,),), ((0,), (2,)), ((1,),), 2)
+    with pytest.raises(IncompleteZeroSet):
+        line.transport(((0,), (1,)))
 
-    with pytest.raises(HypothesisViolation):
-        transport_spectrum_set(S3, ((1, 0), (0, 1)), ((1, 0), (0, 2)), 3)
+
+def test_transport_refuses_zeros_off_the_grid():
+    # the zeros of D have denominators 3, 4, 6 and 12; moved anyway, the
+    # dual set S becomes ((0, 0), (2, 0), (4, 0)), which is not a spectrum
+    # of the conjugate, although ((0, 0), (4, 0), (8, 0)) is
+    conj = make_conjugate(((-2, 1), (0, 3)), ((0, 1), (3, 2), (1, 0)), ((-1, 0), (0, 1)), 3)
+    S = find_spectrum_set(conj.M, conj.D).S
+    assert S == ((0, 0), (1, 0), (2, 0))
+    assert not verify_triple(conj.Mt, conj.Dt, ((0, 0), (2, 0), (4, 0)))
+    with pytest.raises(HypothesisViolation, match="punctured"):
+        conj.transport(S)
+    assert verify_triple(conj.Mt, conj.Dt, ((0, 0), (4, 0), (8, 0)))
+    with pytest.raises(HypothesisViolation, match="punctured"):
+        conj.transport(((0, 0), (4, 0), (8, 0)), direction="backward")
 
 
-unimodular_pairs = st.sampled_from(
-    [
-        (((1, 0), (1, 1)), ((1, 0), (2, 1))),
-        (((1, 1), (0, 1)), ((1, 2), (0, 1))),
-        (((1, 0), (0, 2)), ((1, 0), (0, 2))),
-        (((2, 1), (1, 1)), ((1, 2), (2, 2))),
-    ]
+UNIMODULAR = (
+    ((1, 0), (0, 1)),
+    ((1, 0), (1, 1)),
+    ((1, 1), (0, 1)),
+    ((2, 1), (1, 1)),
+    ((0, 1), (1, 0)),
+    ((1, -2), (1, -1)),
 )
+# determinant 2: invertible mod 3 and 5, and a non-unimodular digit frame
+DOUBLING = (((1, 0), (0, 2)), ((2, 1), (0, 1)), ((1, 1), (-1, 1)))
 
 
-@settings(max_examples=30)
-@given(
-    unimodular_pairs,
-    st.lists(
-        st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
-        min_size=1,
-        max_size=4,
-        unique=True,
-    ),
-)
-def test_transport_round_trip_preserves_residues(pair, S):
-    B, A = pair
-    S = tuple(S)
-    fwd = transport_spectrum_set(S, A, B, 3, direction="forward")
-    back = transport_spectrum_set(fwd, A, B, 3, direction="backward")
-    for s, t in zip(S, back):
-        assert tuple(x % 3 for x in s) == tuple(x % 3 for x in t)
+@st.composite
+def conjugacies(draw):
+    """A conjugacy of a planar three-digit or antipodal four-digit system
+    with p in {2, 3, 5}. A unimodular digit frame puts the mask zeros on
+    the (1/3)-grid for three digits and on the (1/2)-grid for four; the
+    other draws, and every draw with p = 5, leave the grid."""
+    four = draw(st.booleans())
+    p = draw(st.sampled_from((2 if four else 3, 2, 3, 5)))
+    if draw(st.booleans()):
+        F = draw(st.sampled_from(UNIMODULAR))
+    else:
+        F = ((draw(small), draw(small)), (draw(small), draw(small)))
+        assume(det(F) != 0)
+    shape = [(0, 0), (1, 0), (0, 1)] + ([(-1, -1)] if four else [])
+    c = (draw(small), draw(small))
+    Dp = tuple(tuple(ci + x for ci, x in zip(c, mat_vec(F, v))) for v in shape)
+    if draw(st.booleans()):
+        M = ((draw(small), draw(small)), (draw(small), draw(small)))
+    else:
+        # with the zeros on the grid a dual set needs p | det M
+        tiny = st.integers(-2, 2)
+        M = ((p * draw(tiny), p * draw(tiny)), (p * draw(tiny), p * draw(tiny)))
+    assume(2 <= abs(det(M)) <= 48)
+    B = draw(st.sampled_from(UNIMODULAR + DOUBLING))
+    assume(det(B) % p != 0)
+    mode = draw(st.sampled_from("ab"))
+    D = tuple(tuple(mat_vec(B, d)) for d in Dp) if mode == "b" else Dp
+    return make_conjugate(M, D, B, p, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjugacies())
+def test_transport_round_trip_preserves_residues(conj):
+    # the transport theorem: with the mask zeros of D in the punctured
+    # (1/p)-grid a dual set moves to one of the conjugate and back, to
+    # the same classes mod p; without that hypothesis transport refuses
+    found = find_spectrum_set(conj.M, conj.D)
+    if not zero_set_in_punctured_grid(zero_set(conj.D), conj.p):
+        S = found.S or tuple((i, 0) for i in range(len(conj.D)))
+        for direction in ("forward", "backward"):
+            with pytest.raises(HypothesisViolation, match="punctured"):
+                conj.transport(S, direction)
+        return
+    if found.status != "found":
+        return
+    fwd = conj.transport(found.S)
+    assert verify_triple(conj.Mt, conj.Dt, fwd)
+    back = conj.transport(fwd, direction="backward")
+    assert verify_triple(conj.M, conj.D, back)
+    p = conj.p
+    for s, t in zip(found.S, back):
+        assert tuple(x % p for x in s) == tuple(x % p for x in t)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spectral_affine.conjugacy import make_conjugate
 from spectral_affine.errors import (
     HypothesisViolation,
     IncompleteZeroSet,
@@ -445,6 +446,16 @@ def test_transport_mode_a_fixture():
     assert rep.conjugate_matrix == ((4, 1), (13, 6))
     assert rep.conjugate_digits == ((0, 0), (1, 2), (0, 1))
     assert rep.c1 == 11**16 and rep.c2 == 11**16
+
+
+def test_transport_explicit_witness():
+    # a non-canonical A reaches the report through make_conjugate
+    B, A = ((1, 0), (0, 2)), ((4, 0), (0, 5))
+    rep = transport_inclusion_check(SKEW, STRETCH, A, B, 3, J=4, mode="b")
+    assert rep.ok
+    assert rep.conjugate_matrix == make_conjugate(SKEW, STRETCH, B, 3, A=A).Mt
+    assert rep.conjugate_matrix == ((12, 8), (5, 40))
+    assert rep.c1 == 20 * 2 * 440**16 and rep.c1 % 3 == 1
 
 
 def test_transport_validations():

@@ -1,6 +1,9 @@
 """Static checks on the library source."""
 
 import ast
+import dataclasses
+import importlib
+import typing
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,39 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def _layertrace_tables():
+    # read as literals, so the benchmark's file is neither imported nor
+    # compiled into a cache next to it
+    path = SRC.parent / "perfbench" / "layertrace.py"
+    tables = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("TRACED", "CALL_SITES", "METHODS", "ROOT"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_layer_trace_names_resolve():
+    # perfbench --trace 1 wraps these by name; a rename must not leave a
+    # layer untraced or the run broken
+    tables = _layertrace_tables()
+    assert set(tables) == {"TRACED", "CALL_SITES", "METHODS", "ROOT"}
+
+    def module(name):
+        return importlib.import_module(f"spectral_affine.{name}")
+
+    for mod, fn, _hot, field in tables["TRACED"]:
+        func = getattr(module(mod), fn)
+        assert callable(func), f"{mod}.{fn}"
+        if field is not None:
+            returned = typing.get_type_hints(func)["return"]
+            assert field in {f.name for f in dataclasses.fields(returned)}
+    for mod, fn in tables["CALL_SITES"]:
+        assert callable(getattr(module(mod), fn)), f"{mod}.{fn}"
+    for mod, cls, meth in tables["METHODS"]:
+        assert callable(getattr(getattr(module(mod), cls), meth)), f"{mod}.{cls}.{meth}"
+    mod, fn = tables["ROOT"].split(".")
+    assert callable(getattr(module(mod), fn))
