@@ -271,7 +271,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         B = _need(problem, "B", command)
         p = _need(problem, "p", command)
         mode = problem.get("mode", "b")
-        conj = make_conjugate(M, D, B, p, mode=mode)
+        conj = make_conjugate(M, D, B, p, mode=mode, A=problem.get("A"))
         result = {
             "M_conjugate": _enc(list(conj.Mt)),
             "D_conjugate": _enc(list(conj.Dt)),

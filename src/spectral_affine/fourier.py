@@ -126,6 +126,45 @@ class AttractorSample:
     detail: int
 
 
+def _expansion_setup(
+    M: Matrix, digits: Sequence[Sequence]
+) -> tuple[Matrix, tuple[RationalPoint, ...], int, Matrix]:
+    """Validated map, digits, det M and adj M of an attractor expansion."""
+    M = as_matrix(M)
+    _require_expanding(M)
+    pts = _rational_points(digits)
+    if len(pts[0]) != len(M):
+        raise WrongDimension("digit dimension does not match the map")
+    det_m, adj = det_and_adjugate(M)
+    return M, pts, det_m, adj
+
+
+def _level_terms(
+    det_m: int, adj: Matrix, pts: Sequence[RationalPoint], k: int
+) -> tuple[int, list[list[IntVector]]]:
+    """Integer numerators of the k-term sums of M^{-j} d_j, j = 1..k.
+
+    With q the digits' common denominator, such a sum is the integer
+    vector sum_j det^{k-j} adj^j (q d_j) over den = q |det|^k; the sign of
+    det^k moves into the numerators, so they sort like the points and
+    divide once, correctly rounded. Returns den and, for each level j, the
+    terms det^{k-j} adj^j (q d) in digit order.
+    """
+    if k < 1:
+        raise ValueError("expansion length must be positive")
+    q = math.lcm(*(c.denominator for d in pts for c in d))
+    sign = -1 if det_m**k < 0 else 1
+    den = q * abs(det_m) ** k
+    scaled = [tuple(int(c * q) for c in d) for d in pts]
+    levels = []
+    power = adj
+    for j in range(1, k + 1):
+        scale = sign * det_m ** (k - j)
+        levels.append([tuple(scale * x for x in mat_vec(power, d)) for d in scaled])
+        power = mat_mul(power, adj)
+    return den, levels
+
+
 def attractor_sample(
     M: Matrix,
     digits: Sequence[Sequence],
@@ -142,35 +181,13 @@ def attractor_sample(
     from the origin; the seed is mandatory so runs are reproducible. Digit
     coordinates may be rational.
     """
-    M = as_matrix(M)
-    _require_expanding(M)
-    pts = _rational_points(digits)
-    if len(pts[0]) != len(M):
-        raise WrongDimension("digit dimension does not match the map")
-    det_m, adj = det_and_adjugate(M)
+    M, pts, det_m, adj = _expansion_setup(M, digits)
 
     if mode == "digit_expansion":
-        if k < 1:
-            raise ValueError("expansion length must be positive")
-        # with q the digits' common denominator, a k-term sum of
-        # M^{-j} d_j is the integer vector sum_j det^{k-j} adj^j (q d_j)
-        # over q det^k; the sign of det^k moves into the numerators, so
-        # they sort like the points and divide once, correctly rounded
-        q = math.lcm(*(c.denominator for d in pts for c in d))
-        sign = -1 if det_m**k < 0 else 1
-        den = q * abs(det_m) ** k
-        scaled = [tuple(int(c * q) for c in d) for d in pts]
-        sums: set[tuple[int, ...]] = {(0,) * len(M)}
-        power = adj
-        for j in range(1, k + 1):
-            scale = sign * det_m ** (k - j)
-            terms = [tuple(scale * x for x in mat_vec(power, d)) for d in scaled]
-            sums = {
-                tuple(s + t for s, t in zip(base, term))
-                for base in sums
-                for term in terms
-            }
-            power = mat_mul(power, adj)
+        den, levels = _level_terms(det_m, adj, pts, k)
+        sums: set[IntVector] = {(0,) * len(M)}
+        for terms in levels:
+            sums = {tuple(map(add, base, term)) for base in sums for term in terms}
         cloud = tuple(tuple(c / den for c in p) for p in sorted(sums))
         eps = _tail_bound(adj, abs(det_m), pts, k)
         return AttractorSample(
@@ -366,10 +383,11 @@ def spectrum_candidate(
 class EtaSuggestion:
     """Scan radius derived from attractor-to-mask-zero separation.
 
-    distance is the smallest sampled Euclidean distance between the
-    attractor of the base digits and the integer-periodized mask zeros;
-    sampling_error bounds how far samples sit from the true attractor;
-    eta is half the safely deflated distance.
+    distance is the smallest Euclidean distance between a k-term digit
+    expansion of the base (a point of the digit_expansion cloud) and the
+    integer-periodized mask zeros; sampling_error bounds how far those
+    expansions sit from the true attractor; eta is half the safely
+    deflated distance.
     """
 
     eta: float
@@ -377,31 +395,115 @@ class EtaSuggestion:
     sampling_error: float
 
 
-def _nearest_zero_square(pts: np.ndarray, zeros: np.ndarray) -> float:
-    """Smallest squared distance from a row of pts to a translate z + k of
-    a row z of zeros, k an integer vector in the box one unit beyond the
-    cloud's integer hull.
+def _leaf_square(
+    N: IntVector, den: int, zeros: Sequence[tuple[float, ...]]
+) -> float:
+    """Squared distance from the expansion point N / den to the nearest
+    translate z + k of a zero z, k an integer vector.
 
-    The squared distance is one term per coordinate, added left to right
-    (as numpy sums a short axis), and float addition is monotone in each
-    argument. So its minimum over the box is, bit for bit, the same sum of
-    each coordinate's minimum over its own shifts; the box is never built.
+    The square is one term per coordinate, added left to right from 0.0,
+    and float rounding is monotone. So a coordinate's smallest term over
+    all integer shifts s is at s = floor(p - z) or one above, floor taken
+    exactly. The rounded p - z has that floor, or it has rounded up to the
+    integer one above, which is then the nearer shift; either way the
+    smallest term is at f or f + 1, f the floor of the rounded p - z.
     """
-    lo = np.floor(pts.min(axis=0)).astype(int) - 1
-    hi = np.ceil(pts.max(axis=0)).astype(int) + 1
-    ks = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+    p = [c / den for c in N]
     best = math.inf
     for z in zeros:
         acc = 0.0
-        for i, k in enumerate(ks):
-            acc = acc + ((pts[:, i, None] - (z[i] + k)[None, :]) ** 2).min(axis=1)
-        best = min(best, float(acc.min()))
+        for x, zc in zip(p, z):
+            f = math.floor(x - zc)
+            acc = acc + min((x - (zc + s)) * (x - (zc + s)) for s in (f, f + 1))
+        best = min(best, acc)
+    return best
+
+
+def _box_square(
+    lo: Sequence[float], width: Sequence[float], z: tuple[float, ...]
+) -> float:
+    """Squared distance from the box lo + [0, width] to the translates
+    z + Z^n of one zero, coordinate by coordinate."""
+    acc = 0.0
+    for a0, w, zc in zip(lo, width, z):
+        a = (a0 - zc) % 1.0
+        gap = min(a, 1.0 - a - w)
+        if gap > 0.0:
+            acc += gap * gap
+    return acc
+
+
+def _nearest_leaf_square(
+    den: int, levels: Sequence[Sequence[IntVector]], zeros: Sequence[tuple[float, ...]]
+) -> float:
+    """The smallest _leaf_square over every leaf N = sum of one term per
+    level, by a depth-first branch and bound over the digit tree.
+
+    Every leaf below a node at depth L lies in the integer box
+    N_L + [low_L, high_L], with low_L and high_L the sums over the deeper
+    levels of each coordinate's smallest and largest term. A zero is
+    dropped from a subtree, and a subtree with no zero left is skipped,
+    only when the box's squared distance to the zero's translates exceeds
+    the best leaf so far by more than slack. The slack bounds the float
+    error of both the box distance and any leaf's _leaf_square (each a few
+    units in the last place of the cloud's extent), so a dropped zero is
+    farther from every leaf below than the minimum, and the minimum is the
+    one over all leaves and zeros, bit for bit.
+    """
+    n = len(zeros[0])
+    low, high = [(0,) * n], [(0,) * n]
+    for terms in reversed(levels):
+        columns = list(zip(*terms))
+        low.append(tuple(a + min(c) for a, c in zip(low[-1], columns)))
+        high.append(tuple(b + max(c) for b, c in zip(high[-1], columns)))
+    low.reverse()
+    high.reverse()
+    slack = 1e-12 * n * (1 + max(map(abs, low[0] + high[0])) / den)
+    best = math.inf
+    # (box bound, depth, partial numerator, zeros still near the box)
+    stack = [(0.0, 0, (0,) * n, zeros)]
+    while stack:
+        bound, depth, N, near = stack.pop()
+        if bound > best + slack:
+            continue
+        if depth + 1 == len(levels):
+            for term in levels[depth]:
+                best = min(best, _leaf_square(tuple(map(add, N, term)), den, near))
+            continue
+        below, above = low[depth + 1], high[depth + 1]
+        width = [(b - a) / den for a, b in zip(below, above)]
+        children = []
+        for term in levels[depth]:
+            child = tuple(map(add, N, term))
+            lo = [(c + a) / den for c, a in zip(child, below)]
+            squares = [_box_square(lo, width, z) for z in near]
+            kept = [z for z, sq in zip(near, squares) if sq <= best + slack]
+            children.append((min(squares), depth + 1, child, kept))
+        # nearest child on top, so a good leaf is found first
+        children.sort(key=lambda c: c[0], reverse=True)
+        stack += children
     return best
 
 
 def suggest_eta(
     M: Matrix, D: DigitSet, base: Sequence[Sequence], k: int = 8
 ) -> EtaSuggestion:
+    """Scan radius from the distance between the base's attractor and the
+    mask zeros of D.
+
+    distance is the exact minimum, over all |base|^k k-term digit
+    expansions of the base (the points of attractor_sample's
+    digit_expansion cloud), of the Euclidean distance to a translate
+    z + Z^n of a mask zero, as one float: each point is rounded once from
+    its integer numerator, each coordinate's squared gap is added left to
+    right, and one sqrt is taken of the smallest sum. The expansions are
+    not enumerated: a branch and bound over the digit tree skips every
+    subtree whose bounding box lies farther from all zero translates than
+    the best expansion so far, beyond a slack that covers float rounding,
+    so no skipped expansion could have been the minimum. eta is
+    (distance - sampling_error) / 2, sampling_error the tail bound of the
+    truncated expansions; a nonpositive eta is refused.
+    """
     M = as_matrix(M)
     D = as_digit_set(D)
     zs = zero_set(D)
@@ -409,20 +511,19 @@ def suggest_eta(
         raise IncompleteZeroSet("radius suggestion needs a complete zero set")
     if not zs.points:
         raise HypothesisViolation("mask has no zeros; any radius works")
-    sample = attractor_sample(M, base, "digit_expansion", k=k)
-    pts = np.array(sample.points, dtype=float)
-    zarr = np.array([[float(c) for c in z] for z in zs.points])
+    _, pts, det_m, adj = _expansion_setup(M, base)
+    den, levels = _level_terms(det_m, adj, pts, k)
+    zeros = [tuple(float(c) for c in z) for z in zs.points]
     # sqrt is monotone and correctly rounded, so one sqrt of the smallest
     # square is the smallest distance
-    dist = math.sqrt(_nearest_zero_square(pts, zarr))
-    eta = (dist - sample.eps) / 2
+    dist = math.sqrt(_nearest_leaf_square(den, levels, zeros))
+    eps = float(_tail_bound(adj, abs(det_m), pts, k))
+    eta = (dist - eps) / 2
     if eta <= 0:
         raise HypothesisViolation(
             "sampled attractor is not separated from the mask zeros"
         )
-    return EtaSuggestion(
-        eta=eta, distance=dist, sampling_error=sample.eps
-    )
+    return EtaSuggestion(eta=eta, distance=dist, sampling_error=eps)
 
 
 @dataclass(frozen=True)

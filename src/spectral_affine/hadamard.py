@@ -12,14 +12,13 @@ verify_triple on both sides.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import SingularMatrix, WrongDimension
 from .linalg import (
@@ -41,24 +40,32 @@ FrequencySet = tuple[tuple[int, ...], ...]
 
 
 def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
-    """Max-norm distance of the normalized exponential matrix from unitarity."""
+    """Max-norm distance of the normalized exponential matrix from unitarity.
+
+    Entry (d, s) is exp(2 pi i <d, M^{-T} s>). The phase is the integer
+    sign(det M) <d, adj(M)^T s> reduced mod |det M|, over |det M|, so it
+    becomes a float only once it lies in [0, 1) and the defect keeps its
+    precision however large s is.
+    """
     D = as_digit_set(D)
     det_m, adj = det_and_adjugate(M)
     if det_m == 0:
         raise SingularMatrix("matrix must be invertible over Q")
+    absdet = abs(det_m)
+    sign = 1 if det_m > 0 else -1
     adjT = transpose(adj)
-    cols = []
+    rows = []
     for s in S:
-        xf = [x / det_m for x in mat_vec(adjT, s)]
-        cols.append(
-            [
-                np.exp(2j * np.pi * sum(di * xi for di, xi in zip(d, xf)))
-                for d in D
-            ]
-        )
-    H = np.array(cols, dtype=complex).T / math.sqrt(len(S))
-    G = H.conj().T @ H
-    return float(np.max(np.abs(G - np.eye(len(S)))))
+        v = mat_vec(adjT, s)
+        rows.append([
+            cmath.exp(2j * math.pi * (sign * sum(map(mul, d, v)) % absdet / absdet))
+            for d in D
+        ])
+    return max(
+        abs(sum(x.conjugate() * y for x, y in zip(a, b)) / len(S) - (i == j))
+        for i, a in enumerate(rows)
+        for j, b in enumerate(rows)
+    )
 
 
 def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:

@@ -112,6 +112,26 @@ def test_conjugate(tmp_path, capsys):
     }
 
 
+def test_conjugate_reads_the_problems_A(tmp_path, capsys):
+    fields = dict(M=[[3, 1], [1, 4]], D=[[0, 0], [1, 0], [0, 2]], B=[[1, 0], [0, 2]], p=3)
+    path = problem(tmp_path, A=[[4, 0], [0, 5]], **fields)
+    code, payload = run_json(capsys, "conjugate", "--input", path)
+    assert code == 0
+    assert payload["result"]["M_conjugate"] == [[12, 8], [5, 40]]
+    assert payload["result"]["witness"]["A"] == [[4, 0], [0, 5]]
+    code, payload = run_json(capsys, "transport-check", "--input", path)
+    assert code == 0
+    assert payload["result"]["M_conjugate"] == [[12, 8], [5, 40]]
+    # I B = diag(1, 2) is not I mod 3 (A = B would pass: 2 * 2 = 1 mod 3)
+    path = problem(tmp_path, A=[[1, 0], [0, 1]], **fields)
+    code, payload = run_json(capsys, "conjugate", "--input", path)
+    assert code == 1 and "result" not in payload
+    assert payload["error"] == {
+        "type": "HypothesisViolation",
+        "message": "A*B must be the identity mod p",
+    }
+
+
 def test_classify_with_and_without_digits(tmp_path, capsys):
     path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE)
     code, payload = run_json(capsys, "classify", "--input", path)

@@ -57,6 +57,31 @@ def test_unitarity_defect_values():
     assert unitarity_defect(M3, THREE, ((0, 0), (1, 0), (0, 1))) > 0.1
 
 
+@pytest.mark.parametrize("e", [9, 15, 30])
+def test_far_shifted_dual_set_verifies(e):
+    # (3 10^e, 0) lies in M^T Z^2, so the shifted set is still dual; float
+    # phases of adj(M)^T s / det M lost the defect to |s| from e = 9 on
+    S = ((0, 0), (1 + 3 * 10**e, 2), (2, 1))
+    assert verify_triple(M3, THREE, S) is True
+    assert unitarity_defect(M3, THREE, S) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from((M3, ((3, 1), (0, 3)), ((-2, 1), (1, 4)), ((2, 0), (0, 2)))),
+    st.lists(st.tuples(st.integers(-10**40, 10**40), st.integers(-10**40, 10**40)), min_size=4, max_size=4),
+)
+def test_dual_sets_survive_large_lattice_shifts(M, ks):
+    D = FOUR if det(M) % 2 == 0 else THREE
+    found = find_spectrum_set(M, D)
+    assume(found.status == "found")
+    MT = transpose(M)
+    S = tuple(
+        tuple(a + b for a, b in zip(s, mat_vec(MT, k))) for s, k in zip(found.S, ks)
+    )
+    assert verify_triple(M, D, S) is True
+
+
 def test_find_spectrum_set_canonical():
     out = find_spectrum_set(M3, THREE)
     assert out.status == "found"

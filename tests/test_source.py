@@ -22,7 +22,7 @@ def _imported_roots(tree):
     return roots
 
 
-@pytest.mark.parametrize("module", ["linalg", "zeros", "conjugacy", "ortho"])
+@pytest.mark.parametrize("module", ["linalg", "zeros", "conjugacy", "ortho", "hadamard"])
 def test_exact_modules_import_no_numpy(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert "numpy" not in _imported_roots(tree)
