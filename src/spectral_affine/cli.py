@@ -17,6 +17,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -38,7 +39,7 @@ from .fourier import (
     suggest_eta,
 )
 from .hadamard import find_spectrum_set, unitarity_defect, verify_triple
-from .linalg import as_matrix
+from .linalg import square_matrix
 from .ortho import (
     has_infinite_orthogonal,
     nonspectral_certificate,
@@ -46,7 +47,7 @@ from .ortho import (
     suggest_certificate,
     transport_inclusion_check,
 )
-from .zeros import as_digit_set, zero_set
+from .zeros import digit_set_shape, zero_set
 
 COMMANDS = (
     "zero-set",
@@ -100,12 +101,13 @@ def _rat_value(x: Any, where: str) -> Fraction:
 def _int_matrix(x: Any, where: str):
     if not isinstance(x, list) or not x:
         raise _fail(where, "expected a list of rows")
-    rows = []
     for i, row in enumerate(x):
         if not isinstance(row, list):
             raise _fail(f"{where}[{i}]", "expected a list")
-        rows.append(tuple(_int_value(c, f"{where}[{i}]") for c in row))
-    return tuple(rows)
+        # a decoded JSON value is an exact integer iff its type is int
+        if not all(type(c) is int for c in row):
+            raise _fail(f"{where}[{i}]", "expected an exact integer")
+    return tuple(map(tuple, x))
 
 
 def _rat_vectors(x: Any, where: str):
@@ -143,11 +145,11 @@ def parse_problem(path: str) -> dict:
     out: dict[str, Any] = {}
     if "M" not in raw:
         raise ProblemFormatError("problem file must define the matrix M")
-    out["M"] = as_matrix(_int_matrix(raw["M"], "M"))
+    out["M"] = square_matrix(_int_matrix(raw["M"], "M"))
     n = len(out["M"])
 
     if "D" in raw:
-        D = as_digit_set(_int_matrix(raw["D"], "D"))
+        D = digit_set_shape(_int_matrix(raw["D"], "D"))
         if len(D[0]) != n:
             raise _fail("D", "digit dimension does not match M")
         out["D"] = D
@@ -159,7 +161,7 @@ def parse_problem(path: str) -> dict:
             out[key] = vec
     for key in ("A", "B"):
         if key in raw:
-            mat = as_matrix(_int_matrix(raw[key], key))
+            mat = square_matrix(_int_matrix(raw[key], key))
             if len(mat) != n:
                 raise _fail(key, "dimension does not match M")
             out[key] = mat
@@ -193,19 +195,6 @@ def parse_problem(path: str) -> dict:
     return out
 
 
-# ---------------------------------------------------------------- encoding
-
-
-def _enc(x: Any) -> Any:
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
-    if isinstance(x, (list, tuple)):
-        return [_enc(c) for c in x]
-    if isinstance(x, dict):
-        return {k: _enc(v) for k, v in x.items()}
-    return x
-
-
 def _need(problem: dict, key: str, command: str) -> Any:
     if key not in problem:
         raise ProblemFormatError(f"{command} needs the field '{key}'")
@@ -223,7 +212,8 @@ def _csv_header(n: int) -> list[str]:
 
 
 def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dict, int, Optional[list]]:
-    """Run one command; returns (result-dict, exit-code, csv-rows)."""
+    """Run one command; returns (result-dict, exit-code, csv-rows). The
+    result holds library values (tuples, Fractions) that emit renders."""
     M = problem["M"]
 
     def pick(name: str, default=None):
@@ -237,7 +227,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         zs = zero_set(D, q_hints=problem.get("q_hints", ()))
         rows = [_csv_header(len(M))] + [[str(c) for c in pt] for pt in zs.points]
         result = {
-            "points": _enc(list(zs.points)),
+            "points": zs.points,
             "q": zs.q,
             "complete": zs.complete,
         }
@@ -249,7 +239,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         found = find_spectrum_set(M, D, budget=budget)
         result = {
             "status": found.status,
-            "S": _enc(list(found.S)) if found.S is not None else None,
+            "S": found.S,
             "search_space": found.search_space,
             "examined": found.examined,
         }
@@ -273,12 +263,12 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         mode = problem.get("mode", "b")
         conj = make_conjugate(M, D, B, p, mode=mode, A=problem.get("A"))
         result = {
-            "M_conjugate": _enc(list(conj.Mt)),
-            "D_conjugate": _enc(list(conj.Dt)),
+            "M_conjugate": conj.Mt,
+            "D_conjugate": conj.Dt,
             "witness": {
                 "p": conj.p,
-                "A": _enc(list(conj.A)),
-                "B": _enc(list(conj.B)),
+                "A": conj.A,
+                "B": conj.B,
                 "mode": conj.mode,
             },
         }
@@ -295,8 +285,8 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             verdict = spectrality_criterion(M, problem["D"])
             result["theorem18"] = {
                 "verdict": verdict.verdict,
-                "A": _enc(list(verdict.A)),
-                "B": _enc(list(verdict.B)),
+                "A": verdict.A,
+                "B": verdict.B,
             }
         return result, 0, None
 
@@ -305,8 +295,8 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         verdict = spectrality_criterion(M, D)
         result = {
             "verdict": verdict.verdict,
-            "A": _enc(list(verdict.A)),
-            "B": _enc(list(verdict.B)),
+            "A": verdict.A,
+            "B": verdict.B,
         }
         return result, 0, None
 
@@ -330,7 +320,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             "lower": bounds.lower,
             "upper": bounds.upper,
             "method": bounds.method,
-            "witness": _enc(list(bounds.witness.frequencies)),
+            "witness": bounds.witness.frequencies,
             "witness_verified": bounds.witness.verified,
             "search_nodes": bounds.search_nodes,
             "search_complete": bounds.search_complete,
@@ -355,7 +345,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         cert = nonspectral_certificate(M, D, L, j0)
         result = {
             "verdict": cert.verdict,
-            "L": _enc(cert.L),
+            "L": cert.L,
             "j0": cert.j0,
             "suggested": suggested,
             "checks": {
@@ -380,8 +370,8 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             "ok": report.ok,
             "forward_checks": len(report.forward_hits),
             "backward_checks": len(report.backward_hits),
-            "M_conjugate": _enc(list(report.conjugate_matrix)),
-            "D_conjugate": _enc(list(report.conjugate_digits)),
+            "M_conjugate": report.conjugate_matrix,
+            "D_conjugate": report.conjugate_digits,
         }
         return result, 0, None
 
@@ -431,10 +421,8 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             "levels": cand.levels,
             "count": len(cand.frequencies),
             "orthogonal": cand.orthogonal,
-            "failing_pair": _enc(list(cand.failing_pair))
-            if cand.failing_pair
-            else None,
-            "frequencies": _enc(list(cand.frequencies)),
+            "failing_pair": cand.failing_pair,
+            "frequencies": cand.frequencies,
         }
         return result, 0, rows
 
@@ -481,17 +469,55 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
 # ---------------------------------------------------------------- emission
 
 
+def _fraction(x: Any) -> Any:
+    """The JSON form of a Fraction: n, or [n, d]."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(x: Any, pad: str = "") -> str:
+    """x as json.dumps(x, sort_keys=True, indent=1, default=_fraction)
+    writes it at indentation pad; dict keys are strings. With indent set,
+    json.dumps runs its slower pure-Python encoder."""
+    if isinstance(x, (list, tuple, dict)):
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        inner = pad + " "
+        if isinstance(x, dict):
+            items = [f"{_quote(k)}: {_dumps(v, inner)}" for k, v in sorted(x.items())]
+            brackets = "{}"
+        else:
+            items = [int.__repr__(c) if type(c) is int else _dumps(c, inner) for c in x]
+            brackets = "[]"
+        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return _dumps(_fraction(x), pad)
+
+
 def _emit_text(report: dict) -> str:
     lines = [f"command: {report['command']}"]
     for key, value in report["result"].items():
-        lines.append(f"{key}: {json.dumps(_enc(value), sort_keys=True)}")
+        lines.append(f"{key}: {json.dumps(value, sort_keys=True, default=_fraction)}")
     lines.append(f"elapsed: {report['timing_seconds']:.3f}s")
     return "\n".join(lines) + "\n"
 
 
 def emit(report: dict, fmt: str, csv_rows: Optional[list]) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+        return _dumps(report) + "\n"
     if fmt == "text":
         return _emit_text(report)
     if fmt == "csv":
@@ -540,7 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "library": {"name": "spectral-affine", "version": __version__},
             "schema": 1,
             "command": opts.command,
-            "result": _enc(result),
+            "result": result,
             "timing_seconds": time.perf_counter() - start,
         }
         rendered = emit(report, opts.format, csv_rows)
@@ -555,7 +581,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "timing_seconds": time.perf_counter() - start,
         }
         out = (
-            json.dumps(report, sort_keys=True, indent=1) + "\n"
+            _dumps(report) + "\n"
             if opts.format == "json"
             else f"error ({type(exc).__name__}): {exc}\n"
         )

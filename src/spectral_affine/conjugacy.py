@@ -118,6 +118,7 @@ class SpectralityVerdict:
     verdict: str  # "Spectral" or "NonSpectral"
     A: Matrix
     B: Matrix
+    Mt: Matrix  # A M B, whose rows the criterion compares mod 3
 
 
 def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
@@ -144,7 +145,7 @@ def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
         raise DegenerateDigits("digit difference frame is singular mod 3") from None
     Mt = mat_mul(mat_mul(A, M), B)
     verdict = "Spectral" if spectral_residue_criterion(Mt) else "NonSpectral"
-    return SpectralityVerdict(verdict=verdict, A=A, B=B)
+    return SpectralityVerdict(verdict=verdict, A=A, B=B, Mt=Mt)
 
 
 def divide_digits(D: DigitSet, B: Matrix) -> DigitSet:

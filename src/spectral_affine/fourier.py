@@ -21,9 +21,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+# only the two array paths import numpy, so exact commands never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     HypothesisViolation,
@@ -256,6 +258,7 @@ class _MuHat:
         the scalar path: for a single point the array path is several
         times slower than the scalar product.
         """
+        import numpy as np
         ys = [Y[:, i] for i in range(Y.shape[1])]
         re = np.ones(len(Y))
         im = np.zeros(len(Y))
@@ -564,6 +567,7 @@ def completeness_scan(
     fixed balanced summation order, so every Q value is reproducible bit
     for bit.
     """
+    import numpy as np
     M = as_matrix(M)
     D = as_digit_set(D)
     if eta <= 0:

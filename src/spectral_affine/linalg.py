@@ -10,9 +10,8 @@ of modulus exactly 1 gives a plain "not expanding".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import neg
+from operator import add, neg
 from typing import Iterator, Optional, Sequence
 
 from .errors import SingularMatrix, SingularModP, WrongDimension
@@ -23,14 +22,18 @@ IntVector = tuple[int, ...]
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     """Validate and freeze a square integer matrix."""
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    n = len(out)
+    return square_matrix(tuple(tuple(int(x) for x in row) for row in rows))
+
+
+def square_matrix(M: Matrix) -> Matrix:
+    """M, a tuple of integer rows, once checked to be nonempty and square."""
+    n = len(M)
     if n == 0:
         raise WrongDimension("empty matrix")
-    for row in out:
+    for row in M:
         if len(row) != n:
             raise WrongDimension(f"matrix is not square: {len(row)} != {n}")
-    return out
+    return M
 
 
 def identity(n: int) -> Matrix:
@@ -390,14 +393,15 @@ def coset_transversal(M: Matrix) -> CosetTransversal:
     if d == 0:
         raise SingularMatrix("lattice matrix must be nonsingular")
     S, L, _ = smith_normal_form(M)
-    Linv = unimodular_inverse(L)
-    diag = [S[i][i] for i in range(len(M))]
-    reps = tuple(
-        mat_vec(Linv, u) for u in itertools.product(*(range(s) for s in diag))
-    )
+    # L^{-1} u for u over the box in lexicographic order, summed one
+    # column of L^{-1} at a time
+    reps = [(0,) * len(M)]
+    for i, col in enumerate(zip(*unimodular_inverse(L))):
+        steps = [tuple(u * c for c in col) for u in range(S[i][i])]
+        reps = [tuple(map(add, v, w)) for v in reps for w in steps]
     if len(reps) != abs(d):
         raise AssertionError("transversal size must equal |det|")
-    return CosetTransversal(base=M, reps=reps)
+    return CosetTransversal(base=M, reps=tuple(reps))
 
 
 def in_lattice(M: Matrix, v: Sequence[int]) -> bool:

@@ -694,8 +694,7 @@ def suggest_certificate(
     M = as_matrix(M)
     D = as_digit_set(D)
     res = spectrality_criterion(M, D)
-    Mt = mat_mul(mat_mul(res.A, M), res.B)
-    MtT = transpose(Mt)
+    MtT = transpose(res.Mt)
     w = (1, -1)
     j0 = None
     for j in range(1, max_j + 1):

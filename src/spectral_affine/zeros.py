@@ -32,18 +32,22 @@ def as_digit_set(rows: Sequence[Sequence[int]]) -> DigitSet:
         for x in row:
             if x != int(x):
                 raise ValueError("digit entries must be integers")
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if not out:
+    return digit_set_shape(tuple(tuple(int(x) for x in row) for row in rows))
+
+
+def digit_set_shape(D: DigitSet) -> DigitSet:
+    """D, once checked: nonempty, distinct, of one positive dimension."""
+    if not D:
         raise ValueError("digit set must be nonempty")
-    n = len(out[0])
+    n = len(D[0])
     if n == 0:
         raise WrongDimension("digit vectors must have positive dimension")
-    for row in out:
+    for row in D:
         if len(row) != n:
             raise WrongDimension("digit vectors must share one dimension")
-    if len(set(out)) != len(out):
+    if len(set(D)) != len(D):
         raise ValueError("digit set entries must be distinct")
-    return out
+    return D
 
 
 def as_rational_point(coords: Sequence) -> RationalPoint:
@@ -64,15 +68,6 @@ def mask_eval(D: DigitSet, x: Sequence) -> complex:
         phase = sum(di * xi for di, xi in zip(d, xs))
         total += cmath.exp(2j * cmath.pi * phase)
     return total / len(D)
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spectral_affine.cli import build_parser, main
+from spectral_affine.cli import COMMANDS, _dumps, build_parser, main
 
 THREE = [[0, 0], [1, 0], [0, 1]]
 SWAP = [[0, 10], [9, 0]]
@@ -475,3 +478,64 @@ def test_mode_validation(tmp_path, capsys):
     path.write_text(json.dumps({"M": [[3, 0], [0, 3]], "mode": "spiral"}))
     code, _, err = run(capsys, "zero-set", "--input", str(path))
     assert code == 1 and "unknown mode" in err
+
+
+class Count(int):
+    pass
+
+
+def as_json(f):
+    return f.numerator if f.denominator == 1 else [f.numerator, f.denominator]
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(Count),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é ü", "\u2028", "\U0001f600"]),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.fractions(),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+def test_report_writer_matches_the_stdlib(x):
+    assert _dumps(x) == json.dumps(x, sort_keys=True, indent=1, default=as_json)
+
+
+@pytest.mark.parametrize("command", COMMANDS + ("error",))
+def test_json_reports_render_as_the_stdlib_does(tmp_path, capsys, command):
+    path = problem(
+        tmp_path,
+        M=[[3, 1], [1, 4]],
+        D=THREE,
+        S=[[0, 0], [1, 0], [2, 0]],
+        B=[[1, 0], [0, 1]],
+        p=3,
+        C=SWAP_C,
+        xi=[[1, 3], [2, 7]],
+        levels=1,
+        grid=3,
+        depth=8,
+        k=2,
+        J=2,
+        R=0,
+    )
+    if command == "error":
+        command, path = "zero-set", problem(tmp_path, M=[[3, 0], [0, 3.5]])
+    _, out, err = run(capsys, command, "--input", path, "--format", "json")
+    text = out or err
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"

@@ -271,6 +271,20 @@ def test_coset_transversal_is_complete(rows):
     assert len(seen) == len(t.reps)
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_matrices)
+def test_coset_transversal_matches_the_mat_vec_reference(rows):
+    # the representatives, in order, are L^{-1} u with u running over the
+    # Smith box in itertools.product order
+    M = as_matrix(rows)
+    if det(M) == 0 or abs(det(M)) > 200:
+        return
+    S, L, _ = smith_normal_form(M)
+    Linv = unimodular_inverse(L)
+    box = product(*(range(S[i][i]) for i in range(len(M))))
+    assert coset_transversal(M).reps == tuple(mat_vec(Linv, u) for u in box)
+
+
 def test_in_lattice():
     M = ((3, 1), (1, 4))
     for k in ((0, 0), (1, 0), (-2, 3)):

@@ -1,8 +1,11 @@
-"""Static checks on the library source."""
+"""Static checks on the library source, and what importing it loads."""
 
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -26,6 +29,22 @@ def _imported_roots(tree):
 def test_exact_modules_import_no_numpy(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert "numpy" not in _imported_roots(tree)
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # numpy is most of a cold start; fourier imports it inside its array
+    # paths, so importing every module of the package must not load it
+    code = (
+        "import importlib, pkgutil, sys, spectral_affine\n"
+        "for m in pkgutil.iter_modules(spectral_affine.__path__):\n"
+        "    importlib.import_module('spectral_affine.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_no_assert_statements():
