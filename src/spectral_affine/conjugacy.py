@@ -43,8 +43,8 @@ from .linalg import (
 )
 from .zeros import (
     DigitSet,
-    _three_digit_frame,
     as_digit_set,
+    three_digit_frame,
     zero_set,
     zero_set_in_punctured_grid,
 )
@@ -138,7 +138,7 @@ def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
         raise BadDigitForm("criterion needs exactly three digits")
     if not is_expanding(M):
         raise HypothesisViolation("criterion requires an expanding matrix")
-    B = _three_digit_frame(D)
+    B = three_digit_frame(D)
     try:
         A = gl_inverse_mod(B, 3)
     except SingularModP:

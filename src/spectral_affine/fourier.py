@@ -52,7 +52,7 @@ from .zeros import (
     mask_eval,
     zero_set,
 )
-from .ortho import _measure
+from .ortho import measure
 
 
 def _require_expanding(M: Matrix) -> None:
@@ -358,7 +358,7 @@ def spectrum_candidate(
     # indices of the first failing pair; one walk per distinct difference
     failing: Optional[tuple[int, int]] = None
     if len(ordered) > 1:
-        eng = _measure(M, D)
+        eng = measure(M, D)
         memo: dict[IntVector, bool] = {}
         for i, a in enumerate(ordered):
             for j in range(i + 1, len(ordered)):

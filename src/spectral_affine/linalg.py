@@ -126,6 +126,9 @@ def det_and_adjugate(M: Matrix) -> tuple[int, Matrix]:
     n = len(M)
     if n == 1:
         return M[0][0], ((1,),)
+    if n == 2:
+        (a, b), (c, d) = M
+        return a * d - b * c, ((d, -b), (-c, a))
     d = det(M)
     # adj[j][i] is the (i, j) cofactor.
     adj = tuple(

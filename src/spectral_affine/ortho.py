@@ -21,6 +21,11 @@ of the orthogonal-family search, the transported zeros and the zero
 orbits all lie on the (1/q)-grid and are handled as integer vectors q*x.
 Fractions appear only at the public boundary.
 
+The step is planar, on a pair (x, y): complete zero sets are known only
+for planar three- and four-digit sets and a single digit has none, so a
+measure with zeros off the plane is refused with WrongDimension, and
+without zeros a walk and the graph end before the first step.
+
 The orthogonality graph of the search is built without pairwise walks:
 a - b is in the zero set iff a = b mod M^{T j} Z^n and M^{-T j}(a - b)
 mod q is a residue for some j >= 1, so the vertices are split level by
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import lcm
-from operator import mul
+from operator import sub
 from typing import Optional, Sequence
 
 from .conjugacy import make_conjugate, spectrality_criterion
@@ -65,17 +70,18 @@ from .linalg import (
     mat_vec,
     order_mod,
     power_norms,
+    sign_canonical,
     transpose,
 )
 from .zeros import (
     DigitSet,
     RationalPoint,
     ZeroSet,
-    _four_digit_frame,
-    _three_digit_frame,
     as_digit_set,
     as_rational_point,
+    four_digit_frame,
     reduce_mod1,
+    three_digit_frame,
     zero_classes_mod_p,
     zero_set,
     zero_set_in_punctured_grid,
@@ -110,6 +116,8 @@ class _Measure:
             raise IncompleteZeroSet(
                 "orthogonality decisions need a provably complete zero set"
             )
+        if self.zs.points and self.n != 2:
+            raise WrongDimension("mask zeros are walked in the plane only")
         self.q = self.zs.q
         self.residues = frozenset(self.zs.residues)
         if not is_expanding(M):
@@ -142,25 +150,26 @@ class _Measure:
         """
         if self.bound is None:
             return None
-        adjT = self.adjT
+        (a, b), (c, d) = self.adjT
         absdet = self.absdet
         q = self.q
         residues = self.residues
-        if any(q * x % Q for x in N):
+        x, y = N
+        if q * x % Q or q * y % Q:
             return None
-        u = [q * x // Q for x in N]
+        x, y = q * x // Q, q * y // Q
         # |u/q| below the bound: no later iterate reaches a zero
         lim = self.bound.numerator * q
         den = self.bound.denominator
         # the iterates tend to 0 (M is expanding), so the walk ends
         for j in count(1):
-            s = [sum(map(mul, row, u)) for row in adjT]
-            if any(x % absdet for x in s):
+            x, y = a * x + b * y, c * x + d * y
+            if x % absdet or y % absdet:
                 return None
-            u = [x // absdet for x in s]
-            if tuple(x % q for x in u) in residues:
+            x, y = x // absdet, y // absdet
+            if (x % q, y % q) in residues:
                 return j
-            if max(map(abs, u)) * den < lim:
+            if abs(x) * den < lim and abs(y) * den < lim:
                 return None
 
     def orthogonality_graph(self, vertices: Sequence[IntVector]) -> list[int]:
@@ -183,11 +192,13 @@ class _Measure:
         """
         if len(set(vertices)) != len(vertices):
             raise ValueError("orthogonality graph vertices must be distinct")
-        adjT = self.adjT
+        adj = [0] * len(vertices)
+        if not self.residues:
+            return adj
+        (a, b), (c, d) = self.adjT
         absdet = self.absdet
         q = self.q
         residues = self.residues
-        adj = [0] * len(vertices)
         t = list(vertices)
         classes = [list(range(len(vertices)))]
         while classes:
@@ -195,19 +206,21 @@ class _Measure:
             for members in classes:
                 parts: dict[IntVector, list[int]] = {}
                 for i in members:
-                    s = [sum(map(mul, row, t[i])) for row in adjT]
-                    parts.setdefault(tuple(x % absdet for x in s), []).append(i)
-                    t[i] = tuple(x // absdet for x in s)
+                    x, y = t[i]
+                    x, y = a * x + b * y, c * x + d * y
+                    parts.setdefault((x % absdet, y % absdet), []).append(i)
+                    t[i] = (x // absdet, y // absdet)
                 refined += [part for part in parts.values() if len(part) > 1]
             for part in refined:
                 groups: dict[IntVector, list[int]] = {}
                 for i in part:
-                    groups.setdefault(tuple(x % q for x in t[i]), []).append(i)
+                    x, y = t[i]
+                    groups.setdefault((x % q, y % q), []).append(i)
                 masks = {g: sum(1 << i for i in grp) for g, grp in groups.items()}
-                for g, grp in groups.items():
+                for (x, y), grp in groups.items():
                     hit = 0
-                    for r in residues:
-                        hit |= masks.get(tuple((x - y) % q for x, y in zip(g, r)), 0)
+                    for rx, ry in residues:
+                        hit |= masks.get(((x - rx) % q, (y - ry) % q), 0)
                     if hit:
                         for i in grp:
                             adj[i] |= hit
@@ -216,7 +229,8 @@ class _Measure:
 
 
 @functools.lru_cache(maxsize=64)
-def _measure(M: Matrix, D: DigitSet) -> _Measure:
+def measure(M: Matrix, D: DigitSet) -> _Measure:
+    """The cached exact data of (M, D), both already validated tuples."""
     return _Measure(M, D)
 
 
@@ -227,7 +241,7 @@ def zero_membership(M: Matrix, D: DigitSet, xi: Sequence) -> Optional[int]:
     mask zero of D. Termination is certified by an exact contraction bound,
     so None is a proof of non-membership rather than a timeout.
     """
-    eng = _measure(as_matrix(M), as_digit_set(D))
+    eng = measure(as_matrix(M), as_digit_set(D))
     N, Q = _lattice_point(xi)
     if len(N) != eng.n:
         raise WrongDimension("frequency dimension does not match the map")
@@ -344,9 +358,9 @@ def _family_upper_applies(D: DigitSet, p: int) -> bool:
     if len(D[0]) != 2:
         return False
     if len(D) == 3 and p == 3:
-        return det(_three_digit_frame(D)) % 3 != 0
+        return det(three_digit_frame(D)) % 3 != 0
     if len(D) == 4 and p == 2:
-        B = _four_digit_frame(D)
+        B = four_digit_frame(D)
         return B is not None and det(B) % 2 != 0
     return False
 
@@ -434,7 +448,7 @@ def nstar_bounds(
         raise ValueError("search window must be positive")
     if node_budget < 0:
         raise ValueError("node budget must be nonnegative")
-    eng = _measure(M, D)
+    eng = measure(M, D)
     n = eng.n
     if J is None:
         J = 2 * (p**n - 1)
@@ -450,7 +464,8 @@ def nstar_bounds(
         method = "inapplicable"
 
     # every candidate M^{T j} z + v lies on the (1/q)-grid, so the search
-    # runs on the integer vectors q*x and converts the chosen clique back
+    # runs on the integer vectors q*x, planar as the zeros, and converts the
+    # chosen clique back
     q = eng.q
     Mt = transpose(M)
     zero = (0,) * n
@@ -463,9 +478,9 @@ def nstar_bounds(
     shells = list(eng.zs.residues)
     for _ in range(J):
         shells = [mat_vec(Mt, vec) for vec in shells]
-        for vec in shells:
-            for v in box:
-                cand = tuple(c + o for c, o in zip(vec, v))
+        for x, y in shells:
+            for ox, oy in box:
+                cand = (x + ox, y + oy)
                 if cand in seen or cand == zero:
                     continue
                 seen.add(cand)
@@ -476,10 +491,11 @@ def nstar_bounds(
     adj = eng.orthogonality_graph(vertices)
     best, nodes, complete = _max_clique(adj, node_budget)
     chosen = [vertices[i] for i in sorted(best)]
-    for a, b in combinations(chosen, 2):
-        w = tuple(x - y for x, y in zip(a, b))
-        if eng.membership(w, q) is None:
-            raise AssertionError("witness family failed re-verification")
+    # an independent walk per difference up to sign: w and -w share their
+    # verdict, as the residues are closed under negation
+    diffs = {sign_canonical(tuple(map(sub, u, v))) for u, v in combinations(chosen, 2)}
+    if any(eng.membership(w, q) is None for w in diffs):
+        raise AssertionError("witness family failed re-verification")
     family = tuple(tuple(Fraction(c, q) for c in v) for v in chosen)
     witness = OrthogonalFamily(frequencies=family, verified=True)
     return NStarBounds(
@@ -533,8 +549,8 @@ def transport_inclusion_check(
     dM = det(conj.M)
     if dM % p == 0:
         raise HypothesisViolation("transport needs det M coprime to p")
-    src = _measure(conj.M, conj.D)
-    dst = _measure(conj.Mt, conj.Dt)
+    src = measure(conj.M, conj.D)
+    dst = measure(conj.Mt, conj.Dt)
     if not zero_set_in_punctured_grid(dst.zs, p):
         raise HypothesisViolation(
             "conjugated mask zeros must lie in the punctured (1/p)-grid"

@@ -206,7 +206,7 @@ def _lattice_preimage(
     return tuple(tuple(Fraction(v, den) for v in x) for x in sorted(found))
 
 
-def _three_digit_frame(D: DigitSet) -> Matrix:
+def three_digit_frame(D: DigitSet) -> Matrix:
     """Difference frame [d1-d0 | d2-d0] of a planar three-digit set."""
     d0, d1, d2 = D
     return (
@@ -215,7 +215,7 @@ def _three_digit_frame(D: DigitSet) -> Matrix:
     )
 
 
-def _four_digit_frame(D: DigitSet) -> Matrix | None:
+def four_digit_frame(D: DigitSet) -> Matrix | None:
     """Difference frame [alpha | beta] when D is a translate of a set
     {0, alpha, beta, -alpha-beta}; None when it is not of that shape."""
     if len(D) != 4 or len(D[0]) != 2:
@@ -249,9 +249,9 @@ def zero_set(D: DigitSet, q_hints: Sequence[int] = ()) -> ZeroSet:
         return ZeroSet(points=(), q=1, complete=True)
     B = None
     if len(D) == 3 and n == 2:
-        B, base = _three_digit_frame(D), _THIRD_PAIR
+        B, base = three_digit_frame(D), _THIRD_PAIR
     elif len(D) == 4 and n == 2:
-        B, base = _four_digit_frame(D), _HALF_TRIPLE
+        B, base = four_digit_frame(D), _HALF_TRIPLE
     if B is not None:
         pts, complete = _lattice_preimage(B, base), True
     else:

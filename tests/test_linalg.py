@@ -76,6 +76,34 @@ def test_adjugate_identity(rows):
     )
 
 
+def _cofactor_adjugate(M):
+    """Reference: det by Bareiss elimination and adj[j][i] the (i, j)
+    cofactor, each minor's determinant by elimination too."""
+    n = len(M)
+
+    def minor(i, j):
+        return tuple(
+            tuple(x for c, x in enumerate(row) if c != j)
+            for r, row in enumerate(M)
+            if r != i
+        )
+
+    return det(M), tuple(
+        tuple((-1) ** (i + j) * det(minor(i, j)) for i in range(n)) for j in range(n)
+    )
+
+
+big = st.integers(-(10**6), 10**6)
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.tuples(big, big), st.tuples(big, big)))
+def test_planar_adjugate_closed_form(M):
+    d, adj = det_and_adjugate(M)
+    assert mat_mul(M, adj) == ((d, 0), (0, d))
+    assert (d, adj) == _cofactor_adjugate(M)
+
+
 @settings(max_examples=40)
 @given(small_matrices)
 def test_char_poly_matches_resolvent_determinant(rows):

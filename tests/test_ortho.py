@@ -1,37 +1,56 @@
 """Orthogonality counting, transport inclusions, certificates."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import count
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spectral_affine import ortho
 from spectral_affine.conjugacy import make_conjugate
 from spectral_affine.errors import (
     HypothesisViolation,
     IncompleteZeroSet,
     NonIntegerDigits,
+    WrongDimension,
 )
-from spectral_affine.linalg import det_and_adjugate, is_expanding, mat_mul
+from spectral_affine.linalg import (
+    det_and_adjugate,
+    is_expanding,
+    mat_mul,
+    sign_canonical,
+)
 from spectral_affine.ortho import (
     _lattice_point,
-    _measure,
     has_infinite_orthogonal,
+    measure,
     nonspectral_certificate,
     nstar_bounds,
     suggest_certificate,
     transport_inclusion_check,
     zero_membership,
 )
-from spectral_affine.zeros import zero_set
+from spectral_affine.zeros import ZeroSet, zero_set
 
 THREE = ((0, 0), (1, 0), (0, 1))
 FOUR = ((0, 0), (1, 0), (0, 1), (-1, -1))
 STRETCH = ((0, 0), (1, 0), (0, 2))
 M3 = ((3, 0), (0, 3))
 SKEW = ((3, 1), (1, 4))
+WIDE = ((0, -1), (-6, 6), (-4, 3))  # eight zeros, q = 12
+# |det M| from 60 to 120, as large as the corpus workload's conjugates,
+# with both signs
+LARGE_DET = [
+    (((0, 10), (9, 0)), FOUR),  # det -90
+    (((8, 1), (3, 9)), THREE),  # det 69
+    (((11, 2), (5, -10)), ((0, 1), (3, 2), (1, 0))),  # det -120
+    (((10, 1), (-2, 10)), WIDE),  # det 102
+    (((-8, 5), (7, 4)), FOUR),  # det -67
+]
 
 
 def test_zero_membership_levels():
@@ -107,7 +126,7 @@ def _capped_bound(M, D):
     ],
 )
 def test_measure_bound_matches_capped_power_loop(M, D):
-    assert _measure(M, D).bound == _capped_bound(M, D)
+    assert measure(M, D).bound == _capped_bound(M, D)
 
 
 def test_has_infinite_orthogonal():
@@ -191,7 +210,7 @@ def planar_systems(draw):
 @given(planar_systems(), st.data())
 def test_lattice_membership_matches_fraction_walk(system, data):
     M, D = system
-    eng = _measure(M, D)
+    eng = measure(M, D)
     assume(eng.zs.points)
     rational = st.fractions(min_value=-40, max_value=40, max_denominator=12)
     for _ in range(6):
@@ -271,7 +290,7 @@ picks = st.lists(
 @given(planar_systems(), picks)
 def test_orthogonality_graph_matches_pairwise_walks(system, chosen):
     M, D = system
-    eng = _measure(M, D)
+    eng = measure(M, D)
     vertices = graph_vertices(M, eng, chosen)
     assert eng.orthogonality_graph(vertices) == pairwise_graph(M, D, eng.q, vertices)
 
@@ -284,10 +303,11 @@ def test_orthogonality_graph_matches_pairwise_walks(system, chosen):
         (((-2, 1), (0, 3)), ((0, 1), (3, 2), (1, 0))),  # det -6
         (((2, 0), (0, 2)), THREE),
         (SKEW, FOUR),
-    ],
+    ]
+    + LARGE_DET,
 )
 def test_orthogonality_graph_matches_pairwise_walks_fixed(M, D):
-    eng = _measure(M, D)
+    eng = measure(M, D)
     rng = random.Random(repr((M, D)))
     chosen = [
         (
@@ -306,8 +326,30 @@ def test_orthogonality_graph_matches_pairwise_walks_fixed(M, D):
     assert any(adj)
 
 
+@pytest.mark.parametrize("M, D", LARGE_DET)
+def test_lattice_membership_matches_fraction_walk_fixed(M, D):
+    eng = measure(M, D)
+    rng = random.Random(repr((M, D)))
+    hits = 0
+    for _ in range(40):
+        if rng.random() < 0.3:
+            xi = tuple(Fraction(rng.randint(-400, 400), rng.randint(1, 12)) for _ in M)
+        else:
+            # M^{T j}(z + k) + v, in the zero set unless v spoils it
+            z = rng.choice(eng.zs.points)
+            xi = tuple(c + rng.randint(-3, 3) for c in z)
+            for _ in range(rng.randint(0, 3)):
+                xi = mat_t_vec(M, xi)
+            v = rng.choice([(0, 0), (0, 0), (1, 0), (0, -1), (1, eng.q)])
+            xi = (xi[0] + v[0], xi[1] + Fraction(v[1], eng.q))
+        got = eng.membership(*_lattice_point(xi))
+        assert got == fraction_membership(M, D, xi)
+        hits += got is not None
+    assert hits
+
+
 def test_orthogonality_graph_edge_cases():
-    eng = _measure(SKEW, THREE)
+    eng = measure(SKEW, THREE)
     assert eng.orthogonality_graph([]) == []
     assert eng.orthogonality_graph([(0, 0)]) == [0]
     # (1, 2)/3 is a mask zero, so its image under M^T is a level-1 zero
@@ -377,6 +419,70 @@ def test_nstar_2i_default_window():
         (Fraction(65548, 3), Fraction(131084, 3)),
         (Fraction(131084, 3), Fraction(65548, 3)),
     )
+
+
+def test_nstar_reverifies_each_difference_once():
+    # an infinite orthogonal family: at J=2 the witness has 116 members,
+    # so 6,670 pairs, whose differences are 213 up to sign
+    M, D = ((1, 1), (-2, 1)), WIDE
+    real_walk = ortho._Measure.membership
+    real_graph = ortho._Measure.orthogonality_graph
+    walks, built = [], []
+
+    def walk(self, N, Q):
+        walks.append(N)
+        return real_walk(self, N, Q)
+
+    def graph(self, vertices):
+        built.append(len(walks))
+        return real_graph(self, vertices)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ortho._Measure, "membership", walk)
+        mp.setattr(ortho._Measure, "orthogonality_graph", graph)
+        out = nstar_bounds(M, D, 3, J=2)
+    family = out.witness.frequencies
+    diffs = {
+        sign_canonical(tuple(map(sub, a, b)))
+        for i, a in enumerate(family)
+        for b in family[:i]
+    }
+    assert len(family) == 116 and len(diffs) == 213
+    q = measure(M, D).q
+    assert sorted(walks[built[0] :]) == sorted(tuple(q * c for c in w) for w in diffs)
+    # the same witness as with one walk per pair
+    assert out.search_nodes == 117 and (out.upper, out.method) == (None, "inapplicable")
+    digest = hashlib.sha256(repr(family).encode()).hexdigest()
+    assert digest == "6a46feb2cfa8bd41cc395da831f9d621ce79f54654fa2b23af6ebf5c60e87ffd"
+
+
+@pytest.mark.parametrize(
+    "M, D, upper, method",
+    [
+        (((3,),), ((0,),), None, "inapplicable"),
+        (((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 0),), 1, "clique"),
+    ],
+)
+def test_nstar_without_zeros_off_the_plane(M, D, upper, method):
+    # a single digit has no mask zeros, so no candidate and no edge
+    out = nstar_bounds(M, D, 3)
+    zero = (Fraction(0),) * len(M)
+    assert (out.lower, out.upper, out.method) == (1, upper, method)
+    assert out.witness.frequencies == (zero,)
+    assert out.search_nodes == 2 and out.search_complete
+    eng = measure(M, D)
+    vertices = [(0,) * len(M), (1,) * len(M), (5,) + (0,) * (len(M) - 1)]
+    assert eng.orthogonality_graph(vertices) == [0, 0, 0]
+    assert eng.membership(vertices[1], 1) is None
+
+
+def test_measure_refuses_zeros_off_the_plane(monkeypatch):
+    # the mask zeros 1/4 and 3/4 of {0, 2}, complete but one-dimensional:
+    # the walk has only a planar step
+    zs = ZeroSet(points=((Fraction(1, 4),), (Fraction(3, 4),)), q=4, complete=True)
+    monkeypatch.setattr(ortho, "zero_set", lambda D: zs)
+    with pytest.raises(WrongDimension, match="plane"):
+        ortho._Measure(((4,),), ((0,), (2,)))
 
 
 def test_nstar_inapplicable_when_det_shares_p():

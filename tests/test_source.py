@@ -58,6 +58,20 @@ def test_no_assert_statements():
     assert offenders == []
 
 
+def test_no_module_imports_a_private_name():
+    # a name shared between modules is public; a leading underscore
+    # promises that only its own module relies on it
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}: {alias.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert offenders == []
+
+
 def _layertrace_tables():
     # read as literals, so the benchmark's file is neither imported nor
     # compiled into a cache next to it
