@@ -49,6 +49,7 @@ from .zeros import (
     RationalPoint,
     as_digit_set,
     as_rational_point,
+    lattice_form,
     mask_eval,
     zero_set,
 )
@@ -154,10 +155,9 @@ def _level_terms(
     """
     if k < 1:
         raise ValueError("expansion length must be positive")
-    q = math.lcm(*(c.denominator for d in pts for c in d))
+    q, scaled = lattice_form(pts)
     sign = -1 if det_m**k < 0 else 1
     den = q * abs(det_m) ** k
-    scaled = [tuple(int(c * q) for c in d) for d in pts]
     levels = []
     power = adj
     for j in range(1, k + 1):
@@ -329,8 +329,10 @@ def spectrum_candidate(
     """
     M = as_matrix(M)
     D = as_digit_set(D)
-    pts = _rational_points(base)
     n = len(M)
+    if len(D[0]) != n:
+        raise WrongDimension("digit dimension does not match the map")
+    pts = _rational_points(base)
     if len(pts[0]) != n:
         raise WrongDimension("base dimension does not match the map")
     zero = (Fraction(0),) * n
@@ -342,8 +344,7 @@ def spectrum_candidate(
     # the level sums run on the integer vectors Q*x, Q the base points'
     # common denominator; one positive denominator keeps the sort order of
     # the rational points, and a difference goes to the walk as (N, Q)
-    Q = math.lcm(*(c.denominator for p in pts for c in p))
-    scaled = [tuple(c.numerator * (Q // c.denominator) for c in p) for p in pts]
+    Q, scaled = lattice_form(pts)
     Mt = transpose(M)
     sums: set[IntVector] = {(0,) * n}
     power = Mt

@@ -138,6 +138,8 @@ def find_spectrum_set(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     D = as_digit_set(D)
+    if len(D[0]) != len(M):
+        raise WrongDimension("digit dimension does not match the map")
     d, adj = det_and_adjugate(M)
     if d == 0:
         raise SingularMatrix("expanding map must be invertible")
@@ -152,23 +154,13 @@ def find_spectrum_set(
     reps = coset_transversal(transpose(M)).reps
     zs = zero_set(D)
     adjT = transpose(adj)
-    if zs.complete:
-        # x = adj(M)^T v / d is a zero iff w = q adj(M)^T v is divisible by
-        # d and the integer vector w / d reduces mod q to a residue q*z
-        q = zs.q
-        qadjT = tuple(tuple(q * a for a in row) for row in adjT)
-        residues = frozenset(zs.residues)
 
-        def vanishes(vec: Sequence[int]) -> bool:
-            w = [sum(map(mul, row, vec)) for row in qadjT]
-            if any(c % d for c in w):
-                return False
-            return tuple(c // d % q for c in w) in residues
-
-    else:
-
-        def vanishes(vec: Sequence[int]) -> bool:
-            return is_zero_exact(D, tuple(Fraction(c, d) for c in mat_vec(adjT, vec)))
+    def vanishes(vec: Sequence[int]) -> bool:
+        # M^{-T} v = adj(M)^T v / d, on the residues when they are complete
+        w = [sum(map(mul, row, vec)) for row in adjT]
+        if zs.complete:
+            return zs.is_zero(w, d)
+        return is_zero_exact(D, tuple(Fraction(c, d) for c in w))
 
     nonzero = [r for r in reps if any(r)]
     filtered = [r for r in nonzero if vanishes(r)]

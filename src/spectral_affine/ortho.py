@@ -18,8 +18,9 @@ by an exact division by |det M|; the first inexact division ends the walk.
 The iterate is a zero mod Z^n iff u mod q is a residue, and the
 contraction stop is an integer comparison too. The candidate frequencies
 of the orthogonal-family search, the transported zeros and the zero
-orbits all lie on the (1/q)-grid and are handled as integer vectors q*x.
-Fractions appear only at the public boundary.
+orbits all lie on the (1/q)-grid and are handled as integer vectors q*x,
+and the non-spectrality certificate runs its three parts as divisibility
+tests on the residues. Fractions appear only at the public boundary.
 
 The step is planar, on a pair (x, y): complete zero sets are known only
 for planar three- and four-digit sets and a single digit has none, so a
@@ -44,7 +45,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
-from math import lcm
 from operator import sub
 from typing import Optional, Sequence
 
@@ -80,7 +80,8 @@ from .zeros import (
     as_digit_set,
     as_rational_point,
     four_digit_frame,
-    reduce_mod1,
+    lattice_form,
+    reduce_mod1,  # unused here; perfbench --trace 1 wraps ortho.reduce_mod1
     three_digit_frame,
     zero_classes_mod_p,
     zero_set,
@@ -88,18 +89,12 @@ from .zeros import (
 )
 
 
-def _lattice_point(xi: Sequence) -> tuple[IntVector, int]:
-    """A rational vector as (N, Q): integer numerators over their least
-    common denominator."""
-    x = as_rational_point(xi)
-    Q = lcm(*(c.denominator for c in x))
-    return tuple(c.numerator * (Q // c.denominator) for c in x), Q
-
-
 class _Measure:
     """Exact cached data for one digit system (M, D), in lattice form."""
 
     def __init__(self, M: Matrix, D: DigitSet):
+        if len(D[0]) != len(M):
+            raise WrongDimension("digit dimension does not match the map")
         self.M = M
         self.D = D
         self.n = len(M)
@@ -119,7 +114,8 @@ class _Measure:
         if self.zs.points and self.n != 2:
             raise WrongDimension("mask zeros are walked in the plane only")
         self.q = self.zs.q
-        self.residues = frozenset(self.zs.residues)
+        self.residues = self.zs.residue_set
+        self._shells: list[list[IntVector]] = []
         if not is_expanding(M):
             raise HypothesisViolation(
                 "inverse-transpose powers do not contract; matrix not expanding"
@@ -135,9 +131,21 @@ class _Measure:
         # an iterate with max-norm below delta / C never returns to a
         # zero; None when there are no zeros
         self.bound: Optional[Fraction] = None
-        if self.zs.points:
-            delta = min(max(min(c, 1 - c) for c in pt) for pt in self.zs.points)
-            self.bound = delta / C
+        if self.residues:
+            q = self.q
+            delta = min(max(min(v, q - v) for v in r) for r in self.residues)
+            self.bound = Fraction(delta, q) / C
+
+    def shells(self, J: int) -> list[list[IntVector]]:
+        """The residue shells M^{T j} r for j = 1..J, each in residue
+        order, computed once per level; none when there are no zeros."""
+        out = self._shells
+        if len(out) < J and self.residues:
+            (a, b), (c, d) = self.M
+            while len(out) < J:
+                prev = out[-1] if out else self.zs.residues
+                out.append([(a * x + c * y, b * x + d * y) for x, y in prev])
+        return out[:J]
 
     def membership(self, N: IntVector, Q: int) -> Optional[int]:
         """Least j >= 1 with M^{-T j}(N/Q) in the mask zeros mod Z^n, or None.
@@ -242,7 +250,7 @@ def zero_membership(M: Matrix, D: DigitSet, xi: Sequence) -> Optional[int]:
     so None is a proof of non-membership rather than a timeout.
     """
     eng = measure(as_matrix(M), as_digit_set(D))
-    N, Q = _lattice_point(xi)
+    Q, (N,) = lattice_form((as_rational_point(xi),))
     if len(N) != eng.n:
         raise WrongDimension("frequency dimension does not match the map")
     return eng.membership(N, Q)
@@ -263,6 +271,8 @@ def has_infinite_orthogonal(
     """
     M = as_matrix(M)
     D = as_digit_set(D)
+    if len(D[0]) != len(M):
+        raise WrongDimension("digit dimension does not match the map")
     if not is_expanding(M):
         raise HypothesisViolation("orbit test requires an expanding matrix")
     zs = zero_set(D)
@@ -467,7 +477,6 @@ def nstar_bounds(
     # runs on the integer vectors q*x, planar as the zeros, and converts the
     # chosen clique back
     q = eng.q
-    Mt = transpose(M)
     zero = (0,) * n
     box = [
         tuple(q * c for c in v)
@@ -475,10 +484,8 @@ def nstar_bounds(
     ]
     candidates: list[IntVector] = []
     seen: set[IntVector] = set()
-    shells = list(eng.zs.residues)
-    for _ in range(J):
-        shells = [mat_vec(Mt, vec) for vec in shells]
-        for x, y in shells:
+    for shell in eng.shells(J):
+        for x, y in shell:
             for ox, oy in box:
                 cand = (x + ox, y + oy)
                 if cand in seen or cand == zero:
@@ -562,13 +569,10 @@ def transport_inclusion_check(
 
     def hits(frm: _Measure, to: _Measure, T: Matrix, c: int) -> list:
         # c T^T M_frm^{T j} z for the zeros z of frm, on frm's (1/q)-grid
-        MT = transpose(frm.M)
         Tt = transpose(T)
         out = []
-        shells = list(frm.zs.residues)
-        for j in range(1, J + 1):
-            shells = [mat_vec(MT, vec) for vec in shells]
-            for z, vec in zip(frm.zs.points, shells):
+        for j, shell in enumerate(frm.shells(J), 1):
+            for z, vec in zip(frm.zs.points, shell):
                 xi = tuple(c * x for x in mat_vec(Tt, vec))
                 hit = to.membership(xi, frm.q)
                 out.append((j, z, -1 if hit is None else hit))
@@ -615,57 +619,47 @@ def nonspectral_certificate(
 ) -> NonSpectralCertificate:
     M = as_matrix(M)
     D = as_digit_set(D)
+    if len(D[0]) != len(M):
+        raise WrongDimension("digit dimension does not match the map")
     L = Fraction(L)
-    if L <= 0:
+    u, v = L.numerator, L.denominator
+    if u <= 0:
         raise ValueError("scale L must be positive")
     if j0 < 2:
         raise ValueError("tail level j0 must be at least 2")
     zs = zero_set(D)
     if not zs.complete:
         raise IncompleteZeroSet("certificate needs a complete zero set")
+    # each part is a divisibility test on the residues r = q z: for an
+    # integer vector N, L N / q is integral iff v q divides every u N_i
     n = len(M)
-    pts = zs.points
-    zset = zs.point_set
+    q = zs.q
+    res = zs.residues
 
-    # (a) closure of scaled differences
-    if L.denominator != 1:
-        # the closure argument needs the scale to preserve the integer
-        # lattice, so a fractional scale fails this part outright
-        difference_closure = False
-    else:
-        closure_ok = True
-        witness_nonint = False
-        for z in pts:
-            for zp in pts:
-                w = tuple(a - b for a, b in zip(z, zp))
-                scaled_int = all((L * c).denominator == 1 for c in w)
-                if not scaled_int:
-                    witness_nonint = True
-                    if reduce_mod1(w) not in zset:
-                        closure_ok = False
-        difference_closure = closure_ok and witness_nonint
+    # (a) closure of scaled differences; the closure argument needs the
+    # scale to preserve the integer lattice, so a fractional scale fails
+    # this part outright
+    difference_closure = False
+    if v == 1:
+        diffs = (tuple(map(sub, r, rp)) for r in res for rp in res)
+        nonint = [w for w in diffs if any(u * c % q for c in w)]
+        difference_closure = bool(nonint) and all(zs.is_zero(w, q) for w in nonint)
 
     # (b) empty window below j0: at each level j < j0 the scaled image of
     # the zero set plus the integer lattice must miss Z^n entirely
-    u = L.numerator
-    v = L.denominator
     Mt = transpose(M)
     window_empty = True
     P = identity(n)
     for _ in range(1, j0):
         P = mat_mul(Mt, P)
-        Pv = mat_mod(P, v) if v > 1 else None
-        for z in pts:
-            scaled = [u * c for c in mat_vec(P, z)]
-            if any(c.denominator != 1 for c in scaled):
+        Pv = mat_mod(P, v)
+        for r in res:
+            scaled = [u * c for c in mat_vec(P, r)]
+            if any(c % q for c in scaled):
                 continue  # no integer translate can clear the denominator
-            if v == 1:
-                window_empty = False
-                break
-            target = tuple((-int(c)) % v for c in scaled)
+            target = tuple(-(c // q) % v for c in scaled)
             for k in product(range(v), repeat=n):
-                img = tuple((u * x) % v for x in mat_vec(Pv, k))
-                if img == target:
+                if tuple((u * x) % v for x in mat_vec(Pv, k)) == target:
                     window_empty = False
                     break
             if not window_empty:
@@ -676,13 +670,9 @@ def nonspectral_certificate(
     # (c) integral tail at j0: the scaled matrix power clears the whole
     # lattice into Z^n, and the zero set with it, for every later level
     T = mat_pow(Mt, j0)
-    tail_integral = all((L * x).denominator == 1 for row in T for x in row)
-    if tail_integral:
-        for z in pts:
-            img = mat_vec(T, z)
-            if any((L * c).denominator != 1 for c in img):
-                tail_integral = False
-                break
+    tail_integral = all(u * x % v == 0 for row in T for x in row) and not any(
+        u * c % (v * q) for r in res for c in mat_vec(T, r)
+    )
 
     valid = difference_closure and window_empty and tail_integral
     return NonSpectralCertificate(

@@ -7,6 +7,10 @@ Z/q, and the induced integer polynomial is tested for divisibility by the
 q-th cyclotomic polynomial. Zero sets are produced in closed form for the
 two digit families where a complete finite description is available, and
 by grid scanning otherwise, with an explicit completeness flag either way.
+
+Exact decisions read one integer form of a zero set, the residues q*z
+over the points' least common denominator q (lattice_form); the Fraction
+points are the public boundary.
 """
 
 from __future__ import annotations
@@ -56,6 +60,13 @@ def as_rational_point(coords: Sequence) -> RationalPoint:
 
 def reduce_mod1(x: Sequence) -> RationalPoint:
     return tuple(Fraction(c) % 1 for c in x)
+
+
+def lattice_form(points: Sequence[RationalPoint]) -> tuple[int, tuple[IntVector, ...]]:
+    """Points of Fractions or ints as their least common denominator Q (1
+    for no points) and the integer vectors Q*x, in point order."""
+    Q = lcm(*[c.denominator for pt in points for c in pt])
+    return Q, tuple([tuple([c.numerator * (Q // c.denominator) for c in pt]) for pt in points])
 
 
 def mask_eval(D: DigitSet, x: Sequence) -> complex:
@@ -136,38 +147,41 @@ def is_zero_exact(D: DigitSet, x: Sequence) -> bool:
 class ZeroSet:
     """Mask zeros inside [0,1)^n, with a completeness guarantee flag.
 
-    q is the least common denominator of the listed points. When complete
-    is true the points are provably all of the zeros in the unit cube.
-    residues holds the same points as integer vectors q*z, in point order.
+    q is the least common denominator of the listed points, derived from
+    them. When complete is true the points are provably all of the zeros
+    in the unit cube. residues holds the same points as integer vectors
+    q*z, in point order, and residue_set holds them as a frozenset.
     """
 
     points: tuple[RationalPoint, ...]
-    q: int
+    q: int = field(init=False)
     complete: bool
     residues: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
+    residue_set: frozenset[IntVector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = self.q
-        residues = []
-        for pt in self.points:
-            r = []
-            for c in pt:
-                if q % c.denominator:
-                    raise AssertionError("zero set points must lie on the (1/q)-grid")
-                v = c.numerator * (q // c.denominator)
-                if not (0 <= v < q):
-                    raise AssertionError("zero set points must lie in [0,1)")
-                r.append(v)
-            residues.append(tuple(r))
-        members = set(residues)
+        q, residues = lattice_form(self.points)
         for r in residues:
-            if tuple(-v % q for v in r) not in members:
+            for v in r:
+                if not 0 <= v < q:
+                    raise AssertionError("zero set points must lie in [0,1)")
+        members = frozenset(residues)
+        for r in residues:
+            if tuple([-v % q for v in r]) not in members:
                 raise AssertionError("zero set must be symmetric under negation")
-        object.__setattr__(self, "residues", tuple(residues))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "residue_set", members)
 
-    @property
-    def point_set(self) -> frozenset[RationalPoint]:
-        return frozenset(self.points)
+    def is_zero(self, N: IntVector, Q: int) -> bool:
+        """Whether N/Q (N an integer vector, Q a nonzero int) is a listed
+        zero mod Z^n; a proof of non-vanishing only when complete."""
+        q = self.q
+        u = [q * c for c in N]
+        for c in u:
+            if c % Q:
+                return False
+        return tuple([c // Q % q for c in u]) in self.residue_set
 
 
 # base zeros as integer numerators over their common denominator
@@ -246,7 +260,7 @@ def zero_set(D: DigitSet, q_hints: Sequence[int] = ()) -> ZeroSet:
     n = len(D[0])
     if len(D) == 1:
         # a unimodular exponential never vanishes
-        return ZeroSet(points=(), q=1, complete=True)
+        return ZeroSet(points=(), complete=True)
     B = None
     if len(D) == 3 and n == 2:
         B, base = three_digit_frame(D), _THIRD_PAIR
@@ -265,29 +279,23 @@ def zero_set(D: DigitSet, q_hints: Sequence[int] = ()) -> ZeroSet:
                 if is_zero_exact(D, x):
                     found.add(x)
         pts, complete = tuple(sorted(found)), False
-    q = lcm(*(c.denominator for pt in pts for c in pt))
-    return ZeroSet(points=pts, q=q, complete=complete)
+    return ZeroSet(points=pts, complete=complete)
 
 
 def zero_set_in_punctured_grid(Z: ZeroSet, p: int) -> bool:
-    """Whether every zero lies in the punctured grid (1/p)Z^n minus Z^n.
+    """Whether every zero lies in the punctured grid (1/p)Z^n minus Z^n:
+    q divides p and no residue is 0.
 
     Requires a complete zero set; an incomplete scan could not certify the
     inclusion.
     """
     if not Z.complete:
         raise IncompleteZeroSet("punctured grid inclusion needs a complete zero set")
-    for pt in Z.points:
-        if all(c == 0 for c in pt):
-            return False
-        for c in pt:
-            if p % c.denominator != 0:
-                return False
-    return True
+    return p % Z.q == 0 and all(any(r) for r in Z.residues)
 
 
 def zero_classes_mod_p(Z: ZeroSet, p: int) -> frozenset[tuple[int, ...]]:
     """Residue classes p*z mod p of a zero set inside the punctured grid."""
     if not zero_set_in_punctured_grid(Z, p):
         raise IncompleteZeroSet("zero set does not lie in the punctured grid")
-    return frozenset(tuple(int(c * p) % p for c in pt) for pt in Z.points)
+    return frozenset(tuple(v * (p // Z.q) for v in r) for r in Z.residues)

@@ -1,0 +1,135 @@
+"""CLI replay against committed golden reports.
+
+Every exact command runs on a fixed set of problem files: the paper's
+SKEW, 2I and 3I instances, a GL_2(3) conjugate pair, certificate and
+swap-matrix systems, an infinite orthogonal family, and malformed inputs.
+stdout, stderr and the exit code must match tests/golden/cli_reports.json
+byte for byte, apart from two masked values: timing_seconds, and
+verify-triple's float unitarity_defect, whose last bits follow the
+platform's libm.
+
+To regenerate the golden file after a deliberate change of a report, run
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import json
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_reports.json"
+
+THREE = [[0, 0], [1, 0], [0, 1]]
+FOUR = [[0, 0], [1, 0], [0, 1], [-1, -1]]
+STRETCH = [[0, 0], [1, 0], [0, 2]]
+SKEW = [[3, 1], [1, 4]]
+
+PROBLEMS = {
+    "skew": dict(M=SKEW, D=THREE, p=3, J=8, R=0, B=[[1, 0], [0, 1]], S=THREE),
+    "skew_stretch_pair": dict(
+        M=SKEW, D=STRETCH, p=3, J=2, R=1, B=[[1, 0], [0, 2]], A=[[4, 0], [0, 5]], mode="b"
+    ),
+    "skew_mode_a": dict(M=SKEW, D=THREE, p=3, J=2, R=1, B=[[1, 0], [1, 1]], mode="a"),
+    "3i_four": dict(M=[[3, 0], [0, 3]], D=FOUR, p=2, S=[[0, 0], [0, 1], [1, 0], [1, 1]]),
+    "3i_three": dict(
+        M=[[3, 0], [0, 3]], D=THREE, p=3, J=2, R=0, S=[[0, 0], [1, 2], [2, 1]],
+        C=[[0, 0], [1, 2], [2, 1]], levels=2, L=1, j0=2,
+    ),
+    "2i": dict(M=[[2, 0], [0, 2]], D=THREE, p=3, J=8, R=2, C=[[0, 0], [1, 0]]),
+    "certificate": dict(M=[[4, 1], [2, 5]], D=THREE, p=3, J=2, R=1),
+    "certificate_fraction": dict(M=[[4, 1], [2, 5]], D=THREE, L=[1, 3], j0=2),
+    "certificate_stretch": dict(M=[[4, 2], [1, 5]], D=STRETCH, L=65, j0=2),
+    "swap": dict(
+        M=[[0, 10], [9, 0]], D=[[0, 0], [1, 0], [2, 9]], C=[[0, 0], [[1, 3], 0], [[2, 3], 0]]
+    ),
+    "infinite_family": dict(M=[[1, 1], [-2, 1]], D=[[0, -1], [-6, 6], [-4, 3]], p=3, J=2),
+    "hint_mode": dict(
+        M=[[4, 0], [6, -5]], D=[[-1, 3], [0, -1], [1, 3], [2, 0]], q_hints=[2, 4]
+    ),
+}
+MALFORMED = {
+    "not_json": "{M: 1",
+    "not_object": "[1, 2]",
+    "float_entry": json.dumps(dict(M=[[3, 1], [1, 4.0]], D=THREE)),
+    "digit_dimension": json.dumps(dict(M=SKEW, D=[[0], [1], [2]], p=3)),
+    "zero_denominator": json.dumps(dict(M=SKEW, D=THREE, C=[[0, 0], [1, 0]], xi=[[1, 0], 1])),
+    "unknown_mode": json.dumps(dict(M=SKEW, D=THREE, B=[[1, 0], [0, 1]], p=3, mode="c")),
+    "composite_p": json.dumps(dict(M=SKEW, D=THREE, B=[[1, 0], [0, 1]], p=4)),
+}
+EXACT_COMMANDS = (
+    "zero-set",
+    "find-hadamard",
+    "verify-triple",
+    "conjugate",
+    "classify",
+    "criterion-1-8",
+    "infinite-orthogonal",
+    "nstar",
+    "nonspectral-cert",
+    "transport-check",
+    "spectrum",
+)
+MASKS = (
+    (re.compile(r'"timing_seconds": [^\n]*'), '"timing_seconds": "masked"'),
+    (re.compile(r'"unitarity_defect": [^,\n]*'), '"unitarity_defect": "masked"'),
+)
+
+
+def write_problems(directory):
+    for name, problem in PROBLEMS.items():
+        (directory / f"{name}.json").write_text(json.dumps(problem))
+    for name, text in MALFORMED.items():
+        (directory / f"{name}.json").write_text(text)
+
+
+def replay(directory, name, command):
+    """[exit code, stdout, stderr] of one json-format CLI run, masked."""
+    from spectral_affine.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--input", str(directory / f"{name}.json"), "--format", "json"])
+    texts = []
+    for text in (out.getvalue(), err.getvalue()):
+        for pattern, mask in MASKS:
+            text = pattern.sub(mask, text)
+        # the file name is the case name, whatever directory it was read from
+        texts.append(text.replace(str(directory), "<dir>"))
+    return [code, *texts]
+
+
+CASES = [
+    (name, command)
+    for name in [*PROBLEMS, *MALFORMED, "missing_file"]
+    for command in EXACT_COMMANDS
+]
+
+
+def test_golden_covers_every_case():
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(f"{name} {command}" for name, command in CASES)
+
+
+def test_cli_matches_golden_reports(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    write_problems(tmp_path)
+    mismatches = [
+        f"{name} {command}"
+        for name, command in CASES
+        if replay(tmp_path, name, command) != golden[f"{name} {command}"]
+    ]
+    assert mismatches == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        write_problems(directory)
+        reports = {f"{n} {c}": replay(directory, n, c) for n, c in CASES}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(reports)} reports to {GOLDEN}\n")

@@ -155,6 +155,8 @@ def test_spectrum_candidate_validations():
     with pytest.raises(ValueError, match="level sums must be distinct"):
         # (3,6) = M^T (1,2) collides across levels
         spectrum_candidate(M3, THREE, ((0, 0), (3, 6), (1, 2)), 2)
+    with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
+        spectrum_candidate(((2, 0), (0, 2)), ((5,),), ((0, 0), (1, 0)), 1)
 
 
 def test_suggest_eta_swap_form():

@@ -119,6 +119,12 @@ def test_find_spectrum_set_none_large():
     assert out.search_space == 113564 and out.examined == 0
 
 
+def test_find_spectrum_set_digit_dimension_must_match_the_map():
+    # a one-dimensional digit set under a planar map
+    with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
+        find_spectrum_set(((2, 0), (0, 2)), ((5,),))
+
+
 def test_find_spectrum_set_budget_zero():
     out = find_spectrum_set(M3, THREE, budget=0)
     assert out.status == "undetermined" and out.examined == 0

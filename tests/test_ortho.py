@@ -3,7 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from operator import sub
 
 import pytest
@@ -20,12 +20,16 @@ from spectral_affine.errors import (
 )
 from spectral_affine.linalg import (
     det_and_adjugate,
+    identity,
     is_expanding,
+    mat_mod,
     mat_mul,
+    mat_pow,
+    mat_vec,
     sign_canonical,
+    transpose,
 )
 from spectral_affine.ortho import (
-    _lattice_point,
     has_infinite_orthogonal,
     measure,
     nonspectral_certificate,
@@ -34,7 +38,13 @@ from spectral_affine.ortho import (
     transport_inclusion_check,
     zero_membership,
 )
-from spectral_affine.zeros import ZeroSet, zero_set
+from spectral_affine.zeros import (
+    ZeroSet,
+    as_rational_point,
+    lattice_form,
+    reduce_mod1,
+    zero_set,
+)
 
 THREE = ((0, 0), (1, 0), (0, 1))
 FOUR = ((0, 0), (1, 0), (0, 1), (-1, -1))
@@ -161,6 +171,12 @@ def test_membership_is_shift_covariant(v, j):
         assert lifted == base + 1
 
 
+def lattice_point(xi):
+    """xi as (N, Q), the arguments of a membership walk."""
+    Q, (N,) = lattice_form((as_rational_point(xi),))
+    return N, Q
+
+
 def fraction_membership(M, D, xi):
     """Reference walk in Fractions: xi <- M^{-T} xi until the iterate is a
     mask zero mod 1 or drops below the certified contraction bound."""
@@ -225,7 +241,7 @@ def test_lattice_membership_matches_fraction_walk(system, data):
                 xi = tuple(M[0][i] * xi[0] + M[1][i] * xi[1] for i in range(2))
             v = data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
             xi = tuple(c + o for c, o in zip(xi, v))
-        assert eng.membership(*_lattice_point(xi)) == fraction_membership(M, D, xi)
+        assert eng.membership(*lattice_point(xi)) == fraction_membership(M, D, xi)
     # far out on the (1/q)-grid: a long contraction walk, unless an iterate
     # leaves the grid, after which none can return to a zero
     z = data.draw(st.sampled_from(eng.zs.points))
@@ -234,7 +250,7 @@ def test_lattice_membership_matches_fraction_walk(system, data):
         xi = tuple(M[0][i] * xi[0] + M[1][i] * xi[1] for i in range(2))
     v = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
     xi = tuple(c + Fraction(o, eng.q) for c, o in zip(xi, v))
-    assert eng.membership(*_lattice_point(xi)) == fraction_membership(M, D, xi)
+    assert eng.membership(*lattice_point(xi)) == fraction_membership(M, D, xi)
 
 
 def mat_t_vec(M, v):
@@ -342,7 +358,7 @@ def test_lattice_membership_matches_fraction_walk_fixed(M, D):
                 xi = mat_t_vec(M, xi)
             v = rng.choice([(0, 0), (0, 0), (1, 0), (0, -1), (1, eng.q)])
             xi = (xi[0] + v[0], xi[1] + Fraction(v[1], eng.q))
-        got = eng.membership(*_lattice_point(xi))
+        got = eng.membership(*lattice_point(xi))
         assert got == fraction_membership(M, D, xi)
         hits += got is not None
     assert hits
@@ -479,7 +495,7 @@ def test_nstar_without_zeros_off_the_plane(M, D, upper, method):
 def test_measure_refuses_zeros_off_the_plane(monkeypatch):
     # the mask zeros 1/4 and 3/4 of {0, 2}, complete but one-dimensional:
     # the walk has only a planar step
-    zs = ZeroSet(points=((Fraction(1, 4),), (Fraction(3, 4),)), q=4, complete=True)
+    zs = ZeroSet(points=((Fraction(1, 4),), (Fraction(3, 4),)), complete=True)
     monkeypatch.setattr(ortho, "zero_set", lambda D: zs)
     with pytest.raises(WrongDimension, match="plane"):
         ortho._Measure(((4,),), ((0,), (2,)))
@@ -618,6 +634,120 @@ def test_certificate_validations():
         nonspectral_certificate(M3, THREE, 1, 1)
     with pytest.raises(IncompleteZeroSet):
         nonspectral_certificate(M3, ((0, 0), (1, 1)), 1, 2)
+
+
+def fraction_certificate(M, D, L, j0):
+    """Reference: the three certificate parts computed on the Fraction zero
+    points, through reduce_mod1 and Fraction denominators, as the library
+    did before its parts became integer tests on the residues."""
+    L = Fraction(L)
+    zs = zero_set(D)
+    n = len(M)
+    pts = zs.points
+    zset = frozenset(pts)
+
+    # (a) closure of scaled differences
+    if L.denominator != 1:
+        difference_closure = False
+    else:
+        closure_ok = True
+        witness_nonint = False
+        for z in pts:
+            for zp in pts:
+                w = tuple(a - b for a, b in zip(z, zp))
+                scaled_int = all((L * c).denominator == 1 for c in w)
+                if not scaled_int:
+                    witness_nonint = True
+                    if reduce_mod1(w) not in zset:
+                        closure_ok = False
+        difference_closure = closure_ok and witness_nonint
+
+    # (b) empty window below j0
+    u = L.numerator
+    v = L.denominator
+    Mt = transpose(M)
+    window_empty = True
+    P = identity(n)
+    for _ in range(1, j0):
+        P = mat_mul(Mt, P)
+        Pv = mat_mod(P, v) if v > 1 else None
+        for z in pts:
+            scaled = [u * c for c in mat_vec(P, z)]
+            if any(c.denominator != 1 for c in scaled):
+                continue
+            if v == 1:
+                window_empty = False
+                break
+            target = tuple((-int(c)) % v for c in scaled)
+            for k in product(range(v), repeat=n):
+                img = tuple((u * x) % v for x in mat_vec(Pv, k))
+                if img == target:
+                    window_empty = False
+                    break
+            if not window_empty:
+                break
+        if not window_empty:
+            break
+
+    # (c) integral tail at j0
+    T = mat_pow(Mt, j0)
+    tail_integral = all((L * x).denominator == 1 for row in T for x in row)
+    if tail_integral:
+        for z in pts:
+            img = mat_vec(T, z)
+            if any((L * c).denominator != 1 for c in img):
+                tail_integral = False
+                break
+    return difference_closure, window_empty, tail_integral
+
+
+scales = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([64, 81, 144, 243, 729, 1728]),
+    st.fractions(min_value=Fraction(1, 6), max_value=12, max_denominator=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_systems(), scales, st.integers(2, 5))
+def test_certificate_matches_fraction_reference(system, L, j0):
+    M, D = system
+    cert = nonspectral_certificate(M, D, L, j0)
+    parts = (cert.difference_closure, cert.window_empty, cert.tail_integral)
+    assert parts == fraction_certificate(M, D, L, j0)
+    assert cert.valid == all(parts) and cert.L == L and cert.j0 == j0
+
+
+@pytest.mark.parametrize(
+    "M, D, L, j0",
+    [
+        (((4, 1), (2, 5)), THREE, 1, 2),
+        (((4, 1), (2, 5)), THREE, 3, 2),
+        (((4, 1), (2, 5)), THREE, Fraction(1, 3), 2),
+        (((4, 2), (1, 5)), STRETCH, 64, 2),
+        (((4, 2), (1, 5)), STRETCH, 65, 3),
+        (((-3, 4), (-6, 1)), ((3, 1), (15, -4), (7, -11), (-13, 18)), 4, 3),
+        (((0, 10), (9, 0)), FOUR, Fraction(4, 5), 4),
+    ],
+)
+def test_certificate_matches_fraction_reference_fixed(M, D, L, j0):
+    cert = nonspectral_certificate(M, D, L, j0)
+    parts = (cert.difference_closure, cert.window_empty, cert.tail_integral)
+    assert parts == fraction_certificate(M, D, L, j0)
+
+
+def test_digit_dimension_must_match_the_map():
+    # a one-dimensional digit set under a planar map, and the reverse
+    M, D = ((2, 0), (0, 2)), ((5,),)
+    message = "digit dimension does not match the map"
+    with pytest.raises(WrongDimension, match=message):
+        nstar_bounds(M, D, 3, J=1, R=0)
+    with pytest.raises(WrongDimension, match=message):
+        has_infinite_orthogonal(M, D)
+    with pytest.raises(WrongDimension, match=message):
+        nonspectral_certificate(M, D, 1, 2)
+    with pytest.raises(WrongDimension, match=message):
+        zero_membership(((3,),), THREE, (1,))
 
 
 def test_suggest_certificate_none_cases():
