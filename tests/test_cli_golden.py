@@ -2,7 +2,9 @@
 
 Every exact command runs on a fixed set of problem files: the paper's
 SKEW, 2I and 3I instances, a GL_2(3) conjugate pair, certificate and
-swap-matrix systems, an infinite orthogonal family, and malformed inputs.
+swap-matrix systems, an infinite orthogonal family, refusals (collinear,
+singular, unit-eigenvalue, five-digit, single-digit and 1-D systems),
+and malformed inputs.
 stdout, stderr and the exit code must match tests/golden/cli_reports.json
 byte for byte, apart from two masked values: timing_seconds, and
 verify-triple's float unitarity_defect, whose last bits follow the
@@ -25,6 +27,11 @@ THREE = [[0, 0], [1, 0], [0, 1]]
 FOUR = [[0, 0], [1, 0], [0, 1], [-1, -1]]
 STRETCH = [[0, 0], [1, 0], [0, 2]]
 SKEW = [[3, 1], [1, 4]]
+COLLINEAR = [[0, 0], [1, 1], [2, 2]]
+FIVE = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]]
+REFUSAL_FIELDS = dict(
+    p=3, J=2, R=1, B=[[1, 0], [0, 1]], S=THREE, C=[[0, 0], [1, 0]], L=1, j0=2
+)
 
 PROBLEMS = {
     "skew": dict(M=SKEW, D=THREE, p=3, J=8, R=0, B=[[1, 0], [0, 1]], S=THREE),
@@ -47,6 +54,23 @@ PROBLEMS = {
     "infinite_family": dict(M=[[1, 1], [-2, 1]], D=[[0, -1], [-6, 6], [-4, 3]], p=3, J=2),
     "hint_mode": dict(
         M=[[4, 0], [6, -5]], D=[[-1, 3], [0, -1], [1, 3], [2, 0]], q_hints=[2, 4]
+    ),
+    # refusals, whose order depends on when the zero set is built
+    "collinear_small": dict(M=[[2, 0], [0, 1]], D=COLLINEAR, **REFUSAL_FIELDS),
+    "collinear": dict(M=[[3, 0], [0, 1]], D=COLLINEAR, **REFUSAL_FIELDS),
+    "singular": dict(M=[[1, 2], [2, 4]], D=THREE, **REFUSAL_FIELDS),
+    "unit_eigenvalue": dict(M=[[1, 1], [0, 2]], D=THREE, **REFUSAL_FIELDS),
+    "five_digits": dict(
+        M=SKEW, D=FIVE, p=3, J=2, R=1, B=[[1, 0], [0, 1]], S=FIVE,
+        C=[[0, 0], [1, 0]], L=1, j0=2,
+    ),
+    "single_digit": dict(
+        M=SKEW, D=[[0, 0]], p=3, J=2, R=1, B=[[1, 0], [0, 1]], S=[[0, 0]],
+        C=[[0, 0], [1, 0]], L=1, j0=2,
+    ),
+    "line": dict(
+        M=[[4]], D=[[0], [2]], p=2, J=2, R=1, B=[[1]], S=[[0], [1]],
+        C=[[0], [[1, 2]]], L=1, j0=2,
     ),
 }
 MALFORMED = {
