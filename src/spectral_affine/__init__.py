@@ -41,10 +41,12 @@ from .linalg import (
     unimodular_inverse,
 )
 from .zeros import (
+    DigitSystem,
     ZeroSet,
     as_digit_set,
     as_rational_point,
     cyclotomic,
+    digit_system,
     is_zero_exact,
     mask_eval,
     reduce_mod1,

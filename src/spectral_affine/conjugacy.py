@@ -44,41 +44,9 @@ from .linalg import (
 from .zeros import (
     DigitSet,
     as_digit_set,
+    digit_system,
     three_digit_frame,
-    zero_set,
     zero_set_in_punctured_grid,
-)
-
-
-def _expand_sign_table(half: Sequence[Matrix]) -> frozenset[Matrix]:
-    out = set()
-    for M in half:
-        out.add(mat_mod(M, 3))
-        out.add(mat_mod(tuple(tuple(-x for x in row) for row in M), 3))
-    return frozenset(out)
-
-
-# Rows-equal residues; closed under negation, so five generators give nine.
-_M1_TABLE = _expand_sign_table(
-    [
-        ((0, 0), (0, 0)),
-        ((1, 0), (1, 0)),
-        ((0, 1), (0, 1)),
-        ((1, 1), (1, 1)),
-        ((1, 2), (1, 2)),
-    ]
-)
-
-# The twelve order-eight residues of determinant 2 mod 3.
-_M2_TABLE = _expand_sign_table(
-    [
-        ((0, 1), (1, 1)),
-        ((0, 1), (1, 2)),
-        ((1, 1), (1, 0)),
-        ((1, 2), (1, 1)),
-        ((1, 2), (2, 0)),
-        ((1, 1), (2, 1)),
-    ]
 )
 
 
@@ -91,13 +59,16 @@ class SierpinskiClass:
 
 
 def sierpinski_class(M: Matrix) -> SierpinskiClass:
+    """"M1": rows agree mod 3. "M2": det 2 and trace t nonzero mod 3, the
+    order-eight part of GL_2(3), as x^2 - t x - 1 is irreducible iff t != 0."""
     M = as_matrix(M)
     if len(M) != 2:
         raise WrongDimension("residue classification is defined for 2x2 matrices")
     R = mat_mod(M, 3)
-    if R in _M1_TABLE:
+    (a, b), (c, d) = R
+    if R[0] == R[1]:
         label = "M1"
-    elif R in _M2_TABLE:
+    elif (a * d - b * c) % 3 == 2 and (a + d) % 3:
         label = "M2"
     else:
         label = "Other"
@@ -194,7 +165,7 @@ class Conjugacy:
         """
         if direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
-        if not zero_set_in_punctured_grid(zero_set(self.D), self.p):
+        if not zero_set_in_punctured_grid(digit_system(self.M, self.D).zs, self.p):
             raise HypothesisViolation(
                 "mask zeros of D must lie in the punctured (1/p)-grid"
             )

@@ -49,11 +49,10 @@ from .zeros import (
     RationalPoint,
     as_digit_set,
     as_rational_point,
+    digit_system,
     lattice_form,
     mask_eval,
-    zero_set,
 )
-from .ortho import measure
 
 
 def _require_expanding(M: Matrix) -> None:
@@ -328,10 +327,8 @@ def spectrum_candidate(
     Fourier zero set, and the first failing pair, if any, is reported.
     """
     M = as_matrix(M)
-    D = as_digit_set(D)
+    ds = digit_system(M, as_digit_set(D))
     n = len(M)
-    if len(D[0]) != n:
-        raise WrongDimension("digit dimension does not match the map")
     pts = _rational_points(base)
     if len(pts[0]) != n:
         raise WrongDimension("base dimension does not match the map")
@@ -359,14 +356,14 @@ def spectrum_candidate(
     # indices of the first failing pair; one walk per distinct difference
     failing: Optional[tuple[int, int]] = None
     if len(ordered) > 1:
-        eng = measure(M, D)
+        ds.bound  # raises the walk's refusals before the first walk
         memo: dict[IntVector, bool] = {}
         for i, a in enumerate(ordered):
             for j in range(i + 1, len(ordered)):
                 w = sign_canonical(tuple(map(sub, a, ordered[j])))
                 hit = memo.get(w)
                 if hit is None:
-                    hit = eng.membership(w, Q) is not None
+                    hit = ds.membership(w, Q) is not None
                     memo[w] = hit
                 if not hit:
                     failing = (i, j)
@@ -508,9 +505,7 @@ def suggest_eta(
     (distance - sampling_error) / 2, sampling_error the tail bound of the
     truncated expansions; a nonpositive eta is refused.
     """
-    M = as_matrix(M)
-    D = as_digit_set(D)
-    zs = zero_set(D)
+    zs = digit_system(as_matrix(M), as_digit_set(D)).zs
     if not zs.complete:
         raise IncompleteZeroSet("radius suggestion needs a complete zero set")
     if not zs.points:

@@ -23,18 +23,14 @@ from typing import Optional, Sequence
 from .errors import SingularMatrix, WrongDimension
 from .linalg import (
     Matrix,
+    as_matrix,
     coset_transversal,
     det_and_adjugate,
     mat_vec,
     sign_canonical,
     transpose,
 )
-from .zeros import (
-    DigitSet,
-    as_digit_set,
-    is_zero_exact,
-    zero_set,
-)
+from .zeros import DigitSet, as_digit_set, digit_system, is_zero_exact
 
 FrequencySet = tuple[tuple[int, ...], ...]
 
@@ -48,17 +44,15 @@ def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
     precision however large s is.
     """
     D = as_digit_set(D)
-    det_m, adj = det_and_adjugate(M)
-    if det_m == 0:
+    ds = digit_system(as_matrix(M), D)
+    if ds.det == 0:
         raise SingularMatrix("matrix must be invertible over Q")
-    absdet = abs(det_m)
-    sign = 1 if det_m > 0 else -1
-    adjT = transpose(adj)
+    absdet = ds.absdet
     rows = []
     for s in S:
-        v = mat_vec(adjT, s)
+        v = mat_vec(ds.adjT, s)
         rows.append([
-            cmath.exp(2j * math.pi * (sign * sum(map(mul, d, v)) % absdet / absdet))
+            cmath.exp(2j * math.pi * (sum(map(mul, d, v)) % absdet / absdet))
             for d in D
         ])
     return max(
@@ -138,13 +132,12 @@ def find_spectrum_set(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     D = as_digit_set(D)
-    if len(D[0]) != len(M):
-        raise WrongDimension("digit dimension does not match the map")
-    d, adj = det_and_adjugate(M)
-    if d == 0:
+    M = as_matrix(M)
+    ds = digit_system(M, D)
+    if ds.det == 0:
         raise SingularMatrix("expanding map must be invertible")
     k = len(D) - 1
-    nreps = abs(d)
+    nreps = ds.absdet
     search_space = math.comb(max(0, nreps - 1), k)
     if k == 0:
         return HadamardSearch("found", ((0,) * len(D[0]),), search_space, 0)
@@ -152,16 +145,7 @@ def find_spectrum_set(
         return HadamardSearch("none", None, search_space, 0)
 
     reps = coset_transversal(transpose(M)).reps
-    zs = zero_set(D)
-    adjT = transpose(adj)
-
-    def vanishes(vec: Sequence[int]) -> bool:
-        # M^{-T} v = adj(M)^T v / d, on the residues when they are complete
-        w = [sum(map(mul, row, vec)) for row in adjT]
-        if zs.complete:
-            return zs.is_zero(w, d)
-        return is_zero_exact(D, tuple(Fraction(c, d) for c in w))
-
+    vanishes = ds.vanishes
     nonzero = [r for r in reps if any(r)]
     filtered = [r for r in nonzero if vanishes(r)]
 

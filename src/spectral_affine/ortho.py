@@ -3,35 +3,12 @@
 Two frequencies are orthogonal for the self-affine measure of (M, D) iff
 their difference lies in the measure's Fourier-transform zero set, which
 is the union over j >= 1 of M^{T j} applied to the mask zeros plus Z^n.
-Membership is decided exactly: iterate xi <- M^{-T} xi, compare against
-the finite mask zero set after reduction mod 1, and stop once a certified
-contraction bound shows no future iterate can reach it.
-
-The walk runs on the integer lattice. With q the common denominator of
-the mask zeros, stored as residues q*z mod q, the zero set lies on the
-(1/q)-grid, and M^T maps that grid into itself: an iterate that leaves
-the grid never comes back. A frequency N/Q is therefore mapped to the
-integer vector u = q*N/Q (not in the zero set when that is not integral),
-and M^{-T} = adj(M)^T / det M is kept as the sign-normalised integer
-matrix adj(M)^T over |det M|, so one step is an integer mat-vec followed
-by an exact division by |det M|; the first inexact division ends the walk.
-The iterate is a zero mod Z^n iff u mod q is a residue, and the
-contraction stop is an integer comparison too. The candidate frequencies
-of the orthogonal-family search, the transported zeros and the zero
-orbits all lie on the (1/q)-grid and are handled as integer vectors q*x,
-and the non-spectrality certificate runs its three parts as divisibility
-tests on the residues. Fractions appear only at the public boundary.
-
-The step is planar, on a pair (x, y): complete zero sets are known only
-for planar three- and four-digit sets and a single digit has none, so a
-measure with zeros off the plane is refused with WrongDimension, and
-without zeros a walk and the graph end before the first step.
-
-The orthogonality graph of the search is built without pairwise walks:
-a - b is in the zero set iff a = b mod M^{T j} Z^n and M^{-T j}(a - b)
-mod q is a residue for some j >= 1, so the vertices are split level by
-level into classes mod M^{T j} Z^n, and within a class a dict on the
-scaled iterate mod q joins the pairs whose difference is a residue.
+Membership is decided exactly by the walk of zeros.DigitSystem. The
+candidate frequencies of the orthogonal-family search, the transported
+zeros and the zero orbits all lie on the (1/q)-grid of the mask zeros
+and are handled as integer vectors q*x, and the non-spectrality
+certificate runs its three parts as divisibility tests on the residues.
+Fractions appear only at the public boundary.
 
 On top of that decision procedure sit the maximal-orthogonal-family
 bounds (exact max clique below, Cayley-graph counting above), the scaled
@@ -41,26 +18,19 @@ three-part non-spectrality certificate.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import combinations, product
 from operator import sub
 from typing import Optional, Sequence
 
 from .conjugacy import make_conjugate, spectrality_criterion
-from .errors import (
-    HypothesisViolation,
-    IncompleteZeroSet,
-    SingularMatrix,
-    WrongDimension,
-)
+from .errors import HypothesisViolation, IncompleteZeroSet, WrongDimension
 from .linalg import (
     IntVector,
     Matrix,
     as_matrix,
     det,
-    det_and_adjugate,
     identity,
     is_expanding,
     is_prime,
@@ -69,12 +39,12 @@ from .linalg import (
     mat_pow,
     mat_vec,
     order_mod,
-    power_norms,
     sign_canonical,
     transpose,
 )
 from .zeros import (
     DigitSet,
+    DigitSystem,
     RationalPoint,
     ZeroSet,
     as_digit_set,
@@ -82,164 +52,23 @@ from .zeros import (
     four_digit_frame,
     lattice_form,
     reduce_mod1,  # unused here; perfbench --trace 1 wraps ortho.reduce_mod1
+    digit_system,
     three_digit_frame,
     zero_classes_mod_p,
-    zero_set,
     zero_set_in_punctured_grid,
 )
 
 
-class _Measure:
-    """Exact cached data for one digit system (M, D), in lattice form."""
-
-    def __init__(self, M: Matrix, D: DigitSet):
-        if len(D[0]) != len(M):
-            raise WrongDimension("digit dimension does not match the map")
-        self.M = M
-        self.D = D
-        self.n = len(M)
-        d, adj = det_and_adjugate(M)
-        if d == 0:
-            raise SingularMatrix("expanding map must be invertible")
-        self.det = d
-        # M^{-T} = adjT / absdet with the sign of det M moved into adjT
-        sign = 1 if d > 0 else -1
-        self.adjT = tuple(tuple(sign * x for x in col) for col in zip(*adj))
-        self.absdet = abs(d)
-        self.zs: ZeroSet = zero_set(D)
-        if not self.zs.complete:
-            raise IncompleteZeroSet(
-                "orthogonality decisions need a provably complete zero set"
-            )
-        if self.zs.points and self.n != 2:
-            raise WrongDimension("mask zeros are walked in the plane only")
-        self.q = self.zs.q
-        self.residues = self.zs.residue_set
-        self._shells: list[list[IntVector]] = []
-        if not is_expanding(M):
-            raise HypothesisViolation(
-                "inverse-transpose powers do not contract; matrix not expanding"
-            )
-        # growth: sup_k ||(M^{-T})^k||_inf <= C, the max over the powers
-        # before the first one with norm below one, which exists because M
-        # is expanding; the k-th power is (adjT / absdet)^k
-        C = Fraction(1)
-        for num, den in power_norms(self.adjT, self.absdet):
-            if num < den:
-                break
-            C = max(C, Fraction(num, den))
-        # an iterate with max-norm below delta / C never returns to a
-        # zero; None when there are no zeros
-        self.bound: Optional[Fraction] = None
-        if self.residues:
-            q = self.q
-            delta = min(max(min(v, q - v) for v in r) for r in self.residues)
-            self.bound = Fraction(delta, q) / C
-
-    def shells(self, J: int) -> list[list[IntVector]]:
-        """The residue shells M^{T j} r for j = 1..J, each in residue
-        order, computed once per level; none when there are no zeros."""
-        out = self._shells
-        if len(out) < J and self.residues:
-            (a, b), (c, d) = self.M
-            while len(out) < J:
-                prev = out[-1] if out else self.zs.residues
-                out.append([(a * x + c * y, b * x + d * y) for x, y in prev])
-        return out[:J]
-
-    def membership(self, N: IntVector, Q: int) -> Optional[int]:
-        """Least j >= 1 with M^{-T j}(N/Q) in the mask zeros mod Z^n, or None.
-
-        N is an integer vector of the map's dimension and Q > 0; N/Q need
-        not be in lowest terms. The zero set lies on the (1/q)-grid and M^T
-        maps that grid into itself, so an iterate off the grid has no
-        successor on it: the walk runs on u = q*M^{-T j}(N/Q) and stops with
-        None at the first step whose division by |det M| is not exact.
-        """
-        if self.bound is None:
-            return None
-        (a, b), (c, d) = self.adjT
-        absdet = self.absdet
-        q = self.q
-        residues = self.residues
-        x, y = N
-        if q * x % Q or q * y % Q:
-            return None
-        x, y = q * x // Q, q * y // Q
-        # |u/q| below the bound: no later iterate reaches a zero
-        lim = self.bound.numerator * q
-        den = self.bound.denominator
-        # the iterates tend to 0 (M is expanding), so the walk ends
-        for j in count(1):
-            x, y = a * x + b * y, c * x + d * y
-            if x % absdet or y % absdet:
-                return None
-            x, y = x // absdet, y // absdet
-            if (x % q, y % q) in residues:
-                return j
-            if abs(x) * den < lim and abs(y) * den < lim:
-                return None
-
-    def orthogonality_graph(self, vertices: Sequence[IntVector]) -> list[int]:
-        """Adjacency bitmasks of the relation "a - b is in the Fourier zero
-        set" on distinct integer vectors a, b of the (1/q)-grid scaled by q.
-
-        a - b is in the zero set iff for some j >= 1, a = b mod M^{T j} Z^n
-        and M^{-T j}(a - b) mod q is a residue. Level by level, every
-        vertex a carries an integer t with a = c + M^{T j} t, c constant on
-        its class of a mod M^{T j} Z^n: the next level splits a class by
-        adjT*t mod |det M| and takes t <- adjT*t // |det M|, so two members
-        of one class have M^{-T j}(a - b) = t_a - t_b, and a dict on t mod q
-        joins each member with those differing from it by a residue (the
-        residues are closed under negation, so the relation is symmetric).
-        A class with one member is dropped. Since M is expanding (certified
-        exactly by is_expanding in __init__), the powers of M^{-T} tend
-        to 0, so the intersection of the lattices M^{T j} Z^n is {0}: two
-        distinct vertices share a class at finitely many levels only, and
-        the loop ends once every class is a singleton.
-        """
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("orthogonality graph vertices must be distinct")
-        adj = [0] * len(vertices)
-        if not self.residues:
-            return adj
-        (a, b), (c, d) = self.adjT
-        absdet = self.absdet
-        q = self.q
-        residues = self.residues
-        t = list(vertices)
-        classes = [list(range(len(vertices)))]
-        while classes:
-            refined: list[list[int]] = []
-            for members in classes:
-                parts: dict[IntVector, list[int]] = {}
-                for i in members:
-                    x, y = t[i]
-                    x, y = a * x + b * y, c * x + d * y
-                    parts.setdefault((x % absdet, y % absdet), []).append(i)
-                    t[i] = (x // absdet, y // absdet)
-                refined += [part for part in parts.values() if len(part) > 1]
-            for part in refined:
-                groups: dict[IntVector, list[int]] = {}
-                for i in part:
-                    x, y = t[i]
-                    groups.setdefault((x % q, y % q), []).append(i)
-                masks = {g: sum(1 << i for i in grp) for g, grp in groups.items()}
-                for (x, y), grp in groups.items():
-                    hit = 0
-                    for rx, ry in residues:
-                        hit |= masks.get(((x - rx) % q, (y - ry) % q), 0)
-                    if hit:
-                        for i in grp:
-                            adj[i] |= hit
-            classes = refined
-        return adj
+# perfbench --trace 1 wraps ortho._Measure.membership by name
+_Measure = DigitSystem
 
 
-@functools.lru_cache(maxsize=64)
-def measure(M: Matrix, D: DigitSet) -> _Measure:
-    """The cached exact data of (M, D), both already validated tuples."""
-    return _Measure(M, D)
+def measure(M: Matrix, D: DigitSet) -> DigitSystem:
+    """digit_system(M, D), M and D validated, once bound has raised the
+    walk's refusals."""
+    ds = digit_system(M, D)
+    ds.bound  # raises the walk's refusals
+    return ds
 
 
 def zero_membership(M: Matrix, D: DigitSet, xi: Sequence) -> Optional[int]:
@@ -269,18 +98,15 @@ def has_infinite_orthogonal(
     of steps to 0, or None when its orbit cycles without reaching 0, so
     every residue is stepped from once.
     """
-    M = as_matrix(M)
-    D = as_digit_set(D)
-    if len(D[0]) != len(M):
-        raise WrongDimension("digit dimension does not match the map")
-    if not is_expanding(M):
+    ds = digit_system(as_matrix(M), as_digit_set(D))
+    if not is_expanding(ds.M):
         raise HypothesisViolation("orbit test requires an expanding matrix")
-    zs = zero_set(D)
+    zs = ds.zs
     if not zs.complete:
         raise IncompleteZeroSet("orbit test needs a complete zero set")
-    Mt = transpose(M)
+    Mt = transpose(ds.M)
     q = zs.q
-    zero = (0,) * len(M)
+    zero = (0,) * ds.n
     steps: dict[IntVector, Optional[int]] = {zero: 0}
     for x in zs.residues:
         path: dict[IntVector, None] = {}
@@ -567,7 +393,7 @@ def transport_inclusion_check(
     c1 = det(conj.A) * det(conj.B) * abs(det(conj.Mt)) ** e
     c2 = abs(dM) ** e
 
-    def hits(frm: _Measure, to: _Measure, T: Matrix, c: int) -> list:
+    def hits(frm: DigitSystem, to: DigitSystem, T: Matrix, c: int) -> list:
         # c T^T M_frm^{T j} z for the zeros z of frm, on frm's (1/q)-grid
         Tt = transpose(T)
         out = []
@@ -618,16 +444,14 @@ def nonspectral_certificate(
     M: Matrix, D: DigitSet, L, j0: int
 ) -> NonSpectralCertificate:
     M = as_matrix(M)
-    D = as_digit_set(D)
-    if len(D[0]) != len(M):
-        raise WrongDimension("digit dimension does not match the map")
+    ds = digit_system(M, as_digit_set(D))
     L = Fraction(L)
     u, v = L.numerator, L.denominator
     if u <= 0:
         raise ValueError("scale L must be positive")
     if j0 < 2:
         raise ValueError("tail level j0 must be at least 2")
-    zs = zero_set(D)
+    zs = ds.zs
     if not zs.complete:
         raise IncompleteZeroSet("certificate needs a complete zero set")
     # each part is a divisibility test on the residues r = q z: for an

@@ -11,6 +11,32 @@ by grid scanning otherwise, with an explicit completeness flag either way.
 Exact decisions read one integer form of a zero set, the residues q*z
 over the points' least common denominator q (lattice_form); the Fraction
 points are the public boundary.
+
+DigitSystem holds the integer data of one pair (M, D) that every exact
+question about its measure reads. Its walk decides whether a frequency
+lies in the Fourier zero set of the measure, the union over j >= 1 of
+M^{T j} applied to the mask zeros plus Z^n: iterate xi <- M^{-T} xi,
+compare against the finite mask zero set mod Z^n, and stop once a
+certified contraction bound shows no future iterate can reach it. The
+walk runs on the integer lattice. The zero set lies on the (1/q)-grid,
+and M^T maps that grid into itself: an iterate that leaves the grid
+never comes back. A frequency N/Q is therefore mapped to the integer
+vector u = q*N/Q (not in the zero set when that is not integral), and
+one step is an integer mat-vec with adj(M)^T followed by an exact
+division by |det M|; the first inexact division ends the walk. The
+iterate is a zero mod Z^n iff u mod q is a residue, and the contraction
+stop is an integer comparison too.
+
+The step is planar, on a pair (x, y): complete zero sets are known only
+for planar three- and four-digit sets and a single digit has none, so a
+walk over zeros off the plane is refused with WrongDimension, and
+without zeros a walk and the graph end before the first step.
+
+The orthogonality graph is built without pairwise walks: a - b is in the
+zero set iff a = b mod M^{T j} Z^n and M^{-T j}(a - b) mod q is a residue
+for some j >= 1, so the vertices are split level by level into classes
+mod M^{T j} Z^n, and within a class a dict on the scaled iterate mod q
+joins the pairs whose difference is a residue.
 """
 
 from __future__ import annotations
@@ -21,10 +47,25 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import Optional, Sequence
 
-from .errors import DegenerateDigits, IncompleteZeroSet, WrongDimension
-from .linalg import IntVector, Matrix, coset_transversal, det_and_adjugate, transpose
+from .errors import (
+    DegenerateDigits,
+    HypothesisViolation,
+    IncompleteZeroSet,
+    SingularMatrix,
+    WrongDimension,
+)
+from .linalg import (
+    IntVector,
+    Matrix,
+    coset_transversal,
+    det_and_adjugate,
+    is_expanding,
+    power_norms,
+    transpose,
+)
 
 DigitSet = tuple[tuple[int, ...], ...]
 RationalPoint = tuple[Fraction, ...]
@@ -299,3 +340,184 @@ def zero_classes_mod_p(Z: ZeroSet, p: int) -> frozenset[tuple[int, ...]]:
     if not zero_set_in_punctured_grid(Z, p):
         raise IncompleteZeroSet("zero set does not lie in the punctured grid")
     return frozenset(tuple(v * (p // Z.q) for v in r) for r in Z.residues)
+
+
+class DigitSystem:
+    """Exact data of (M, D), both validated tuples: det M, M^{-T} as
+    adjT = sign(det M) adj(M)^T over absdet = |det M|, and the zero set
+    zs, built on first use. Building it checks only the digit dimension;
+    each consumer refuses a singular M in its own words, and bound raises
+    the walk's refusals on the first walk."""
+
+    def __init__(self, M: Matrix, D: DigitSet):
+        if len(D[0]) != len(M):
+            raise WrongDimension("digit dimension does not match the map")
+        self.M = M
+        self.D = D
+        self.n = len(M)
+        d, adj = det_and_adjugate(M)
+        self.det = d
+        # M^{-T} = adjT / absdet with the sign of det M moved into adjT
+        sign = -1 if d < 0 else 1
+        self.adjT = tuple(tuple(sign * x for x in col) for col in zip(*adj))
+        self.absdet = abs(d)
+        self._shells: list[list[IntVector]] = []
+
+    @functools.cached_property
+    def zs(self) -> ZeroSet:
+        return zero_set(self.D)
+
+    @functools.cached_property
+    def q(self) -> int:
+        return self.zs.q
+
+    @functools.cached_property
+    def residues(self) -> frozenset[IntVector]:
+        return self.zs.residue_set
+
+    def vanishes(self, v: IntVector) -> bool:
+        """Whether the mask vanishes at M^{-T} v, v an integer vector and M
+        invertible: on the residues when the zero set is complete, by
+        is_zero_exact otherwise."""
+        w = [sum(map(mul, row, v)) for row in self.adjT]
+        zs = self.zs
+        if zs.complete:
+            return zs.is_zero(w, self.absdet)
+        return is_zero_exact(self.D, tuple([Fraction(c, self.absdet) for c in w]))
+
+    @functools.cached_property
+    def bound(self) -> Optional[Fraction]:
+        """Max-norm below which no iterate of M^{-T} returns to a zero, None
+        without zeros. Refuses, in this order, a singular M, an incomplete
+        zero set, zeros off the plane and an M that is not expanding."""
+        if self.det == 0:
+            raise SingularMatrix("expanding map must be invertible")
+        if not self.zs.complete:
+            raise IncompleteZeroSet(
+                "orthogonality decisions need a provably complete zero set"
+            )
+        if self.zs.points and self.n != 2:
+            raise WrongDimension("mask zeros are walked in the plane only")
+        if not is_expanding(self.M):
+            raise HypothesisViolation(
+                "inverse-transpose powers do not contract; matrix not expanding"
+            )
+        if not self.residues:
+            return None
+        # growth: sup_k ||(M^{-T})^k||_inf <= C, the max over the powers
+        # before the first one with norm below one, which exists because M
+        # is expanding; the k-th power is (adjT / absdet)^k
+        C = Fraction(1)
+        for num, den in power_norms(self.adjT, self.absdet):
+            if num < den:
+                break
+            C = max(C, Fraction(num, den))
+        # an iterate with max-norm below delta / C never returns to a zero
+        q = self.q
+        delta = min(max(min(v, q - v) for v in r) for r in self.residues)
+        return Fraction(delta, q) / C
+
+    def shells(self, J: int) -> list[list[IntVector]]:
+        """The residue shells M^{T j} r for j = 1..J, each in residue
+        order, computed once per level; none when there are no zeros."""
+        out = self._shells
+        if len(out) < J and self.residues:
+            (a, b), (c, d) = self.M
+            while len(out) < J:
+                prev = out[-1] if out else self.zs.residues
+                out.append([(a * x + c * y, b * x + d * y) for x, y in prev])
+        return out[:J]
+
+    def membership(self, N: IntVector, Q: int) -> Optional[int]:
+        """Least j >= 1 with M^{-T j}(N/Q) in the mask zeros mod Z^n, or None.
+
+        N is an integer vector of the map's dimension and Q > 0; N/Q need
+        not be in lowest terms. The zero set lies on the (1/q)-grid and M^T
+        maps that grid into itself, so an iterate off the grid has no
+        successor on it: the walk runs on u = q*M^{-T j}(N/Q) and stops with
+        None at the first step whose division by |det M| is not exact.
+        """
+        if self.bound is None:
+            return None
+        (a, b), (c, d) = self.adjT
+        absdet = self.absdet
+        q = self.q
+        residues = self.residues
+        x, y = N
+        if q * x % Q or q * y % Q:
+            return None
+        x, y = q * x // Q, q * y // Q
+        # |u/q| below the bound: no later iterate reaches a zero
+        lim = self.bound.numerator * q
+        den = self.bound.denominator
+        # the iterates tend to 0 (M is expanding), so the walk ends
+        for j in itertools.count(1):
+            x, y = a * x + b * y, c * x + d * y
+            if x % absdet or y % absdet:
+                return None
+            x, y = x // absdet, y // absdet
+            if (x % q, y % q) in residues:
+                return j
+            if abs(x) * den < lim and abs(y) * den < lim:
+                return None
+
+    def orthogonality_graph(self, vertices: Sequence[IntVector]) -> list[int]:
+        """Adjacency bitmasks of the relation "a - b is in the Fourier zero
+        set" on distinct integer vectors a, b of the (1/q)-grid scaled by q.
+
+        a - b is in the zero set iff for some j >= 1, a = b mod M^{T j} Z^n
+        and M^{-T j}(a - b) mod q is a residue. Level by level, every
+        vertex a carries an integer t with a = c + M^{T j} t, c constant on
+        its class of a mod M^{T j} Z^n: the next level splits a class by
+        adjT*t mod |det M| and takes t <- adjT*t // |det M|, so two members
+        of one class have M^{-T j}(a - b) = t_a - t_b, and a dict on t mod q
+        joins each member with those differing from it by a residue (the
+        residues are closed under negation, so the relation is symmetric).
+        A class with one member is dropped. Since M is expanding (certified
+        exactly by is_expanding in bound), the powers of M^{-T} tend
+        to 0, so the intersection of the lattices M^{T j} Z^n is {0}: two
+        distinct vertices share a class at finitely many levels only, and
+        the loop ends once every class is a singleton.
+        """
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("orthogonality graph vertices must be distinct")
+        adj = [0] * len(vertices)
+        if self.bound is None:
+            return adj
+        (a, b), (c, d) = self.adjT
+        absdet = self.absdet
+        q = self.q
+        residues = self.residues
+        t = list(vertices)
+        classes = [list(range(len(vertices)))]
+        while classes:
+            refined: list[list[int]] = []
+            for members in classes:
+                parts: dict[IntVector, list[int]] = {}
+                for i in members:
+                    x, y = t[i]
+                    x, y = a * x + b * y, c * x + d * y
+                    parts.setdefault((x % absdet, y % absdet), []).append(i)
+                    t[i] = (x // absdet, y // absdet)
+                refined += [part for part in parts.values() if len(part) > 1]
+            for part in refined:
+                groups: dict[IntVector, list[int]] = {}
+                for i in part:
+                    x, y = t[i]
+                    groups.setdefault((x % q, y % q), []).append(i)
+                masks = {g: sum(1 << i for i in grp) for g, grp in groups.items()}
+                for (x, y), grp in groups.items():
+                    hit = 0
+                    for rx, ry in residues:
+                        hit |= masks.get(((x - rx) % q, (y - ry) % q), 0)
+                    if hit:
+                        for i in grp:
+                            adj[i] |= hit
+            classes = refined
+        return adj
+
+
+@functools.lru_cache(maxsize=64)
+def digit_system(M: Matrix, D: DigitSet) -> DigitSystem:
+    """The cached DigitSystem of (M, D), both already validated tuples."""
+    return DigitSystem(M, D)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_affine import fourier, ortho
+from spectral_affine import fourier
 from spectral_affine.errors import (
     HypothesisViolation,
     IncompleteZeroSet,
@@ -35,7 +35,7 @@ from spectral_affine.linalg import (
     transpose,
 )
 from spectral_affine.ortho import zero_membership
-from spectral_affine.zeros import as_digit_set, zero_set
+from spectral_affine.zeros import DigitSystem, as_digit_set, zero_set
 
 THREE = ((0, 0), (1, 0), (0, 1))
 M3 = ((3, 0), (0, 3))
@@ -170,6 +170,13 @@ def test_suggest_eta_rejects_touching_attractor():
     # the level-one truncated expansion lands exactly on a mask zero
     with pytest.raises(HypothesisViolation):
         suggest_eta(M3, THREE, ((0, 0), (1, 2), (2, 1)), k=3)
+
+
+@pytest.mark.parametrize("D", [((0,), (1,), (2,)), ((0,),)])
+def test_suggest_eta_digit_dimension_must_match_the_map(D):
+    # 1-D digits under a planar map: not an incomplete or empty zero set
+    with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
+        suggest_eta(((2, 0), (0, 2)), D, ((0, 0), (1, 0)))
 
 
 def test_suggest_eta_validations():
@@ -593,7 +600,7 @@ def spectrum_problems(draw):
 
 def _walked(f, *args):
     """_outcome of f and the number of membership walks it started."""
-    real = ortho._Measure.membership
+    real = DigitSystem.membership
     walks = []
 
     def counted(self, N, Q):
@@ -601,7 +608,7 @@ def _walked(f, *args):
         return real(self, N, Q)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ortho._Measure, "membership", counted)
+        mp.setattr(DigitSystem, "membership", counted)
         return _outcome(f, *args), len(walks)
 
 

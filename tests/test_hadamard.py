@@ -125,6 +125,13 @@ def test_find_spectrum_set_digit_dimension_must_match_the_map():
         find_spectrum_set(((2, 0), (0, 2)), ((5,),))
 
 
+def test_unitarity_defect_digit_dimension_must_match_the_map():
+    # one coordinate of S was dropped against a 1-D digit, so the planar
+    # map with two digits passed as unitary
+    with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
+        unitarity_defect(((2, 0), (0, 2)), ((0,), (1,)), ((0, 0), (1, 0)))
+
+
 def test_find_spectrum_set_budget_zero():
     out = find_spectrum_set(M3, THREE, budget=0)
     assert out.status == "undetermined" and out.examined == 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_affine import ortho
+from spectral_affine import zeros
 from spectral_affine.conjugacy import make_conjugate
 from spectral_affine.errors import (
     HypothesisViolation,
@@ -39,6 +39,7 @@ from spectral_affine.ortho import (
     zero_membership,
 )
 from spectral_affine.zeros import (
+    DigitSystem,
     ZeroSet,
     as_rational_point,
     lattice_form,
@@ -441,8 +442,8 @@ def test_nstar_reverifies_each_difference_once():
     # an infinite orthogonal family: at J=2 the witness has 116 members,
     # so 6,670 pairs, whose differences are 213 up to sign
     M, D = ((1, 1), (-2, 1)), WIDE
-    real_walk = ortho._Measure.membership
-    real_graph = ortho._Measure.orthogonality_graph
+    real_walk = DigitSystem.membership
+    real_graph = DigitSystem.orthogonality_graph
     walks, built = [], []
 
     def walk(self, N, Q):
@@ -454,8 +455,8 @@ def test_nstar_reverifies_each_difference_once():
         return real_graph(self, vertices)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ortho._Measure, "membership", walk)
-        mp.setattr(ortho._Measure, "orthogonality_graph", graph)
+        mp.setattr(DigitSystem, "membership", walk)
+        mp.setattr(DigitSystem, "orthogonality_graph", graph)
         out = nstar_bounds(M, D, 3, J=2)
     family = out.witness.frequencies
     diffs = {
@@ -494,11 +495,15 @@ def test_nstar_without_zeros_off_the_plane(M, D, upper, method):
 
 def test_measure_refuses_zeros_off_the_plane(monkeypatch):
     # the mask zeros 1/4 and 3/4 of {0, 2}, complete but one-dimensional:
-    # the walk has only a planar step
+    # the walk has only a planar step; the cache must not keep the fake
     zs = ZeroSet(points=((Fraction(1, 4),), (Fraction(3, 4),)), complete=True)
-    monkeypatch.setattr(ortho, "zero_set", lambda D: zs)
-    with pytest.raises(WrongDimension, match="plane"):
-        ortho._Measure(((4,),), ((0,), (2,)))
+    monkeypatch.setattr(zeros, "zero_set", lambda D: zs)
+    zeros.digit_system.cache_clear()
+    try:
+        with pytest.raises(WrongDimension, match="plane"):
+            measure(((4,),), ((0,), (2,)))
+    finally:
+        zeros.digit_system.cache_clear()
 
 
 def test_nstar_inapplicable_when_det_shares_p():

@@ -106,3 +106,18 @@ def test_layer_trace_names_resolve():
         assert callable(getattr(getattr(module(mod), cls), meth)), f"{mod}.{cls}.{meth}"
     mod, fn = tables["ROOT"].split(".")
     assert callable(getattr(module(mod), fn))
+
+
+@pytest.mark.parametrize("module", ["hadamard", "conjugacy", "ortho", "fourier"])
+def test_exact_layers_read_the_digit_system_not_zero_set(module):
+    # zeros.DigitSystem builds and caches the zero set of (M, D); the CLI
+    # keeps zero_set for its zero-set command
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "zero_set")
+        or (isinstance(node, ast.Attribute) and node.attr == "zero_set")
+        or (isinstance(node, ast.alias) and node.name == "zero_set")
+    ]
+    assert names == []

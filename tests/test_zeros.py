@@ -12,6 +12,7 @@ from spectral_affine.errors import (
     WrongDimension,
 )
 from spectral_affine.zeros import (
+    DigitSystem,
     ZeroSet,
     as_digit_set,
     as_rational_point,
@@ -351,3 +352,64 @@ def test_is_zero_matches_exact_test(a, b, four, numerators, Q):
     for N in numerators + [tuple(Q * v for v in r) for r in zs.residues[:2]]:
         assert zs.is_zero(N, Q) == is_zero_exact(D, (F(N[0], Q), F(N[1], Q)))
 
+
+def _inverse_transpose_times(M, v):
+    """M^{-T} v in Fractions, by Cramer's rule on M^T."""
+    if len(M) == 1:
+        return (F(v[0], M[0][0]),)
+    (a, b), (c, d) = M
+    det = a * d - b * c
+    return (F(d * v[0] - c * v[1], det), F(a * v[1] - b * v[0], det))
+
+
+@st.composite
+def vanishing_problems(draw):
+    """(M, D, v): a planar three- or four-digit set (complete zero set) or
+    a hint-mode set (five planar digits, a non-antipodal square, or 1-D
+    digits), an invertible M of either sign of det, and integer vectors
+    v, some planted so that M^{-T} v is a mask zero."""
+    kind = draw(st.sampled_from(["three", "four", "five", "square", "line"]))
+    if kind == "line":
+        D = tuple((x,) for x in draw(st.sets(st.integers(-6, 6), min_size=2, max_size=4)))
+        n = 1
+    else:
+        n = 2
+        a, b = draw(frame_vectors), draw(frame_vectors)
+        if kind == "three":
+            D = ((0, 0), a, b)
+        elif kind == "four":
+            D = ((0, 0), a, b, (-a[0] - b[0], -a[1] - b[1]))
+        elif kind == "square":
+            D = ((0, 0), (1, 0), (0, 1), (1, 1))
+        else:
+            D = ((0, 0), a, b, (1, 1), (2, -1))
+        if len(set(D)) != len(D) or (kind in ("three", "four") and a[0] * b[1] == a[1] * b[0]):
+            D = ((0, 0), (1, 0), (0, 1))
+    entry = st.integers(-5, 5)
+    A = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    if n == 1:
+        detA = A[0][0]
+    else:
+        detA = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    if detA == 0:
+        A = ((-1,),) if n == 1 else ((1, 2), (3, 1))  # det -5
+    scale = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    M = tuple(tuple(scale * x for x in row) for row in A)
+    vs = draw(st.lists(st.tuples(*[st.integers(-40, 40)] * n), min_size=1, max_size=6))
+    # planted: v = M^T t for t on the (1/scale)-grid of a mask zero's
+    # denominator, so M^{-T} v = t
+    for t in draw(st.lists(st.tuples(*[st.integers(-12, 12)] * n), max_size=6)):
+        vs.append(tuple(sum(A[k][i] * t[k] for k in range(n)) for i in range(n)))
+    return M, as_digit_set(D), vs
+
+
+@settings(max_examples=200, deadline=None)
+@given(vanishing_problems())
+@example((((3, 0), (0, -3)), THREE, [(1, 2), (2, 1), (1, -2), (0, 0)]))  # det -9
+@example((((-6, 0), (0, 6)), FOUR, [(3, 0), (0, 3), (3, 3), (1, 0)]))  # det -36
+@example((((4,),), ((0,), (2,)), [(1,), (3,), (2,), (-1,)]))  # incomplete, 1-D
+def test_digit_system_vanishes_matches_exact_test(problem):
+    M, D, vs = problem
+    ds = DigitSystem(M, D)
+    for v in vs:
+        assert ds.vanishes(v) == is_zero_exact(D, _inverse_transpose_times(M, v))
