@@ -364,10 +364,11 @@ def _inverse_transpose_times(M, v):
 
 @st.composite
 def vanishing_problems(draw):
-    """(M, D, v): a planar three- or four-digit set (complete zero set) or
+    """(M, D, vs): a planar three- or four-digit set (complete zero set) or
     a hint-mode set (five planar digits, a non-antipodal square, or 1-D
     digits), an invertible M of either sign of det, and integer vectors
-    v, some planted so that M^{-T} v is a mask zero."""
+    v, some with M^{-T} v on the (1/scale)-grid, where small-denominator
+    mask zeros lie."""
     kind = draw(st.sampled_from(["three", "four", "five", "square", "line"]))
     if kind == "line":
         D = tuple((x,) for x in draw(st.sets(st.integers(-6, 6), min_size=2, max_size=4)))
@@ -396,8 +397,7 @@ def vanishing_problems(draw):
     scale = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
     M = tuple(tuple(scale * x for x in row) for row in A)
     vs = draw(st.lists(st.tuples(*[st.integers(-40, 40)] * n), min_size=1, max_size=6))
-    # planted: v = M^T t for t on the (1/scale)-grid of a mask zero's
-    # denominator, so M^{-T} v = t
+    # planted: v = A^T t for an integer t, so M^{-T} v = t / scale
     for t in draw(st.lists(st.tuples(*[st.integers(-12, 12)] * n), max_size=6)):
         vs.append(tuple(sum(A[k][i] * t[k] for k in range(n)) for i in range(n)))
     return M, as_digit_set(D), vs
