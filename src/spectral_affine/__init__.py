@@ -50,7 +50,6 @@ from .zeros import (
     is_zero_exact,
     mask_eval,
     reduce_mod1,
-    zero_classes_mod_p,
     zero_set,
     zero_set_in_punctured_grid,
 )

@@ -25,7 +25,6 @@ from .linalg import (
     Matrix,
     as_matrix,
     coset_transversal,
-    det_and_adjugate,
     mat_vec,
     sign_canonical,
     transpose,
@@ -80,14 +79,13 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     for s in S:
         if len(s) != len(D[0]):
             raise WrongDimension("frequency dimension does not match digits")
-    d, adj = det_and_adjugate(M)
-    if d == 0:
+    ds = digit_system(as_matrix(M), D)
+    if ds.det == 0:
         raise SingularMatrix("matrix must be invertible over Q")
-    adjT = transpose(adj)
     ok = True
     for s, t in combinations(S, 2):
         diff = tuple(a - b for a, b in zip(s, t))
-        x = tuple(Fraction(c, d) for c in mat_vec(adjT, diff))
+        x = tuple(Fraction(c, ds.absdet) for c in mat_vec(ds.adjT, diff))
         if not is_zero_exact(D, x):
             ok = False
             break

@@ -38,7 +38,6 @@ from .linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
-    order_mod,
     sign_canonical,
     transpose,
 )
@@ -46,15 +45,11 @@ from .zeros import (
     DigitSet,
     DigitSystem,
     RationalPoint,
-    ZeroSet,
     as_digit_set,
     as_rational_point,
-    four_digit_frame,
     lattice_form,
     reduce_mod1,  # unused here; perfbench --trace 1 wraps ortho.reduce_mod1
     digit_system,
-    three_digit_frame,
-    zero_classes_mod_p,
     zero_set_in_punctured_grid,
 )
 
@@ -92,35 +87,17 @@ def has_infinite_orthogonal(
 
     When it does, scaling that zero through successive powers yields
     arbitrarily large orthogonal families, so the count n* is infinite.
-    The witness is the least such j. Decided by exact orbit iteration of
-    the residues q*z mod q, q the common denominator of the mask zeros.
-    One memo across all zeros holds each visited residue's least number
-    of steps to 0, or None when its orbit cycles without reaching 0, so
-    every residue is stepped from once.
+    The witness is the least such j, the level at which 0 enters
+    DigitSystem.orbit, the orbit of the residues q*z mod q, q the common
+    denominator of the mask zeros.
     """
     ds = digit_system(as_matrix(M), as_digit_set(D))
     if not is_expanding(ds.M):
         raise HypothesisViolation("orbit test requires an expanding matrix")
-    zs = ds.zs
-    if not zs.complete:
+    if not ds.zs.complete:
         raise IncompleteZeroSet("orbit test needs a complete zero set")
-    Mt = transpose(ds.M)
-    q = zs.q
-    zero = (0,) * ds.n
-    steps: dict[IntVector, Optional[int]] = {zero: 0}
-    for x in zs.residues:
-        path: dict[IntVector, None] = {}
-        while x not in steps and x not in path:
-            path[x] = None
-            x = tuple(c % q for c in mat_vec(Mt, x))
-        # x is either known or a repeat on the path: a cycle that misses 0
-        tail = steps.get(x)
-        for x in reversed(path):
-            tail = None if tail is None else tail + 1
-            steps[x] = tail
-    hits = [steps[x] for x in zs.residues if steps[x] is not None]
-    best = min(hits, default=None)
-    return (best is not None, best)
+    level = ds.orbit[1]
+    return (level is not None, level)
 
 
 def _bits(mask: int) -> list[int]:
@@ -186,52 +163,44 @@ def _max_clique(
     return best, nodes, not truncated
 
 
-def _family_upper_applies(D: DigitSet, p: int) -> bool:
-    """Digit families whose orthogonality count is capped by p^n even when
-    their own mask zeros leave the (1/p)-grid: planar three-digit sets with
-    difference frame invertible mod 3, and planar antipodal four-digit sets
-    with odd difference frame, each under the matching modulus."""
-    if len(D[0]) != 2:
-        return False
-    if len(D) == 3 and p == 3:
-        return det(three_digit_frame(D)) % 3 != 0
-    if len(D) == 4 and p == 2:
-        B = four_digit_frame(D)
-        return B is not None and det(B) % 2 != 0
-    return False
+def _cayley_upper(eng: DigitSystem, node_budget: int) -> Optional[int]:
+    """Certified bound on the size of an orthogonal family, None when the
+    family can be infinite.
 
-
-def _clique_upper(M: Matrix, zs: ZeroSet, p: int) -> int:
-    """Max clique of the Cayley graph of realizable difference classes.
-
-    Valid when det M is coprime to p and the mask zeros lie in the
-    punctured (1/p)-grid: every pairwise difference of an orthogonal
-    family then falls, mod p, in the union of the matrix-power images of
-    the zero classes, and distinct members occupy distinct classes.
+    The difference of two members is a Fourier zero, congruent mod Z^n to
+    some M^{T j} z, so q times it is a class of the orbit U mod q
+    (DigitSystem.orbit). For a divisor m of q with 0 not in U mod m, the
+    map x -> q*x mod m is injective on a family through 0, and its image is
+    a clique of the Cayley graph of (Z/m)^n on U mod m. A maximum clique of
+    that graph can be translated through 0, so the bound is 1 plus the
+    clique number of the graph induced on U mod m, at the least such m, or
+    1 + |U mod m| when the search stops on the node budget. 0 in U mod q is
+    exactly an infinite family.
     """
-    n = len(M)
-    zbar = zero_classes_mod_p(zs, p)
-    Mbar = mat_mod(transpose(M), p)
-    tau = order_mod(transpose(M), p)
-    U: set[tuple[int, ...]] = set()
-    cur = set(zbar)
-    for _ in range(tau):
-        cur = {tuple(x % p for x in mat_vec(Mbar, v)) for v in cur}
-        U |= cur
-    vertices = list(product(range(p), repeat=n))
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [0] * len(vertices)
-    for i, a in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            b = vertices[j]
-            diff = tuple((x - y) % p for x, y in zip(a, b))
-            if diff in U:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    best, _, complete = _max_clique(adj, None)
-    if not complete:
-        raise AssertionError("unbudgeted clique search must complete")
-    return len(best)
+    U, level = eng.orbit
+    if level is not None:
+        return None
+    if not U:
+        return 1
+    q = eng.q
+    zero = (0,) * eng.n
+    # m = q qualifies, as 0 is not in U
+    for m in range(2, q + 1):
+        if q % m == 0:
+            Um = {tuple([c % m for c in u]) for u in U}
+            if zero not in Um:
+                break
+    vertices = sorted(Um)
+    adj = [
+        sum(
+            1 << i
+            for i, v in enumerate(vertices)
+            if tuple([(a - b) % m for a, b in zip(u, v)]) in Um
+        )
+        for u in vertices
+    ]
+    best, _, complete = _max_clique(adj, node_budget)
+    return 1 + (len(best) if complete else len(vertices))
 
 
 @dataclass(frozen=True)
@@ -244,10 +213,10 @@ class OrthogonalFamily:
 class NStarBounds:
     """Two-sided bounds on the maximal orthogonal exponential count.
 
-    lower always comes with a re-verified witness family. upper carries a
-    method tag: "clique" for the Cayley-graph count, "trivial_pn" for the
-    p^n cap from the digit-family hypotheses, "inapplicable" when no
-    finite upper bound is certified (upper is then None).
+    lower always comes with a re-verified witness family. upper is the
+    Cayley-graph count on the orbit of the mask zeros, tagged "clique", or
+    None, tagged "infinite", when some power M^{T j} maps a mask zero into
+    Z^n and the family is unbounded.
     """
 
     lower: int
@@ -272,9 +241,11 @@ def nstar_bounds(
     zeros z, 1 <= j <= J, integer offsets with max-norm at most R, keeps
     those lying in the Fourier zero set, and extracts an exact maximum
     clique of the pairwise-orthogonality graph (seeded with frequency 0).
-    The upper bound uses the Cayley-graph count when det M is coprime to p
-    and the zeros sit in the punctured (1/p)-grid, the p^n family cap when
-    only the digit-shape hypotheses hold, and None otherwise.
+    The upper bound is the clique number, plus one, of the Cayley graph on
+    the orbit of the mask zeros mod the least divisor m of their common
+    denominator q that keeps 0 out of it (1 without zeros), and None when
+    the orbit reaches 0 mod q. Neither bound needs a condition on det M
+    or p; p sets the default window J = 2(p^n - 1).
     """
     M = as_matrix(M)
     D = as_digit_set(D)
@@ -289,15 +260,7 @@ def nstar_bounds(
     if J is None:
         J = 2 * (p**n - 1)
 
-    if eng.det % p != 0 and zero_set_in_punctured_grid(eng.zs, p):
-        upper: Optional[int] = _clique_upper(M, eng.zs, p)
-        method = "clique"
-    elif eng.det % p != 0 and _family_upper_applies(D, p):
-        upper = p**n
-        method = "trivial_pn"
-    else:
-        upper = None
-        method = "inapplicable"
+    upper = _cayley_upper(eng, node_budget)
 
     # every candidate M^{T j} z + v lies on the (1/q)-grid, so the search
     # runs on the integer vectors q*x, planar as the zeros, and converts the
@@ -335,7 +298,7 @@ def nstar_bounds(
         lower=len(family),
         witness=witness,
         upper=upper,
-        method=method,
+        method="infinite" if upper is None else "clique",
         search_nodes=nodes,
         search_complete=complete,
     )

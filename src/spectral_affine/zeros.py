@@ -63,6 +63,7 @@ from .linalg import (
     coset_transversal,
     det_and_adjugate,
     is_expanding,
+    mat_vec,
     power_norms,
     transpose,
 )
@@ -335,13 +336,6 @@ def zero_set_in_punctured_grid(Z: ZeroSet, p: int) -> bool:
     return p % Z.q == 0 and all(any(r) for r in Z.residues)
 
 
-def zero_classes_mod_p(Z: ZeroSet, p: int) -> frozenset[tuple[int, ...]]:
-    """Residue classes p*z mod p of a zero set inside the punctured grid."""
-    if not zero_set_in_punctured_grid(Z, p):
-        raise IncompleteZeroSet("zero set does not lie in the punctured grid")
-    return frozenset(tuple(v * (p // Z.q) for v in r) for r in Z.residues)
-
-
 class DigitSystem:
     """Exact data of (M, D), both validated tuples: det M, M^{-T} as
     adjT = sign(det M) adj(M)^T over absdet = |det M|, and the zero set
@@ -374,6 +368,25 @@ class DigitSystem:
     @functools.cached_property
     def residues(self) -> frozenset[IntVector]:
         return self.zs.residue_set
+
+    @functools.cached_property
+    def orbit(self) -> tuple[frozenset[IntVector], Optional[int]]:
+        """U = {M^{T j} r mod q : j >= 1, r a residue} and the least j with
+        0 in M^{T j} r mod q, None when 0 is not in U. Level j is the image
+        of level j - 1, so U is closed once a level adds nothing new."""
+        Mt = transpose(self.M)
+        q = self.q
+        zero = (0,) * self.n
+        U: set[IntVector] = set()
+        level = self.residues
+        first = None
+        for j in itertools.count(1):
+            level = {tuple([c % q for c in mat_vec(Mt, x)]) for x in level}
+            if first is None and zero in level:
+                first = j
+            if level <= U:
+                return frozenset(U), first
+            U |= level
 
     def vanishes(self, v: IntVector) -> bool:
         """Whether the mask vanishes at M^{-T} v, v an integer vector and M

@@ -205,6 +205,24 @@ def test_nstar_with_flag_overrides(tmp_path, capsys):
     assert narrow["result"]["lower"] == 3
 
 
+def test_nstar_bounds_when_det_shares_p(tmp_path, capsys):
+    # det -3: the zeros' orbit mod 3 is {(0, 1), (0, 2)}, two classes
+    # joined by an edge, so three exponentials are the most
+    path = problem(tmp_path, M=[[-3, 1], [-3, 2]], D=THREE, p=3, J=4, R=1)
+    code, payload = run_json(capsys, "nstar", "--input", path)
+    assert code == 0
+    result = payload["result"]
+    assert (result["lower"], result["upper"], result["method"]) == (3, 3, "clique")
+
+
+def test_nstar_infinite_family(tmp_path, capsys):
+    path = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, p=3, J=2, R=0)
+    code, payload = run_json(capsys, "nstar", "--input", path)
+    assert code == 0
+    assert payload["result"]["upper"] is None
+    assert payload["result"]["method"] == "infinite"
+
+
 def test_nonspectral_cert_suggested(tmp_path, capsys):
     path = problem(tmp_path, M=[[4, 1], [2, 5]], D=THREE)
     code, payload = run_json(capsys, "nonspectral-cert", "--input", path)

@@ -46,6 +46,14 @@ def test_verify_triple_rejections():
         verify_triple(M3, THREE, ((0,), (1,), (2,)))
 
 
+@pytest.mark.parametrize("D", [((0,), (1,)), ((0,),)])
+def test_verify_triple_refuses_digits_off_the_map(D):
+    # 1-D digits and frequencies under a planar map: consistent with each
+    # other, so the digit system's own check names the mismatch
+    with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
+        verify_triple(((2, 0), (0, 2)), D, D)
+
+
 def test_verify_triple_translation_invariance():
     # shifting every frequency by one lattice vector preserves the property
     shifted = tuple((s[0] + 5, s[1] - 7) for s in S3)

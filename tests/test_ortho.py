@@ -19,6 +19,7 @@ from spectral_affine.errors import (
     WrongDimension,
 )
 from spectral_affine.linalg import (
+    det,
     det_and_adjugate,
     identity,
     is_expanding,
@@ -26,10 +27,12 @@ from spectral_affine.linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
+    order_mod,
     sign_canonical,
     transpose,
 )
 from spectral_affine.ortho import (
+    _max_clique,
     has_infinite_orthogonal,
     measure,
     nonspectral_certificate,
@@ -42,9 +45,12 @@ from spectral_affine.zeros import (
     DigitSystem,
     ZeroSet,
     as_rational_point,
+    four_digit_frame,
     lattice_form,
     reduce_mod1,
+    three_digit_frame,
     zero_set,
+    zero_set_in_punctured_grid,
 )
 
 THREE = ((0, 0), (1, 0), (0, 1))
@@ -468,7 +474,7 @@ def test_nstar_reverifies_each_difference_once():
     q = measure(M, D).q
     assert sorted(walks[built[0] :]) == sorted(tuple(q * c for c in w) for w in diffs)
     # the same witness as with one walk per pair
-    assert out.search_nodes == 117 and (out.upper, out.method) == (None, "inapplicable")
+    assert out.search_nodes == 117 and (out.upper, out.method) == (None, "infinite")
     digest = hashlib.sha256(repr(family).encode()).hexdigest()
     assert digest == "6a46feb2cfa8bd41cc395da831f9d621ce79f54654fa2b23af6ebf5c60e87ffd"
 
@@ -476,7 +482,7 @@ def test_nstar_reverifies_each_difference_once():
 @pytest.mark.parametrize(
     "M, D, upper, method",
     [
-        (((3,),), ((0,),), None, "inapplicable"),
+        (((3,),), ((0,),), 1, "clique"),
         (((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 0),), 1, "clique"),
     ],
 )
@@ -507,8 +513,9 @@ def test_measure_refuses_zeros_off_the_plane(monkeypatch):
 
 
 def test_nstar_inapplicable_when_det_shares_p():
+    # 3I maps the zeros (1/3, 2/3) and (2/3, 1/3) into Z^2 at once
     out = nstar_bounds(M3, THREE, 3, J=2, R=0)
-    assert out.upper is None and out.method == "inapplicable"
+    assert out.upper is None and out.method == "infinite"
     assert out.lower == 5
     assert out.witness.frequencies == (
         (0, 0),
@@ -520,10 +527,10 @@ def test_nstar_inapplicable_when_det_shares_p():
 
 
 def test_nstar_family_cap_without_grid_zeros():
-    # zeros of the stretched digits leave the (1/3)-grid, but the
-    # three-digit frame still caps the count at p^n
+    # zeros of the stretched digits leave the (1/3)-grid (q = 6); their
+    # orbit reaches 0 mod 2, and mod 3 it is all of the punctured (Z/3)^2
     out = nstar_bounds(SKEW, STRETCH, 3, J=2, R=1)
-    assert out.method == "trivial_pn" and out.upper == 9
+    assert out.method == "clique" and out.upper == 9
     assert out.lower >= 3
 
 
@@ -802,3 +809,137 @@ def test_has_infinite_orthogonal_matches_per_zero_walk(system):
 )
 def test_has_infinite_orthogonal_matches_per_zero_walk_fixed(M, D):
     assert has_infinite_orthogonal(M, D) == per_zero_orbit_walk(M, D)
+
+
+def fraction_orbit_level(M, D):
+    """Reference for the witness level: the least j <= q^2 at which some
+    M^{T j} z is integral, iterating each mask zero z in Fractions mod Z^2
+    and ending early once a point repeats."""
+    zs = zero_set(D)
+    Mt = tuple(zip(*M))
+    best = None
+    for z in zs.points:
+        x, seen = z, set()
+        for j in range(1, zs.q**2 + 1):
+            x = tuple(sum(m * c for m, c in zip(row, x)) % 1 for row in Mt)
+            if not any(x):
+                best = j if best is None else min(best, j)
+                break
+            if x in seen:
+                break
+            seen.add(x)
+    return best
+
+
+def residue_orbit_closure(M, D):
+    """Reference for DigitSystem.orbit's set: every M^{T j} r mod q, j >= 1,
+    followed from each residue r on its own until it repeats."""
+    zs = zero_set(D)
+    Mt = tuple(zip(*M))
+    q = zs.q
+    U = set()
+    for x in zs.residues:
+        while True:
+            x = tuple(sum(m * c for m, c in zip(row, x)) % q for row in Mt)
+            if x in U:
+                break
+            U.add(x)
+    return U
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_systems())
+def test_orbit_matches_fraction_iteration(system):
+    M, D = system
+    level = fraction_orbit_level(M, D)
+    assert has_infinite_orthogonal(M, D) == (level is not None, level)
+    U, first = measure(M, D).orbit
+    assert first == level
+    assert U == residue_orbit_closure(M, D)
+
+
+def _old_clique_upper(M, zs, p):
+    """The former Cayley-graph bound, valid when det M is prime to p and
+    the zeros lie on the punctured (1/p)-grid: the clique number of the
+    graph on all of (Z/p)^n joined by the orbit of the zero classes."""
+    zbar = {tuple(v * (p // zs.q) for v in r) for r in zs.residues}
+    Mbar = mat_mod(transpose(M), p)
+    U, cur = set(), zbar
+    for _ in range(order_mod(transpose(M), p)):
+        cur = {tuple(x % p for x in mat_vec(Mbar, v)) for v in cur}
+        U |= cur
+    vertices = list(product(range(p), repeat=len(M)))
+    adj = [
+        sum(
+            1 << j
+            for j, b in enumerate(vertices)
+            if tuple((x - y) % p for x, y in zip(a, b)) in U
+        )
+        for a in vertices
+    ]
+    best, _, complete = _max_clique(adj, None)
+    assert complete
+    return len(best)
+
+
+def _old_family_upper_applies(D, p):
+    """The former p^n cap's digit hypotheses: a three-digit frame
+    invertible mod 3, or an antipodal four-digit frame of odd det."""
+    if len(D) == 3 and p == 3:
+        return det(three_digit_frame(D)) % 3 != 0
+    if len(D) == 4 and p == 2:
+        B = four_digit_frame(D)
+        return B is not None and det(B) % 2 != 0
+    return False
+
+
+def old_upper(M, D, p):
+    """(upper, method) of the former three-branch rule."""
+    zs = zero_set(D)
+    if det(M) % p != 0 and zero_set_in_punctured_grid(zs, p):
+        return _old_clique_upper(M, zs, p), "clique"
+    if det(M) % p != 0 and _old_family_upper_applies(D, p):
+        return p**2, "trivial_pn"
+    return None, "inapplicable"
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_systems(), st.sampled_from([2, 3]))
+def test_nstar_upper_against_the_former_rule(system, p):
+    M, D = system
+    out = nstar_bounds(M, D, p, J=2, R=0)
+    infinite, _ = has_infinite_orthogonal(M, D)
+    assert (out.upper is None) == infinite
+    assert out.method == ("infinite" if infinite else "clique")
+    if not infinite:
+        assert out.upper >= out.lower
+    before, method = old_upper(M, D, p)
+    if before is not None:
+        assert out.upper is not None and out.upper <= before
+        if method == "clique":
+            assert out.upper == before
+
+
+@pytest.mark.parametrize(
+    "M, D, p, before",
+    [
+        (SKEW, THREE, 3, (9, "clique")),
+        (((2, 0), (0, 2)), THREE, 3, (3, "clique")),
+        (SKEW, STRETCH, 3, (9, "trivial_pn")),
+        (((3, 0), (0, 3)), FOUR, 2, (4, "clique")),
+        (M3, THREE, 3, (None, "inapplicable")),
+    ],
+)
+def test_former_rule_reference_fixed(M, D, p, before):
+    assert old_upper(M, D, p) == before
+
+
+def test_nstar_upper_budget_stop_is_the_orbit_size():
+    # q = 12; the orbit reaches 0 mod 2, and mod 3 it is (1,0), (2,0),
+    # (1,1), (2,2): two disjoint edges, clique number 2. A zero budget
+    # stops that search and certifies one plus the orbit's four classes
+    M, D = ((-1, -1), (2, -2)), ((0, 0), (-2, 0), (1, -2))
+    assert measure(M, D).q == 12
+    assert nstar_bounds(M, D, 3, J=1, R=0).upper == 3
+    out = nstar_bounds(M, D, 3, J=1, R=0, node_budget=0)
+    assert (out.upper, out.method) == (5, "clique")

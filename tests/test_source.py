@@ -121,3 +121,16 @@ def test_exact_layers_read_the_digit_system_not_zero_set(module):
         or (isinstance(node, ast.alias) and node.name == "zero_set")
     ]
     assert names == []
+
+
+@pytest.mark.parametrize("module", ["hadamard", "ortho"])
+def test_exact_layers_take_inverse_and_orbit_from_the_digit_system(module):
+    # zeros.DigitSystem holds M^{-T} as adjT over absdet, and the orbit of
+    # the zeros mod q
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.alias) and node.name in {"det_and_adjugate", "order_mod"}
+    ]
+    assert names == []

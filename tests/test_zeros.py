@@ -20,7 +20,6 @@ from spectral_affine.zeros import (
     is_zero_exact,
     mask_eval,
     reduce_mod1,
-    zero_classes_mod_p,
     zero_set,
     zero_set_in_punctured_grid,
 )
@@ -285,15 +284,6 @@ def test_punctured_grid_inclusion():
         zero_set_in_punctured_grid(incomplete, 2)
 
 
-def test_zero_classes_mod_p():
-    assert zero_classes_mod_p(zero_set(THREE), 3) == frozenset({(1, 2), (2, 1)})
-    assert zero_classes_mod_p(zero_set(FOUR), 2) == frozenset(
-        {(0, 1), (1, 0), (1, 1)}
-    )
-    with pytest.raises(IncompleteZeroSet):
-        zero_classes_mod_p(zero_set(THREE), 2)
-
-
 def _fraction_in_punctured_grid(Z, p):
     """Reference: each Fraction point nonzero, every denominator dividing p."""
     return all(
@@ -324,14 +314,7 @@ def complete_zero_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(complete_zero_sets(), st.sampled_from([2, 3, 4, 5, 6, 7, 9, 12, 18, 36]))
 def test_punctured_grid_and_classes_match_fraction_reference(zs, p):
-    inside = zero_set_in_punctured_grid(zs, p)
-    assert inside == _fraction_in_punctured_grid(zs, p)
-    if inside:
-        expected = frozenset(tuple(int(c * p) % p for c in pt) for pt in zs.points)
-        assert zero_classes_mod_p(zs, p) == expected
-    else:
-        with pytest.raises(IncompleteZeroSet):
-            zero_classes_mod_p(zs, p)
+    assert zero_set_in_punctured_grid(zs, p) == _fraction_in_punctured_grid(zs, p)
 
 
 @settings(max_examples=100, deadline=None)
