@@ -163,25 +163,28 @@ def _max_clique(
     return best, nodes, not truncated
 
 
-def _cayley_upper(eng: DigitSystem, node_budget: int) -> Optional[int]:
+def _cayley_upper(eng: DigitSystem) -> Optional[int]:
     """Certified bound on the size of an orthogonal family, None when the
     family can be infinite.
 
     The difference of two members is a Fourier zero, congruent mod Z^n to
     some M^{T j} z, so q times it is a class of the orbit U mod q
     (DigitSystem.orbit). For a divisor m of q with 0 not in U mod m, the
-    map x -> q*x mod m is injective on a family through 0, and its image is
-    a clique of the Cayley graph of (Z/m)^n on U mod m. A maximum clique of
-    that graph can be translated through 0, so the bound is 1 plus the
-    clique number of the graph induced on U mod m, at the least such m, or
-    1 + |U mod m| when the search stops on the node budget. 0 in U mod q is
-    exactly an infinite family.
+    map x -> q*x mod m is injective on a family through 0, onto a clique of
+    the Cayley graph of (Z/m)^n on U mod m, so at most 1 + |U mod m| of
+    them; m is the least such divisor. Along the primes l of m in order,
+    d the product of the earlier ones, the members sharing a class mod d
+    differ by elements of U_d = {u/d : u in U mod m, d | u}, and they meet
+    at most 1 + w classes mod d l, w the clique number of the graph on
+    U_d mod l minus 0 (a maximum clique of a Cayley graph can be translated
+    through 0). The product of these counts bounds the family too, and is
+    that clique count on (Z/m)^n when m is prime. Each search runs on at
+    most l^n - 1 vertices and to the end. 0 in U mod q is exactly an
+    infinite family.
     """
     U, level = eng.orbit
     if level is not None:
         return None
-    if not U:
-        return 1
     q = eng.q
     zero = (0,) * eng.n
     # m = q qualifies, as 0 is not in U
@@ -190,17 +193,28 @@ def _cayley_upper(eng: DigitSystem, node_budget: int) -> Optional[int]:
             Um = {tuple([c % m for c in u]) for u in U}
             if zero not in Um:
                 break
-    vertices = sorted(Um)
-    adj = [
-        sum(
-            1 << i
-            for i, v in enumerate(vertices)
-            if tuple([(a - b) % m for a, b in zip(u, v)]) in Um
-        )
-        for u in vertices
-    ]
-    best, _, complete = _max_clique(adj, node_budget)
-    return 1 + (len(best) if complete else len(vertices))
+    else:
+        return 1  # no zeros: q = 1
+    bound, Ud, rest, l = 1, Um, m, 2
+    while rest > 1:
+        if rest % l:
+            l += 1
+            continue
+        rest //= l
+        V = sorted({tuple([c % l for c in u]) for u in Ud} - {zero})
+        Vset = set(V)
+        adj = [
+            sum(
+                1 << i
+                for i, v in enumerate(V)
+                if tuple([(a - b) % l for a, b in zip(u, v)]) in Vset
+            )
+            for u in V
+        ]
+        best, _, _ = _max_clique(adj, None)
+        bound *= 1 + len(best)
+        Ud = {tuple([c // l for c in u]) for u in Ud if not any(c % l for c in u)}
+    return min(bound, 1 + len(Um))
 
 
 @dataclass(frozen=True)
@@ -216,7 +230,8 @@ class NStarBounds:
     lower always comes with a re-verified witness family. upper is the
     Cayley-graph count on the orbit of the mask zeros, tagged "clique", or
     None, tagged "infinite", when some power M^{T j} maps a mask zero into
-    Z^n and the family is unbounded.
+    Z^n and the family is unbounded. search_nodes and search_complete
+    describe the lower search, the only one the node budget stops.
     """
 
     lower: int
@@ -241,11 +256,12 @@ def nstar_bounds(
     zeros z, 1 <= j <= J, integer offsets with max-norm at most R, keeps
     those lying in the Fourier zero set, and extracts an exact maximum
     clique of the pairwise-orthogonality graph (seeded with frequency 0).
-    The upper bound is the clique number, plus one, of the Cayley graph on
-    the orbit of the mask zeros mod the least divisor m of their common
-    denominator q that keeps 0 out of it (1 without zeros), and None when
-    the orbit reaches 0 mod q. Neither bound needs a condition on det M
-    or p; p sets the default window J = 2(p^n - 1).
+    The upper bound counts the Cayley graph on the orbit of the mask zeros
+    mod the least divisor m of their common denominator q that keeps 0 out
+    of it, one prime of m at a time (1 without zeros), and is None when the
+    orbit reaches 0 mod q. Neither bound needs a condition on det M or p;
+    the prime p, the grid of the paper's similarity, only sets the default
+    window J = 2(p^n - 1).
     """
     M = as_matrix(M)
     D = as_digit_set(D)
@@ -260,7 +276,7 @@ def nstar_bounds(
     if J is None:
         J = 2 * (p**n - 1)
 
-    upper = _cayley_upper(eng, node_budget)
+    upper = _cayley_upper(eng)
 
     # every candidate M^{T j} z + v lies on the (1/q)-grid, so the search
     # runs on the integer vectors q*x, planar as the zeros, and converts the

@@ -934,12 +934,82 @@ def test_former_rule_reference_fixed(M, D, p, before):
     assert old_upper(M, D, p) == before
 
 
-def test_nstar_upper_budget_stop_is_the_orbit_size():
-    # q = 12; the orbit reaches 0 mod 2, and mod 3 it is (1,0), (2,0),
-    # (1,1), (2,2): two disjoint edges, clique number 2. A zero budget
-    # stops that search and certifies one plus the orbit's four classes
-    M, D = ((-1, -1), (2, -2)), ((0, 0), (-2, 0), (1, -2))
-    assert measure(M, D).q == 12
-    assert nstar_bounds(M, D, 3, J=1, R=0).upper == 3
-    out = nstar_bounds(M, D, 3, J=1, R=0, node_budget=0)
-    assert (out.upper, out.method) == (5, "clique")
+@pytest.mark.parametrize(
+    "M, D, p, upper",
+    [
+        (SKEW, THREE, 3, 9),
+        # q = 12; the orbit reaches 0 mod 2, and mod 3 it is (1,0), (2,0),
+        # (1,1), (2,2): two disjoint edges, clique number 2
+        (((-1, -1), (2, -2)), ((0, 0), (-2, 0), (1, -2)), 3, 3),
+    ],
+)
+def test_nstar_upper_ignores_the_node_budget(M, D, p, upper):
+    # the budget stops the lower search only; the upper search on the
+    # prime-step graphs runs to the end, as the p^n clique search did
+    out = nstar_bounds(M, D, p, J=1, R=0, node_budget=1)
+    assert not out.search_complete
+    assert (out.upper, out.method) == (upper, "clique")
+    assert nstar_bounds(M, D, p, J=1, R=0).upper == upper
+
+
+def least_orbit_modulus(M, D):
+    """The least divisor m of q with 0 not in U mod m and U mod m, from the
+    brute-force orbit; None when 0 is in U."""
+    U = residue_orbit_closure(M, D)
+    q = zero_set(D).q
+    for m in range(2, q + 1):
+        Um = {tuple(c % m for c in u) for u in U}
+        if q % m == 0 and (0, 0) not in Um:
+            return m, Um
+    return None
+
+
+@pytest.mark.parametrize(
+    "M, D, q, m, upper",
+    [
+        # the prime steps count 4 = 2 * 2, the clique count mod 4, under
+        # 1 + |U mod 4| = 7
+        (((-3, -2), (-4, 1)), ((0, 0), (0, 1), (2, 3), (-2, -4)), 4, 4, 4),
+        # three steps count 8 under 1 + |U mod 8| = 13; the clique count
+        # mod 8 is 4
+        (((3, 4), (0, -3)), ((0, 0), (1, 2), (-1, 2), (0, -4)), 8, 8, 8),
+        # the steps count 64, over 1 + |U mod 8| = 34 (|U| = 99)
+        (((-2, -1), (-1, -5)), ((0, 0), (-3, -4), (3, 0), (0, 4)), 24, 8, 34),
+        # 0 in U mod every proper divisor of q = 32 and q = 128: the steps
+        # count more than 1 + |U mod q| = 514 and 4,120
+        (((-1, -3), (-5, -4)), ((0, 0), (0, -4), (-4, 1), (4, 3)), 32, 32, 514),
+        (((-6, 9), (7, 9)), ((0, 0), (4, -8), (-7, -2), (3, 10)), 128, 128, 4120),
+    ],
+)
+def test_nstar_upper_on_a_prime_power(M, D, q, m, upper):
+    assert measure(M, D).q == q and least_orbit_modulus(M, D)[0] == m
+    out = nstar_bounds(M, D, 2, J=1, R=0)
+    assert (out.upper, out.method) == (upper, "clique")
+    assert out.lower <= upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_systems())
+def test_nstar_upper_bounds_the_clique_count_mod_m(system):
+    # the prime-step product bounds every clique of the Cayley graph of
+    # (Z/m)^2 on U mod m, and is its clique count when m is prime
+    M, D = system
+    found = least_orbit_modulus(M, D)
+    assume(found is not None)
+    m, Um = found
+    assume(len(Um) <= 80)
+    V = sorted(Um)
+    adj = [
+        sum(
+            1 << j
+            for j, v in enumerate(V)
+            if tuple((a - b) % m for a, b in zip(u, v)) in Um
+        )
+        for u in V
+    ]
+    best, _, complete = _max_clique(adj, None)
+    assert complete
+    upper = nstar_bounds(M, D, 2, J=1, R=0).upper
+    assert 1 + len(best) <= upper <= 1 + len(Um)
+    if all(m % d for d in range(2, m)):
+        assert upper == 1 + len(best)
