@@ -356,7 +356,7 @@ def spectrum_candidate(
     # indices of the first failing pair; one walk per distinct difference
     failing: Optional[tuple[int, int]] = None
     if len(ordered) > 1:
-        ds.bound  # raises the walk's refusals before the first walk
+        ds.walkable  # raises the walk's refusals before the first walk
         memo: dict[IntVector, bool] = {}
         for i, a in enumerate(ordered):
             for j in range(i + 1, len(ordered)):

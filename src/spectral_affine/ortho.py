@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from operator import sub
 from typing import Optional, Sequence
 
@@ -34,11 +35,11 @@ from .linalg import (
     identity,
     is_expanding,
     is_prime,
-    mat_mod,
     mat_mul,
     mat_pow,
     mat_vec,
     sign_canonical,
+    smith_normal_form,
     transpose,
 )
 from .zeros import (
@@ -59,10 +60,10 @@ _Measure = DigitSystem
 
 
 def measure(M: Matrix, D: DigitSet) -> DigitSystem:
-    """digit_system(M, D), M and D validated, once bound has raised the
+    """digit_system(M, D), M and D validated, once walkable has raised the
     walk's refusals."""
     ds = digit_system(M, D)
-    ds.bound  # raises the walk's refusals
+    ds.walkable  # raises the walk's refusals
     return ds
 
 
@@ -70,8 +71,9 @@ def zero_membership(M: Matrix, D: DigitSet, xi: Sequence) -> Optional[int]:
     """Least level j at which xi enters the Fourier zero set, or None.
 
     Returns the smallest j >= 1 such that M^{-T j} xi reduced mod 1 is a
-    mask zero of D. Termination is certified by an exact contraction bound,
-    so None is a proof of non-membership rather than a timeout.
+    mask zero of D. The walk ends on the integer lattice: an iterate
+    leaves it or reaches 0, which is never a mask zero, so None is a proof
+    of non-membership rather than a timeout.
     """
     eng = measure(as_matrix(M), as_digit_set(D))
     Q, (N,) = lattice_form((as_rational_point(xi),))
@@ -88,7 +90,7 @@ def has_infinite_orthogonal(
     When it does, scaling that zero through successive powers yields
     arbitrarily large orthogonal families, so the count n* is infinite.
     The witness is the least such j, the level at which 0 enters
-    DigitSystem.orbit, the orbit of the residues q*z mod q, q the common
+    DigitSystem.orbit(q), the orbit of the residues q*z mod q, q the common
     denominator of the mask zeros.
     """
     ds = digit_system(as_matrix(M), as_digit_set(D))
@@ -96,7 +98,7 @@ def has_infinite_orthogonal(
         raise HypothesisViolation("orbit test requires an expanding matrix")
     if not ds.zs.complete:
         raise IncompleteZeroSet("orbit test needs a complete zero set")
-    level = ds.orbit[1]
+    level = ds.orbit(ds.q)[1]
     return (level is not None, level)
 
 
@@ -180,21 +182,17 @@ def _cayley_upper(eng: DigitSystem) -> Optional[int]:
     through 0). The product of these counts bounds the family too, and is
     that clique count on (Z/m)^n when m is prime. Each search runs on at
     most l^n - 1 vertices and to the end. 0 in U mod q is exactly an
-    infinite family.
+    infinite family; without zeros, m = q = 1 and the bound is 1.
     """
-    U, level = eng.orbit
-    if level is not None:
-        return None
     q = eng.q
     zero = (0,) * eng.n
-    # m = q qualifies, as 0 is not in U
-    for m in range(2, q + 1):
+    for m in range(1, q + 1):
         if q % m == 0:
-            Um = {tuple([c % m for c in u]) for u in U}
-            if zero not in Um:
+            Um, level = eng.orbit(m)
+            if level is None:
                 break
     else:
-        return 1  # no zeros: q = 1
+        return None
     bound, Ud, rest, l = 1, Um, m, 2
     while rest > 1:
         if rest % l:
@@ -449,26 +447,24 @@ def nonspectral_certificate(
         difference_closure = bool(nonint) and all(zs.is_zero(w, q) for w in nonint)
 
     # (b) empty window below j0: at each level j < j0 the scaled image of
-    # the zero set plus the integer lattice must miss Z^n entirely
+    # the zero set plus the integer lattice must miss Z^n entirely. With
+    # P = M^{T j} and w = u P r / q integral (otherwise no integer translate
+    # clears the denominator), some k has L P (r/q + k) = (w + u P k) / v
+    # integral iff w is in P Z^n + v Z^n, u being a unit mod v; with
+    # A P B = S the Smith form, iff gcd(s_i, v) divides (A w)_i for every i
     Mt = transpose(M)
     window_empty = True
     P = identity(n)
     for _ in range(1, j0):
         P = mat_mul(Mt, P)
-        Pv = mat_mod(P, v)
-        for r in res:
-            scaled = [u * c for c in mat_vec(P, r)]
-            if any(c % q for c in scaled):
-                continue  # no integer translate can clear the denominator
-            target = tuple(-(c // q) % v for c in scaled)
-            for k in product(range(v), repeat=n):
-                if tuple((u * x) % v for x in mat_vec(Pv, k)) == target:
-                    window_empty = False
-                    break
-            if not window_empty:
+        scaled = [[u * c for c in mat_vec(P, r)] for r in res]
+        ws = [[c // q for c in s] for s in scaled if not any(c % q for c in s)]
+        if ws:
+            S, A, _ = smith_normal_form(P)
+            g = [gcd(S[i][i], v) for i in range(n)]
+            if any(all(c % gi == 0 for c, gi in zip(mat_vec(A, w), g)) for w in ws):
+                window_empty = False
                 break
-        if not window_empty:
-            break
 
     # (c) integral tail at j0: the scaled matrix power clears the whole
     # lattice into Z^n, and the zero set with it, for every later level

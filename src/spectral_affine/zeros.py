@@ -15,17 +15,18 @@ points are the public boundary.
 DigitSystem holds the integer data of one pair (M, D) that every exact
 question about its measure reads. Its walk decides whether a frequency
 lies in the Fourier zero set of the measure, the union over j >= 1 of
-M^{T j} applied to the mask zeros plus Z^n: iterate xi <- M^{-T} xi,
-compare against the finite mask zero set mod Z^n, and stop once a
-certified contraction bound shows no future iterate can reach it. The
-walk runs on the integer lattice. The zero set lies on the (1/q)-grid,
-and M^T maps that grid into itself: an iterate that leaves the grid
-never comes back. A frequency N/Q is therefore mapped to the integer
-vector u = q*N/Q (not in the zero set when that is not integral), and
-one step is an integer mat-vec with adj(M)^T followed by an exact
-division by |det M|; the first inexact division ends the walk. The
-iterate is a zero mod Z^n iff u mod q is a residue, and the contraction
-stop is an integer comparison too.
+M^{T j} applied to the mask zeros plus Z^n: iterate xi <- M^{-T} xi
+and compare against the finite mask zero set mod Z^n. The walk runs on
+the integer lattice. The zero set lies on the (1/q)-grid, and M^T maps
+that grid into itself: an iterate that leaves the grid never comes back.
+A frequency N/Q is therefore mapped to the integer vector u = q*N/Q (not
+in the zero set when that is not integral), and one step is an integer
+mat-vec with adj(M)^T followed by an exact division by |det M|; the
+first inexact division ends the walk. The iterate is a zero mod Z^n iff
+u mod q is a residue. Since M^{-T} contracts, integer iterates that
+never leave the lattice reach 0, which stays 0 and is never a residue
+(the mask is 1 there), so the walk ends there too, with no contraction
+constant.
 
 The step is planar, on a pair (x, y): complete zero sets are known only
 for planar three- and four-digit sets and a single digit has none, so a
@@ -46,7 +47,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -64,7 +65,6 @@ from .linalg import (
     det_and_adjugate,
     is_expanding,
     mat_vec,
-    power_norms,
     transpose,
 )
 
@@ -168,16 +168,18 @@ def is_zero_exact(D: DigitSet, x: Sequence) -> bool:
     digit exponents mod q, so it vanishes iff the q-th cyclotomic polynomial
     divides P.
     """
-    pt = reduce_mod1(as_rational_point(x))
+    pt = as_rational_point(x)
     if len(pt) != len(D[0]):
         raise WrongDimension("point dimension does not match digits")
-    q = 1
-    for c in pt:
-        q = lcm(q, c.denominator)
+    q, (N,) = lattice_form((pt,))
+    return _vanishes_at(D, N, q)
+
+
+def _vanishes_at(D: DigitSet, N: IntVector, q: int) -> bool:
+    """is_zero_exact at N/q, q > 0 with no common factor of q and all of N."""
     coeffs = [0] * q
     for d in D:
-        e = sum(di * int(ci * q) for di, ci in zip(d, pt)) % q
-        coeffs[e] += 1
+        coeffs[sum(map(mul, d, N)) % q] += 1
     phi = list(cyclotomic(q))
     if len(coeffs) < len(phi):
         coeffs += [0] * (len(phi) - len(coeffs))
@@ -340,8 +342,8 @@ class DigitSystem:
     """Exact data of (M, D), both validated tuples: det M, M^{-T} as
     adjT = sign(det M) adj(M)^T over absdet = |det M|, and the zero set
     zs, built on first use. Building it checks only the digit dimension;
-    each consumer refuses a singular M in its own words, and bound raises
-    the walk's refusals on the first walk."""
+    each consumer refuses a singular M in its own words, and walkable
+    raises the walk's refusals on the first walk."""
 
     def __init__(self, M: Matrix, D: DigitSet):
         if len(D[0]) != len(M):
@@ -356,6 +358,7 @@ class DigitSystem:
         self.adjT = tuple(tuple(sign * x for x in col) for col in zip(*adj))
         self.absdet = abs(d)
         self._shells: list[list[IntVector]] = []
+        self._orbits: dict[int, tuple[frozenset[IntVector], Optional[int]]] = {}
 
     @functools.cached_property
     def zs(self) -> ZeroSet:
@@ -369,23 +372,26 @@ class DigitSystem:
     def residues(self) -> frozenset[IntVector]:
         return self.zs.residue_set
 
-    @functools.cached_property
-    def orbit(self) -> tuple[frozenset[IntVector], Optional[int]]:
-        """U = {M^{T j} r mod q : j >= 1, r a residue} and the least j with
-        0 in M^{T j} r mod q, None when 0 is not in U. Level j is the image
-        of level j - 1, so U is closed once a level adds nothing new."""
+    def orbit(self, m: int) -> tuple[frozenset[IntVector], Optional[int]]:
+        """U mod m = {M^{T j} r mod m : j >= 1, r a residue}, m a divisor
+        of q, and the least j with 0 in M^{T j} r mod m, None when 0 is not
+        in U mod m; cached per m. Reduction mod m commutes with M^T, so the
+        closure starts from the residues mod m. Level j is the image of
+        level j - 1, so U is closed once a level adds nothing new."""
+        if m in self._orbits:
+            return self._orbits[m]
         Mt = transpose(self.M)
-        q = self.q
         zero = (0,) * self.n
         U: set[IntVector] = set()
-        level = self.residues
+        level = {tuple([c % m for c in r]) for r in self.residues}
         first = None
         for j in itertools.count(1):
-            level = {tuple([c % q for c in mat_vec(Mt, x)]) for x in level}
+            level = {tuple([c % m for c in mat_vec(Mt, x)]) for x in level}
             if first is None and zero in level:
                 first = j
             if level <= U:
-                return frozenset(U), first
+                self._orbits[m] = frozenset(U), first
+                return self._orbits[m]
             U |= level
 
     def vanishes(self, v: IntVector) -> bool:
@@ -396,13 +402,14 @@ class DigitSystem:
         zs = self.zs
         if zs.complete:
             return zs.is_zero(w, self.absdet)
-        return is_zero_exact(self.D, tuple([Fraction(c, self.absdet) for c in w]))
+        g = gcd(self.absdet, *w)
+        return _vanishes_at(self.D, [c // g for c in w], self.absdet // g)
 
     @functools.cached_property
-    def bound(self) -> Optional[Fraction]:
-        """Max-norm below which no iterate of M^{-T} returns to a zero, None
-        without zeros. Refuses, in this order, a singular M, an incomplete
-        zero set, zeros off the plane and an M that is not expanding."""
+    def walkable(self) -> bool:
+        """Whether there are zeros to walk to. Refuses, in this order, a
+        singular M, an incomplete zero set, zeros off the plane and an M
+        that is not expanding."""
         if self.det == 0:
             raise SingularMatrix("expanding map must be invertible")
         if not self.zs.complete:
@@ -415,20 +422,7 @@ class DigitSystem:
             raise HypothesisViolation(
                 "inverse-transpose powers do not contract; matrix not expanding"
             )
-        if not self.residues:
-            return None
-        # growth: sup_k ||(M^{-T})^k||_inf <= C, the max over the powers
-        # before the first one with norm below one, which exists because M
-        # is expanding; the k-th power is (adjT / absdet)^k
-        C = Fraction(1)
-        for num, den in power_norms(self.adjT, self.absdet):
-            if num < den:
-                break
-            C = max(C, Fraction(num, den))
-        # an iterate with max-norm below delta / C never returns to a zero
-        q = self.q
-        delta = min(max(min(v, q - v) for v in r) for r in self.residues)
-        return Fraction(delta, q) / C
+        return bool(self.residues)
 
     def shells(self, J: int) -> list[list[IntVector]]:
         """The residue shells M^{T j} r for j = 1..J, each in residue
@@ -448,9 +442,12 @@ class DigitSystem:
         not be in lowest terms. The zero set lies on the (1/q)-grid and M^T
         maps that grid into itself, so an iterate off the grid has no
         successor on it: the walk runs on u = q*M^{-T j}(N/Q) and stops with
-        None at the first step whose division by |det M| is not exact.
+        None at the first step whose division by |det M| is not exact. The
+        integer iterates of the contraction M^{-T} that stay on the lattice
+        reach 0, which stays 0 and is never a residue, so the walk also
+        stops with None at u = 0.
         """
-        if self.bound is None:
+        if not self.walkable:
             return None
         (a, b), (c, d) = self.adjT
         absdet = self.absdet
@@ -460,10 +457,6 @@ class DigitSystem:
         if q * x % Q or q * y % Q:
             return None
         x, y = q * x // Q, q * y // Q
-        # |u/q| below the bound: no later iterate reaches a zero
-        lim = self.bound.numerator * q
-        den = self.bound.denominator
-        # the iterates tend to 0 (M is expanding), so the walk ends
         for j in itertools.count(1):
             x, y = a * x + b * y, c * x + d * y
             if x % absdet or y % absdet:
@@ -471,7 +464,7 @@ class DigitSystem:
             x, y = x // absdet, y // absdet
             if (x % q, y % q) in residues:
                 return j
-            if abs(x) * den < lim and abs(y) * den < lim:
+            if not (x or y):
                 return None
 
     def orthogonality_graph(self, vertices: Sequence[IntVector]) -> list[int]:
@@ -487,7 +480,7 @@ class DigitSystem:
         joins each member with those differing from it by a residue (the
         residues are closed under negation, so the relation is symmetric).
         A class with one member is dropped. Since M is expanding (certified
-        exactly by is_expanding in bound), the powers of M^{-T} tend
+        exactly by is_expanding in walkable), the powers of M^{-T} tend
         to 0, so the intersection of the lattices M^{T j} Z^n is {0}: two
         distinct vertices share a class at finitely many levels only, and
         the loop ends once every class is a singleton.
@@ -495,7 +488,7 @@ class DigitSystem:
         if len(set(vertices)) != len(vertices):
             raise ValueError("orthogonality graph vertices must be distinct")
         adj = [0] * len(vertices)
-        if self.bound is None:
+        if not self.walkable:
             return adj
         (a, b), (c, d) = self.adjT
         absdet = self.absdet

@@ -20,7 +20,6 @@ from spectral_affine.errors import (
 )
 from spectral_affine.linalg import (
     det,
-    det_and_adjugate,
     identity,
     is_expanding,
     mat_mod,
@@ -114,38 +113,6 @@ def test_unit_eigenvalue_refusals():
         zero_membership(diag_2_rot90, ((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 0, 0))
 
 
-def _capped_bound(M, D):
-    """delta / C with C taken from the first 200 powers of M^{-T} at
-    most, the growth constant's original capped search."""
-    d, adj = det_and_adjugate(M)
-    minvT = tuple(tuple(Fraction(x, d) for x in col) for col in zip(*adj))
-    C, P = Fraction(1), minvT
-    for _ in range(200):
-        Nk = max(sum(abs(x) for x in row) for row in P)
-        if Nk < 1:
-            break
-        C = max(C, Nk)
-        P = mat_mul(P, minvT)
-    else:
-        raise AssertionError("no contracting power among the first 200")
-    zeros = zero_set(D).points
-    return min(max(min(c, 1 - c) for c in pt) for pt in zeros) / C
-
-
-@pytest.mark.parametrize(
-    "M, D",
-    [
-        (SKEW, THREE),
-        (((2, 0), (0, 2)), THREE),
-        (((0, 10), (9, 0)), FOUR),  # det -90
-        (((-2, 1), (0, 3)), THREE),  # det -6
-        (((1, 2), (-2, 1)), FOUR),  # eigenvalue modulus sqrt(5)
-    ],
-)
-def test_measure_bound_matches_capped_power_loop(M, D):
-    assert measure(M, D).bound == _capped_bound(M, D)
-
-
 def test_has_infinite_orthogonal():
     assert has_infinite_orthogonal(M3, THREE) == (True, 1)
     assert has_infinite_orthogonal(SKEW, THREE) == (False, None)
@@ -216,12 +183,13 @@ small = st.integers(-3, 3)
 
 
 @st.composite
-def planar_systems(draw):
-    """An expanding 2x2 matrix with a three-digit or an antipodal
-    four-digit set whose zero set is complete."""
+def planar_systems(draw, expanding=True):
+    """An expanding 2x2 matrix (any integer one if not expanding) with a
+    three-digit or an antipodal four-digit set whose zero set is
+    complete."""
     entry = st.integers(-6, 6)
     M = draw(st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)))
-    assume(is_expanding(M))
+    assume(not expanding or is_expanding(M))
     a, b = draw(st.tuples(small, small)), draw(st.tuples(small, small))
     assume(a[0] * b[1] - a[1] * b[0] != 0)
     if draw(st.booleans()):
@@ -369,6 +337,25 @@ def test_lattice_membership_matches_fraction_walk_fixed(M, D):
         assert got == fraction_membership(M, D, xi)
         hits += got is not None
     assert hits
+
+
+@pytest.mark.parametrize(
+    "M, D, xi",
+    [
+        (((2, -3), (0, 2)), ((0, 0), (-1, 3), (1, -1)), (Fraction(2, 3), -2)),
+        (
+            ((5, 6), (-3, 3)),
+            ((0, 0), (-3, -1), (-3, -3)),
+            (Fraction(-5, 9), Fraction(29, 6)),
+        ),
+        (((2, -6), (0, 4)), ((0, 0), (-2, 0), (2, -3), (0, 3)), (0, Fraction(-1, 3))),
+    ],
+)
+def test_lattice_membership_matches_fraction_walk_pinned(M, D, xi):
+    # the reference's contraction bound ends these walks on a nonzero
+    # lattice iterate; the lattice walk goes on to an inexact division
+    assert measure(M, D).membership(*lattice_point(xi)) is None
+    assert fraction_membership(M, D, xi) is None
 
 
 def test_orthogonality_graph_edge_cases():
@@ -748,6 +735,29 @@ def test_certificate_matches_fraction_reference_fixed(M, D, L, j0):
     assert parts == fraction_certificate(M, D, L, j0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(planar_systems(expanding=False), st.data())
+def test_certificate_window_matches_enumeration(system, data):
+    # the Smith-form window test against the reference's search over all
+    # k mod v, on any integer M, singular and non-expanding ones included;
+    # a scale u/v with q | u makes every u P r / q integral
+    M, D = system
+    q = zero_set(D).q
+    u = data.draw(st.integers(1, 30)) * data.draw(st.sampled_from([1, q]))
+    L = Fraction(u, data.draw(st.integers(1, 24)))
+    j0 = data.draw(st.integers(2, 4))
+    cert = nonspectral_certificate(M, D, L, j0)
+    assert cert.window_empty == fraction_certificate(M, D, L, j0)[1]
+
+
+def test_certificate_window_with_a_large_scale_denominator():
+    # v = 3001: the search over all k mod v would try 3001^2 vectors per
+    # residue and level
+    cert = nonspectral_certificate(((-1, -1), (2, -2)), THREE, Fraction(3, 3001), 4)
+    parts = (cert.difference_closure, cert.window_empty, cert.tail_integral)
+    assert parts == (False, False, False)
+
+
 def test_digit_dimension_must_match_the_map():
     # a one-dimensional digit set under a planar map, and the reverse
     M, D = ((2, 0), (0, 2)), ((5,),)
@@ -853,9 +863,17 @@ def test_orbit_matches_fraction_iteration(system):
     M, D = system
     level = fraction_orbit_level(M, D)
     assert has_infinite_orthogonal(M, D) == (level is not None, level)
-    U, first = measure(M, D).orbit
+    eng = measure(M, D)
+    U, first = eng.orbit(eng.q)
     assert first == level
     assert U == residue_orbit_closure(M, D)
+    # the orbit mod each divisor m of q is U mod m, its level None exactly
+    # when 0 is not in it
+    for m in range(1, eng.q + 1):
+        if eng.q % m == 0:
+            Um, first_m = eng.orbit(m)
+            assert Um == {tuple(c % m for c in u) for u in U}
+            assert (first_m is None) == ((0, 0) not in Um)
 
 
 def _old_clique_upper(M, zs, p):

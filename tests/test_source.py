@@ -134,3 +134,17 @@ def test_exact_layers_take_inverse_and_orbit_from_the_digit_system(module):
         if isinstance(node, ast.alias) and node.name in {"det_and_adjugate", "order_mod"}
     ]
     assert names == []
+
+
+def test_only_fourier_imports_power_norms():
+    # the membership walk ends on the lattice and needs no growth constant;
+    # the norms of M^{-T} powers bound only fourier's truncation tails
+    importers = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "power_norms"
+    }
+    assert importers == {"fourier"}
