@@ -15,6 +15,7 @@ exact verdicts live in the zeros, hadamard, and ortho modules.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -186,10 +187,16 @@ def attractor_sample(
 
     if mode == "digit_expansion":
         den, levels = _level_terms(det_m, adj, pts, k)
-        sums: set[IntVector] = {(0,) * len(M)}
-        for terms in levels:
-            sums = {tuple(map(add, base, term)) for base in sums for term in terms}
-        cloud = tuple(tuple(c / den for c in p) for p in sorted(sums))
+        if len(M) == 2:
+            sums: set[IntVector] = {(0, 0)}
+            for terms in levels:
+                sums = {(x + a, y + b) for x, y in sums for a, b in terms}
+            cloud = tuple((x / den, y / den) for x, y in sorted(sums))
+        else:
+            sums = {(0,) * len(M)}
+            for terms in levels:
+                sums = {tuple(map(add, base, term)) for base in sums for term in terms}
+            cloud = tuple(tuple(c / den for c in p) for p in sorted(sums))
         eps = _tail_bound(adj, abs(det_m), pts, k)
         return AttractorSample(
             points=cloud, eps=float(eps), mode=mode, detail=k
@@ -205,11 +212,23 @@ def attractor_sample(
         df = [tuple(float(c) for c in d) for d in pts]
         x = (0.0,) * len(M)
         out = []
-        for t in range(burn_in + N):
-            d = df[rng.randrange(len(df))]
-            x = tuple(mat_vec(Mf, tuple(a + b for a, b in zip(x, d))))
-            if t >= burn_in:
-                out.append(x)
+        if len(M) == 2:
+            # mat_vec's float steps unpacked; its builtin sum starts from the
+            # int 0, and 0.0 + keeps that turning a -0.0 into 0.0
+            (a, b), (c, e) = Mf
+            u, v = x
+            for t in range(burn_in + N):
+                du, dv = df[rng.randrange(len(df))]
+                du, dv = u + du, v + dv
+                u, v = 0.0 + a * du + b * dv, 0.0 + c * du + e * dv
+                if t >= burn_in:
+                    out.append((u, v))
+        else:
+            for t in range(burn_in + N):
+                d = df[rng.randrange(len(df))]
+                x = tuple(mat_vec(Mf, tuple(a + b for a, b in zip(x, d))))
+                if t >= burn_in:
+                    out.append(x)
         eps = _tail_bound(adj, abs(det_m), pts, burn_in)
         return AttractorSample(
             points=tuple(out), eps=float(eps), mode=mode, detail=N
@@ -236,6 +255,21 @@ class _MuHat:
     def value(self, xi: Sequence[float]) -> complex:
         y = tuple(float(c) for c in xi)
         prod = complex(1.0)
+        if len(y) == len(self.D[0]) == len(self.minvT) == 2:
+            # mat_vec and mask_eval unpacked, in their float order
+            (a, b), (c, e) = self.minvT
+            u, v = y
+            digits = [(float(d0), float(d1)) for d0, d1 in self.D]
+            tau_j = 2j * math.pi
+            for _ in range(self.depth):
+                u, v = 0.0 + a * u + b * v, 0.0 + c * u + e * v
+                total = 0j
+                for d0, d1 in digits:
+                    total += cmath.exp(tau_j * (0.0 + d0 * u + d1 * v))
+                prod *= total / len(digits)
+                if abs(prod) < 1e-300:
+                    return 0j
+            return prod
         for _ in range(self.depth):
             y = tuple(mat_vec(self.minvT, y))
             prod *= mask_eval(self.D, y)
@@ -254,8 +288,9 @@ class _MuHat:
         on the hypot of the product. numpy's complex multiply, divide and
         abs are not used, since they may round differently from Python's.
         So every entry equals value() bit for bit. mu_hat_numeric keeps
-        the scalar path: for a single point the array path is several
-        times slower than the scalar product.
+        the scalar path, whose planar step unpacks the same operations on
+        a pair of floats: for a single point the array path is many times
+        slower.
         """
         import numpy as np
         ys = [Y[:, i] for i in range(Y.shape[1])]

@@ -4,7 +4,9 @@ Every exact command runs on a fixed set of problem files: the paper's
 SKEW, 2I and 3I instances, a GL_2(3) conjugate pair, certificate and
 swap-matrix systems, an infinite orthogonal family, refusals (collinear,
 singular, unit-eigenvalue, five-digit, single-digit and 1-D systems),
-and malformed inputs.
+and malformed inputs. The attractor's point clouds are replayed in csv,
+both modes, on SKEW, the swap matrix with its rational C, the 1-D [[4]]
+and 2I in 3-D: their floats come from IEEE + * / alone, never from libm.
 stdout, stderr and the exit code must match tests/golden/cli_reports.json
 byte for byte, apart from two masked values: timing_seconds, and
 verify-triple's float unitarity_defect, whose last bits follow the
@@ -73,6 +75,19 @@ PROBLEMS = {
         C=[[0], [[1, 2]]], L=1, j0=2,
     ),
 }
+ATTRACTOR = {
+    f"{name}_{mode}": dict(problem, mode=mode, k=4, N=60, seed=5)
+    for name, problem in {
+        "attractor_skew": dict(M=SKEW, D=THREE),
+        "attractor_swap": dict(PROBLEMS["swap"]),
+        "attractor_line": dict(M=[[4]], D=[[0], [2]]),
+        "attractor_2i_3d": dict(
+            M=[[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+            D=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ),
+    }.items()
+    for mode in ("digit_expansion", "chaos_game")
+}
 MALFORMED = {
     "not_json": "{M: 1",
     "not_object": "[1, 2]",
@@ -102,19 +117,19 @@ MASKS = (
 
 
 def write_problems(directory):
-    for name, problem in PROBLEMS.items():
+    for name, problem in {**PROBLEMS, **ATTRACTOR}.items():
         (directory / f"{name}.json").write_text(json.dumps(problem))
     for name, text in MALFORMED.items():
         (directory / f"{name}.json").write_text(text)
 
 
-def replay(directory, name, command):
-    """[exit code, stdout, stderr] of one json-format CLI run, masked."""
+def replay(directory, name, command, fmt="json"):
+    """[exit code, stdout, stderr] of one CLI run, masked."""
     from spectral_affine.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, "--input", str(directory / f"{name}.json"), "--format", "json"])
+        code = main([command, "--input", str(directory / f"{name}.json"), "--format", fmt])
     texts = []
     for text in (out.getvalue(), err.getvalue()):
         for pattern, mask in MASKS:
@@ -125,15 +140,15 @@ def replay(directory, name, command):
 
 
 CASES = [
-    (name, command)
+    (name, command, "json")
     for name in [*PROBLEMS, *MALFORMED, "missing_file"]
     for command in EXACT_COMMANDS
-]
+] + [(name, "attractor", "csv") for name in ATTRACTOR]
 
 
 def test_golden_covers_every_case():
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == sorted(f"{name} {command}" for name, command in CASES)
+    assert sorted(golden) == sorted(f"{name} {command}" for name, command, _ in CASES)
 
 
 def test_cli_matches_golden_reports(tmp_path):
@@ -141,8 +156,8 @@ def test_cli_matches_golden_reports(tmp_path):
     write_problems(tmp_path)
     mismatches = [
         f"{name} {command}"
-        for name, command in CASES
-        if replay(tmp_path, name, command) != golden[f"{name} {command}"]
+        for name, command, fmt in CASES
+        if replay(tmp_path, name, command, fmt) != golden[f"{name} {command}"]
     ]
     assert mismatches == []
 
@@ -153,7 +168,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         write_problems(directory)
-        reports = {f"{n} {c}": replay(directory, n, c) for n, c in CASES}
+        reports = {f"{n} {c}": replay(directory, n, c, f) for n, c, f in CASES}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(reports)} reports to {GOLDEN}\n")

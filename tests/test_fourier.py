@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import random
+import struct
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -30,12 +33,13 @@ from spectral_affine.hadamard import find_spectrum_set
 from spectral_affine.linalg import (
     as_matrix,
     det_and_adjugate,
+    is_expanding,
     mat_mul,
     mat_vec,
     transpose,
 )
 from spectral_affine.ortho import zero_membership
-from spectral_affine.zeros import DigitSystem, as_digit_set, zero_set
+from spectral_affine.zeros import DigitSystem, as_digit_set, mask_eval, zero_set
 
 THREE = ((0, 0), (1, 0), (0, 1))
 M3 = ((3, 0), (0, 3))
@@ -340,6 +344,16 @@ def test_tail_bound_matches_fraction_reference(M, rows, k):
     assert chaos.eps == float(_fraction_tail_bound(Minv, pts, 50))
 
 
+def _bits(x):
+    """IEEE bit patterns of a float, a complex, or a nested tuple or list
+    of them: unlike ==, they tell -0.0 from 0.0."""
+    if isinstance(x, complex):
+        return struct.pack("dd", x.real, x.imag)
+    if isinstance(x, float):
+        return struct.pack("d", x)
+    return tuple(_bits(c) for c in x)
+
+
 def _orbit(M, z, k, m):
     """(M^T)^m (z + k) as floats."""
     x = tuple(Fraction(c) + e for c, e in zip(z, k))
@@ -368,7 +382,7 @@ def test_mu_hat_batch_matches_scalar(M, coords, orbits, free):
     z = (Fraction(1, 3),) + (Fraction(0),) * (n - 1)
     xs = [_orbit(M, z, o[:n], o[3]) for o in orbits] + [tuple(f[:n]) for f in free]
     engine = _MuHat(M, D, 30)
-    assert engine.values(np.array(xs)) == [engine.value(x) for x in xs]
+    assert _bits(engine.values(np.array(xs))) == _bits([engine.value(x) for x in xs])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -383,8 +397,171 @@ def test_mu_hat_batch_cutoff_matches_scalar(n):
     xs = [_orbit(M, z, (0,) * n, m) for m in range(18, 32)] + [(0.3,) * n]
     engine = _MuHat(M, D, 40)
     want = [engine.value(x) for x in xs]
-    assert engine.values(np.array(xs)) == want
+    assert _bits(engine.values(np.array(xs))) == _bits(want)
     assert want[24 - 18] != 0 and want[25 - 18] == 0
+
+
+# ------------------------------------ differential: planar float kernels
+
+
+def _expansion_loop(M, digits, k):
+    """The digit expansion's n-dimensional loop, the reference for the
+    planar path."""
+    _, pts, det_m, adj = fourier._expansion_setup(M, digits)
+    den, levels = fourier._level_terms(det_m, adj, pts, k)
+    sums = {(0,) * len(M)}
+    for terms in levels:
+        sums = {tuple(map(add, base, term)) for base in sums for term in terms}
+    return tuple(tuple(c / den for c in p) for p in sorted(sums))
+
+
+def _chaos_loop(M, digits, N, seed, burn_in=50):
+    """The chaos game's n-dimensional loop through mat_vec."""
+    _, pts, det_m, adj = fourier._expansion_setup(M, digits)
+    rng = random.Random(seed)
+    Mf = tuple(tuple(x / det_m for x in row) for row in adj)
+    df = [tuple(float(c) for c in d) for d in pts]
+    x = (0.0,) * len(M)
+    out = []
+    for t in range(burn_in + N):
+        d = df[rng.randrange(len(df))]
+        x = tuple(mat_vec(Mf, tuple(a + b for a, b in zip(x, d))))
+        if t >= burn_in:
+            out.append(x)
+    return tuple(out)
+
+
+def _mu_hat_loop(M, D, xi, depth):
+    """The truncated product's n-dimensional loop through mat_vec and
+    mask_eval."""
+    minvT = _MuHat(as_matrix(M), as_digit_set(D), depth).minvT
+    y = tuple(float(c) for c in xi)
+    prod = complex(1.0)
+    for _ in range(depth):
+        y = tuple(mat_vec(minvT, y))
+        prod *= mask_eval(as_digit_set(D), y)
+        if abs(prod) < 1e-300:
+            return 0j
+    return prod
+
+
+@st.composite
+def planar_maps(draw):
+    """Expanding 2x2 integer maps with entries up to 6 in modulus, either
+    sign of det M."""
+    M = tuple(tuple(draw(st.integers(-6, 6)) for _ in range(2)) for _ in range(2))
+    assume(is_expanding(M))
+    return M
+
+
+rational_digits = st.lists(
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize(
+    "M, digits",
+    [
+        (SWAP, SWAP_C),  # det -90, 0 on the diagonal of M^{-1}
+        (SWAP, SWAP_D),
+        (((3, 1), (1, 4)), THREE),
+        (((-2, 0), (0, -2)), ((0, 0), (-1, 0), (0, Fraction(-1, 2)))),
+        (((-3,),), ((0,), (Fraction(1, 2),), (Fraction(-2, 3),))),
+        (((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 0), (1, 0, 0), (0, 1, 0))),
+    ],
+)
+def test_attractor_matches_loops_bitwise_fixed(M, digits):
+    for k in (1, 4):
+        assert _bits(attractor_sample(M, digits, k=k).points) == _bits(
+            _expansion_loop(M, digits, k)
+        )
+    chaos = attractor_sample(M, digits, mode="chaos_game", N=300, seed=3)
+    assert _bits(chaos.points) == _bits(_chaos_loop(M, digits, 300, 3))
+    # without burn-in, a first step by a zero digit sums two zero products
+    for seed in range(8):
+        chaos = attractor_sample(M, digits, mode="chaos_game", N=5, seed=seed, burn_in=0)
+        assert _bits(chaos.points) == _bits(_chaos_loop(M, digits, 5, seed, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(planar_maps(), expanding_maps()),
+    rational_digits,
+    st.booleans(),
+    st.integers(1, 5),
+    st.integers(0, 2**32),
+    st.sampled_from((0, 1, 50)),
+)
+def test_attractor_matches_loops_bitwise(M, rows, zero, k, seed, burn_in):
+    digits = {tuple(r[: len(M)]) for r in rows} | ({(0,) * len(M)} if zero else set())
+    assume(len(digits) ** k <= 1024)
+    got = attractor_sample(M, digits, k=k).points
+    assert _bits(got) == _bits(_expansion_loop(M, digits, k))
+    chaos = attractor_sample(
+        M, digits, mode="chaos_game", N=200, seed=seed, burn_in=burn_in
+    )
+    assert _bits(chaos.points) == _bits(_chaos_loop(M, digits, 200, seed, burn_in))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(planar_maps(), expanding_maps()),
+    st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=5),
+    st.lists(
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 1000)),
+        min_size=3,
+        max_size=3,
+    ),
+    st.integers(1, 80),
+)
+def test_mu_hat_matches_loop_bitwise(M, rows, xi, depth):
+    D = tuple({tuple(r[: len(M)]) for r in rows})
+    xi = xi[: len(M)]
+    assert _bits(mu_hat_numeric(M, D, xi, depth)) == _bits(_mu_hat_loop(M, D, xi, depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(planar_maps(), expanding_maps(st.just(2))),
+    st.lists(small, min_size=4, max_size=4),
+    st.tuples(small, small),
+    st.integers(0, 3),
+    st.integers(1, 80),
+)
+def test_mu_hat_matches_loop_bitwise_at_mask_zero_images(M, coords, k, m, depth):
+    # z = (1/3, 0) is a zero of the mask, as in the batch test above
+    D = ((0, 0), (1 + 3 * coords[0], coords[2]), (2 + 3 * coords[1], coords[3]))
+    xi = _orbit(M, (Fraction(1, 3), Fraction(0)), k, m)
+    assert _bits(mu_hat_numeric(M, D, xi, depth)) == _bits(_mu_hat_loop(M, D, xi, depth))
+
+
+def test_mu_hat_matches_loop_bitwise_across_the_cutoff():
+    # M^T = -2I keeps the mask zero (1/3, 0) mod 1 and M^{-T} is exact in
+    # binary: the product crosses 1e-300 between m = 24 and m = 25
+    M = ((-2, 0), (0, -2))
+    D = ((0, 0), (1, 0), (2, 0))
+    for m in range(18, 32):
+        xi = _orbit(M, (Fraction(1, 3), Fraction(0)), (0, 0), m)
+        want = _mu_hat_loop(M, D, xi, 40)
+        assert _bits(mu_hat_numeric(M, D, xi, 40)) == _bits(want)
+        assert (want == 0) == (m >= 25)
+
+
+@pytest.mark.parametrize(
+    "M, D, xi",
+    [
+        (M3, ((0,), (1,), (2,)), (0, 0)),  # 1-D digits under a planar map
+        (M3, THREE, (0, 0, 0)),  # a 3-D point under a planar map
+        (M3, THREE, (0,)),
+        (((3,),), ((0,), (1,)), (1, 2)),
+    ],
+)
+def test_mu_hat_refusals_match_loop(M, D, xi):
+    got = _outcome(mu_hat_numeric, M, D, xi, 5)
+    assert got == _outcome(_mu_hat_loop, M, D, xi, 5)
+    assert got[0] is WrongDimension
 
 
 def _scalar_scan(M, D, freqs, eta, resolution, depth):
