@@ -213,7 +213,8 @@ def _csv_header(n: int) -> list[str]:
 
 def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dict, int, Optional[list]]:
     """Run one command; returns (result-dict, exit-code, csv-rows). The
-    result holds library values (tuples, Fractions) that emit renders."""
+    result and the rows, a header then one tuple per point, hold library
+    values (tuples, Fractions, floats) that emit renders."""
     M = problem["M"]
 
     def pick(name: str, default=None):
@@ -225,7 +226,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
     if command == "zero-set":
         D = _need(problem, "D", command)
         zs = zero_set(D, q_hints=problem.get("q_hints", ()))
-        rows = [_csv_header(len(M))] + [[str(c) for c in pt] for pt in zs.points]
+        rows = [_csv_header(len(M)), *zs.points]
         result = {
             "points": zs.points,
             "q": zs.q,
@@ -398,9 +399,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             N=pick("N", 2000),
             seed=pick("seed"),
         )
-        rows = [_csv_header(len(M))] + [
-            [repr(c) for c in pt] for pt in sample.points
-        ]
+        rows = [_csv_header(len(M)), *sample.points]
         result = {
             "count": len(sample.points),
             "eps": sample.eps,
@@ -414,9 +413,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         C = _need(problem, "C", command)
         levels = pick("levels", 1)
         cand = spectrum_candidate(M, D, C, levels)
-        rows = [_csv_header(len(M))] + [
-            [str(c) for c in f] for f in cand.frequencies
-        ]
+        rows = [_csv_header(len(M)), *cand.frequencies]
         result = {
             "levels": cand.levels,
             "count": len(cand.frequencies),
@@ -449,7 +446,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         flat = [q for row in scan.values for q in row]
         grid = itertools.product(scan.axis, repeat=len(M))
         rows = [_csv_header(len(M)) + ["q"]] + [
-            [repr(c) for c in pt] + [repr(q)] for pt, q in zip(grid, flat)
+            (*pt, q) for pt, q in zip(grid, flat)
         ]
         result = {
             "eta": scan.eta,
@@ -525,7 +522,8 @@ def emit(report: dict, fmt: str, csv_rows: Optional[list]) -> str:
             raise ProblemFormatError(
                 "csv output is only available for point-producing commands"
             )
-        return "\n".join(",".join(row) for row in csv_rows) + "\n"
+        # str of a float is its repr, and of a Fraction its n/d form
+        return "\n".join(",".join(map(str, row)) for row in csv_rows) + "\n"
     raise ProblemFormatError(f"unknown format: {fmt}")
 
 

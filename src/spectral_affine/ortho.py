@@ -102,67 +102,55 @@ def has_infinite_orthogonal(
     return (level is not None, level)
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 def _max_clique(
     adj: Sequence[int], node_budget: Optional[int]
 ) -> tuple[list[int], int, bool]:
-    """Exact maximum clique by branch and bound with greedy coloring.
+    """Exact maximum clique by branch and bound with greedy coloring
+    (Tomita and Seki's MCQ), run on an explicit stack.
 
-    adj[i] is a bitmask of neighbors. Returns (vertices, nodes, complete);
-    when the node budget runs out the best clique found so far is returned
-    with complete False, which still certifies a lower bound.
+    adj[i] is a bitmask of neighbors. A search node colors its candidates
+    first-fit in index order, one class at a time, and branches on them
+    from the last class back; it is abandoned once the clique plus a
+    vertex's color cannot beat the best. Returns (vertices, nodes,
+    complete); when the node budget runs out the longer of the best clique
+    and the current path, itself a clique, is returned with complete False,
+    which still certifies a lower bound.
     """
     best: list[int] = []
+    clique: list[int] = []
+    stack: list[list] = []  # per open node: [(vertex, color), ...], unbranched mask
     nodes = 0
-    truncated = False
-
-    def expand(P: int, clique: list[int]) -> None:
-        nonlocal best, nodes, truncated
-        if truncated:
-            return
+    P = (1 << len(adj)) - 1
+    while True:
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            truncated = True
-            return
-        if P == 0:
-            if len(clique) > len(best):
-                best = clique.copy()
-            return
-        color: dict[int, int] = {}
-        classes: list[int] = []
-        for v in _bits(P):
-            for ci in range(len(classes)):
-                if not (classes[ci] & adj[v]):
-                    classes[ci] |= 1 << v
-                    color[v] = ci + 1
-                    break
-            else:
-                classes.append(1 << v)
-                color[v] = len(classes)
-        ordered = sorted(_bits(P), key=lambda v: color[v])
-        while ordered:
-            v = ordered.pop()
-            if len(clique) + color[v] <= len(best):
-                return
-            clique.append(v)
-            rest = 0
-            for u in ordered:
-                rest |= 1 << u
-            expand(rest & adj[v], clique)
-            clique.pop()
-            if truncated:
-                return
-
-    expand((1 << len(adj)) - 1, [])
-    return best, nodes, not truncated
+            return max(best, clique, key=len), nodes, False
+        if P:
+            order, U, color = [], P, 0
+            while U:
+                color += 1
+                Q = U
+                while Q:
+                    b = Q & -Q
+                    v = b.bit_length() - 1
+                    order.append((v, color))
+                    U ^= b
+                    Q &= ~(adj[v] | b)
+            stack.append([order, P])
+        elif len(clique) > len(best):
+            best = clique.copy()
+        while stack:
+            order, rest = frame = stack[-1]
+            del clique[len(stack) - 1 :]
+            if order and len(clique) + order[-1][1] > len(best):
+                v = order.pop()[0]
+                frame[1] = rest = rest ^ (1 << v)
+                P = rest & adj[v]
+                clique.append(v)
+                break
+            stack.pop()
+        else:
+            return best, nodes, True
 
 
 def _cayley_upper(eng: DigitSystem) -> Optional[int]:
@@ -300,7 +288,8 @@ def nstar_bounds(
     vertices: list[IntVector] = [zero] + candidates
     adj = eng.orthogonality_graph(vertices)
     best, nodes, complete = _max_clique(adj, node_budget)
-    chosen = [vertices[i] for i in sorted(best)]
+    # vertex 0 is joined to every candidate, so a stopped search keeps it too
+    chosen = [vertices[i] for i in sorted({0, *best})]
     # an independent walk per difference up to sign: w and -w share their
     # verdict, as the residues are closed under negation
     diffs = {sign_canonical(tuple(map(sub, u, v))) for u, v in combinations(chosen, 2)}

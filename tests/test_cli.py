@@ -205,6 +205,18 @@ def test_nstar_with_flag_overrides(tmp_path, capsys):
     assert narrow["result"]["lower"] == 3
 
 
+def test_nstar_zero_budget(tmp_path, capsys):
+    # the search stops at its first node; frequency 0 alone is a verified
+    # family, and the stopped search exits 2
+    path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0)
+    code, payload = run_json(capsys, "nstar", "--input", path, "--budget", "0")
+    assert code == 2
+    result = payload["result"]
+    assert (result["lower"], result["upper"], result["method"]) == (1, 9, "clique")
+    assert result["witness"] == [[0, 0]] and result["witness_verified"] is True
+    assert (result["search_nodes"], result["search_complete"]) == (1, False)
+
+
 def test_nstar_bounds_when_det_shares_p(tmp_path, capsys):
     # det -3: the zeros' orbit mod 3 is {(0, 1), (0, 2)}, two classes
     # joined by an edge, so three exponentials are the most
@@ -337,6 +349,25 @@ def test_spectrum(tmp_path, capsys):
     assert payload["result"]["count"] == 9
     assert payload["result"]["orthogonal"] is True
     assert payload["result"]["failing_pair"] is None
+
+
+def test_spectrum_csv(tmp_path, capsys):
+    C = [[0, 0], [[1, 3], [2, 3]], [[2, 3], [1, 3]]]
+    path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, C=C, levels=2)
+    code, out, _ = run(capsys, "spectrum", "--input", path, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "x,y",
+        "0,0",
+        "5/3,3",
+        "7/3,2",
+        "8,41/3",
+        "9,31/3",
+        "29/3,50/3",
+        "31/3,47/3",
+        "32/3,40/3",
+        "34/3,37/3",
+    ]
 
 
 def test_q_scan_given_and_computed_eta(tmp_path, capsys):

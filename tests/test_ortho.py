@@ -521,10 +521,112 @@ def test_nstar_family_cap_without_grid_zeros():
     assert out.lower >= 3
 
 
+def _bits(mask):
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def max_clique_reference(adj, node_budget):
+    """The recursive branch and bound that _max_clique replaced: colors
+    each node's candidates vertex by vertex first-fit, sorts them by color
+    and recurses per branch. A stopped search returns the longer of the
+    best clique and the path to the node that went over the budget."""
+    best, path = [], None
+    nodes = 0
+
+    def expand(P, clique):
+        nonlocal best, path, nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            path = clique.copy()
+            return
+        if P == 0:
+            if len(clique) > len(best):
+                best = clique.copy()
+            return
+        color, classes = {}, []
+        for v in _bits(P):
+            for ci in range(len(classes)):
+                if not (classes[ci] & adj[v]):
+                    classes[ci] |= 1 << v
+                    color[v] = ci + 1
+                    break
+            else:
+                classes.append(1 << v)
+                color[v] = len(classes)
+        ordered = sorted(_bits(P), key=lambda v: color[v])
+        while ordered:
+            v = ordered.pop()
+            if len(clique) + color[v] <= len(best):
+                return
+            clique.append(v)
+            rest = 0
+            for u in ordered:
+                rest |= 1 << u
+            expand(rest & adj[v], clique)
+            clique.pop()
+            if path is not None:
+                return
+
+    expand((1 << len(adj)) - 1, [])
+    if path is None:
+        return best, nodes, True
+    return max(best, path, key=len), nodes, False
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Adjacency bitmasks of a random simple graph on 0-30 vertices, its
+    edge density drawn too."""
+    n = draw(st.integers(0, 30))
+    density = draw(st.floats(0, 1))
+    rng = draw(st.randoms(use_true_random=False))
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_graphs(), st.one_of(st.none(), st.integers(0, 50)))
+def test_max_clique_matches_the_recursive_reference(adj, budget):
+    best, nodes, complete = _max_clique(adj, budget)
+    assert (best, nodes, complete) == max_clique_reference(adj, budget)
+    assert all(adj[u] >> v & 1 for u in best for v in best if u != v)
+
+
+def test_max_clique_beyond_the_recursion_limit():
+    # one search node per member: deeper than the interpreter's recursion
+    # limit, which stopped the recursive search with RecursionError
+    n = 1500
+    full = (1 << n) - 1
+    best, nodes, complete = _max_clique([full ^ (1 << i) for i in range(n)], None)
+    assert sorted(best) == list(range(n))
+    assert (nodes, complete) == (n + 1, True)
+
+
 def test_nstar_budget_truncation():
-    out = nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=3)
-    assert not out.search_complete
-    assert out.lower <= 9
+    # a stopped search keeps the longer of its best clique and its current
+    # path, and frequency 0, joined to every candidate: here the path down
+    # the first branch, one member per search node, then frequency 0
+    for budget in range(10):
+        out = nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=budget)
+        assert not out.search_complete and out.search_nodes == budget + 1
+        family = out.witness.frequencies
+        assert out.lower == min(budget + 1, 9) == len(family)
+        assert out.witness.verified and family[0] == (0, 0)
+        assert all(
+            zero_membership(SKEW, THREE, tuple(map(sub, a, b))) is not None
+            for i, a in enumerate(family)
+            for b in family[:i]
+        )
 
 
 def test_nstar_validations():
