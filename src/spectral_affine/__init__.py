@@ -25,7 +25,6 @@ from .errors import (
     WrongDimension,
 )
 from .linalg import (
-    CosetTransversal,
     as_matrix,
     char_poly,
     coset_transversal,
@@ -72,7 +71,6 @@ from .conjugacy import (
 from .ortho import (
     NonSpectralCertificate,
     NStarBounds,
-    OrthogonalFamily,
     TransportReport,
     has_infinite_orthogonal,
     nonspectral_certificate,

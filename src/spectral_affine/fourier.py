@@ -213,8 +213,8 @@ def attractor_sample(
         x = (0.0,) * len(M)
         out = []
         if len(M) == 2:
-            # mat_vec's float steps unpacked; its builtin sum starts from the
-            # int 0, and 0.0 + keeps that turning a -0.0 into 0.0
+            # the step below unpacked on a pair, in _dot's order, whose
+            # 0.0 + turns a -0.0 into 0.0
             (a, b), (c, e) = Mf
             u, v = x
             for t in range(burn_in + N):
@@ -226,7 +226,8 @@ def attractor_sample(
         else:
             for t in range(burn_in + N):
                 d = df[rng.randrange(len(df))]
-                x = tuple(mat_vec(Mf, tuple(a + b for a, b in zip(x, d))))
+                y = [a + b for a, b in zip(x, d)]
+                x = tuple([_dot(row, y) for row in Mf])
                 if t >= burn_in:
                     out.append(x)
         eps = _tail_bound(adj, abs(det_m), pts, burn_in)
@@ -256,7 +257,7 @@ class _MuHat:
         y = tuple(float(c) for c in xi)
         prod = complex(1.0)
         if len(y) == len(self.D[0]) == len(self.minvT) == 2:
-            # mat_vec and mask_eval unpacked, in their float order
+            # the steps below unpacked on a pair, in their float order
             (a, b), (c, e) = self.minvT
             u, v = y
             digits = [(float(d0), float(d1)) for d0, d1 in self.D]
@@ -270,8 +271,11 @@ class _MuHat:
                 if abs(prod) < 1e-300:
                     return 0j
             return prod
+        # mat_vec's refusal, in its words; its builtin sum is not used
+        if len(y) != len(self.minvT):
+            raise WrongDimension("matrix-vector dimension mismatch")
         for _ in range(self.depth):
-            y = tuple(mat_vec(self.minvT, y))
+            y = [_dot(row, y) for row in self.minvT]
             prod *= mask_eval(self.D, y)
             if abs(prod) < 1e-300:
                 return 0j
@@ -313,10 +317,11 @@ class _MuHat:
         return [complex(r, i) for r, i in zip(re.tolist(), im.tolist())]
 
 
-def _dot(coeffs: Sequence, ys: Sequence[np.ndarray]) -> np.ndarray:
-    """0.0 + c0*y0 + c1*y1 + ..., the order in which the builtin sum adds
-    floats up to Python 3.11 (from 3.12 it compensates, which can move the
-    last bit of a sum of three or more terms)."""
+def _dot(coeffs: Sequence, ys: Sequence) -> float | np.ndarray:
+    """0.0 + c0*y0 + c1*y1 + ..., on floats or arrays: the order in which
+    the builtin sum adds floats up to Python 3.11. From 3.12 it
+    compensates, which can move the last bit of a sum of three or more
+    terms, so no float path sums with it."""
     acc = 0.0
     for c, y in zip(coeffs, ys):
         acc = acc + c * y
@@ -564,13 +569,13 @@ def suggest_eta(
 class QScanResult:
     """Grid of quadratic frame sums for a candidate frequency family.
 
-    values is row-major over the Cartesian grid of axis coordinates. For
+    values is row-major over the Cartesian grid of axis coordinates, which
+    is centered at the origin. For
     an exactly orthogonal family every value is at most one up to float
     slack; a minimum staying near one as levels and depth grow supports
     completeness of the family.
     """
 
-    center: tuple[float, ...]
     eta: float
     resolution: int
     depth: int
@@ -631,7 +636,6 @@ def completeness_scan(
     if candidate.orthogonal and not max_q <= 1 + 1e-9:
         raise AssertionError("frame sum exceeded the orthogonality bound")
     return QScanResult(
-        center=(0.0,) * n,
         eta=float(eta),
         resolution=resolution,
         depth=depth,

@@ -142,7 +142,7 @@ def find_spectrum_set(
     if nreps - 1 < k:
         return HadamardSearch("none", None, search_space, 0)
 
-    reps = coset_transversal(transpose(M)).reps
+    reps = coset_transversal(transpose(M))
     vanishes = ds.vanishes
     nonzero = [r for r in reps if any(r)]
     filtered = [r for r in nonzero if vanishes(r)]

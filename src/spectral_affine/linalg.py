@@ -10,7 +10,6 @@ of modulus exactly 1 gives a plain "not expanding".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, neg
 from typing import Iterator, Optional, Sequence
 
@@ -340,10 +339,6 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 add_col(k, j, -(a[k][j] // p))
             if not done:
                 continue
-            if any(a[i][k] != 0 for i in range(k + 1, n)) or any(
-                a[k][j] != 0 for j in range(k + 1, n)
-            ):
-                continue
             # pivot must divide every remaining entry
             offender = None
             for i in range(k + 1, n):
@@ -371,14 +366,6 @@ def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return S, Lm, Rm
 
 
-@dataclass(frozen=True)
-class CosetTransversal:
-    """Representatives of Z^n modulo the column lattice of base."""
-
-    base: Matrix
-    reps: tuple[IntVector, ...]
-
-
 def unimodular_inverse(U: Matrix) -> Matrix:
     d, adj = det_and_adjugate(U)
     if d not in (1, -1):
@@ -386,7 +373,7 @@ def unimodular_inverse(U: Matrix) -> Matrix:
     return mat_scale(adj, d)
 
 
-def coset_transversal(M: Matrix) -> CosetTransversal:
+def coset_transversal(M: Matrix) -> tuple[IntVector, ...]:
     """Canonical coset representatives of Z^n / M Z^n, zero vector first.
 
     Derived from the Smith form L*M*R = S: the boxes [0, s_i) pushed through
@@ -404,7 +391,7 @@ def coset_transversal(M: Matrix) -> CosetTransversal:
         reps = [tuple(map(add, v, w)) for v in reps for w in steps]
     if len(reps) != abs(d):
         raise AssertionError("transversal size must equal |det|")
-    return CosetTransversal(base=M, reps=tuple(reps))
+    return tuple(reps)
 
 
 def in_lattice(M: Matrix, v: Sequence[int]) -> bool:

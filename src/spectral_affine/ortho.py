@@ -34,7 +34,6 @@ from .linalg import (
     det,
     identity,
     is_expanding,
-    is_prime,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -204,16 +203,11 @@ def _cayley_upper(eng: DigitSystem) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class OrthogonalFamily:
-    frequencies: tuple[RationalPoint, ...]
-    verified: bool
-
-
-@dataclass(frozen=True)
 class NStarBounds:
     """Two-sided bounds on the maximal orthogonal exponential count.
 
-    lower always comes with a re-verified witness family. upper is the
+    lower is the size of witness, a family of frequencies through 0 whose
+    pairwise differences were re-verified one walk each. upper is the
     Cayley-graph count on the orbit of the mask zeros, tagged "clique", or
     None, tagged "infinite", when some power M^{T j} maps a mask zero into
     Z^n and the family is unbounded. search_nodes and search_complete
@@ -221,7 +215,7 @@ class NStarBounds:
     """
 
     lower: int
-    witness: OrthogonalFamily
+    witness: tuple[RationalPoint, ...]
     upper: Optional[int]
     method: str
     search_nodes: int
@@ -246,13 +240,13 @@ def nstar_bounds(
     mod the least divisor m of their common denominator q that keeps 0 out
     of it, one prime of m at a time (1 without zeros), and is None when the
     orbit reaches 0 mod q. Neither bound needs a condition on det M or p;
-    the prime p, the grid of the paper's similarity, only sets the default
-    window J = 2(p^n - 1).
+    p, any integer >= 2 (the paper's similarity takes a prime), only sets
+    the default window J = 2(p^n - 1).
     """
     M = as_matrix(M)
     D = as_digit_set(D)
-    if not is_prime(p):
-        raise ValueError("modulus must be prime")
+    if p < 2:
+        raise ValueError("window modulus p must be at least 2")
     if R < 0 or (J is not None and J < 1):
         raise ValueError("search window must be positive")
     if node_budget < 0:
@@ -295,10 +289,9 @@ def nstar_bounds(
     diffs = {sign_canonical(tuple(map(sub, u, v))) for u, v in combinations(chosen, 2)}
     if any(eng.membership(w, q) is None for w in diffs):
         raise AssertionError("witness family failed re-verification")
-    family = tuple(tuple(Fraction(c, q) for c in v) for v in chosen)
-    witness = OrthogonalFamily(frequencies=family, verified=True)
+    witness = tuple(tuple(Fraction(c, q) for c in v) for v in chosen)
     return NStarBounds(
-        lower=len(family),
+        lower=len(witness),
         witness=witness,
         upper=upper,
         method="infinite" if upper is None else "clique",

@@ -112,13 +112,19 @@ def lattice_form(points: Sequence[RationalPoint]) -> tuple[int, tuple[IntVector,
 
 
 def mask_eval(D: DigitSet, x: Sequence) -> complex:
-    """Numeric mask value at x; x may hold floats, ints, or Fractions."""
+    """Numeric mask value at x; x may hold floats, ints, or Fractions.
+
+    Each phase is added left to right from 0.0, the order of the builtin
+    sum up to Python 3.11, whose compensated sum from 3.12 could move its
+    last bit."""
     xs = [float(c) for c in x]
     if len(xs) != len(D[0]):
         raise WrongDimension("point dimension does not match digits")
     total = 0j
     for d in D:
-        phase = sum(di * xi for di, xi in zip(d, xs))
+        phase = 0.0
+        for di, xi in zip(d, xs):
+            phase = phase + di * xi
         total += cmath.exp(2j * cmath.pi * phase)
     return total / len(D)
 
@@ -250,7 +256,7 @@ def _lattice_preimage(
     m, numerators = base
     den = m * abs(d)
     (a00, a01), (a10, a11) = adj
-    reps = coset_transversal(transpose(B)).reps
+    reps = coset_transversal(transpose(B))
     found = set()
     for b0, b1 in numerators:
         for r0, r1 in reps:
@@ -284,10 +290,9 @@ def four_digit_frame(D: DigitSet) -> Matrix | None:
     c = tuple(v // 4 for v in s)
     if c not in D:
         return None
-    rest = [tuple(di - ci for di, ci in zip(d, c)) for d in D if d != c]
-    a, b, g = rest
-    if (a[0] + b[0] + g[0], a[1] + b[1] + g[1]) != (0, 0):
-        return None
+    # the other three digits minus c sum to 4c - c - 3c = 0, so the third
+    # is -alpha-beta
+    a, b, _ = [tuple(di - ci for di, ci in zip(d, c)) for d in D if d != c]
     return ((a[0], b[0]), (a[1], b[1]))
 
 

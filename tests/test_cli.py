@@ -457,6 +457,46 @@ def test_float_input_rejected(tmp_path, capsys):
     assert "ProblemFormatError" in err and "[num, den]" in err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(p="3"), "p: expected an exact integer"),
+        (dict(L=True), "L: expected a number"),
+        (dict(L="1/3"), "L: expected an integer or a [num, den] pair"),
+        (dict(M=[]), "M: expected a list of rows"),
+        (dict(M=[[3, 0], 3]), "M[1]: expected a list"),
+        (dict(C=[]), "C: expected a list of points"),
+        (dict(C=[[0, 0], 1]), "C[1]: expected a list"),
+        (dict(xi=3), "xi: expected a list of coordinates"),
+        (dict(M=None), "problem file must define the matrix M"),
+        (dict(S=[[0, 0], [1, 0, 0]]), "S: dimension does not match M"),
+        (dict(A=[[1]]), "A: dimension does not match M"),
+        (dict(B=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "B: dimension does not match M"),
+        (dict(C=[[0, 0], [1]]), "C: dimension does not match M"),
+        (dict(xi=[1, 2, 3]), "xi: dimension does not match M"),
+        (dict(q_hints=2), "q_hints: expected a list of integers"),
+    ],
+)
+def test_problem_fields_refused(tmp_path, capsys, fields, message):
+    fields = dict(dict(M=[[3, 0], [0, 3]], D=THREE), **fields)
+    if fields["M"] is None:
+        del fields["M"]
+    path = problem(tmp_path, **fields)
+    code, out, err = run(capsys, "zero-set", "--input", path)
+    assert (code, out) == (1, "")
+    assert err == f"error (ProblemFormatError): {message}\n"
+
+
+def test_csv_header_past_three_dimensions(tmp_path, capsys):
+    M = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    D = [[0] * 4] + M
+    path = problem(tmp_path, M=M, D=D, k=2)
+    code, out, _ = run(capsys, "attractor", "--input", path, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x1,x2,x3,x4" and len(lines) == 1 + 5**2
+
+
 def test_missing_field_and_bad_json(tmp_path, capsys):
     path = problem(tmp_path, M=[[3, 0], [0, 3]])
     code, _, err = run(capsys, "zero-set", "--input", str(path))

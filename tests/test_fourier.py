@@ -5,7 +5,8 @@ import math
 import random
 import struct
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -415,8 +416,16 @@ def _expansion_loop(M, digits, k):
     return tuple(tuple(c / den for c in p) for p in sorted(sums))
 
 
+def _float_mat_vec(M, v):
+    """mat_vec on floats with each row summed 0.0 + m0*v0 + m1*v1 + ...,
+    the builtin sum's order up to Python 3.11, on any version."""
+    if len(M[0]) != len(v):
+        raise WrongDimension("matrix-vector dimension mismatch")
+    return tuple(reduce(add, map(mul, row, v), 0.0) for row in M)
+
+
 def _chaos_loop(M, digits, N, seed, burn_in=50):
-    """The chaos game's n-dimensional loop through mat_vec."""
+    """The chaos game's n-dimensional loop through _float_mat_vec."""
     _, pts, det_m, adj = fourier._expansion_setup(M, digits)
     rng = random.Random(seed)
     Mf = tuple(tuple(x / det_m for x in row) for row in adj)
@@ -425,20 +434,20 @@ def _chaos_loop(M, digits, N, seed, burn_in=50):
     out = []
     for t in range(burn_in + N):
         d = df[rng.randrange(len(df))]
-        x = tuple(mat_vec(Mf, tuple(a + b for a, b in zip(x, d))))
+        x = _float_mat_vec(Mf, tuple(a + b for a, b in zip(x, d)))
         if t >= burn_in:
             out.append(x)
     return tuple(out)
 
 
 def _mu_hat_loop(M, D, xi, depth):
-    """The truncated product's n-dimensional loop through mat_vec and
-    mask_eval."""
+    """The truncated product's n-dimensional loop through _float_mat_vec
+    and mask_eval."""
     minvT = _MuHat(as_matrix(M), as_digit_set(D), depth).minvT
     y = tuple(float(c) for c in xi)
     prod = complex(1.0)
     for _ in range(depth):
-        y = tuple(mat_vec(minvT, y))
+        y = _float_mat_vec(minvT, y)
         prod *= mask_eval(as_digit_set(D), y)
         if abs(prod) < 1e-300:
             return 0j
@@ -596,6 +605,15 @@ def _candidate(freqs):
         ),
         (
             ((2, 1, 0), (0, 3, 0), (0, 0, -2)),
+            ((0, 0, 0), (1, 0, 0), (0, 1, 1)),
+            _candidate(((0, 0, 0), (1, 2, 0), (Fraction(1, 3), 0, 4))),
+            0.25,
+            3,
+        ),
+        # rows of three nonzero terms: a compensated sum (the builtin one
+        # from Python 3.12) moves the last bit at 47 of these 81 points
+        (
+            ((3, 1, 1), (1, 4, 1), (2, 1, 5)),
             ((0, 0, 0), (1, 0, 0), (0, 1, 1)),
             _candidate(((0, 0, 0), (1, 2, 0), (Fraction(1, 3), 0, 4))),
             0.25,

@@ -176,7 +176,7 @@ def _reference_search(M, D, budget):
         return is_zero_exact(D, tuple(Fraction(c, d) for c in mat_vec(adjT, v)))
 
     k = len(D) - 1
-    reps = coset_transversal(transpose(M)).reps
+    reps = coset_transversal(transpose(M))
     filtered = [r for r in reps if any(r) and vanishes(r)]
     examined = 0
     for subset in combinations(filtered, k):

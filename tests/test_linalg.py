@@ -1,5 +1,6 @@
 """Exact integer linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from spectral_affine.errors import SingularMatrix, SingularModP, WrongDimension
 from spectral_affine.linalg import (
+    _is_snf,
     as_matrix,
     char_poly,
     coset_transversal,
@@ -270,12 +272,128 @@ def test_smith_normal_form_properties(rows):
             assert b == 0
 
 
+def smith_normal_form_reference(A):
+    """smith_normal_form as it was with a second zero check after the
+    row and column reductions, which only ran once every remainder was
+    zero; the reductions had then cleared the pivot's row and column."""
+    n = len(A)
+    if _is_snf(A):
+        return A, identity(n), identity(n)
+    a = [[int(x) for x in row] for row in A]
+    L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def add_row(src, dst, c):
+        for j in range(n):
+            a[dst][j] += c * a[src][j]
+            L[dst][j] += c * L[src][j]
+
+    def add_col(src, dst, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in R:
+            row[dst] += c * row[src]
+
+    for k in range(n):
+        while True:
+            pivot = None
+            best = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    v = abs(a[i][j])
+                    if v != 0 and (best is None or v < best):
+                        best = v
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            pi, pj = pivot
+            if pi != k:
+                a[k], a[pi] = a[pi], a[k]
+                L[k], L[pi] = L[pi], L[k]
+            if pj != k:
+                for row in a + R:
+                    row[k], row[pj] = row[pj], row[k]
+            p = a[k][k]
+            done = True
+            for i in range(k + 1, n):
+                if a[i][k] % p != 0:
+                    done = False
+                add_row(k, i, -(a[i][k] // p))
+            for j in range(k + 1, n):
+                if a[k][j] % p != 0:
+                    done = False
+                add_col(k, j, -(a[k][j] // p))
+            if not done:
+                continue
+            if any(a[i][k] != 0 for i in range(k + 1, n)) or any(
+                a[k][j] != 0 for j in range(k + 1, n)
+            ):
+                continue
+            offender = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    if a[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, k, 1)
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            L[k] = [-x for x in L[k]]
+    return tuple(map(tuple, a)), tuple(map(tuple, L)), tuple(map(tuple, R))
+
+
+def _diagonal(d):
+    return tuple(tuple(x if i == j else 0 for j in range(len(d))) for i, x in enumerate(d))
+
+
+square_2_3 = st.integers(2, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+snf_inputs = st.one_of(
+    square_2_3,
+    # singular: the last row a multiple of the first
+    st.tuples(square_2_3, st.integers(-3, 3)).map(
+        lambda t: t[0][:-1] + [[t[1] * x for x in t[0][0]]]
+    ),
+    # diagonal, in Smith form or not
+    st.lists(st.integers(-12, 12), min_size=2, max_size=3).map(_diagonal),
+    # already in Smith form: a divisibility chain, zeros last
+    st.tuples(
+        st.lists(st.integers(1, 4), min_size=2, max_size=3), st.integers(0, 2)
+    ).map(
+        lambda t: _diagonal(
+            [
+                0 if i >= len(t[0]) - t[1] else math.prod(t[0][: i + 1])
+                for i in range(len(t[0]))
+            ]
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(snf_inputs)
+def test_smith_normal_form_matches_reference(rows):
+    # L fixes the order of coset_transversal, and so find_spectrum_set's
+    # answers: the factors must match, not only S
+    M = as_matrix(rows)
+    assert smith_normal_form(M) == smith_normal_form_reference(M)
+
+
 def test_coset_transversal_fixtures():
     t = coset_transversal(((1, 0), (0, 2)))
-    assert t.reps == ((0, 0), (0, 1))
+    assert t == ((0, 0), (0, 1))
     t = coset_transversal(((3, 0), (0, 3)))
-    assert len(t.reps) == 9
-    assert t.reps[0] == (0, 0)
+    assert len(t) == 9
+    assert t[0] == (0, 0)
     with pytest.raises(SingularMatrix):
         coset_transversal(((1, 2), (2, 4)))
 
@@ -287,16 +405,16 @@ def test_coset_transversal_is_complete(rows):
     if det(M) == 0 or abs(det(M)) > 40:
         return
     t = coset_transversal(M)
-    assert len(t.reps) == abs(det(M))
-    assert t.reps[0] == (0,) * len(M)
+    assert len(t) == abs(det(M))
+    assert t[0] == (0,) * len(M)
     seen = set()
-    for a in t.reps:
-        for b in t.reps:
+    for a in t:
+        for b in t:
             if a < b:
                 diff = tuple(x - y for x, y in zip(a, b))
                 assert not in_lattice(M, diff)
         seen.add(a)
-    assert len(seen) == len(t.reps)
+    assert len(seen) == len(t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -310,7 +428,7 @@ def test_coset_transversal_matches_the_mat_vec_reference(rows):
     S, L, _ = smith_normal_form(M)
     Linv = unimodular_inverse(L)
     box = product(*(range(S[i][i]) for i in range(len(M))))
-    assert coset_transversal(M).reps == tuple(mat_vec(Linv, u) for u in box)
+    assert coset_transversal(M) == tuple(mat_vec(Linv, u) for u in box)
 
 
 def test_in_lattice():

@@ -372,15 +372,15 @@ def test_nstar_clique_small():
     out = nstar_bounds(((2, 0), (0, 2)), THREE, 3, J=1, R=0)
     assert (out.lower, out.upper) == (3, 3)
     assert out.method == "clique" and out.search_complete
-    assert out.witness.verified and len(out.witness.frequencies) == 3
-    assert out.witness.frequencies[0] == (0, 0)
+    assert len(out.witness) == 3
+    assert out.witness[0] == (0, 0)
 
 
 def test_nstar_nine_exponentials():
     out = nstar_bounds(SKEW, THREE, 3, J=8, R=0)
     assert (out.lower, out.upper) == (9, 9)
     assert out.method == "clique"
-    assert len(out.witness.frequencies) == 9
+    assert len(out.witness) == 9
 
 
 @pytest.mark.parametrize(
@@ -413,7 +413,7 @@ def test_nstar_nine_exponentials():
 def test_nstar_pinned_witness(M, window, nodes, witness):
     out = nstar_bounds(M, THREE, 3, **window)
     assert out.search_nodes == nodes and out.search_complete
-    assert out.witness.frequencies == tuple(
+    assert out.witness == tuple(
         tuple(Fraction(c) for c in f) for f in witness
     )
 
@@ -423,8 +423,7 @@ def test_nstar_2i_default_window():
     out = nstar_bounds(((2, 0), (0, 2)), THREE, 3)
     assert (out.lower, out.upper, out.method) == (3, 3, "clique")
     assert out.search_nodes == 4 and out.search_complete
-    assert out.witness.verified
-    assert out.witness.frequencies == (
+    assert out.witness == (
         (0, 0),
         (Fraction(65548, 3), Fraction(131084, 3)),
         (Fraction(131084, 3), Fraction(65548, 3)),
@@ -451,7 +450,7 @@ def test_nstar_reverifies_each_difference_once():
         mp.setattr(DigitSystem, "membership", walk)
         mp.setattr(DigitSystem, "orthogonality_graph", graph)
         out = nstar_bounds(M, D, 3, J=2)
-    family = out.witness.frequencies
+    family = out.witness
     diffs = {
         sign_canonical(tuple(map(sub, a, b)))
         for i, a in enumerate(family)
@@ -478,7 +477,7 @@ def test_nstar_without_zeros_off_the_plane(M, D, upper, method):
     out = nstar_bounds(M, D, 3)
     zero = (Fraction(0),) * len(M)
     assert (out.lower, out.upper, out.method) == (1, upper, method)
-    assert out.witness.frequencies == (zero,)
+    assert out.witness == (zero,)
     assert out.search_nodes == 2 and out.search_complete
     eng = measure(M, D)
     vertices = [(0,) * len(M), (1,) * len(M), (5,) + (0,) * (len(M) - 1)]
@@ -504,7 +503,7 @@ def test_nstar_inapplicable_when_det_shares_p():
     out = nstar_bounds(M3, THREE, 3, J=2, R=0)
     assert out.upper is None and out.method == "infinite"
     assert out.lower == 5
-    assert out.witness.frequencies == (
+    assert out.witness == (
         (0, 0),
         (1, 2),
         (2, 1),
@@ -619,9 +618,9 @@ def test_nstar_budget_truncation():
     for budget in range(10):
         out = nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=budget)
         assert not out.search_complete and out.search_nodes == budget + 1
-        family = out.witness.frequencies
+        family = out.witness
         assert out.lower == min(budget + 1, 9) == len(family)
-        assert out.witness.verified and family[0] == (0, 0)
+        assert family[0] == (0, 0)
         assert all(
             zero_membership(SKEW, THREE, tuple(map(sub, a, b))) is not None
             for i, a in enumerate(family)
@@ -630,8 +629,10 @@ def test_nstar_budget_truncation():
 
 
 def test_nstar_validations():
-    with pytest.raises(ValueError):
-        nstar_bounds(M3, THREE, 4)
+    with pytest.raises(ValueError, match="at least 2"):
+        nstar_bounds(M3, THREE, 1)
+    # with J given, p sets nothing, so a composite p is no refusal
+    assert nstar_bounds(M3, THREE, 4, J=2, R=1) == nstar_bounds(M3, THREE, 3, J=2, R=1)
     with pytest.raises(ValueError):
         nstar_bounds(M3, THREE, 3, J=0)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from spectral_affine.zeros import (
     as_digit_set,
     as_rational_point,
     cyclotomic,
+    four_digit_frame,
     is_zero_exact,
     mask_eval,
     reduce_mod1,
@@ -262,6 +263,51 @@ def test_four_digit_closed_form_is_exact(c, alpha, beta):
     assert zs.points == tuple(sorted(zs.points))
     assert _grid_scan(D, zs.q) == frozenset(zs.points)
     assert _grid_scan(D, 2 * abs(detB)) == frozenset(zs.points)
+
+
+def four_digit_frame_reference(D):
+    """[alpha | beta] by trying every digit c as the centre of
+    {c, c + alpha, c + beta, c - alpha - beta}, alpha and beta the first
+    two other digits minus c in digit order; None when no centre fits."""
+    if len(D) != 4 or len(D[0]) != 2:
+        return None
+    for c in D:
+        rest = [(d[0] - c[0], d[1] - c[1]) for d in D if d != c]
+        if all(sum(v[i] for v in rest) == 0 for i in range(2)):
+            (a, b, _) = rest
+            return ((a[0], b[0]), (a[1], b[1]))
+    return None
+
+
+@st.composite
+def four_digit_sets(draw):
+    small = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    if draw(st.booleans()):
+        c, alpha, beta = draw(small), draw(small), draw(small)
+        shape = [(0, 0), alpha, beta, (-alpha[0] - beta[0], -alpha[1] - beta[1])]
+        D = [(c[0] + v[0], c[1] + v[1]) for v in draw(st.permutations(shape))]
+    else:
+        D = draw(st.lists(small, min_size=4, max_size=4))
+    if len(set(D)) != 4:
+        D = draw(st.lists(small, min_size=4, max_size=4, unique=True))
+    return tuple(D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(four_digit_sets())
+@example(((0, 0), (1, 0), (0, 1), (3, 3)))  # digit sum 4(1, 1), (1, 1) no digit
+@example(((0, 0), (2, 0), (0, 2), (2, 2)))  # mean (1, 1) no digit
+@example(((1, 1), (3, 1), (1, 3), (-1, -1)))
+def test_four_digit_frame_matches_brute_force(D):
+    assert four_digit_frame(D) == four_digit_frame_reference(D)
+
+
+def test_four_digit_frame_mean_off_the_digits():
+    # the digit sum is divisible by 4, but the mean (1, 1) is not a digit
+    D = ((0, 0), (1, 0), (0, 1), (3, 3))
+    assert four_digit_frame(D) is None
+    zs = zero_set(D)
+    assert not zs.complete and zs.points == ()
 
 
 def test_punctured_grid_inclusion():
