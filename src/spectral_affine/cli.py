@@ -308,15 +308,14 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
 
     if command == "nstar":
         D = _need(problem, "D", command)
-        p = _need(problem, "p", command)
+        J = pick("J")
+        p = _need(problem, "p", command) if J is None else problem.get("p")
         kwargs: dict[str, Any] = {}
-        if pick("J") is not None:
-            kwargs["J"] = pick("J")
         if pick("R") is not None:
             kwargs["R"] = pick("R")
         if pick("budget") is not None:
             kwargs["node_budget"] = pick("budget")
-        bounds = nstar_bounds(M, D, p, **kwargs)
+        bounds = nstar_bounds(M, D, p, J, **kwargs)
         result = {
             "lower": bounds.lower,
             "upper": bounds.upper,

@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import TYPE_CHECKING, Optional, Sequence
 
 # only the two array paths import numpy, so exact commands never load it
@@ -42,7 +42,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     power_norms,
-    sign_canonical,
     transpose,
 )
 from .zeros import (
@@ -245,11 +244,8 @@ class _MuHat:
         if depth < 1:
             raise ValueError("product depth must be positive")
         _require_expanding(M)
-        d, adj = det_and_adjugate(M)
-        adjT = tuple(zip(*adj))
-        self.minvT = tuple(
-            tuple(x / d for x in row) for row in adjT
-        )
+        ds = digit_system(M, D)
+        self.minvT = tuple(tuple(x / ds.absdet for x in row) for row in ds.adjT)
         self.D = D
         self.depth = depth
 
@@ -393,23 +389,7 @@ def spectrum_candidate(
         raise ValueError("level sums must be distinct")
     ordered = sorted(sums)
 
-    # indices of the first failing pair; one walk per distinct difference
-    failing: Optional[tuple[int, int]] = None
-    if len(ordered) > 1:
-        ds.walkable  # raises the walk's refusals before the first walk
-        memo: dict[IntVector, bool] = {}
-        for i, a in enumerate(ordered):
-            for j in range(i + 1, len(ordered)):
-                w = sign_canonical(tuple(map(sub, a, ordered[j])))
-                hit = memo.get(w)
-                if hit is None:
-                    hit = ds.membership(w, Q) is not None
-                    memo[w] = hit
-                if not hit:
-                    failing = (i, j)
-                    break
-            if failing is not None:
-                break
+    failing = ds.first_failing_pair(ordered, Q)
     freqs = tuple(tuple(Fraction(c, Q) for c in f) for f in ordered)
     return SpectrumCandidate(
         base=pts,
@@ -548,11 +528,12 @@ def suggest_eta(
     zs = digit_system(as_matrix(M), as_digit_set(D)).zs
     if not zs.complete:
         raise IncompleteZeroSet("radius suggestion needs a complete zero set")
-    if not zs.points:
+    if not zs.residues:
         raise HypothesisViolation("mask has no zeros; any radius works")
     _, pts, det_m, adj = _expansion_setup(M, base)
     den, levels = _level_terms(det_m, adj, pts, k)
-    zeros = [tuple(float(c) for c in z) for z in zs.points]
+    # int true division is correctly rounded, as float(Fraction) is
+    zeros = [tuple([c / zs.q for c in r]) for r in zs.residues]
     # sqrt is monotone and correctly rounded, so one sqrt of the smallest
     # square is the smallest distance
     dist = math.sqrt(_nearest_leaf_square(den, levels, zeros))

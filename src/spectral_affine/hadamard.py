@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
@@ -29,7 +28,7 @@ from .linalg import (
     sign_canonical,
     transpose,
 )
-from .zeros import DigitSet, as_digit_set, digit_system, is_zero_exact
+from .zeros import DigitSet, as_digit_set, digit_system
 
 FrequencySet = tuple[tuple[int, ...], ...]
 
@@ -65,10 +64,12 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     """Exact Hadamard-triple check, cross-validated numerically.
 
     Returns True iff every pairwise frequency difference lands in the mask
-    zero set after applying M^{-T}. When the exact answer is affirmative,
-    the Gram matrix of the associated exponential system is additionally
-    required to be unitary to within 1e-9, as a guard against bookkeeping
-    errors between the two routes.
+    zero set after applying M^{-T}, by DigitSystem.cyclotomic_zero on the
+    integer vector adjT (s - s') over |det M|. That test reads no zero set,
+    so the check stays independent of the search it re-checks. When the
+    exact answer is affirmative, the Gram matrix of the associated
+    exponential system is additionally required to be unitary to within
+    1e-9, as a guard against bookkeeping errors between the two routes.
     """
     D = as_digit_set(D)
     S = tuple(tuple(int(x) for x in s) for s in S)
@@ -82,13 +83,10 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     ds = digit_system(as_matrix(M), D)
     if ds.det == 0:
         raise SingularMatrix("matrix must be invertible over Q")
-    ok = True
-    for s, t in combinations(S, 2):
-        diff = tuple(a - b for a, b in zip(s, t))
-        x = tuple(Fraction(c, ds.absdet) for c in mat_vec(ds.adjT, diff))
-        if not is_zero_exact(D, x):
-            ok = False
-            break
+    ok = all(
+        ds.cyclotomic_zero(mat_vec(ds.adjT, [a - b for a, b in zip(s, t)]))
+        for s, t in combinations(S, 2)
+    )
     if ok:
         defect = unitarity_defect(M, D, S)
         if not defect < 1e-9:
@@ -153,8 +151,7 @@ def find_spectrum_set(
         diff = sign_canonical(tuple(x - y for x, y in zip(a, b)))
         hit = pair_cache.get(diff)
         if hit is None:
-            hit = vanishes(diff)
-            pair_cache[diff] = hit
+            hit = pair_cache[diff] = vanishes(diff)
         return hit
 
     examined = 0

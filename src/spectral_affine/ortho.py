@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from operator import sub
 from typing import Optional, Sequence
@@ -37,7 +37,6 @@ from .linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
-    sign_canonical,
     smith_normal_form,
     transpose,
 )
@@ -102,7 +101,7 @@ def has_infinite_orthogonal(
 
 
 def _max_clique(
-    adj: Sequence[int], node_budget: Optional[int]
+    adj: Sequence[int], node_budget: Optional[int], target: Optional[int] = None
 ) -> tuple[list[int], int, bool]:
     """Exact maximum clique by branch and bound with greedy coloring
     (Tomita and Seki's MCQ), run on an explicit stack.
@@ -113,7 +112,9 @@ def _max_clique(
     vertex's color cannot beat the best. Returns (vertices, nodes,
     complete); when the node budget runs out the longer of the best clique
     and the current path, itself a clique, is returned with complete False,
-    which still certifies a lower bound.
+    which still certifies a lower bound. A best clique that reaches target,
+    a proven bound on the clique number, is the maximum the full search
+    would keep, as only a larger clique replaces it: the search returns.
     """
     best: list[int] = []
     clique: list[int] = []
@@ -138,6 +139,8 @@ def _max_clique(
             stack.append([order, P])
         elif len(clique) > len(best):
             best = clique.copy()
+            if len(best) == target:
+                return best, nodes, True
         while stack:
             order, rest = frame = stack[-1]
             del clique[len(stack) - 1 :]
@@ -225,7 +228,7 @@ class NStarBounds:
 def nstar_bounds(
     M: Matrix,
     D: DigitSet,
-    p: int,
+    p: Optional[int] = None,
     J: Optional[int] = None,
     R: int = 4,
     node_budget: int = 500_000,
@@ -241,11 +244,13 @@ def nstar_bounds(
     of it, one prime of m at a time (1 without zeros), and is None when the
     orbit reaches 0 mod q. Neither bound needs a condition on det M or p;
     p, any integer >= 2 (the paper's similarity takes a prime), only sets
-    the default window J = 2(p^n - 1).
+    the default window J = 2(p^n - 1). The search is complete at the upper bound.
     """
     M = as_matrix(M)
     D = as_digit_set(D)
-    if p < 2:
+    if J is None and p is None:
+        raise ValueError("the default window J needs p")
+    if p is not None and p < 2:
         raise ValueError("window modulus p must be at least 2")
     if R < 0 or (J is not None and J < 1):
         raise ValueError("search window must be positive")
@@ -281,13 +286,11 @@ def nstar_bounds(
 
     vertices: list[IntVector] = [zero] + candidates
     adj = eng.orthogonality_graph(vertices)
-    best, nodes, complete = _max_clique(adj, node_budget)
+    best, nodes, complete = _max_clique(adj, node_budget, upper)
     # vertex 0 is joined to every candidate, so a stopped search keeps it too
     chosen = [vertices[i] for i in sorted({0, *best})]
-    # an independent walk per difference up to sign: w and -w share their
-    # verdict, as the residues are closed under negation
-    diffs = {sign_canonical(tuple(map(sub, u, v))) for u, v in combinations(chosen, 2)}
-    if any(eng.membership(w, q) is None for w in diffs):
+    # an independent walk per difference up to sign
+    if eng.first_failing_pair(chosen, q) is not None:
         raise AssertionError("witness family failed re-verification")
     witness = tuple(tuple(Fraction(c, q) for c in v) for v in chosen)
     return NStarBounds(

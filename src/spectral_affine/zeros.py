@@ -8,9 +8,9 @@ q-th cyclotomic polynomial. Zero sets are produced in closed form for the
 two digit families where a complete finite description is available, and
 by grid scanning otherwise, with an explicit completeness flag either way.
 
-Exact decisions read one integer form of a zero set, the residues q*z
-over the points' least common denominator q (lattice_form); the Fraction
-points are the public boundary.
+A zero set is stored as the integer residues q*z over the zeros' least
+common denominator q, which every exact decision reads; its Fraction
+points are built only when a report asks for them.
 
 DigitSystem holds the integer data of one pair (M, D) that every exact
 question about its measure reads. Its walk decides whether a frequency
@@ -45,10 +45,10 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import (
@@ -65,6 +65,7 @@ from .linalg import (
     det_and_adjugate,
     is_expanding,
     mat_vec,
+    sign_canonical,
     transpose,
 )
 
@@ -182,7 +183,7 @@ def is_zero_exact(D: DigitSet, x: Sequence) -> bool:
 
 
 def _vanishes_at(D: DigitSet, N: IntVector, q: int) -> bool:
-    """is_zero_exact at N/q, q > 0 with no common factor of q and all of N."""
+    """is_zero_exact at N/q, N an integer vector and q > 0, in any terms."""
     coeffs = [0] * q
     for d in D:
         coeffs[sum(map(mul, d, N)) % q] += 1
@@ -195,33 +196,32 @@ def _vanishes_at(D: DigitSet, N: IntVector, q: int) -> bool:
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Mask zeros inside [0,1)^n, with a completeness guarantee flag.
-
-    q is the least common denominator of the listed points, derived from
-    them. When complete is true the points are provably all of the zeros
-    in the unit cube. residues holds the same points as integer vectors
-    q*z, in point order, and residue_set holds them as a frozenset.
+    """Mask zeros z in [0,1)^n as the integer residues q*z, q their least
+    common denominator (1 for none), and a completeness guarantee flag: when
+    set, they are provably all of the zeros in the unit cube. residue_set and
+    points, the zeros as Fractions in residue order, are built on first use.
     """
 
-    points: tuple[RationalPoint, ...]
-    q: int = field(init=False)
+    q: int
+    residues: tuple[IntVector, ...]
     complete: bool
-    residues: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
-    residue_set: frozenset[IntVector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q, residues = lattice_form(self.points)
-        for r in residues:
-            for v in r:
-                if not 0 <= v < q:
-                    raise AssertionError("zero set points must lie in [0,1)")
-        members = frozenset(residues)
-        for r in residues:
-            if tuple([-v % q for v in r]) not in members:
-                raise AssertionError("zero set must be symmetric under negation")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "residue_set", members)
+        q, residues = self.q, self.residues
+        if q < 1 or gcd(q, *[v for r in residues for v in r]) != 1:
+            raise AssertionError("q must be the least common denominator of the zeros")
+        if not all(0 <= v < q for r in residues for v in r):
+            raise AssertionError("zero set points must lie in [0,1)")
+        if not all(tuple([-v % q for v in r]) in self.residue_set for r in residues):
+            raise AssertionError("zero set must be symmetric under negation")
+
+    @functools.cached_property
+    def residue_set(self) -> frozenset[IntVector]:
+        return frozenset(self.residues)
+
+    @functools.cached_property
+    def points(self) -> tuple[RationalPoint, ...]:
+        return tuple([tuple([Fraction(v, self.q) for v in r]) for r in self.residues])
 
     def is_zero(self, N: IntVector, Q: int) -> bool:
         """Whether N/Q (N an integer vector, Q a nonzero int) is a listed
@@ -241,14 +241,15 @@ _HALF_TRIPLE = (2, ((0, 1), (1, 0), (1, 1)))
 
 def _lattice_preimage(
     B: Matrix, base: tuple[int, Sequence[IntVector]]
-) -> tuple[RationalPoint, ...]:
-    """All x in [0,1)^2 with B^T x congruent mod Z^2 to a base point b/m.
+) -> tuple[int, tuple[IntVector, ...]]:
+    """All x in [0,1)^2 with B^T x congruent mod Z^2 to a base point b/m,
+    as their least common denominator q and the sorted vectors q*x.
 
     Those x are adj(B)^T (b + m r) / (m det B) for the representatives r of
     Z^2 / B^T Z^2: exactly |det B| classes mod Z^2 per base point, found as
-    integer numerators over the one positive denominator m |det B|. Both
-    base sets are closed under negation, so the sign of det B only permutes
-    the preimages and is dropped.
+    integer numerators over m |det B|, then divided by their common factor.
+    Both base sets are closed under negation, so the sign of det B only
+    permutes the preimages and is dropped.
     """
     d, adj = det_and_adjugate(B)
     if d == 0:
@@ -266,8 +267,8 @@ def _lattice_preimage(
     # distinct cosets and distinct base classes give distinct preimages
     if len(found) != len(numerators) * abs(d):
         raise AssertionError("preimage count must equal |base| * |det|")
-    # one positive denominator, so integer order is Fraction order
-    return tuple(tuple(Fraction(v, den) for v in x) for x in sorted(found))
+    g = gcd(den, *[v for x in found for v in x])
+    return den // g, tuple(sorted([(x // g, y // g) for x, y in found]))
 
 
 def three_digit_frame(D: DigitSet) -> Matrix:
@@ -303,32 +304,30 @@ def zero_set(D: DigitSet, q_hints: Sequence[int] = ()) -> ZeroSet:
     sets {0, alpha, beta, -alpha-beta} get exact complete zero sets via the
     classification of three- and four-term vanishing sums of roots of unity.
     Every other shape falls back to exhaustive exact scanning of the grids
-    (1/q)Z^n for the hinted values of q, flagged incomplete.
+    (1/q)Z^n for the hinted values of q, flagged incomplete. The residues
+    are listed in ascending order.
     """
     D = as_digit_set(D)
     n = len(D[0])
     if len(D) == 1:
         # a unimodular exponential never vanishes
-        return ZeroSet(points=(), complete=True)
-    B = None
+        return ZeroSet(1, (), complete=True)
     if len(D) == 3 and n == 2:
         B, base = three_digit_frame(D), _THIRD_PAIR
-    elif len(D) == 4 and n == 2:
+    else:
         B, base = four_digit_frame(D), _HALF_TRIPLE
     if B is not None:
-        pts, complete = _lattice_preimage(B, base), True
-    else:
-        # hint mode: exact scan of each (1/q)Z^n grid
-        found = set()
-        for qh in q_hints:
-            if qh < 1:
-                raise ValueError("grid denominators must be positive")
-            for coords in itertools.product(range(qh), repeat=n):
-                x = tuple(Fraction(c, qh) for c in coords)
-                if is_zero_exact(D, x):
-                    found.add(x)
-        pts, complete = tuple(sorted(found)), False
-    return ZeroSet(points=pts, complete=complete)
+        return ZeroSet(*_lattice_preimage(B, base), complete=True)
+    # hint mode: exact scan of each (1/q)Z^n grid, on integers
+    if any(qh < 1 for qh in q_hints):
+        raise ValueError("grid denominators must be positive")
+    found = {
+        tuple([Fraction(c, qh) for c in coords])
+        for qh in q_hints
+        for coords in itertools.product(range(qh), repeat=n)
+        if _vanishes_at(D, coords, qh)
+    }
+    return ZeroSet(*lattice_form(sorted(found)), complete=False)
 
 
 def zero_set_in_punctured_grid(Z: ZeroSet, p: int) -> bool:
@@ -402,13 +401,34 @@ class DigitSystem:
     def vanishes(self, v: IntVector) -> bool:
         """Whether the mask vanishes at M^{-T} v, v an integer vector and M
         invertible: on the residues when the zero set is complete, by
-        is_zero_exact otherwise."""
+        cyclotomic_zero otherwise."""
         w = [sum(map(mul, row, v)) for row in self.adjT]
-        zs = self.zs
-        if zs.complete:
-            return zs.is_zero(w, self.absdet)
-        g = gcd(self.absdet, *w)
-        return _vanishes_at(self.D, [c // g for c in w], self.absdet // g)
+        if self.zs.complete:
+            return self.zs.is_zero(w, self.absdet)
+        return self.cyclotomic_zero(w)
+
+    def cyclotomic_zero(self, w: IntVector) -> bool:
+        """is_zero_exact's test at w/|det M|, w an integer vector; reads no zero set."""
+        return _vanishes_at(self.D, w, self.absdet)
+
+    def first_failing_pair(
+        self, vectors: Sequence[IntVector], Q: int
+    ) -> Optional[tuple[int, int]]:
+        """The first pair (i, j), i < j, whose difference (vectors[i] -
+        vectors[j]) / Q is not in the Fourier zero set, or None; vectors are
+        distinct integer vectors and Q > 0. Each difference is walked once
+        up to sign, as the residues are closed under negation."""
+        if len(vectors) > 1:
+            self.walkable  # raises the walk's refusals before the first walk
+        memo: dict[IntVector, bool] = {}
+        for (i, a), (j, b) in itertools.combinations(enumerate(vectors), 2):
+            w = sign_canonical(tuple(map(sub, a, b)))
+            hit = memo.get(w)
+            if hit is None:
+                hit = memo[w] = self.membership(w, Q) is not None
+            if not hit:
+                return i, j
+        return None
 
     @functools.cached_property
     def walkable(self) -> bool:
@@ -421,7 +441,7 @@ class DigitSystem:
             raise IncompleteZeroSet(
                 "orthogonality decisions need a provably complete zero set"
             )
-        if self.zs.points and self.n != 2:
+        if self.zs.residues and self.n != 2:
             raise WrongDimension("mask zeros are walked in the plane only")
         if not is_expanding(self.M):
             raise HypothesisViolation(

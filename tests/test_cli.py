@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spectral_affine import zeros
 from spectral_affine.cli import COMMANDS, _dumps, build_parser, main
+from spectral_affine.zeros import ZeroSet
 
 THREE = [[0, 0], [1, 0], [0, 1]]
 SWAP = [[0, 10], [9, 0]]
@@ -203,6 +205,55 @@ def test_nstar_with_flag_overrides(tmp_path, capsys):
         capsys, "nstar", "--input", wide, "--J", "1", "--R", "0"
     )
     assert narrow["result"]["lower"] == 3
+
+
+def test_nstar_needs_p_only_for_the_default_window(tmp_path, capsys):
+    fields = dict(M=[[3, 1], [1, 4]], D=THREE, J=3, R=1)
+    _, with_p = run_json(capsys, "nstar", "--input", problem(tmp_path, p=3, **fields))
+    code, without_p = run_json(capsys, "nstar", "--input", problem(tmp_path, **fields))
+    assert code == 0
+    with_p.pop("timing_seconds")
+    without_p.pop("timing_seconds")
+    assert without_p == with_p
+    # a given p is still checked, and the default window still needs one
+    code, payload = run_json(capsys, "nstar", "--input", problem(tmp_path, p=1, **fields))
+    assert code == 1 and "at least 2" in payload["error"]["message"]
+    del fields["J"]
+    code, payload = run_json(capsys, "nstar", "--input", problem(tmp_path, **fields))
+    assert code == 1 and payload["error"]["message"] == "nstar needs the field 'p'"
+
+
+def test_corpus_commands_build_no_zero_points(tmp_path, capsys, monkeypatch):
+    # every decision reads the residues; Fraction points are built only for
+    # a report that prints zeros, and none of these does
+    built = []
+    post_init = ZeroSet.__post_init__
+
+    def record(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(ZeroSet, "__post_init__", record)
+    zeros.digit_system.cache_clear()
+    systems = [
+        dict(M=[[3, 0], [0, 3]], D=THREE, S=[[0, 0], [1, 2], [2, 1]], B=[[1, 0], [1, 1]], p=3),
+        dict(
+            M=[[3, 0], [0, 3]], D=[[0, 0], [1, 0], [0, 1], [-1, -1]],
+            S=[[0, 0], [0, 1], [1, 0], [1, 1]], B=[[1, 0], [1, 1]], p=2,
+        ),
+    ]
+    try:
+        for fields in systems:
+            path = problem(tmp_path, **fields)
+            commands = ["classify", "find-hadamard", "conjugate", "verify-triple"]
+            if len(fields["D"]) == 3:
+                commands.append("criterion-1-8")
+            for command in commands:
+                code, payload = run_json(capsys, command, "--input", path)
+                assert code == 0, payload
+    finally:
+        zeros.digit_system.cache_clear()
+    assert built and all("points" not in zs.__dict__ for zs in built)
 
 
 def test_nstar_zero_budget(tmp_path, capsys):

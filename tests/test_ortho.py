@@ -488,7 +488,7 @@ def test_nstar_without_zeros_off_the_plane(M, D, upper, method):
 def test_measure_refuses_zeros_off_the_plane(monkeypatch):
     # the mask zeros 1/4 and 3/4 of {0, 2}, complete but one-dimensional:
     # the walk has only a planar step; the cache must not keep the fake
-    zs = ZeroSet(points=((Fraction(1, 4),), (Fraction(3, 4),)), complete=True)
+    zs = ZeroSet(4, ((1,), (3,)), complete=True)
     monkeypatch.setattr(zeros, "zero_set", lambda D: zs)
     zeros.digit_system.cache_clear()
     try:
@@ -599,6 +599,26 @@ def test_max_clique_matches_the_recursive_reference(adj, budget):
     best, nodes, complete = _max_clique(adj, budget)
     assert (best, nodes, complete) == max_clique_reference(adj, budget)
     assert all(adj[u] >> v & 1 for u in best for v in best if u != v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_graphs())
+def test_max_clique_stops_at_a_proven_target(adj):
+    # with the clique number as target, the first maximum found is kept
+    best, nodes, _ = max_clique_reference(adj, None)
+    got, got_nodes, complete = _max_clique(adj, None, len(best))
+    assert (got, complete) == (best, True) and got_nodes <= nodes
+
+
+def test_nstar_stops_at_the_upper_bound():
+    # at the default window J = 16 the search without a target ran into the
+    # 500,000-node budget with lower 9 = upper 9 and this witness; the bound
+    # proves its first 9-clique maximal
+    out = nstar_bounds(((-4, -1), (3, 2)), ((2, 2), (4, 1), (0, 0)), 3)
+    assert (out.lower, out.upper, out.method) == (9, 9, "clique")
+    assert (out.search_nodes, out.search_complete) == (10, True)
+    digest = hashlib.sha256(repr(out.witness).encode()).hexdigest()
+    assert digest == "7771cfa9c4618aeb8dcadcfc1da4644a2b2ae941a16469043310d37b2aaf0ed0"
 
 
 def test_max_clique_beyond_the_recursion_limit():

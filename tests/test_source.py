@@ -148,3 +148,18 @@ def test_only_fourier_imports_power_norms():
         if alias.name == "power_norms"
     }
     assert importers == {"fourier"}
+
+
+def test_only_zeros_and_hadamard_import_sign_canonical():
+    # DigitSystem.first_failing_pair walks each pair difference once up to
+    # sign for spectrum_candidate and nstar_bounds alike; the Hadamard
+    # search keeps its own cache on the mask test
+    importers = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "sign_canonical"
+    }
+    assert importers == {"zeros", "hadamard"}

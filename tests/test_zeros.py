@@ -1,9 +1,10 @@
 """Exact mask zero sets."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectral_affine.errors import (
@@ -11,6 +12,7 @@ from spectral_affine.errors import (
     IncompleteZeroSet,
     WrongDimension,
 )
+from spectral_affine.linalg import coset_transversal, det_and_adjugate, transpose
 from spectral_affine.zeros import (
     DigitSystem,
     ZeroSet,
@@ -19,8 +21,10 @@ from spectral_affine.zeros import (
     cyclotomic,
     four_digit_frame,
     is_zero_exact,
+    lattice_form,
     mask_eval,
     reduce_mod1,
+    three_digit_frame,
     zero_set,
     zero_set_in_punctured_grid,
 )
@@ -185,11 +189,25 @@ def test_zero_set_points_are_sorted_and_in_cube():
 
 def test_zero_set_symmetry_guard():
     with pytest.raises(AssertionError):
-        ZeroSet(points=((F(1, 3), F(1, 3)),), complete=True)
+        ZeroSet(3, ((1, 1),), complete=True)
     with pytest.raises(AssertionError):
-        ZeroSet(points=((F(4, 3), F(2, 3)),), complete=True)
+        ZeroSet(3, ((4, 2),), complete=True)
     with pytest.raises(AssertionError, match="symmetric"):
-        ZeroSet(points=((F(1, 3), F(1, 3)), (F(1, 3), F(2, 3))), complete=True)
+        ZeroSet(3, ((1, 1), (1, 2)), complete=True)
+
+
+def test_zero_set_refuses_a_form_that_is_not_its_own():
+    assert [f.name for f in dataclasses.fields(ZeroSet)] == ["q", "residues", "complete"]
+    for q, residues in ((6, ((2, 4), (4, 2))), (2, ()), (0, ())):
+        with pytest.raises(AssertionError, match="least common denominator"):
+            ZeroSet(q, residues, complete=True)
+    with pytest.raises(AssertionError, match=r"\[0,1\)"):
+        ZeroSet(3, ((1, 2), (-1, 1)), complete=True)
+    with pytest.raises(AssertionError, match="symmetric"):
+        ZeroSet(3, ((1, 2),), complete=True)
+    zs = ZeroSet(3, ((1, 2), (2, 1)), complete=True)
+    assert "points" not in zs.__dict__
+    assert zs.points == THIRD_PAIR and zs.residue_set == {(1, 2), (2, 1)}
 
 
 def test_zero_set_residues_are_scaled_points():
@@ -265,6 +283,44 @@ def test_four_digit_closed_form_is_exact(c, alpha, beta):
     assert _grid_scan(D, 2 * abs(detB)) == frozenset(zs.points)
 
 
+def _fraction_preimage(B, base):
+    """Reference: the preimages of the base points b/m under B^T mod Z^2 as
+    sorted Fraction points over m |det B|, as zero_set built them before it
+    stored residues."""
+    d, adj = det_and_adjugate(B)
+    m, numerators = base
+    den = m * abs(d)
+    (a00, a01), (a10, a11) = adj
+    found = set()
+    for b0, b1 in numerators:
+        for r0, r1 in coset_transversal(transpose(B)):
+            y0, y1 = b0 + m * r0, b1 + m * r1
+            found.add(((a00 * y0 + a10 * y1) % den, (a01 * y0 + a11 * y1) % den))
+    return tuple(tuple(F(v, den) for v in x) for x in sorted(found))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_vectors, frame_vectors, frame_vectors, st.booleans())
+@example((0, 0), (1, 0), (0, 1), False)
+@example((1, 1), (1, 3), (2, 1), True)
+@example((0, 0), (2, 1), (-1, 3), False)
+def test_zero_set_residues_match_fraction_reference(d0, alpha, beta, four):
+    assume(alpha[0] * beta[1] - alpha[1] * beta[0] != 0)
+    offsets = [(0, 0), alpha, beta]
+    if four:
+        offsets.append((-alpha[0] - beta[0], -alpha[1] - beta[1]))
+    D = tuple((d0[0] + a, d0[1] + b) for a, b in offsets)
+    assume(len(set(D)) == len(D))
+    zs = zero_set(D)
+    if four:
+        expected = _fraction_preimage(four_digit_frame(D), (2, ((0, 1), (1, 0), (1, 1))))
+    else:
+        expected = _fraction_preimage(three_digit_frame(D), (3, ((1, 2), (2, 1))))
+    assert "points" not in zs.__dict__
+    assert zs.points == expected
+    assert lattice_form(zs.points) == (zs.q, zs.residues)
+
+
 def four_digit_frame_reference(D):
     """[alpha | beta] by trying every digit c as the centre of
     {c, c + alpha, c + beta, c - alpha - beta}, alpha and beta the first
@@ -322,9 +378,9 @@ def test_punctured_grid_inclusion():
     assert not zero_set_in_punctured_grid(stretched, 2)
     assert zero_set_in_punctured_grid(stretched, 6)
     # the origin is never a mask zero, but the grid test refuses it
-    with_origin = ((F(0), F(0)), (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)))
-    assert not zero_set_in_punctured_grid(ZeroSet(points=with_origin, complete=True), 3)
-    assert zero_set_in_punctured_grid(ZeroSet(points=(), complete=True), 6)
+    with_origin = ((0, 0), (1, 2), (2, 1))
+    assert not zero_set_in_punctured_grid(ZeroSet(3, with_origin, complete=True), 3)
+    assert zero_set_in_punctured_grid(ZeroSet(1, (), complete=True), 6)
     incomplete = zero_set(((0, 0), (1, 0), (0, 1), (1, 1)), q_hints=[2])
     with pytest.raises(IncompleteZeroSet):
         zero_set_in_punctured_grid(incomplete, 2)
@@ -354,7 +410,8 @@ def complete_zero_sets(draw):
     cells = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
     picked = draw(st.lists(cells, max_size=5))
     closed = {r for x in picked for r in (x, tuple(-v % q for v in x))}
-    return ZeroSet(points=tuple(tuple(F(v, q) for v in r) for r in sorted(closed)), complete=True)
+    points = tuple(tuple(F(v, q) for v in r) for r in sorted(closed))
+    return ZeroSet(*lattice_form(points), complete=True)
 
 
 @settings(max_examples=200, deadline=None)
