@@ -165,12 +165,11 @@ def parse_problem(path: str) -> dict:
             if len(mat) != n:
                 raise _fail(key, "dimension does not match M")
             out[key] = mat
-    for key in ("C", "base"):
-        if key in raw:
-            pts = _rat_vectors(raw[key], key)
-            if any(len(v) != n for v in pts):
-                raise _fail(key, "dimension does not match M")
-            out["C"] = pts
+    if "C" in raw:
+        pts = _rat_vectors(raw["C"], "C")
+        if any(len(v) != n for v in pts):
+            raise _fail("C", "dimension does not match M")
+        out["C"] = pts
     if "xi" in raw:
         xi = _rat_vector(raw["xi"], "xi")
         if len(xi) != n:
@@ -330,10 +329,9 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
 
     if command == "nonspectral-cert":
         D = _need(problem, "D", command)
-        L = problem.get("L")
-        j0 = problem.get("j0")
-        suggested = False
-        if L is None or j0 is None:
+        # a certificate is given whole or suggested whole
+        suggested = "L" not in problem and "j0" not in problem
+        if suggested:
             pair = suggest_certificate(M, D)
             if pair is None:
                 result = {
@@ -342,7 +340,8 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
                 }
                 return result, 2, None
             L, j0 = pair
-            suggested = True
+        else:
+            L, j0 = _need(problem, "L", command), _need(problem, "j0", command)
         cert = nonspectral_certificate(M, D, L, j0)
         result = {
             "verdict": cert.verdict,

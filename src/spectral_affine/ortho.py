@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from operator import sub
 from typing import Optional, Sequence
@@ -32,9 +31,7 @@ from .linalg import (
     Matrix,
     as_matrix,
     det,
-    identity,
     is_expanding,
-    mat_mul,
     mat_pow,
     mat_vec,
     smith_normal_form,
@@ -213,8 +210,9 @@ class NStarBounds:
     pairwise differences were re-verified one walk each. upper is the
     Cayley-graph count on the orbit of the mask zeros, tagged "clique", or
     None, tagged "infinite", when some power M^{T j} maps a mask zero into
-    Z^n and the family is unbounded. search_nodes and search_complete
-    describe the lower search, the only one the node budget stops.
+    Z^n and the family is unbounded. search_nodes counts the nodes of the
+    lower search, the only one the node budget stops; search_complete holds
+    when that search ran to its end or the witness reaches upper.
     """
 
     lower: int
@@ -244,7 +242,8 @@ def nstar_bounds(
     of it, one prime of m at a time (1 without zeros), and is None when the
     orbit reaches 0 mod q. Neither bound needs a condition on det M or p;
     p, any integer >= 2 (the paper's similarity takes a prime), only sets
-    the default window J = 2(p^n - 1). The search is complete at the upper bound.
+    the default window J = 2(p^n - 1). The candidates are DigitSystem.window
+    (J, R). The search is complete at the upper bound.
     """
     M = as_matrix(M)
     D = as_digit_set(D)
@@ -264,27 +263,9 @@ def nstar_bounds(
     upper = _cayley_upper(eng)
 
     # every candidate M^{T j} z + v lies on the (1/q)-grid, so the search
-    # runs on the integer vectors q*x, planar as the zeros, and converts the
-    # chosen clique back
+    # runs on the integer vectors q*x and converts the chosen clique back
     q = eng.q
-    zero = (0,) * n
-    box = [
-        tuple(q * c for c in v)
-        for v in sorted(product(range(-R, R + 1), repeat=n))
-    ]
-    candidates: list[IntVector] = []
-    seen: set[IntVector] = set()
-    for shell in eng.shells(J):
-        for x, y in shell:
-            for ox, oy in box:
-                cand = (x + ox, y + oy)
-                if cand in seen or cand == zero:
-                    continue
-                seen.add(cand)
-                if eng.membership(cand, q) is not None:
-                    candidates.append(cand)
-
-    vertices: list[IntVector] = [zero] + candidates
+    vertices: list[IntVector] = [(0,) * eng.n] + eng.window(J, R)
     adj = eng.orthogonality_graph(vertices)
     best, nodes, complete = _max_clique(adj, node_budget, upper)
     # vertex 0 is joined to every candidate, so a stopped search keeps it too
@@ -299,7 +280,8 @@ def nstar_bounds(
         upper=upper,
         method="infinite" if upper is None else "clique",
         search_nodes=nodes,
-        search_complete=complete,
+        # a witness at the certified bound is a maximum, however the search stopped
+        search_complete=complete or len(witness) == upper,
     )
 
 
@@ -436,16 +418,15 @@ def nonspectral_certificate(
     # P = M^{T j} and w = u P r / q integral (otherwise no integer translate
     # clears the denominator), some k has L P (r/q + k) = (w + u P k) / v
     # integral iff w is in P Z^n + v Z^n, u being a unit mod v; with
-    # A P B = S the Smith form, iff gcd(s_i, v) divides (A w)_i for every i
+    # A P B = S the Smith form, iff gcd(s_i, v) divides (A w)_i for every i.
+    # The images P r are the residue shells
     Mt = transpose(M)
     window_empty = True
-    P = identity(n)
-    for _ in range(1, j0):
-        P = mat_mul(Mt, P)
-        scaled = [[u * c for c in mat_vec(P, r)] for r in res]
-        ws = [[c // q for c in s] for s in scaled if not any(c % q for c in s)]
+    for j, shell in enumerate(ds.shells(j0 - 1), 1):
+        scaled = [[u * c for c in x] for x in shell]
+        ws = [[c // q for c in x] for x in scaled if not any(c % q for c in x)]
         if ws:
-            S, A, _ = smith_normal_form(P)
+            S, A, _ = smith_normal_form(mat_pow(Mt, j))
             g = [gcd(S[i][i], v) for i in range(n)]
             if any(all(c % gi == 0 for c, gi in zip(mat_vec(A, w), g)) for w in ws):
                 window_empty = False
@@ -470,28 +451,19 @@ def nonspectral_certificate(
     )
 
 
-def suggest_certificate(
-    M: Matrix, D: DigitSet, max_j: int = 64
-) -> Optional[tuple[int, int]]:
+def suggest_certificate(M: Matrix, D: DigitSet) -> Optional[tuple[int, int]]:
     """Suggest a certificate scale and tail level for a three-digit system.
 
-    Follows the residue criterion sequence: conjugate to A M B and find the
-    first level j0 >= 2 at which (A M B)^{T j} (1, -1) enters 3Z^2 for all
-    subsequent levels. The suggested scale is |det(AB)|^(j0 + 1). Returns
-    None when the sequence never enters (no certificate of this shape) or
-    enters at level one (the spectral case).
+    Follows the residue criterion sequence (A M B)^{T j} (1, -1) mod 3, A B
+    the criterion's frame pair. The mask zeros of {0, e1, e2} are (1, 2)/3
+    and (2, 1)/3, so that sequence is their orbit under (A M B)^T, and j0 is
+    the level at which the orbit mod 3 reaches 0 (DigitSystem.orbit), exact
+    since the orbit closes. The suggested scale is |det(AB)|^(j0 + 1).
+    Returns None when the orbit never reaches 0 (no certificate of this
+    shape) or reaches it at level one (the spectral case).
     """
-    M = as_matrix(M)
-    D = as_digit_set(D)
     res = spectrality_criterion(M, D)
-    MtT = transpose(res.Mt)
-    w = (1, -1)
-    j0 = None
-    for j in range(1, max_j + 1):
-        w = mat_vec(MtT, w)
-        if all(x % 3 == 0 for x in w):
-            j0 = j
-            break
+    j0 = digit_system(res.Mt, ((0, 0), (1, 0), (0, 1))).orbit(3)[1]
     if j0 is None or j0 < 2:
         return None
     L = abs(det(res.A) * det(res.B)) ** (j0 + 1)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     DegenerateDigits,
@@ -449,16 +449,38 @@ class DigitSystem:
             )
         return bool(self.residues)
 
-    def shells(self, J: int) -> list[list[IntVector]]:
+    def shells(self, J: int) -> Iterator[list[IntVector]]:
         """The residue shells M^{T j} r for j = 1..J, each in residue
-        order, computed once per level; none when there are no zeros."""
+        order; a level is computed once, when first reached, so a caller
+        that stops early builds no later level. None without zeros."""
         out = self._shells
-        if len(out) < J and self.residues:
+        if self.residues:
             (a, b), (c, d) = self.M
-            while len(out) < J:
-                prev = out[-1] if out else self.zs.residues
-                out.append([(a * x + c * y, b * x + d * y) for x, y in prev])
-        return out[:J]
+            for j in range(J):
+                if j == len(out):
+                    prev = out[-1] if out else self.zs.residues
+                    out.append([(a * x + c * y, b * x + d * y) for x, y in prev])
+                yield out[j]
+
+    def window(self, J: int, R: int) -> list[IntVector]:
+        """The distinct nonzero vectors q*(M^{T j} z + v), for the mask
+        zeros z, 1 <= j <= J and integer offsets v of max-norm at most R,
+        that lie in the Fourier zero set; in shell, residue and offset
+        order, the offsets in lexicographic order."""
+        q = self.q
+        box = [(q * i, q * k) for i in range(-R, R + 1) for k in range(-R, R + 1)]
+        candidates: list[IntVector] = []
+        seen: set[IntVector] = set()
+        for shell in self.shells(J):
+            for x, y in shell:
+                for ox, oy in box:
+                    cand = (x + ox, y + oy)
+                    if cand in seen or cand == (0, 0):
+                        continue
+                    seen.add(cand)
+                    if self.membership(cand, q) is not None:
+                        candidates.append(cand)
+        return candidates
 
     def membership(self, N: IntVector, Q: int) -> Optional[int]:
         """Least j >= 1 with M^{-T j}(N/Q) in the mask zeros mod Z^n, or None.

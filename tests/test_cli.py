@@ -268,6 +268,19 @@ def test_nstar_zero_budget(tmp_path, capsys):
     assert (result["search_nodes"], result["search_complete"]) == (1, False)
 
 
+def test_nstar_budget_stop_at_the_upper_bound_exits_0(tmp_path, capsys):
+    # budget 9 stops the search at its tenth node, on a path whose family
+    # with frequency 0 already has the upper bound's 9 members: decided
+    path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0)
+    _, full = run_json(capsys, "nstar", "--input", path)
+    code, payload = run_json(capsys, "nstar", "--input", path, "--budget", "9")
+    assert code == 0
+    result = payload["result"]
+    assert (result["lower"], result["upper"]) == (9, 9)
+    assert (result["search_nodes"], result["search_complete"]) == (10, True)
+    assert result["witness"] == full["result"]["witness"]
+
+
 def test_nstar_bounds_when_det_shares_p(tmp_path, capsys):
     # det -3: the zeros' orbit mod 3 is {(0, 1), (0, 2)}, two classes
     # joined by an edge, so three exponentials are the most
@@ -312,6 +325,19 @@ def test_nonspectral_cert_explicit_and_inconclusive(tmp_path, capsys):
     assert code == 2
     assert payload["result"]["verdict"] == "inconclusive"
     assert "note" in payload["result"]
+
+
+@pytest.mark.parametrize("given, missing", [("L", "j0"), ("j0", "L")])
+def test_nonspectral_cert_refuses_half_a_certificate(tmp_path, capsys, given, missing):
+    # the suggested pair would replace the given half, so the report would
+    # not be about the given certificate
+    fields = dict(M=[[4, 1], [2, 5]], D=THREE, **{given: 7})
+    code, payload = run_json(capsys, "nonspectral-cert", "--input", problem(tmp_path, **fields))
+    assert code == 1
+    assert payload["error"] == {
+        "type": "ProblemFormatError",
+        "message": f"nonspectral-cert needs the field '{missing}'",
+    }
 
 
 def test_transport_check(tmp_path, capsys):
@@ -536,6 +562,17 @@ def test_problem_fields_refused(tmp_path, capsys, fields, message):
     code, out, err = run(capsys, "zero-set", "--input", path)
     assert (code, out) == (1, "")
     assert err == f"error (ProblemFormatError): {message}\n"
+
+
+def test_c_is_read_from_c_alone(tmp_path, capsys):
+    # a key named base is no alias of C and overrides nothing
+    fields = dict(M=SWAP, D=SWAP_D, C=SWAP_C, levels=1)
+    _, plain = run_json(capsys, "spectrum", "--input", problem(tmp_path, **fields))
+    code, both = run_json(
+        capsys, "spectrum", "--input", problem(tmp_path, base=[[0, 0], [1, 0]], **fields)
+    )
+    assert code == 0 and both["result"] == plain["result"]
+    assert len(plain["result"]["frequencies"]) == 3
 
 
 def test_csv_header_past_three_dimensions(tmp_path, capsys):

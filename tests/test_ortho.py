@@ -7,11 +7,11 @@ from itertools import count, product
 from operator import sub
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectral_affine import zeros
-from spectral_affine.conjugacy import make_conjugate
+from spectral_affine.conjugacy import make_conjugate, spectrality_criterion
 from spectral_affine.errors import (
     HypothesisViolation,
     IncompleteZeroSet,
@@ -634,12 +634,14 @@ def test_max_clique_beyond_the_recursion_limit():
 def test_nstar_budget_truncation():
     # a stopped search keeps the longer of its best clique and its current
     # path, and frequency 0, joined to every candidate: here the path down
-    # the first branch, one member per search node, then frequency 0
+    # the first branch, one member per search node, then frequency 0; from
+    # budget 8 that family reaches the upper bound 9, which proves it maximum
     for budget in range(10):
         out = nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=budget)
-        assert not out.search_complete and out.search_nodes == budget + 1
+        assert out.search_nodes == budget + 1
         family = out.witness
         assert out.lower == min(budget + 1, 9) == len(family)
+        assert out.upper == 9 and out.search_complete == (out.lower == 9)
         assert family[0] == (0, 0)
         assert all(
             zero_membership(SKEW, THREE, tuple(map(sub, a, b))) is not None
@@ -899,6 +901,66 @@ def test_suggest_certificate_none_cases():
     # spectral systems enter at level one; this one never enters at all
     assert suggest_certificate(M3, THREE) is None
     assert suggest_certificate(SKEW, THREE) is None
+
+
+def loop_certificate(M, D, max_j=64):
+    """Reference for suggest_certificate: the criterion sequence
+    (A M B)^{T j} (1, -1) on unreduced integers, up to a 64-step cap."""
+    res = spectrality_criterion(M, D)
+    MtT = transpose(res.Mt)
+    w = (1, -1)
+    for j in range(1, max_j + 1):
+        w = mat_vec(MtT, w)
+        if all(x % 3 == 0 for x in w):
+            break
+    else:
+        return None
+    if j < 2:
+        return None
+    return (abs(det(res.A) * det(res.B)) ** (j + 1), j)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+coarse = st.integers(-6, 6)
+digit = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+any_planar_three = st.tuples(
+    st.tuples(st.tuples(coarse, coarse), st.tuples(coarse, coarse)),
+    st.tuples(digit, digit, digit),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_planar_three)
+@example((((4, 1), (2, 5)), THREE))  # level 2
+@example((((3, 1), (0, 3)), THREE))  # det M = 0 mod 3
+@example((((4, 1), (2, 5)), ((0, 0), (1, 0), (0, 3))))  # frame singular mod 3
+@example((((4, 1), (2, 5)), ((0, 0), (1, 1), (2, 2))))  # collinear digits
+@example((((1, 1), (0, 2)), THREE))  # not expanding
+@example((((4, 1), (2, 5)), ((0, 0), (1, 0), (1, 0))))  # repeated digit
+def test_suggest_certificate_matches_the_step_loop(system):
+    # the orbit of the conjugate's zeros mod 3 closes, so its level is the
+    # loop's without a cap; a refusal comes from the criterion either way
+    M, D = system
+    assert _outcome(suggest_certificate, M, D) == _outcome(loop_certificate, M, D)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_planar_three)
+def test_criterion_is_spectral_iff_the_conjugate_orbit_level_is_one(system):
+    # (A M B)^T (1, -1) in 3Z^2, the paper's mod-3 rule, against the level
+    # at which DigitSystem's orbit of the zeros (1, 2)/3, (2, 1)/3 of
+    # {0, e1, e2} under (A M B)^T reaches 0 mod 3
+    M, D = system
+    res = _outcome(spectrality_criterion, M, D)
+    assume(not isinstance(res, tuple))
+    level = zeros.digit_system(res.Mt, THREE).orbit(3)[1]
+    assert (res.verdict == "Spectral") == (level == 1)
 
 
 def per_zero_orbit_walk(M, D):

@@ -163,3 +163,23 @@ def test_only_zeros_and_hadamard_import_sign_canonical():
         if alias.name == "sign_canonical"
     }
     assert importers == {"zeros", "hadamard"}
+
+
+def test_ortho_takes_the_zero_images_from_the_digit_system():
+    # DigitSystem.orbit, shells and window give every image of the mask
+    # zeros under powers of M^T: ortho keeps no running matrix product, no
+    # offset box and no step cap of its own
+    tree = ast.parse((PACKAGE / "ortho.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"identity", "mat_mul", "product", "itertools"})
+    (suggest,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "suggest_certificate"
+    ]
+    assert [arg.arg for arg in suggest.args.args + suggest.args.kwonlyargs] == ["M", "D"]
