@@ -45,7 +45,6 @@ from .zeros import (
     as_digit_set,
     as_rational_point,
     cyclotomic,
-    digit_system,
     is_zero_exact,
     mask_eval,
     reduce_mod1,

@@ -128,6 +128,7 @@ def _rat_vector(x: Any, where: str):
 
 
 _SCALAR_INT_FIELDS = ("p", "J", "R", "depth", "grid", "seed", "j0", "levels", "k", "N", "budget")
+_FIELDS = ("M", "D", "S", "A", "B", "C", "xi", "L", "eta", "mode", "q_hints", *_SCALAR_INT_FIELDS)
 
 
 def parse_problem(path: str) -> dict:
@@ -141,6 +142,9 @@ def parse_problem(path: str) -> dict:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProblemFormatError("problem file must hold a JSON object")
+    for key in raw:
+        if key not in _FIELDS:
+            raise _fail(key, "unknown field")
 
     out: dict[str, Any] = {}
     if "M" not in raw:
@@ -210,20 +214,26 @@ def _csv_header(n: int) -> list[str]:
     return [f"x{i}" for i in range(1, n + 1)]
 
 
+def _criterion(M, D) -> dict:
+    verdict = spectrality_criterion(M, D)
+    return {"verdict": verdict.verdict, "A": verdict.A, "B": verdict.B}
+
+
 def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dict, int, Optional[list]]:
     """Run one command; returns (result-dict, exit-code, csv-rows). The
     result and the rows, a header then one tuple per point, hold library
     values (tuples, Fractions, floats) that emit renders."""
     M = problem["M"]
+    if command not in ("classify", "attractor"):
+        D = _need(problem, "D", command)
 
     def pick(name: str, default=None):
-        flag = getattr(opts, name.replace("-", "_"), None)
+        flag = getattr(opts, name, None)
         if flag is not None:
             return flag
         return problem.get(name, default)
 
     if command == "zero-set":
-        D = _need(problem, "D", command)
         zs = zero_set(D, q_hints=problem.get("q_hints", ()))
         rows = [_csv_header(len(M)), *zs.points]
         result = {
@@ -234,7 +244,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0 if zs.complete else 2, rows
 
     if command == "find-hadamard":
-        D = _need(problem, "D", command)
         budget = pick("budget", 10_000_000)
         found = find_spectrum_set(M, D, budget=budget)
         result = {
@@ -247,7 +256,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, code, None
 
     if command == "verify-triple":
-        D = _need(problem, "D", command)
         S = _need(problem, "S", command)
         ok = verify_triple(M, D, S)
         result = {
@@ -257,7 +265,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0, None
 
     if command == "conjugate":
-        D = _need(problem, "D", command)
         B = _need(problem, "B", command)
         p = _need(problem, "p", command)
         mode = problem.get("mode", "b")
@@ -282,31 +289,17 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
             "theorem18": None,
         }
         if "D" in problem and len(problem["D"]) == 3:
-            verdict = spectrality_criterion(M, problem["D"])
-            result["theorem18"] = {
-                "verdict": verdict.verdict,
-                "A": verdict.A,
-                "B": verdict.B,
-            }
+            result["theorem18"] = _criterion(M, problem["D"])
         return result, 0, None
 
     if command == "criterion-1-8":
-        D = _need(problem, "D", command)
-        verdict = spectrality_criterion(M, D)
-        result = {
-            "verdict": verdict.verdict,
-            "A": verdict.A,
-            "B": verdict.B,
-        }
-        return result, 0, None
+        return _criterion(M, D), 0, None
 
     if command == "infinite-orthogonal":
-        D = _need(problem, "D", command)
         infinite, level = has_infinite_orthogonal(M, D)
         return {"infinite": infinite, "witness_level": level}, 0, None
 
     if command == "nstar":
-        D = _need(problem, "D", command)
         J = pick("J")
         p = _need(problem, "p", command) if J is None else problem.get("p")
         kwargs: dict[str, Any] = {}
@@ -328,7 +321,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0 if bounds.search_complete else 2, None
 
     if command == "nonspectral-cert":
-        D = _need(problem, "D", command)
         # a certificate is given whole or suggested whole
         suggested = "L" not in problem and "j0" not in problem
         if suggested:
@@ -357,7 +349,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0 if cert.valid else 2, None
 
     if command == "transport-check":
-        D = _need(problem, "D", command)
         B = _need(problem, "B", command)
         p = _need(problem, "p", command)
         J = pick("J", 4)
@@ -376,7 +367,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0, None
 
     if command == "fourier-eval":
-        D = _need(problem, "D", command)
         xi = _need(problem, "xi", command)
         depth = pick("depth", 40)
         val = mu_hat_numeric(M, D, xi, depth=depth)
@@ -408,7 +398,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0, rows
 
     if command == "spectrum":
-        D = _need(problem, "D", command)
         C = _need(problem, "C", command)
         levels = pick("levels", 1)
         cand = spectrum_candidate(M, D, C, levels)
@@ -423,7 +412,6 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0, rows
 
     if command == "q-scan":
-        D = _need(problem, "D", command)
         C = _need(problem, "C", command)
         levels = pick("levels", 1)
         depth = pick("depth", 40)
@@ -552,6 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     opts = build_parser().parse_args(argv)
     start = time.perf_counter()
+    envelope = {
+        "library": {"name": "spectral-affine", "version": __version__},
+        "schema": 1,
+        "command": opts.command,
+    }
     try:
         problem = parse_problem(opts.input)
         if opts.q_hints:
@@ -559,24 +552,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 int(tok) for tok in opts.q_hints.split(",") if tok
             )
         result, code, csv_rows = dispatch(opts.command, problem, opts)
-        report = {
-            "library": {"name": "spectral-affine", "version": __version__},
-            "schema": 1,
-            "command": opts.command,
-            "result": result,
-            "timing_seconds": time.perf_counter() - start,
-        }
+        report = {**envelope, "result": result, "timing_seconds": time.perf_counter() - start}
         rendered = emit(report, opts.format, csv_rows)
     except Exception as exc:
         # every failure, an overflow in the float layer included, gets the
         # same parseable report with the exception's class name
-        report = {
-            "library": {"name": "spectral-affine", "version": __version__},
-            "schema": 1,
-            "command": opts.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "timing_seconds": time.perf_counter() - start,
-        }
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        report = {**envelope, "error": error, "timing_seconds": time.perf_counter() - start}
         out = (
             _dumps(report) + "\n"
             if opts.format == "json"

@@ -43,8 +43,8 @@ from .linalg import (
 )
 from .zeros import (
     DigitSet,
+    DigitSystem,
     as_digit_set,
-    digit_system,
     three_digit_frame,
     zero_set_in_punctured_grid,
 )
@@ -165,7 +165,7 @@ class Conjugacy:
         """
         if direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
-        if not zero_set_in_punctured_grid(digit_system(self.M, self.D).zs, self.p):
+        if not zero_set_in_punctured_grid(DigitSystem(self.M, self.D).zs, self.p):
             raise HypothesisViolation(
                 "mask zeros of D must lie in the punctured (1/p)-grid"
             )

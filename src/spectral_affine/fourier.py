@@ -46,10 +46,10 @@ from .linalg import (
 )
 from .zeros import (
     DigitSet,
+    DigitSystem,
     RationalPoint,
     as_digit_set,
     as_rational_point,
-    digit_system,
     lattice_form,
     mask_eval,
 )
@@ -244,7 +244,7 @@ class _MuHat:
         if depth < 1:
             raise ValueError("product depth must be positive")
         _require_expanding(M)
-        ds = digit_system(M, D)
+        ds = DigitSystem(M, D)
         self.minvT = tuple(tuple(x / ds.absdet for x in row) for row in ds.adjT)
         self.D = D
         self.depth = depth
@@ -363,7 +363,7 @@ def spectrum_candidate(
     Fourier zero set, and the first failing pair, if any, is reported.
     """
     M = as_matrix(M)
-    ds = digit_system(M, as_digit_set(D))
+    ds = DigitSystem(M, as_digit_set(D))
     n = len(M)
     pts = _rational_points(base)
     if len(pts[0]) != n:
@@ -525,7 +525,7 @@ def suggest_eta(
     (distance - sampling_error) / 2, sampling_error the tail bound of the
     truncated expansions; a nonpositive eta is refused.
     """
-    zs = digit_system(as_matrix(M), as_digit_set(D)).zs
+    zs = DigitSystem(as_matrix(M), as_digit_set(D)).zs
     if not zs.complete:
         raise IncompleteZeroSet("radius suggestion needs a complete zero set")
     if not zs.residues:

@@ -28,7 +28,7 @@ from .linalg import (
     sign_canonical,
     transpose,
 )
-from .zeros import DigitSet, as_digit_set, digit_system
+from .zeros import DigitSet, DigitSystem, as_digit_set
 
 FrequencySet = tuple[tuple[int, ...], ...]
 
@@ -42,7 +42,7 @@ def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
     precision however large s is.
     """
     D = as_digit_set(D)
-    ds = digit_system(as_matrix(M), D)
+    ds = DigitSystem(as_matrix(M), D)
     if ds.det == 0:
         raise SingularMatrix("matrix must be invertible over Q")
     absdet = ds.absdet
@@ -80,7 +80,7 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     for s in S:
         if len(s) != len(D[0]):
             raise WrongDimension("frequency dimension does not match digits")
-    ds = digit_system(as_matrix(M), D)
+    ds = DigitSystem(as_matrix(M), D)
     if ds.det == 0:
         raise SingularMatrix("matrix must be invertible over Q")
     ok = all(
@@ -129,7 +129,7 @@ def find_spectrum_set(
         raise ValueError("budget must be nonnegative")
     D = as_digit_set(D)
     M = as_matrix(M)
-    ds = digit_system(M, D)
+    ds = DigitSystem(M, D)
     if ds.det == 0:
         raise SingularMatrix("expanding map must be invertible")
     k = len(D) - 1

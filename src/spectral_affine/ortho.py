@@ -45,7 +45,6 @@ from .zeros import (
     as_rational_point,
     lattice_form,
     reduce_mod1,  # unused here; perfbench --trace 1 wraps ortho.reduce_mod1
-    digit_system,
     zero_set_in_punctured_grid,
 )
 
@@ -55,9 +54,9 @@ _Measure = DigitSystem
 
 
 def measure(M: Matrix, D: DigitSet) -> DigitSystem:
-    """digit_system(M, D), M and D validated, once walkable has raised the
+    """DigitSystem(M, D), M and D validated, once walkable has raised the
     walk's refusals."""
-    ds = digit_system(M, D)
+    ds = DigitSystem(M, D)
     ds.walkable  # raises the walk's refusals
     return ds
 
@@ -88,7 +87,7 @@ def has_infinite_orthogonal(
     DigitSystem.orbit(q), the orbit of the residues q*z mod q, q the common
     denominator of the mask zeros.
     """
-    ds = digit_system(as_matrix(M), as_digit_set(D))
+    ds = DigitSystem(as_matrix(M), as_digit_set(D))
     if not is_expanding(ds.M):
         raise HypothesisViolation("orbit test requires an expanding matrix")
     if not ds.zs.complete:
@@ -388,7 +387,7 @@ def nonspectral_certificate(
     M: Matrix, D: DigitSet, L, j0: int
 ) -> NonSpectralCertificate:
     M = as_matrix(M)
-    ds = digit_system(M, as_digit_set(D))
+    ds = DigitSystem(M, as_digit_set(D))
     L = Fraction(L)
     u, v = L.numerator, L.denominator
     if u <= 0:
@@ -463,7 +462,7 @@ def suggest_certificate(M: Matrix, D: DigitSet) -> Optional[tuple[int, int]]:
     shape) or reaches it at level one (the spectral case).
     """
     res = spectrality_criterion(M, D)
-    j0 = digit_system(res.Mt, ((0, 0), (1, 0), (0, 1))).orbit(3)[1]
+    j0 = DigitSystem(res.Mt, ((0, 0), (1, 0), (0, 1))).orbit(3)[1]
     if j0 is None or j0 < 2:
         return None
     L = abs(det(res.A) * det(res.B)) ** (j0 + 1)

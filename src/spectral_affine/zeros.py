@@ -361,8 +361,6 @@ class DigitSystem:
         sign = -1 if d < 0 else 1
         self.adjT = tuple(tuple(sign * x for x in col) for col in zip(*adj))
         self.absdet = abs(d)
-        self._shells: list[list[IntVector]] = []
-        self._orbits: dict[int, tuple[frozenset[IntVector], Optional[int]]] = {}
 
     @functools.cached_property
     def zs(self) -> ZeroSet:
@@ -379,11 +377,9 @@ class DigitSystem:
     def orbit(self, m: int) -> tuple[frozenset[IntVector], Optional[int]]:
         """U mod m = {M^{T j} r mod m : j >= 1, r a residue}, m a divisor
         of q, and the least j with 0 in M^{T j} r mod m, None when 0 is not
-        in U mod m; cached per m. Reduction mod m commutes with M^T, so the
-        closure starts from the residues mod m. Level j is the image of
-        level j - 1, so U is closed once a level adds nothing new."""
-        if m in self._orbits:
-            return self._orbits[m]
+        in U mod m. Reduction mod m commutes with M^T, so the closure
+        starts from the residues mod m. Level j is the image of level j - 1,
+        so U is closed once a level adds nothing new."""
         Mt = transpose(self.M)
         zero = (0,) * self.n
         U: set[IntVector] = set()
@@ -394,8 +390,7 @@ class DigitSystem:
             if first is None and zero in level:
                 first = j
             if level <= U:
-                self._orbits[m] = frozenset(U), first
-                return self._orbits[m]
+                return frozenset(U), first
             U |= level
 
     def vanishes(self, v: IntVector) -> bool:
@@ -451,16 +446,14 @@ class DigitSystem:
 
     def shells(self, J: int) -> Iterator[list[IntVector]]:
         """The residue shells M^{T j} r for j = 1..J, each in residue
-        order; a level is computed once, when first reached, so a caller
-        that stops early builds no later level. None without zeros."""
-        out = self._shells
+        order; each level is built from the previous one when reached, so a
+        caller that stops early builds no later level. None without zeros."""
         if self.residues:
             (a, b), (c, d) = self.M
-            for j in range(J):
-                if j == len(out):
-                    prev = out[-1] if out else self.zs.residues
-                    out.append([(a * x + c * y, b * x + d * y) for x, y in prev])
-                yield out[j]
+            shell = self.zs.residues
+            for _ in range(J):
+                shell = [(a * x + c * y, b * x + d * y) for x, y in shell]
+                yield shell
 
     def window(self, J: int, R: int) -> list[IntVector]:
         """The distinct nonzero vectors q*(M^{T j} z + v), for the mask
@@ -569,8 +562,3 @@ class DigitSystem:
             classes = refined
         return adj
 
-
-@functools.lru_cache(maxsize=64)
-def digit_system(M: Matrix, D: DigitSet) -> DigitSystem:
-    """The cached DigitSystem of (M, D), both already validated tuples."""
-    return DigitSystem(M, D)

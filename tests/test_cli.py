@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectral_affine import zeros
 from spectral_affine.cli import COMMANDS, _dumps, build_parser, main
 from spectral_affine.zeros import ZeroSet
 
@@ -234,7 +233,6 @@ def test_corpus_commands_build_no_zero_points(tmp_path, capsys, monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(ZeroSet, "__post_init__", record)
-    zeros.digit_system.cache_clear()
     systems = [
         dict(M=[[3, 0], [0, 3]], D=THREE, S=[[0, 0], [1, 2], [2, 1]], B=[[1, 0], [1, 1]], p=3),
         dict(
@@ -242,17 +240,14 @@ def test_corpus_commands_build_no_zero_points(tmp_path, capsys, monkeypatch):
             S=[[0, 0], [0, 1], [1, 0], [1, 1]], B=[[1, 0], [1, 1]], p=2,
         ),
     ]
-    try:
-        for fields in systems:
-            path = problem(tmp_path, **fields)
-            commands = ["classify", "find-hadamard", "conjugate", "verify-triple"]
-            if len(fields["D"]) == 3:
-                commands.append("criterion-1-8")
-            for command in commands:
-                code, payload = run_json(capsys, command, "--input", path)
-                assert code == 0, payload
-    finally:
-        zeros.digit_system.cache_clear()
+    for fields in systems:
+        path = problem(tmp_path, **fields)
+        commands = ["classify", "find-hadamard", "conjugate", "verify-triple"]
+        if len(fields["D"]) == 3:
+            commands.append("criterion-1-8")
+        for command in commands:
+            code, payload = run_json(capsys, command, "--input", path)
+            assert code == 0, payload
     assert built and all("points" not in zs.__dict__ for zs in built)
 
 
@@ -552,6 +547,7 @@ def test_float_input_rejected(tmp_path, capsys):
         (dict(C=[[0, 0], [1]]), "C: dimension does not match M"),
         (dict(xi=[1, 2, 3]), "xi: dimension does not match M"),
         (dict(q_hints=2), "q_hints: expected a list of integers"),
+        (dict(r=3), "r: unknown field"),
     ],
 )
 def test_problem_fields_refused(tmp_path, capsys, fields, message):
@@ -565,14 +561,34 @@ def test_problem_fields_refused(tmp_path, capsys, fields, message):
 
 
 def test_c_is_read_from_c_alone(tmp_path, capsys):
-    # a key named base is no alias of C and overrides nothing
+    # a key named base is no alias of C: it is refused, not skipped
     fields = dict(M=SWAP, D=SWAP_D, C=SWAP_C, levels=1)
-    _, plain = run_json(capsys, "spectrum", "--input", problem(tmp_path, **fields))
+    code, plain = run_json(capsys, "spectrum", "--input", problem(tmp_path, **fields))
+    assert code == 0 and len(plain["result"]["frequencies"]) == 3
     code, both = run_json(
         capsys, "spectrum", "--input", problem(tmp_path, base=[[0, 0], [1, 0]], **fields)
     )
-    assert code == 0 and both["result"] == plain["result"]
-    assert len(plain["result"]["frequencies"]) == 3
+    assert code == 1 and "result" not in both
+    assert both["error"] == {"type": "ProblemFormatError", "message": "base: unknown field"}
+
+
+@pytest.mark.parametrize(
+    "command, fields, error",
+    [
+        (
+            "zero-set",
+            dict(D=[[], []]),
+            ("WrongDimension", "digit vectors must have positive dimension"),
+        ),
+        ("attractor", dict(C=[[0, 0], [0, 0]], k=2), ("ValueError", "points must be distinct")),
+        ("spectrum", dict(D=THREE, C=[[0, 0], [0, 0]]), ("ValueError", "points must be distinct")),
+    ],
+)
+def test_input_refusals_from_the_library(tmp_path, capsys, command, fields, error):
+    path = problem(tmp_path, M=[[3, 0], [0, 3]], **fields)
+    code, payload = run_json(capsys, command, "--input", path)
+    assert code == 1 and "result" not in payload
+    assert (payload["error"]["type"], payload["error"]["message"]) == error
 
 
 def test_csv_header_past_three_dimensions(tmp_path, capsys):

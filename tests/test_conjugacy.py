@@ -75,6 +75,8 @@ def test_classification_examples():
     assert sierpinski_class(((2, 0), (0, 2))).label == "Other"
     with pytest.raises(WrongDimension):
         sierpinski_class(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(WrongDimension, match="criterion is defined for 2x2 matrices"):
+        spectral_residue_criterion(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_residue_criterion_matches_first_class():
@@ -175,6 +177,10 @@ def test_make_conjugate_validations():
         make_conjugate(((3, 0), (0, 3)), THREE, ((1, 0), (1, 1)), 3, A=((1, 0), (1, 1)))
     with pytest.raises(WrongDimension):
         make_conjugate(((3, 0), (0, 3)), THREE, identity(2), 3, A=((1,),))
+    with pytest.raises(WrongDimension, match="matrix and digit dimensions must agree"):
+        make_conjugate(((3, 0), (0, 3)), THREE, identity(3), 3)
+    with pytest.raises(WrongDimension, match="matrix and digit dimensions must agree"):
+        make_conjugate(((3, 0), (0, 3)), ((0,), (1,), (2,)), identity(2), 3)
 
 
 def test_check_witness_examples():

@@ -162,6 +162,8 @@ def test_spectrum_candidate_validations():
         spectrum_candidate(M3, THREE, ((0, 0), (3, 6), (1, 2)), 2)
     with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
         spectrum_candidate(((2, 0), (0, 2)), ((5,),), ((0, 0), (1, 0)), 1)
+    with pytest.raises(WrongDimension, match="base dimension does not match the map"):
+        spectrum_candidate(M3, THREE, ((0,), (1,)), 1)
 
 
 def test_suggest_eta_swap_form():

@@ -236,6 +236,11 @@ def test_find_spectrum_set_singular():
         find_spectrum_set(((1, 2), (2, 4)), THREE)
 
 
+def test_unitarity_defect_singular():
+    with pytest.raises(SingularMatrix, match="matrix must be invertible over Q"):
+        unitarity_defect(((1, 2), (2, 4)), THREE, S3)
+
+
 def _fixture_conjugacy():
     # 3I with the canonical digits, moved by B = diag(1, 2) in mode "a"
     return make_conjugate(M3, THREE, ((1, 0), (0, 2)), 3, mode="a")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import count, product
 from operator import sub
@@ -92,6 +93,8 @@ def test_zero_membership_validations():
         zero_membership(M3, ((0, 0), (1, 1)), (1, 1))
     with pytest.raises(HypothesisViolation):
         zero_membership(((1, 0), (0, 2)), THREE, (1, 1))
+    with pytest.raises(WrongDimension, match="frequency dimension does not match the map"):
+        zero_membership(M3, THREE, (1, 1, 1))
 
 
 NOT_EXPANDING = "inverse-transpose powers do not contract; matrix not expanding"
@@ -487,15 +490,11 @@ def test_nstar_without_zeros_off_the_plane(M, D, upper, method):
 
 def test_measure_refuses_zeros_off_the_plane(monkeypatch):
     # the mask zeros 1/4 and 3/4 of {0, 2}, complete but one-dimensional:
-    # the walk has only a planar step; the cache must not keep the fake
+    # the walk has only a planar step
     zs = ZeroSet(4, ((1,), (3,)), complete=True)
     monkeypatch.setattr(zeros, "zero_set", lambda D: zs)
-    zeros.digit_system.cache_clear()
-    try:
-        with pytest.raises(WrongDimension, match="plane"):
-            measure(((4,),), ((0,), (2,)))
-    finally:
-        zeros.digit_system.cache_clear()
+    with pytest.raises(WrongDimension, match="plane"):
+        measure(((4,),), ((0,), (2,)))
 
 
 def test_nstar_inapplicable_when_det_shares_p():
@@ -653,6 +652,8 @@ def test_nstar_budget_truncation():
 def test_nstar_validations():
     with pytest.raises(ValueError, match="at least 2"):
         nstar_bounds(M3, THREE, 1)
+    with pytest.raises(ValueError, match="the default window J needs p"):
+        nstar_bounds(M3, THREE)
     # with J given, p sets nothing, so a composite p is no refusal
     assert nstar_bounds(M3, THREE, 4, J=2, R=1) == nstar_bounds(M3, THREE, 3, J=2, R=1)
     with pytest.raises(ValueError):
@@ -875,6 +876,19 @@ def test_certificate_window_matches_enumeration(system, data):
     assert cert.window_empty == fraction_certificate(M, D, L, j0)[1]
 
 
+def test_certificate_holds_no_memory_once_it_returns():
+    # the window's residue shells grow with the level; each is dropped once
+    # the next is built, and nothing keeps the digit system after the call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = nonspectral_certificate(SKEW, THREE, 1, 2000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cert.window_empty and held < 1 << 20
+
+
 def test_certificate_window_with_a_large_scale_denominator():
     # v = 3001: the search over all k mod v would try 3001^2 vectors per
     # residue and level
@@ -959,7 +973,7 @@ def test_criterion_is_spectral_iff_the_conjugate_orbit_level_is_one(system):
     M, D = system
     res = _outcome(spectrality_criterion, M, D)
     assume(not isinstance(res, tuple))
-    level = zeros.digit_system(res.Mt, THREE).orbit(3)[1]
+    level = DigitSystem(res.Mt, THREE).orbit(3)[1]
     assert (res.verdict == "Spectral") == (level == 1)
 
 

@@ -183,3 +183,39 @@ def test_ortho_takes_the_zero_images_from_the_digit_system():
         if isinstance(node, ast.FunctionDef) and node.name == "suggest_certificate"
     ]
     assert [arg.arg for arg in suggest.args.args + suggest.args.kwonlyargs] == ["M", "D"]
+
+
+def test_digit_system_lives_for_one_call():
+    # no module-level cache keeps a DigitSystem alive, and an instance
+    # stores only the data of (M, D) fixed in __init__: no shell or orbit
+    # store grows with the questions asked of it
+    tree = ast.parse((PACKAGE / "zeros.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert "digit_system" not in functions
+    cached = [
+        name
+        for name, node in functions.items()
+        for deco in node.decorator_list
+        if "lru_cache" in ast.unparse(deco)
+    ]
+    assert cached == ["cyclotomic"]
+    (cls,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "DigitSystem"
+    ]
+    stored = {
+        (method.name, target.attr)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    }
+    assert {method for method, _ in stored} == {"__init__"}
+    assert {attr for _, attr in stored} == {"M", "D", "n", "det", "adjT", "absdet"}
