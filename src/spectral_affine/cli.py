@@ -219,7 +219,13 @@ def _criterion(M, D) -> dict:
     return {"verdict": verdict.verdict, "A": verdict.A, "B": verdict.B}
 
 
-def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dict, int, Optional[list]]:
+def _given(problem: dict, **params: str) -> dict:
+    """The problem's fields named by params' values, keyed by parameter
+    name: a field the problem leaves out takes its library default."""
+    return {param: problem[field] for param, field in params.items() if field in problem}
+
+
+def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
     """Run one command; returns (result-dict, exit-code, csv-rows). The
     result and the rows, a header then one tuple per point, hold library
     values (tuples, Fractions, floats) that emit renders."""
@@ -227,14 +233,8 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
     if command not in ("classify", "attractor"):
         D = _need(problem, "D", command)
 
-    def pick(name: str, default=None):
-        flag = getattr(opts, name, None)
-        if flag is not None:
-            return flag
-        return problem.get(name, default)
-
     if command == "zero-set":
-        zs = zero_set(D, q_hints=problem.get("q_hints", ()))
+        zs = zero_set(D, **_given(problem, q_hints="q_hints"))
         rows = [_csv_header(len(M)), *zs.points]
         result = {
             "points": zs.points,
@@ -244,8 +244,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return result, 0 if zs.complete else 2, rows
 
     if command == "find-hadamard":
-        budget = pick("budget", 10_000_000)
-        found = find_spectrum_set(M, D, budget=budget)
+        found = find_spectrum_set(M, D, **_given(problem, budget="budget"))
         result = {
             "status": found.status,
             "S": found.S,
@@ -267,8 +266,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
     if command == "conjugate":
         B = _need(problem, "B", command)
         p = _need(problem, "p", command)
-        mode = problem.get("mode", "b")
-        conj = make_conjugate(M, D, B, p, mode=mode, A=problem.get("A"))
+        conj = make_conjugate(M, D, B, p, A=problem.get("A"), **_given(problem, mode="mode"))
         result = {
             "M_conjugate": conj.Mt,
             "D_conjugate": conj.Dt,
@@ -300,14 +298,11 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
         return {"infinite": infinite, "witness_level": level}, 0, None
 
     if command == "nstar":
-        J = pick("J")
-        p = _need(problem, "p", command) if J is None else problem.get("p")
-        kwargs: dict[str, Any] = {}
-        if pick("R") is not None:
-            kwargs["R"] = pick("R")
-        if pick("budget") is not None:
-            kwargs["node_budget"] = pick("budget")
-        bounds = nstar_bounds(M, D, p, J, **kwargs)
+        if "J" not in problem:  # the default window comes from p
+            _need(problem, "p", command)
+        bounds = nstar_bounds(
+            M, D, **_given(problem, p="p", J="J", R="R", node_budget="budget")
+        )
         result = {
             "lower": bounds.lower,
             "upper": bounds.upper,
@@ -351,9 +346,8 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
     if command == "transport-check":
         B = _need(problem, "B", command)
         p = _need(problem, "p", command)
-        J = pick("J", 4)
         report = transport_inclusion_check(
-            M, D, problem.get("A"), B, p, J=J, mode=problem.get("mode", "b")
+            M, D, problem.get("A"), B, p, **_given(problem, J="J", mode="mode")
         )
         result = {
             "c1": report.c1,
@@ -368,25 +362,14 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
 
     if command == "fourier-eval":
         xi = _need(problem, "xi", command)
-        depth = pick("depth", 40)
+        depth = problem.get("depth", 40)
         val = mu_hat_numeric(M, D, xi, depth=depth)
         return {"re": val.real, "im": val.imag, "depth": depth}, 0, None
 
     if command == "attractor":
         digits = problem.get("C") or _need(problem, "D", command)
-        mode = problem.get("mode", "digit_expansion")
-        # k comes from the problem, then --depth; the problem's own depth
-        # field belongs to fourier-eval and q-scan
-        k = problem.get("k")
-        if k is None:
-            k = 8 if opts.depth is None else opts.depth
         sample = attractor_sample(
-            M,
-            digits,
-            mode=mode,
-            k=k,
-            N=pick("N", 2000),
-            seed=pick("seed"),
+            M, digits, **_given(problem, mode="mode", k="k", N="N", seed="seed")
         )
         rows = [_csv_header(len(M)), *sample.points]
         result = {
@@ -399,7 +382,7 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
 
     if command == "spectrum":
         C = _need(problem, "C", command)
-        levels = pick("levels", 1)
+        levels = problem.get("levels", 1)
         cand = spectrum_candidate(M, D, C, levels)
         rows = [_csv_header(len(M)), *cand.frequencies]
         result = {
@@ -413,22 +396,15 @@ def dispatch(command: str, problem: dict, opts: argparse.Namespace) -> tuple[dic
 
     if command == "q-scan":
         C = _need(problem, "C", command)
-        levels = pick("levels", 1)
-        depth = pick("depth", 40)
-        resolution = pick("grid", 11)
+        levels = problem.get("levels", 1)
         cand = spectrum_candidate(M, D, C, levels)
-        eta = pick("eta")
+        eta = problem.get("eta")
         eta_source = "given"
         if eta is None:
             eta = suggest_eta(M, D, C).eta
             eta_source = "computed"
         scan = completeness_scan(
-            M,
-            D,
-            cand,
-            float(eta),
-            resolution=resolution,
-            depth=depth,
+            M, D, cand, float(eta), **_given(problem, resolution="grid", depth="depth")
         )
         flat = [q for row in scan.values for q in row]
         grid = itertools.product(scan.axis, repeat=len(M))
@@ -525,15 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--input", required=True, help="JSON problem file")
     ap.add_argument("--format", default="text", choices=("json", "text", "csv"))
-    ap.add_argument("--depth", type=int, default=None)
-    ap.add_argument("--levels", type=int, default=None)
-    ap.add_argument("--eta", type=float, default=None)
-    ap.add_argument("--grid", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--J", type=int, default=None)
-    ap.add_argument("--R", type=int, default=None)
-    ap.add_argument("--budget", type=int, default=None)
-    ap.add_argument("--q-hints", type=str, default=None)
     return ap
 
 
@@ -547,11 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         problem = parse_problem(opts.input)
-        if opts.q_hints:
-            problem["q_hints"] = tuple(
-                int(tok) for tok in opts.q_hints.split(",") if tok
-            )
-        result, code, csv_rows = dispatch(opts.command, problem, opts)
+        result, code, csv_rows = dispatch(opts.command, problem)
         report = {**envelope, "result": result, "timing_seconds": time.perf_counter() - start}
         rendered = emit(report, opts.format, csv_rows)
     except Exception as exc:

@@ -589,6 +589,9 @@ def completeness_scan(
     D = as_digit_set(D)
     if eta <= 0:
         raise ValueError("scan radius must be positive")
+    if not math.isfinite(2 * eta):
+        # the axis -eta + 2 eta i / (resolution - 1) would hold NaN
+        raise ValueError("scan radius must give a finite grid")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     n = len(M)

@@ -453,17 +453,20 @@ def nonspectral_certificate(
 def suggest_certificate(M: Matrix, D: DigitSet) -> Optional[tuple[int, int]]:
     """Suggest a certificate scale and tail level for a three-digit system.
 
-    Follows the residue criterion sequence (A M B)^{T j} (1, -1) mod 3, A B
-    the criterion's frame pair. The mask zeros of {0, e1, e2} are (1, 2)/3
-    and (2, 1)/3, so that sequence is their orbit under (A M B)^T, and j0 is
-    the level at which the orbit mod 3 reaches 0 (DigitSystem.orbit), exact
-    since the orbit closes. The suggested scale is |det(AB)|^(j0 + 1).
-    Returns None when the orbit never reaches 0 (no certificate of this
-    shape) or reaches it at level one (the spectral case).
+    Follows the residue criterion sequence N^j v mod 3, v = (1, -1), N =
+    (A M B)^T and A B the criterion's frame pair. The mask zeros of
+    {0, e1, e2} are (1, 2)/3 and (2, 1)/3, so that sequence is their orbit
+    under N, and j0 is the least level at which it reaches 0 mod 3. That
+    level is one (the spectral case), two or never: an invertible N never
+    sends v to 0, and by Cayley-Hamilton over F_3 a singular N has
+    N^2 = tr(N) N, so some N^j v is 0 iff N v is (tr N != 0) or N^2 v is
+    (tr N = 0). The suggested scale is |det(AB)|^(j0 + 1). Returns None
+    unless the level is two.
     """
     res = spectrality_criterion(M, D)
-    j0 = DigitSystem(res.Mt, ((0, 0), (1, 0), (0, 1))).orbit(3)[1]
-    if j0 is None or j0 < 2:
+    if res.verdict == "Spectral":
         return None
-    L = abs(det(res.A) * det(res.B)) ** (j0 + 1)
-    return (L, j0)
+    N = transpose(res.Mt)
+    if any(c % 3 for c in mat_vec(N, mat_vec(N, (1, -1)))):
+        return None
+    return (abs(det(res.A) * det(res.B)) ** 3, 2)

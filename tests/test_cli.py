@@ -1,6 +1,7 @@
 """Command-line interface: parsing, dispatch, formats, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -58,9 +59,8 @@ def test_zero_set_incomplete_exit_code(tmp_path, capsys):
     path = problem(tmp_path, M=[[2, 0], [0, 2]], D=D)
     code, payload = run_json(capsys, "zero-set", "--input", path)
     assert code == 2 and payload["result"]["complete"] is False
-    code, payload = run_json(
-        capsys, "zero-set", "--input", path, "--q-hints", "2"
-    )
+    hinted = problem(tmp_path, M=[[2, 0], [0, 2]], D=D, q_hints=[2])
+    code, payload = run_json(capsys, "zero-set", "--input", hinted)
     assert code == 2
     assert len(payload["result"]["points"]) == 3
 
@@ -70,16 +70,15 @@ def test_find_hadamard(tmp_path, capsys):
     code, payload = run_json(capsys, "find-hadamard", "--input", path)
     assert code == 0 and payload["result"]["status"] == "found"
     assert payload["result"]["search_space"] == 28
-    code, payload = run_json(
-        capsys, "find-hadamard", "--input", path, "--budget", "0"
-    )
+    stopped = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, budget=0)
+    code, payload = run_json(capsys, "find-hadamard", "--input", stopped)
     assert code == 2 and payload["result"]["status"] == "undetermined"
 
 
 @pytest.mark.parametrize("command", ["find-hadamard", "nstar"])
 def test_negative_budget_rejected(tmp_path, capsys, command):
-    path = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, p=3, J=1, R=0)
-    code, payload = run_json(capsys, command, "--input", path, "--budget", "-1")
+    path = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, p=3, J=1, R=0, budget=-1)
+    code, payload = run_json(capsys, command, "--input", path)
     assert code == 1 and "result" not in payload
     assert payload["error"]["type"] == "ValueError"
     assert "budget" in payload["error"]["message"]
@@ -191,19 +190,13 @@ def test_unit_eigenvalue_maps_refused(tmp_path, capsys, command, M, message):
     assert payload["error"] == {"type": "HypothesisViolation", "message": message}
 
 
-def test_nstar_with_flag_overrides(tmp_path, capsys):
+def test_nstar_reads_its_window_from_the_problem(tmp_path, capsys):
     path = problem(tmp_path, M=[[2, 0], [0, 2]], D=THREE, p=3, J=1, R=0)
     code, payload = run_json(capsys, "nstar", "--input", path)
     assert code == 0
     assert payload["result"]["lower"] == 3 and payload["result"]["upper"] == 3
     assert payload["result"]["method"] == "clique"
     assert payload["result"]["witness_verified"] is True
-    # flags beat file fields
-    wide = problem(tmp_path, M=[[2, 0], [0, 2]], D=THREE, p=3, J=5, R=2)
-    code, narrow = run_json(
-        capsys, "nstar", "--input", wide, "--J", "1", "--R", "0"
-    )
-    assert narrow["result"]["lower"] == 3
 
 
 def test_nstar_needs_p_only_for_the_default_window(tmp_path, capsys):
@@ -254,8 +247,8 @@ def test_corpus_commands_build_no_zero_points(tmp_path, capsys, monkeypatch):
 def test_nstar_zero_budget(tmp_path, capsys):
     # the search stops at its first node; frequency 0 alone is a verified
     # family, and the stopped search exits 2
-    path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0)
-    code, payload = run_json(capsys, "nstar", "--input", path, "--budget", "0")
+    path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0, budget=0)
+    code, payload = run_json(capsys, "nstar", "--input", path)
     assert code == 2
     result = payload["result"]
     assert (result["lower"], result["upper"], result["method"]) == (1, 9, "clique")
@@ -268,7 +261,8 @@ def test_nstar_budget_stop_at_the_upper_bound_exits_0(tmp_path, capsys):
     # with frequency 0 already has the upper bound's 9 members: decided
     path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0)
     _, full = run_json(capsys, "nstar", "--input", path)
-    code, payload = run_json(capsys, "nstar", "--input", path, "--budget", "9")
+    stopped = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0, budget=9)
+    code, payload = run_json(capsys, "nstar", "--input", stopped)
     assert code == 0
     result = payload["result"]
     assert (result["lower"], result["upper"]) == (9, 9)
@@ -355,9 +349,8 @@ def test_fourier_eval(tmp_path, capsys):
     assert payload["result"]["re"] == pytest.approx(1.0)
     assert payload["result"]["im"] == pytest.approx(0.0)
     assert payload["result"]["depth"] == 40
-    deep = run_json(
-        capsys, "fourier-eval", "--input", path, "--depth", "60"
-    )[1]
+    deeper = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, xi=[0, 0], depth=60)
+    deep = run_json(capsys, "fourier-eval", "--input", deeper)[1]
     assert deep["result"]["depth"] == 60
 
 
@@ -388,10 +381,8 @@ def test_attractor_level_ignores_problem_depth(tmp_path, capsys):
     path = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, depth=40)
     code, payload = run_json(capsys, "attractor", "--input", path)
     assert code == 0 and payload["result"]["count"] == 3**8
-    code, payload = run_json(capsys, "attractor", "--input", path, "--depth", "3")
-    assert code == 0 and payload["result"]["count"] == 3**3
     both = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, depth=40, k=2)
-    code, payload = run_json(capsys, "attractor", "--input", both, "--depth", "3")
+    code, payload = run_json(capsys, "attractor", "--input", both)
     assert code == 0 and payload["result"]["count"] == 3**2
 
 
@@ -402,9 +393,8 @@ def test_csv_header_follows_dimension(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "x" and len(lines) == 5
     assert all("," not in line for line in lines)
-    code, out, _ = run(
-        capsys, "zero-set", "--input", path, "--format", "csv", "--q-hints", "2"
-    )
+    hinted = problem(tmp_path, M=[[3]], D=[[0], [1]], q_hints=[2])
+    code, out, _ = run(capsys, "zero-set", "--input", hinted, "--format", "csv")
     assert code == 2 and out.splitlines() == ["x", "1/2"]
 
 
@@ -444,31 +434,25 @@ def test_spectrum_csv(tmp_path, capsys):
 
 def test_q_scan_given_and_computed_eta(tmp_path, capsys):
     given = problem(
-        tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1, eta=[2, 25]
+        tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1, eta=[2, 25], grid=3
     )
-    code, payload = run_json(
-        capsys, "q-scan", "--input", given, "--grid", "3"
-    )
+    code, payload = run_json(capsys, "q-scan", "--input", given)
     assert code == 0
     res = payload["result"]
     assert res["eta_source"] == "given" and res["eta"] == pytest.approx(0.08)
     assert res["resolution"] == 3 and res["orthogonal"] is True
     assert 0 < res["min_q"] <= res["max_q"] <= 1 + 1e-9
-    computed = problem(tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1)
-    code, payload = run_json(
-        capsys, "q-scan", "--input", computed, "--grid", "3"
-    )
+    computed = problem(tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1, grid=3)
+    code, payload = run_json(capsys, "q-scan", "--input", computed)
     assert payload["result"]["eta_source"] == "computed"
     assert payload["result"]["eta"] == pytest.approx(0.16292134, abs=1e-6)
 
 
 def test_q_scan_csv(tmp_path, capsys):
     path = problem(
-        tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1, eta=[2, 25]
+        tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1, eta=[2, 25], grid=3
     )
-    code, out, _ = run(
-        capsys, "q-scan", "--input", path, "--format", "csv", "--grid", "3"
-    )
+    code, out, _ = run(capsys, "q-scan", "--input", path, "--format", "csv")
     lines = out.splitlines()
     assert lines[0] == "x,y,q" and len(lines) == 10
 
@@ -476,15 +460,13 @@ def test_q_scan_csv(tmp_path, capsys):
 @pytest.mark.parametrize("n, header", [(1, "x,q"), (3, "x,y,z,q")])
 def test_q_scan_csv_off_the_plane(tmp_path, capsys, n, header):
     M = [[4 if i == j else 0 for j in range(n)] for i in range(n)]
-    path = problem(tmp_path, M=M, D=[[0] * n], C=[[0] * n], eta=[1, 10])
-    code, out, _ = run(
-        capsys, "q-scan", "--input", path, "--format", "csv", "--grid", "3"
-    )
+    path = problem(tmp_path, M=M, D=[[0] * n], C=[[0] * n], eta=[1, 10], grid=3)
+    code, out, _ = run(capsys, "q-scan", "--input", path, "--format", "csv")
     lines = out.splitlines()
     assert code == 0 and lines[0] == header and len(lines) == 1 + 3**n
     assert all(len(line.split(",")) == n + 1 for line in lines)
     assert lines[1] == ",".join(["-0.1"] * n + ["1.0"])
-    code, out, _ = run(capsys, "q-scan", "--input", path, "--grid", "3")
+    code, out, _ = run(capsys, "q-scan", "--input", path)
     assert code == 0 and "min_q: 1.0" in out
 
 
@@ -519,6 +501,18 @@ def test_float_overflow_reported(tmp_path, capsys, command, fields):
     code, out, err = run(capsys, command, "--input", path, "--format", "text")
     assert code == 1 and err.startswith("error (OverflowError): ")
     assert "Traceback" not in err
+
+
+def test_q_scan_refuses_a_radius_without_a_finite_grid(tmp_path, capsys):
+    path = problem(tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1, eta=[10**308, 1], grid=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload = run_json(capsys, "q-scan", "--input", path)
+    assert code == 1 and "result" not in payload
+    assert payload["error"] == {
+        "type": "ValueError",
+        "message": "scan radius must give a finite grid",
+    }
 
 
 def test_float_input_rejected(tmp_path, capsys):
@@ -639,11 +633,15 @@ def untimed(capsys, argv):
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
-    path = problem(tmp_path, M=[[2, 0], [0, 2]], D=THREE, p=3, J=5, R=2)
+    narrow = problem(tmp_path, M=[[2, 0], [0, 2]], D=THREE, p=3, J=3, R=0)
+    wide = str(tmp_path / "wide.json")
+    (tmp_path / "wide.json").write_text(
+        json.dumps(dict(M=[[2, 0], [0, 2]], D=THREE, p=3, J=5, R=2))
+    )
     calls = [
-        ["nstar", "--input", path, "--J", "3", "--R", "0", "--format", "json"],
-        ["nstar", "--input", path, "--format", "json"],
-        ["classify", "--input", path],
+        ["nstar", "--input", narrow, "--format", "json"],
+        ["nstar", "--input", wide, "--format", "json"],
+        ["classify", "--input", wide],
     ]
     reused = [untimed(capsys, argv) for argv in calls]
     fresh = []
@@ -651,9 +649,19 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys):
         build_parser.cache_clear()
         fresh.append(untimed(capsys, argv))
     assert reused == fresh
-    # the flags narrow the window, so a leaked --J or --R would show
-    assert reused[0][1]["result"]["witness"] != reused[1][1]["result"]["witness"]
     assert reused[2][0] == 0 and reused[2][1][0] == "command: classify"
+
+
+def test_the_problem_file_is_the_only_input(tmp_path, capsys):
+    # every parameter is a problem field; the parser takes no other option
+    options = {s for action in build_parser()._actions for s in action.option_strings}
+    assert options == {"-h", "--help", "--input", "--format"}
+    path = problem(tmp_path, M=[[2, 0], [0, 2]], D=THREE, p=3)
+    with pytest.raises(SystemExit) as stop:
+        main(["nstar", "--input", path, "--J", "8"])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --J 8" in err
 
 
 def test_text_format(tmp_path, capsys):

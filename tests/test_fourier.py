@@ -223,6 +223,12 @@ def test_completeness_scan_validations():
         completeness_scan(M3, THREE, cand, 0.0)
     with pytest.raises(ValueError):
         completeness_scan(M3, THREE, cand, 0.1, resolution=1)
+    # 2 * 1e308 overflows to inf, and inf * 0 is NaN on the axis; the swap
+    # family is orthogonal, so a NaN axis would fail its frame-sum bound
+    swap = spectrum_candidate(SWAP, SWAP_D, SWAP_C, 1)
+    for eta in (math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match="scan radius must give a finite grid"):
+            completeness_scan(SWAP, SWAP_D, swap, eta, resolution=3)
 
 
 # ------------------------------------------- differential: batch and integer

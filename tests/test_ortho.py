@@ -934,6 +934,16 @@ def loop_certificate(M, D, max_j=64):
     return (abs(det(res.A) * det(res.B)) ** (j + 1), j)
 
 
+def orbit_certificate(M, D):
+    """Reference for suggest_certificate: j0 is the level at which the
+    orbit of the conjugate's zeros mod 3 reaches 0 (DigitSystem.orbit)."""
+    res = spectrality_criterion(M, D)
+    j0 = DigitSystem(res.Mt, THREE).orbit(3)[1]
+    if j0 is None or j0 < 2:
+        return None
+    return (abs(det(res.A) * det(res.B)) ** (j0 + 1), j0)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -958,10 +968,33 @@ any_planar_three = st.tuples(
 @example((((1, 1), (0, 2)), THREE))  # not expanding
 @example((((4, 1), (2, 5)), ((0, 0), (1, 0), (1, 0))))  # repeated digit
 def test_suggest_certificate_matches_the_step_loop(system):
-    # the orbit of the conjugate's zeros mod 3 closes, so its level is the
-    # loop's without a cap; a refusal comes from the criterion either way
+    # the closed form, the capped loop and the orbit of the conjugate's
+    # zeros mod 3 agree; a refusal comes from the criterion in each
     M, D = system
-    assert _outcome(suggest_certificate, M, D) == _outcome(loop_certificate, M, D)
+    suggested = _outcome(suggest_certificate, M, D)
+    assert suggested == _outcome(loop_certificate, M, D) == _outcome(orbit_certificate, M, D)
+
+
+def test_suggest_certificate_matches_the_orbit_level_on_every_residue_matrix():
+    # the level depends only on A M B mod 3, which is M mod 3 for D = THREE
+    # (A = B = I); by Gershgorin the offset 6 I keeps every map expanding
+    levels = set()
+    for a, b, c, d in product(range(3), repeat=4):
+        M = ((a + 6, b), (c, d + 6))
+        assert suggest_certificate(M, THREE) == orbit_certificate(M, THREE), M
+        levels.add(orbit_certificate(M, THREE))
+    assert levels == {None, (1, 2)}
+
+
+def test_suggest_certificate_builds_no_zero_set(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("zero_set called")
+
+    monkeypatch.setattr(zeros, "zero_set", refuse)
+    assert suggest_certificate(((4, 1), (2, 5)), THREE) == (1, 2)
+    assert suggest_certificate(((4, 2), (1, 5)), STRETCH) == (64, 2)
+    assert suggest_certificate(M3, THREE) is None
+    assert suggest_certificate(SKEW, THREE) is None
 
 
 @settings(max_examples=300, deadline=None)
