@@ -59,7 +59,6 @@ from .hadamard import (
 )
 from .conjugacy import (
     Conjugacy,
-    SierpinskiClass,
     SpectralityVerdict,
     check_witness,
     make_conjugate,

@@ -280,9 +280,8 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
         return result, 0, None
 
     if command == "classify":
-        cls = sierpinski_class(M)
         result = {
-            "class": cls.label,
+            "class": sierpinski_class(M),
             "m1_criterion": spectral_residue_criterion(M),
             "theorem18": None,
         }

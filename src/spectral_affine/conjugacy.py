@@ -50,29 +50,20 @@ from .zeros import (
 )
 
 
-@dataclass(frozen=True)
-class SierpinskiClass:
-    """Residue classification of a planar matrix mod 3."""
-
-    label: str  # "M1", "M2", or "Other"
-    residue: Matrix
-
-
-def sierpinski_class(M: Matrix) -> SierpinskiClass:
-    """"M1": rows agree mod 3. "M2": det 2 and trace t nonzero mod 3, the
-    order-eight part of GL_2(3), as x^2 - t x - 1 is irreducible iff t != 0."""
+def sierpinski_class(M: Matrix) -> str:
+    """The residue class of a planar matrix mod 3. "M1": the rows agree
+    mod 3, spectral_residue_criterion. "M2": det 2 and trace t nonzero mod
+    3, the order-eight part of GL_2(3), as x^2 - t x - 1 is irreducible iff
+    t != 0. "Other" otherwise."""
     M = as_matrix(M)
     if len(M) != 2:
         raise WrongDimension("residue classification is defined for 2x2 matrices")
-    R = mat_mod(M, 3)
-    (a, b), (c, d) = R
-    if R[0] == R[1]:
-        label = "M1"
-    elif (a * d - b * c) % 3 == 2 and (a + d) % 3:
-        label = "M2"
-    else:
-        label = "Other"
-    return SierpinskiClass(label=label, residue=R)
+    if spectral_residue_criterion(M):
+        return "M1"
+    (a, b), (c, d) = M
+    if (a * d - b * c) % 3 == 2 and (a + d) % 3:
+        return "M2"
+    return "Other"
 
 
 def spectral_residue_criterion(M: Matrix) -> bool:
@@ -217,8 +208,6 @@ def make_conjugate(
         Dt = divide_digits(D, B)
     else:
         Dt = tuple(tuple(mat_vec(A, d)) for d in D)
-    if len(set(Dt)) != len(Dt):
-        raise AssertionError("conjugated digits must stay distinct")
     return Conjugacy(M, D, p, A, B, mode, Mt, as_digit_set(Dt))
 
 

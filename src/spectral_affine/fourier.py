@@ -28,11 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .errors import (
-    HypothesisViolation,
-    IncompleteZeroSet,
-    WrongDimension,
-)
+from .errors import HypothesisViolation, WrongDimension
 from .linalg import (
     IntVector,
     Matrix,
@@ -77,8 +73,6 @@ def _pairwise_sum(vals: Sequence[float]) -> float:
     """Sum in a balanced order fixed by len(vals) alone, so that every Q
     value is reproducible bit for bit."""
     k = len(vals)
-    if k == 0:
-        return 0.0
     if k == 1:
         return float(vals[0])
     mid = k // 2
@@ -249,7 +243,21 @@ class _MuHat:
         self.D = D
         self.depth = depth
 
-    def value(self, xi: Sequence[float]) -> complex:
+    def value(self, xi: Sequence) -> complex:
+        """The truncated product at xi. A frequency too large for the
+        float steps, whose conversion or phases overflow, is refused with
+        one OverflowError; the check wraps the product, not each step."""
+        try:
+            prod = self._product(xi)
+        except (OverflowError, ValueError):
+            pass  # float() of a huge coordinate, or cmath.exp of an infinite phase
+        else:
+            if cmath.isfinite(prod):
+                return prod
+        shown = ", ".join(map(str, xi))
+        raise OverflowError(f"frequency ({shown}) is too large for the float product")
+
+    def _product(self, xi: Sequence) -> complex:
         y = tuple(float(c) for c in xi)
         prod = complex(1.0)
         if len(y) == len(self.D[0]) == len(self.minvT) == 2:
@@ -523,13 +531,13 @@ def suggest_eta(
     the best expansion so far, beyond a slack that covers float rounding,
     so no skipped expansion could have been the minimum. eta is
     (distance - sampling_error) / 2, sampling_error the tail bound of the
-    truncated expansions; a nonpositive eta is refused.
+    truncated expansions; a nonpositive eta is refused. DigitSystem.walkable
+    raises its refusals first, and a mask with no zeros is refused.
     """
-    zs = DigitSystem(as_matrix(M), as_digit_set(D)).zs
-    if not zs.complete:
-        raise IncompleteZeroSet("radius suggestion needs a complete zero set")
-    if not zs.residues:
+    ds = DigitSystem(as_matrix(M), as_digit_set(D))
+    if not ds.walkable:
         raise HypothesisViolation("mask has no zeros; any radius works")
+    zs = ds.zs
     _, pts, det_m, adj = _expansion_setup(M, base)
     den, levels = _level_terms(det_m, adj, pts, k)
     # int true division is correctly rounded, as float(Fraction) is

@@ -25,13 +25,12 @@ from operator import sub
 from typing import Optional, Sequence
 
 from .conjugacy import make_conjugate, spectrality_criterion
-from .errors import HypothesisViolation, IncompleteZeroSet, WrongDimension
+from .errors import HypothesisViolation, WrongDimension
 from .linalg import (
     IntVector,
     Matrix,
     as_matrix,
     det,
-    is_expanding,
     mat_pow,
     mat_vec,
     smith_normal_form,
@@ -54,8 +53,8 @@ _Measure = DigitSystem
 
 
 def measure(M: Matrix, D: DigitSet) -> DigitSystem:
-    """DigitSystem(M, D), M and D validated, once walkable has raised the
-    walk's refusals."""
+    """DigitSystem(M, D), M and D validated, once walkable, the one gate
+    of every question about the measure, has raised its refusals."""
     ds = DigitSystem(M, D)
     ds.walkable  # raises the walk's refusals
     return ds
@@ -87,11 +86,7 @@ def has_infinite_orthogonal(
     DigitSystem.orbit(q), the orbit of the residues q*z mod q, q the common
     denominator of the mask zeros.
     """
-    ds = DigitSystem(as_matrix(M), as_digit_set(D))
-    if not is_expanding(ds.M):
-        raise HypothesisViolation("orbit test requires an expanding matrix")
-    if not ds.zs.complete:
-        raise IncompleteZeroSet("orbit test needs a complete zero set")
+    ds = measure(as_matrix(M), as_digit_set(D))
     level = ds.orbit(ds.q)[1]
     return (level is not None, level)
 
@@ -386,17 +381,22 @@ class NonSpectralCertificate:
 def nonspectral_certificate(
     M: Matrix, D: DigitSet, L, j0: int
 ) -> NonSpectralCertificate:
+    """Check the three-part certificate at scale L and tail level j0.
+
+    The scale and level are checked first; then the measure must exist:
+    DigitSystem.walkable refuses a singular or non-expanding M and an
+    incomplete zero set, as for every other question about the measure.
+    """
     M = as_matrix(M)
-    ds = DigitSystem(M, as_digit_set(D))
+    D = as_digit_set(D)
     L = Fraction(L)
     u, v = L.numerator, L.denominator
     if u <= 0:
         raise ValueError("scale L must be positive")
     if j0 < 2:
         raise ValueError("tail level j0 must be at least 2")
+    ds = measure(M, D)
     zs = ds.zs
-    if not zs.complete:
-        raise IncompleteZeroSet("certificate needs a complete zero set")
     # each part is a divisibility test on the residues r = q z: for an
     # integer vector N, L N / q is integral iff v q divides every u N_i
     n = len(M)

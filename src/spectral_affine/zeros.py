@@ -131,11 +131,9 @@ def mask_eval(D: DigitSet, x: Sequence) -> complex:
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den must be monic; exact integer division
+    # den is monic, a cyclotomic polynomial; exact integer division
     num = list(num)
     dd = len(den) - 1
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
     q = [0] * max(1, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
@@ -346,8 +344,9 @@ class DigitSystem:
     """Exact data of (M, D), both validated tuples: det M, M^{-T} as
     adjT = sign(det M) adj(M)^T over absdet = |det M|, and the zero set
     zs, built on first use. Building it checks only the digit dimension;
-    each consumer refuses a singular M in its own words, and walkable
-    raises the walk's refusals on the first walk."""
+    walkable is the one gate of every question about the measure, which
+    exists for an expanding M only: the walk, the orbit test, the
+    certificate and the scan radius raise its refusals."""
 
     def __init__(self, M: Matrix, D: DigitSet):
         if len(D[0]) != len(M):
@@ -412,9 +411,9 @@ class DigitSystem:
         """The first pair (i, j), i < j, whose difference (vectors[i] -
         vectors[j]) / Q is not in the Fourier zero set, or None; vectors are
         distinct integer vectors and Q > 0. Each difference is walked once
-        up to sign, as the residues are closed under negation."""
-        if len(vectors) > 1:
-            self.walkable  # raises the walk's refusals before the first walk
+        up to sign, as the residues are closed under negation. The walk's
+        refusals are raised whatever the family size."""
+        self.walkable
         memo: dict[IntVector, bool] = {}
         for (i, a), (j, b) in itertools.combinations(enumerate(vectors), 2):
             w = sign_canonical(tuple(map(sub, a, b)))
@@ -429,7 +428,7 @@ class DigitSystem:
     def walkable(self) -> bool:
         """Whether there are zeros to walk to. Refuses, in this order, a
         singular M, an incomplete zero set, zeros off the plane and an M
-        that is not expanding."""
+        that is not expanding: the one place these are decided."""
         if self.det == 0:
             raise SingularMatrix("expanding map must be invertible")
         if not self.zs.complete:

@@ -503,6 +503,31 @@ def test_float_overflow_reported(tmp_path, capsys, command, fields):
     assert "Traceback" not in err
 
 
+def test_spectrum_on_a_singular_map_is_refused_for_a_one_point_base(tmp_path, capsys):
+    # no pair is walked, yet the measure of a singular map does not exist
+    path = problem(tmp_path, M=[[1, 2], [2, 4]], D=THREE, C=[[0, 0]])
+    code, payload = run_json(capsys, "spectrum", "--input", path)
+    assert code == 1 and "result" not in payload
+    assert payload["error"] == {
+        "type": "SingularMatrix",
+        "message": "expanding map must be invertible",
+    }
+
+
+def test_fourier_eval_names_a_frequency_too_large_for_floats(tmp_path, capsys):
+    # on the swap instance 10**306 still evaluates; 10**308 overflows a phase
+    path = problem(tmp_path, M=SWAP, D=SWAP_D, xi=[10**306, 10**306])
+    assert run_json(capsys, "fourier-eval", "--input", path)[0] == 0
+    path = problem(tmp_path, M=SWAP, D=SWAP_D, xi=[10**308, 10**308])
+    code, payload = run_json(capsys, "fourier-eval", "--input", path)
+    assert code == 1 and "result" not in payload
+    shown = f"{10**308}, {10**308}"
+    assert payload["error"] == {
+        "type": "OverflowError",
+        "message": f"frequency ({shown}) is too large for the float product",
+    }
+
+
 def test_q_scan_refuses_a_radius_without_a_finite_grid(tmp_path, capsys):
     path = problem(tmp_path, M=SWAP, D=SWAP_D, C=SWAP_C, levels=1, eta=[10**308, 1], grid=3)
     with warnings.catch_warnings():

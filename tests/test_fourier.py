@@ -164,6 +164,10 @@ def test_spectrum_candidate_validations():
         spectrum_candidate(((2, 0), (0, 2)), ((5,),), ((0, 0), (1, 0)), 1)
     with pytest.raises(WrongDimension, match="base dimension does not match the map"):
         spectrum_candidate(M3, THREE, ((0,), (1,)), 1)
+    with pytest.raises(ValueError, match="point list must be nonempty"):
+        spectrum_candidate(M3, THREE, (), 1)
+    with pytest.raises(WrongDimension, match="points must share one dimension"):
+        spectrum_candidate(M3, THREE, ((0, 0), (1,)), 1)
 
 
 def test_suggest_eta_swap_form():
@@ -566,6 +570,37 @@ def test_mu_hat_matches_loop_bitwise_across_the_cutoff():
         assert (want == 0) == (m >= 25)
 
 
+I3 = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+I3_D = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "M, D, xi",
+    [
+        # the planar step: an infinite phase, then a coordinate beyond floats
+        (SWAP, SWAP_D, (10**308, 10**308)),
+        (SWAP, SWAP_D, (10**400, 1)),
+        # a phase inf - inf, whose NaN cmath.exp passes on silently
+        (((2, 0), (0, 2)), ((0, 0), (1, 0), (100, -100)), (8 * 10**306, 8 * 10**306)),
+        # the n-dimensional step
+        (I3, I3_D, (10**308, 10**308, 10**308)),
+        (I3, I3_D, (10**400, 1, 1)),
+    ],
+)
+def test_mu_hat_refuses_a_frequency_too_large_for_floats(M, D, xi):
+    shown = ", ".join(map(str, xi))
+    with pytest.raises(OverflowError) as exc:
+        mu_hat_numeric(M, D, xi)
+    assert str(exc.value) == f"frequency ({shown}) is too large for the float product"
+
+
+@pytest.mark.parametrize(
+    "M, D, xi", [(SWAP, SWAP_D, (10**306, 10**306)), (I3, I3_D, (10**306,) * 3)]
+)
+def test_mu_hat_keeps_large_finite_frequencies(M, D, xi):
+    assert _bits(mu_hat_numeric(M, D, xi)) == _bits(_mu_hat_loop(M, D, xi, 40))
+
+
 @pytest.mark.parametrize(
     "M, D, xi",
     [
@@ -676,6 +711,8 @@ def _fraction_spectrum_candidate(M, D, base, levels):
     if len(freqs) != len(pts) ** levels:
         raise ValueError("level sums must be distinct")
     ordered = tuple(sorted(freqs))
+    # the measure's gate, asked even of a one-point base with no pair to walk
+    DigitSystem(M, D).walkable
     memo = {}
     failing = None
     for i, a in enumerate(ordered):
@@ -720,7 +757,7 @@ def _full_box_suggest_eta(M, D, base, k):
     D = as_digit_set(D)
     zs = zero_set(D)
     if not zs.complete:
-        raise IncompleteZeroSet("radius suggestion needs a complete zero set")
+        raise IncompleteZeroSet("orthogonality decisions need a provably complete zero set")
     if not zs.points:
         raise HypothesisViolation("mask has no zeros; any radius works")
     sample = attractor_sample(M, base, "digit_expansion", k=k)

@@ -250,6 +250,12 @@ def test_smith_normal_form_fixtures():
     assert (S, L, R) == (((1, 0), (0, 2)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))
     S, _, _ = smith_normal_form(((3, 1), (1, 4)))
     assert S == ((1, 0), (0, 11))
+    # diagonal, but a zero before a nonzero entry is not the normal form
+    A = ((0, 0), (0, 5))
+    assert not _is_snf(A)
+    S, L, R = smith_normal_form(A)
+    assert S == ((5, 0), (0, 0)) and mat_mul(mat_mul(L, A), R) == S
+    assert abs(det(L)) == abs(det(R)) == 1
 
 
 @settings(max_examples=80)
@@ -438,6 +444,8 @@ def test_in_lattice():
         assert in_lattice(M, v)
     assert not in_lattice(M, (1, 0))
     assert not in_lattice(M, (0, 1))
+    with pytest.raises(SingularMatrix, match="lattice matrix must be nonsingular"):
+        in_lattice(((1, 2), (2, 4)), (1, 2))
 
 
 def test_unimodular_inverse():

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from spectral_affine import zeros
 from spectral_affine.conjugacy import make_conjugate, spectrality_criterion
+from spectral_affine.fourier import spectrum_candidate, suggest_eta
 from spectral_affine.errors import (
     HypothesisViolation,
     IncompleteZeroSet,
     NonIntegerDigits,
+    SingularMatrix,
     WrongDimension,
 )
 from spectral_affine.linalg import (
@@ -131,6 +133,56 @@ def test_has_infinite_orthogonal_needs_expanding_matrix(M):
     # the measure, and with it n*, is not defined for these maps
     with pytest.raises(HypothesisViolation, match="expanding"):
         has_infinite_orthogonal(M, THREE)
+
+
+# the measure of (M, D) exists for an expanding M only, and its questions
+# need every mask zero; each asks DigitSystem.walkable and raises its refusal
+GATE_REFUSALS = {
+    "singular": (((1, 2), (2, 4)), THREE, SingularMatrix, "expanding map must be invertible"),
+    "not_expanding": (((1, 1), (0, 2)), THREE, HypothesisViolation, NOT_EXPANDING),
+    "incomplete": (
+        M3,
+        ((0, 0), (1, 1)),
+        IncompleteZeroSet,
+        "orthogonality decisions need a provably complete zero set",
+    ),
+}
+QUESTIONS = {
+    "zero_membership": lambda M, D: zero_membership(M, D, (1, 1)),
+    "has_infinite_orthogonal": has_infinite_orthogonal,
+    "nstar_bounds": lambda M, D: nstar_bounds(M, D, 3, J=1, R=0),
+    "nonspectral_certificate": lambda M, D: nonspectral_certificate(M, D, 1, 2),
+    "suggest_eta": lambda M, D: suggest_eta(M, D, ((0, 0), (1, 0))),
+    # one base point, so no pair is walked
+    "spectrum_candidate": lambda M, D: spectrum_candidate(M, D, ((0, 0),), 1),
+}
+
+
+@pytest.mark.parametrize("system", sorted(GATE_REFUSALS))
+@pytest.mark.parametrize("question", sorted(QUESTIONS))
+def test_every_question_about_the_measure_refuses_through_the_gate(question, system):
+    M, D, error, message = GATE_REFUSALS[system]
+    with pytest.raises(error) as exc:
+        QUESTIONS[question](M, D)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_no_certificate_for_a_map_that_is_not_expanding():
+    # every non-expanding 2x2 matrix with entries in [-3, 3], singular ones
+    # included, is refused at every scale and tail level
+    entries = range(-3, 4)
+    maps = [
+        M
+        for M in product(product(entries, repeat=2), repeat=2)
+        if not is_expanding(M)
+    ]
+    assert len(maps) == 993
+    for M in maps:
+        error = SingularMatrix if det(M) == 0 else HypothesisViolation
+        for L in (1, 2, 3, 4, 6, 9, 27, Fraction(1, 3)):
+            for j0 in (2, 3, 4):
+                with pytest.raises(error):
+                    nonspectral_certificate(M, THREE, L, j0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -865,15 +917,23 @@ def test_certificate_matches_fraction_reference_fixed(M, D, L, j0):
 @given(planar_systems(expanding=False), st.data())
 def test_certificate_window_matches_enumeration(system, data):
     # the Smith-form window test against the reference's search over all
-    # k mod v, on any integer M, singular and non-expanding ones included;
-    # a scale u/v with q | u makes every u P r / q integral
+    # k mod v; any integer M is drawn, and a singular or non-expanding one
+    # is refused, as the measure does not exist; a scale u/v with q | u
+    # makes every u P r / q integral
     M, D = system
     q = zero_set(D).q
     u = data.draw(st.integers(1, 30)) * data.draw(st.sampled_from([1, q]))
     L = Fraction(u, data.draw(st.integers(1, 24)))
     j0 = data.draw(st.integers(2, 4))
-    cert = nonspectral_certificate(M, D, L, j0)
-    assert cert.window_empty == fraction_certificate(M, D, L, j0)[1]
+    if det(M) == 0:
+        with pytest.raises(SingularMatrix, match="expanding map must be invertible"):
+            nonspectral_certificate(M, D, L, j0)
+    elif not is_expanding(M):
+        with pytest.raises(HypothesisViolation, match=NOT_EXPANDING):
+            nonspectral_certificate(M, D, L, j0)
+    else:
+        cert = nonspectral_certificate(M, D, L, j0)
+        assert cert.window_empty == fraction_certificate(M, D, L, j0)[1]
 
 
 def test_certificate_holds_no_memory_once_it_returns():

@@ -219,3 +219,51 @@ def test_digit_system_lives_for_one_call():
     }
     assert {method for method, _ in stored} == {"__init__"}
     assert {attr for _, attr in stored} == {"M", "D", "n", "det", "adjT", "absdet"}
+
+
+def test_only_the_digit_system_refuses_an_incomplete_zero_set():
+    # DigitSystem.walkable is the one gate of every question about the
+    # measure; zero_set_in_punctured_grid keeps its own refusal for the
+    # conjugacy hypothesis. No other module names IncompleteZeroSet
+    naming = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem not in ("errors", "__init__")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "IncompleteZeroSet")
+        or (isinstance(node, ast.alias) and node.name == "IncompleteZeroSet")
+    }
+    assert naming == {"zeros"}
+    tree = ast.parse((PACKAGE / "zeros.py").read_text())
+    raising = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and "IncompleteZeroSet" in ast.unparse(node)
+    }
+    assert raising == {"walkable", "zero_set_in_punctured_grid"}
+
+
+def test_ortho_leaves_the_expansion_test_to_the_gate():
+    tree = ast.parse((PACKAGE / "ortho.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "is_expanding" not in imported
+
+
+def test_console_script_resolves():
+    # pyproject's [project.scripts] entry, and the package under the
+    # directory its package discovery searches
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    config = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    (where,) = config["tool"]["setuptools"]["packages"]["find"]["where"]
+    assert (SRC.parent / where / "spectral_affine" / "__init__.py").is_file()
+    target = config["project"]["scripts"]["spectral-affine"]
+    module, _, attr = target.partition(":")
+    assert target == "spectral_affine.cli:main"
+    assert callable(getattr(importlib.import_module(module), attr))

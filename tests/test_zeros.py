@@ -55,6 +55,15 @@ def test_as_rational_point_and_reduce():
     assert reduce_mod1((F(1), F(-2))) == (F(0), F(0))
 
 
+@pytest.mark.parametrize("x", [(F(1, 3),), (F(1, 3), F(2, 3), 0)])
+def test_point_dimension_must_match_the_digits(x):
+    message = "point dimension does not match digits"
+    with pytest.raises(WrongDimension, match=message):
+        mask_eval(THREE, x)
+    with pytest.raises(WrongDimension, match=message):
+        is_zero_exact(THREE, x)
+
+
 def test_mask_eval_numeric():
     assert mask_eval(THREE, (0.0, 0.0)) == pytest.approx(1.0)
     assert abs(mask_eval(THREE, (1 / 3, 2 / 3))) == pytest.approx(0.0, abs=1e-12)
