@@ -27,7 +27,6 @@ from . import __version__
 from .conjugacy import (
     make_conjugate,
     sierpinski_class,
-    spectral_residue_criterion,
     spectrality_criterion,
 )
 from .errors import ProblemFormatError
@@ -280,9 +279,10 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
         return result, 0, None
 
     if command == "classify":
+        label = sierpinski_class(M)
         result = {
-            "class": sierpinski_class(M),
-            "m1_criterion": spectral_residue_criterion(M),
+            "class": label,
+            "m1_criterion": label == "M1",
             "theorem18": None,
         }
         if "D" in problem and len(problem["D"]) == 3:
@@ -381,8 +381,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
 
     if command == "spectrum":
         C = _need(problem, "C", command)
-        levels = problem.get("levels", 1)
-        cand = spectrum_candidate(M, D, C, levels)
+        cand = spectrum_candidate(M, D, C, **_given(problem, levels="levels"))
         rows = [_csv_header(len(M)), *cand.frequencies]
         result = {
             "levels": cand.levels,
@@ -395,8 +394,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
 
     if command == "q-scan":
         C = _need(problem, "C", command)
-        levels = problem.get("levels", 1)
-        cand = spectrum_candidate(M, D, C, levels)
+        cand = spectrum_candidate(M, D, C, **_given(problem, levels="levels"))
         eta = problem.get("eta")
         eta_source = "given"
         if eta is None:
@@ -415,7 +413,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
             "eta_source": eta_source,
             "resolution": scan.resolution,
             "depth": scan.depth,
-            "levels": levels,
+            "levels": cand.levels,
             "orthogonal": cand.orthogonal,
             "min_q": scan.min_q,
             "max_q": scan.max_q,

@@ -34,7 +34,6 @@ from .linalg import (
     det_and_adjugate,
     gl_inverse_mod,
     identity,
-    is_expanding,
     is_prime,
     mat_mod,
     mat_mul,
@@ -45,6 +44,7 @@ from .zeros import (
     DigitSet,
     DigitSystem,
     as_digit_set,
+    require_expanding,
     three_digit_frame,
     zero_set_in_punctured_grid,
 )
@@ -98,8 +98,7 @@ def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
         raise WrongDimension("criterion is defined in the plane")
     if len(D) != 3:
         raise BadDigitForm("criterion needs exactly three digits")
-    if not is_expanding(M):
-        raise HypothesisViolation("criterion requires an expanding matrix")
+    require_expanding(M)
     B = three_digit_frame(D)
     try:
         A = gl_inverse_mod(B, 3)

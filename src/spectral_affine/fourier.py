@@ -34,7 +34,6 @@ from .linalg import (
     Matrix,
     as_matrix,
     det_and_adjugate,
-    is_expanding,
     mat_mul,
     mat_vec,
     power_norms,
@@ -48,12 +47,8 @@ from .zeros import (
     as_rational_point,
     lattice_form,
     mask_eval,
+    require_expanding,
 )
-
-
-def _require_expanding(M: Matrix) -> None:
-    if not is_expanding(M):
-        raise HypothesisViolation("map must be expanding")
 
 
 def _rational_points(rows: Sequence[Sequence]) -> tuple[RationalPoint, ...]:
@@ -127,7 +122,7 @@ def _expansion_setup(
 ) -> tuple[Matrix, tuple[RationalPoint, ...], int, Matrix]:
     """Validated map, digits, det M and adj M of an attractor expansion."""
     M = as_matrix(M)
-    _require_expanding(M)
+    require_expanding(M)
     pts = _rational_points(digits)
     if len(pts[0]) != len(M):
         raise WrongDimension("digit dimension does not match the map")
@@ -237,7 +232,7 @@ class _MuHat:
     def __init__(self, M: Matrix, D: DigitSet, depth: int):
         if depth < 1:
             raise ValueError("product depth must be positive")
-        _require_expanding(M)
+        require_expanding(M)
         ds = DigitSystem(M, D)
         self.minvT = tuple(tuple(x / ds.absdet for x in row) for row in ds.adjT)
         self.D = D
@@ -361,7 +356,7 @@ class SpectrumCandidate:
 
 
 def spectrum_candidate(
-    M: Matrix, D: DigitSet, base: Sequence[Sequence], levels: int
+    M: Matrix, D: DigitSet, base: Sequence[Sequence], levels: int = 1
 ) -> SpectrumCandidate:
     """Build the level-sum frequency family and verify orthogonality.
 

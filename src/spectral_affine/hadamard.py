@@ -19,7 +19,7 @@ from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import SingularMatrix, WrongDimension
+from .errors import WrongDimension
 from .linalg import (
     Matrix,
     as_matrix,
@@ -43,8 +43,7 @@ def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
     """
     D = as_digit_set(D)
     ds = DigitSystem(as_matrix(M), D)
-    if ds.det == 0:
-        raise SingularMatrix("matrix must be invertible over Q")
+    ds.invertible  # refuses a singular M
     absdet = ds.absdet
     rows = []
     for s in S:
@@ -81,8 +80,7 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
         if len(s) != len(D[0]):
             raise WrongDimension("frequency dimension does not match digits")
     ds = DigitSystem(as_matrix(M), D)
-    if ds.det == 0:
-        raise SingularMatrix("matrix must be invertible over Q")
+    ds.invertible  # refuses a singular M
     ok = all(
         ds.cyclotomic_zero(mat_vec(ds.adjT, [a - b for a, b in zip(s, t)]))
         for s, t in combinations(S, 2)
@@ -130,8 +128,7 @@ def find_spectrum_set(
     D = as_digit_set(D)
     M = as_matrix(M)
     ds = DigitSystem(M, D)
-    if ds.det == 0:
-        raise SingularMatrix("expanding map must be invertible")
+    ds.invertible  # refuses a singular M
     k = len(D) - 1
     nreps = ds.absdet
     search_space = math.comb(max(0, nreps - 1), k)

@@ -7,7 +7,8 @@ Membership is decided exactly by the walk of zeros.DigitSystem. The
 candidate frequencies of the orthogonal-family search, the transported
 zeros and the zero orbits all lie on the (1/q)-grid of the mask zeros
 and are handled as integer vectors q*x, and the non-spectrality
-certificate runs its three parts as divisibility tests on the residues.
+certificate, at an integer scale, runs its three parts as residue tests
+mod q on the residues and their shells.
 Fractions appear only at the public boundary.
 
 On top of that decision procedure sit the maximal-orthogonal-family
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import sub
 from typing import Optional, Sequence
 
@@ -33,7 +33,6 @@ from .linalg import (
     det,
     mat_pow,
     mat_vec,
-    smith_normal_form,
     transpose,
 )
 from .zeros import (
@@ -359,7 +358,8 @@ def transport_inclusion_check(
 
 @dataclass(frozen=True)
 class NonSpectralCertificate:
-    """Checkable witness that a digit system admits no exponential basis.
+    """Checkable witness that a digit system admits no exponential basis,
+    at an integer scale L.
 
     difference_closure: scaled differences of mask zeros either fall back
     into the zero set or clear to integers, with at least one genuinely
@@ -369,7 +369,7 @@ class NonSpectralCertificate:
     candidate spectrum inside a structure too sparse to be complete.
     """
 
-    L: Fraction
+    L: int
     j0: int
     difference_closure: bool
     window_empty: bool
@@ -381,62 +381,45 @@ class NonSpectralCertificate:
 def nonspectral_certificate(
     M: Matrix, D: DigitSet, L, j0: int
 ) -> NonSpectralCertificate:
-    """Check the three-part certificate at scale L and tail level j0.
+    """Check the three-part certificate at a positive integer scale L (an
+    int or an integral Fraction) and tail level j0.
 
-    The scale and level are checked first; then the measure must exist:
+    Only such an L keeps the integer lattice, as the closure needs, so any
+    other is refused first, then j0; then the measure must exist:
     DigitSystem.walkable refuses a singular or non-expanding M and an
     incomplete zero set, as for every other question about the measure.
+    Each part is a residue test, as L x / q is integral iff L x = 0 mod q.
     """
     M = as_matrix(M)
     D = as_digit_set(D)
     L = Fraction(L)
-    u, v = L.numerator, L.denominator
-    if u <= 0:
-        raise ValueError("scale L must be positive")
+    if L.denominator != 1 or L <= 0:
+        raise ValueError("scale L must be a positive integer")
+    L = L.numerator
     if j0 < 2:
         raise ValueError("tail level j0 must be at least 2")
     ds = measure(M, D)
     zs = ds.zs
-    # each part is a divisibility test on the residues r = q z: for an
-    # integer vector N, L N / q is integral iff v q divides every u N_i
-    n = len(M)
     q = zs.q
     res = zs.residues
 
-    # (a) closure of scaled differences; the closure argument needs the
-    # scale to preserve the integer lattice, so a fractional scale fails
-    # this part outright
-    difference_closure = False
-    if v == 1:
-        diffs = (tuple(map(sub, r, rp)) for r in res for rp in res)
-        nonint = [w for w in diffs if any(u * c % q for c in w)]
-        difference_closure = bool(nonint) and all(zs.is_zero(w, q) for w in nonint)
+    # (a) closure of scaled differences
+    diffs = (tuple(map(sub, r, rp)) for r in res for rp in res)
+    nonint = [w for w in diffs if any(L * c % q for c in w)]
+    difference_closure = bool(nonint) and all(zs.is_zero(w, q) for w in nonint)
 
     # (b) empty window below j0: at each level j < j0 the scaled image of
-    # the zero set plus the integer lattice must miss Z^n entirely. With
-    # P = M^{T j} and w = u P r / q integral (otherwise no integer translate
-    # clears the denominator), some k has L P (r/q + k) = (w + u P k) / v
-    # integral iff w is in P Z^n + v Z^n, u being a unit mod v; with
-    # A P B = S the Smith form, iff gcd(s_i, v) divides (A w)_i for every i.
-    # The images P r are the residue shells
-    Mt = transpose(M)
-    window_empty = True
-    for j, shell in enumerate(ds.shells(j0 - 1), 1):
-        scaled = [[u * c for c in x] for x in shell]
-        ws = [[c // q for c in x] for x in scaled if not any(c % q for c in x)]
-        if ws:
-            S, A, _ = smith_normal_form(mat_pow(Mt, j))
-            g = [gcd(S[i][i], v) for i in range(n)]
-            if any(all(c % gi == 0 for c, gi in zip(mat_vec(A, w), g)) for w in ws):
-                window_empty = False
-                break
-
-    # (c) integral tail at j0: the scaled matrix power clears the whole
-    # lattice into Z^n, and the zero set with it, for every later level
-    T = mat_pow(Mt, j0)
-    tail_integral = all(u * x % v == 0 for row in T for x in row) and not any(
-        u * c % (v * q) for r in res for c in mat_vec(T, r)
+    # the zero set plus the integer lattice must miss Z^n entirely. L is an
+    # integer, so L M^{Tj} (r/q + k) is integral iff L M^{Tj} r / q is:
+    # no vector of the residue shells may have every L c = 0 mod q
+    window_empty = all(
+        any(L * c % q for c in x) for shell in ds.shells(j0 - 1) for x in shell
     )
+
+    # (c) integral tail at j0: the scaled zero set clears into Z^n, and
+    # every later level with it, as M^T keeps the integer lattice
+    T = mat_pow(transpose(M), j0)
+    tail_integral = not any(L * c % q for r in res for c in mat_vec(T, r))
 
     valid = difference_closure and window_empty and tail_integral
     return NonSpectralCertificate(

@@ -340,6 +340,16 @@ def zero_set_in_punctured_grid(Z: ZeroSet, p: int) -> bool:
     return p % Z.q == 0 and all(any(r) for r in Z.residues)
 
 
+def require_expanding(M: Matrix) -> None:
+    """The refusal of an M that is not expanding, for which the measure
+    does not exist: the gate's, and that of every question that needs an
+    expanding map without a digit system."""
+    if not is_expanding(M):
+        raise HypothesisViolation(
+            "inverse-transpose powers do not contract; matrix not expanding"
+        )
+
+
 class DigitSystem:
     """Exact data of (M, D), both validated tuples: det M, M^{-T} as
     adjT = sign(det M) adj(M)^T over absdet = |det M|, and the zero set
@@ -425,22 +435,25 @@ class DigitSystem:
         return None
 
     @functools.cached_property
+    def invertible(self) -> bool:
+        """True, or the refusal of a singular M: the one place it is decided."""
+        if self.det == 0:
+            raise SingularMatrix("expanding map must be invertible")
+        return True
+
+    @functools.cached_property
     def walkable(self) -> bool:
         """Whether there are zeros to walk to. Refuses, in this order, a
         singular M, an incomplete zero set, zeros off the plane and an M
         that is not expanding: the one place these are decided."""
-        if self.det == 0:
-            raise SingularMatrix("expanding map must be invertible")
+        self.invertible
         if not self.zs.complete:
             raise IncompleteZeroSet(
                 "orthogonality decisions need a provably complete zero set"
             )
         if self.zs.residues and self.n != 2:
             raise WrongDimension("mask zeros are walked in the plane only")
-        if not is_expanding(self.M):
-            raise HypothesisViolation(
-                "inverse-transpose powers do not contract; matrix not expanding"
-            )
+        require_expanding(self.M)
         return bool(self.residues)
 
     def shells(self, J: int) -> Iterator[list[IntVector]]:

@@ -180,7 +180,11 @@ def test_infinite_orthogonal_refuses_non_expanding(tmp_path, capsys, M):
             [[1, 1], [0, 2]],
             "inverse-transpose powers do not contract; matrix not expanding",
         ),
-        ("attractor", [[0, -1], [1, 0]], "map must be expanding"),
+        (
+            "attractor",
+            [[0, -1], [1, 0]],
+            "inverse-transpose powers do not contract; matrix not expanding",
+        ),
     ],
 )
 def test_unit_eigenvalue_maps_refused(tmp_path, capsys, command, M, message):
@@ -303,11 +307,20 @@ def test_nonspectral_cert_suggested(tmp_path, capsys):
 
 
 def test_nonspectral_cert_explicit_and_inconclusive(tmp_path, capsys):
+    # the CLI reads any rational L; the library refuses one that is not a
+    # positive integer
     bad = problem(tmp_path, M=[[4, 1], [2, 5]], D=THREE, L=[1, 3], j0=2)
     code, payload = run_json(capsys, "nonspectral-cert", "--input", bad)
+    assert code == 1 and "result" not in payload
+    assert payload["error"] == {
+        "type": "ValueError",
+        "message": "scale L must be a positive integer",
+    }
+    off = problem(tmp_path, M=[[4, 1], [2, 5]], D=THREE, L=3, j0=2)
+    code, payload = run_json(capsys, "nonspectral-cert", "--input", off)
     assert code == 2
     assert payload["result"]["verdict"] == "inconclusive"
-    assert payload["result"]["L"] == [1, 3]
+    assert payload["result"]["L"] == 3
     assert payload["result"]["suggested"] is False
     spectral = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE)
     code, payload = run_json(capsys, "nonspectral-cert", "--input", spectral)

@@ -237,7 +237,7 @@ def test_find_spectrum_set_singular():
 
 
 def test_unitarity_defect_singular():
-    with pytest.raises(SingularMatrix, match="matrix must be invertible over Q"):
+    with pytest.raises(SingularMatrix, match="expanding map must be invertible"):
         unitarity_defect(((1, 2), (2, 4)), THREE, S3)
 
 

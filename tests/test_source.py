@@ -246,14 +246,18 @@ def test_only_the_digit_system_refuses_an_incomplete_zero_set():
 
 
 def test_ortho_leaves_the_expansion_test_to_the_gate():
-    tree = ast.parse((PACKAGE / "ortho.py").read_text())
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert "is_expanding" not in imported
+    # the expansion test and the singular refusal are written in zeros
+    # alone: the gate, require_expanding and DigitSystem.invertible
+    for module in ("ortho", "hadamard", "fourier", "conjugacy"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "is_expanding" not in imported, module
+        assert "SingularMatrix" not in imported, module
 
 
 def test_console_script_resolves():
