@@ -31,6 +31,7 @@ from .conjugacy import (
 )
 from .errors import ProblemFormatError
 from .fourier import (
+    DEFAULT_DEPTH,
     attractor_sample,
     completeness_scan,
     mu_hat_numeric,
@@ -361,7 +362,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
 
     if command == "fourier-eval":
         xi = _need(problem, "xi", command)
-        depth = problem.get("depth", 40)
+        depth = problem.get("depth", DEFAULT_DEPTH)
         val = mu_hat_numeric(M, D, xi, depth=depth)
         return {"re": val.real, "im": val.imag, "depth": depth}, 0, None
 

@@ -15,8 +15,7 @@ general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BadDigitForm,
@@ -75,8 +74,7 @@ def spectral_residue_criterion(M: Matrix) -> bool:
     return all(x % 3 == 0 for x in v)
 
 
-@dataclass(frozen=True)
-class SpectralityVerdict:
+class SpectralityVerdict(NamedTuple):
     verdict: str  # "Spectral" or "NonSpectral"
     A: Matrix
     B: Matrix
@@ -123,8 +121,7 @@ def divide_digits(D: DigitSet, B: Matrix) -> DigitSet:
     return as_digit_set(new)
 
 
-@dataclass(frozen=True)
-class Conjugacy:
+class Conjugacy(NamedTuple):
     """The similarity (M, D) -> (Mt, Dt) = (A M B, D~) for A B = I (mod p).
 
     mode "b": the digits satisfy D = B Dt; mode "a": Dt = A D. Only

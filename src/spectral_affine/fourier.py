@@ -19,10 +19,9 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 # only the two array paths import numpy, so exact commands never load it
 if TYPE_CHECKING:
@@ -101,8 +100,7 @@ def _tail_bound(
     return dmax * S0 / (1 - theta)
 
 
-@dataclass(frozen=True)
-class AttractorSample:
+class AttractorSample(NamedTuple):
     """Point cloud near the attractor of the inverse-map digit system.
 
     Every sampled point lies within eps of the attractor; for the full
@@ -327,7 +325,13 @@ def _dot(coeffs: Sequence, ys: Sequence) -> float | np.ndarray:
     return acc
 
 
-def mu_hat_numeric(M: Matrix, D: DigitSet, xi: Sequence, depth: int = 40) -> complex:
+# product depth of mu_hat_numeric and completeness_scan when none is given
+DEFAULT_DEPTH = 40
+
+
+def mu_hat_numeric(
+    M: Matrix, D: DigitSet, xi: Sequence, depth: int = DEFAULT_DEPTH
+) -> complex:
     """Truncated product of mask values along inverse-transpose iterates.
 
     Since the map is expanding, the iterates decay geometrically and the
@@ -338,8 +342,7 @@ def mu_hat_numeric(M: Matrix, D: DigitSet, xi: Sequence, depth: int = 40) -> com
     return _MuHat(as_matrix(M), as_digit_set(D), depth).value(xi)
 
 
-@dataclass(frozen=True)
-class SpectrumCandidate:
+class SpectrumCandidate(NamedTuple):
     """Level-wise sum construction of candidate spectrum frequencies.
 
     frequencies holds every sum of transpose-power images of the base
@@ -403,8 +406,7 @@ def spectrum_candidate(
     )
 
 
-@dataclass(frozen=True)
-class EtaSuggestion:
+class EtaSuggestion(NamedTuple):
     """Scan radius derived from attractor-to-mask-zero separation.
 
     distance is the smallest Euclidean distance between a k-term digit
@@ -549,8 +551,7 @@ def suggest_eta(
     return EtaSuggestion(eta=eta, distance=dist, sampling_error=eps)
 
 
-@dataclass(frozen=True)
-class QScanResult:
+class QScanResult(NamedTuple):
     """Grid of quadratic frame sums for a candidate frequency family.
 
     values is row-major over the Cartesian grid of axis coordinates, which
@@ -578,7 +579,7 @@ def completeness_scan(
     candidate: SpectrumCandidate,
     eta: float,
     resolution: int = 11,
-    depth: int = 40,
+    depth: int = DEFAULT_DEPTH,
 ) -> QScanResult:
     """Evaluate the frame sum Q over the origin-centered eta grid.
 

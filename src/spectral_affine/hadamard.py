@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import WrongDimension
 from .linalg import (
@@ -94,8 +93,7 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
-class HadamardSearch:
+class HadamardSearch(NamedTuple):
     """Outcome of a spectrum-set search over a coset transversal.
 
     status is one of "found", "none", "undetermined"; search_space is the

@@ -19,10 +19,9 @@ three-part non-spectrality certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .conjugacy import make_conjugate, spectrality_criterion
 from .errors import HypothesisViolation, WrongDimension
@@ -195,8 +194,7 @@ def _cayley_upper(eng: DigitSystem) -> Optional[int]:
     return min(bound, 1 + len(Um))
 
 
-@dataclass(frozen=True)
-class NStarBounds:
+class NStarBounds(NamedTuple):
     """Two-sided bounds on the maximal orthogonal exponential count.
 
     lower is the size of witness, a family of frequencies through 0 whose
@@ -278,8 +276,7 @@ def nstar_bounds(
     )
 
 
-@dataclass(frozen=True)
-class TransportReport:
+class TransportReport(NamedTuple):
     """Scaled zero-set transport between conjugate digit systems.
 
     c1 scales B^T images of the original Fourier zeros into the conjugated
@@ -356,8 +353,7 @@ def transport_inclusion_check(
     )
 
 
-@dataclass(frozen=True)
-class NonSpectralCertificate:
+class NonSpectralCertificate(NamedTuple):
     """Checkable witness that a digit system admits no exponential basis,
     at an integer scale L.
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
@@ -192,17 +191,24 @@ def _vanishes_at(D: DigitSet, N: IntVector, q: int) -> bool:
     return rem == [0]
 
 
-@dataclass(frozen=True)
 class ZeroSet:
     """Mask zeros z in [0,1)^n as the integer residues q*z, q their least
     common denominator (1 for none), and a completeness guarantee flag: when
     set, they are provably all of the zeros in the unit cube. residue_set and
     points, the zeros as Fractions in residue order, are built on first use.
+    The fields are read-only.
     """
 
     q: int
     residues: tuple[IntVector, ...]
     complete: bool
+
+    def __init__(self, q: int, residues: tuple[IntVector, ...], complete: bool):
+        self.__dict__.update(q=q, residues=residues, complete=complete)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __post_init__(self):
         q, residues = self.q, self.residues

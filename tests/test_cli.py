@@ -1,7 +1,9 @@
 """Command-line interface: parsing, dispatch, formats, exit codes."""
 
+import inspect
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectral_affine.cli import COMMANDS, _dumps, build_parser, main
+from spectral_affine.fourier import mu_hat_numeric
 from spectral_affine.zeros import ZeroSet
 
 THREE = [[0, 0], [1, 0], [0, 1]]
@@ -365,6 +368,19 @@ def test_fourier_eval(tmp_path, capsys):
     deeper = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE, xi=[0, 0], depth=60)
     deep = run_json(capsys, "fourier-eval", "--input", deeper)[1]
     assert deep["result"]["depth"] == 60
+
+
+def test_fourier_eval_reports_the_library_default_depth(tmp_path, capsys):
+    # a problem without depth is evaluated at mu_hat_numeric's own default,
+    # and the report names that depth
+    default = inspect.signature(mu_hat_numeric).parameters["depth"].default
+    M, xi = [[3, 0], [0, 3]], [[1, 7], [2, 5]]
+    path = problem(tmp_path, M=M, D=THREE, xi=xi)
+    code, payload = run_json(capsys, "fourier-eval", "--input", path)
+    assert code == 0 and payload["result"]["depth"] == default
+    value = mu_hat_numeric(M, THREE, [Fraction(1, 7), Fraction(2, 5)])
+    assert (payload["result"]["re"], payload["result"]["im"]) == (value.real, value.imag)
+    assert value != mu_hat_numeric(M, THREE, [Fraction(1, 7), Fraction(2, 5)], depth=1)
 
 
 def test_attractor_csv_and_chaos(tmp_path, capsys):

@@ -12,7 +12,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectral_affine import zeros
-from spectral_affine.conjugacy import make_conjugate, spectrality_criterion
+from spectral_affine.conjugacy import (
+    SpectralityVerdict,
+    make_conjugate,
+    spectrality_criterion,
+)
 from spectral_affine.fourier import (
     attractor_sample,
     mu_hat_numeric,
@@ -1106,7 +1110,7 @@ def test_criterion_is_spectral_iff_the_conjugate_orbit_level_is_one(system):
     # {0, e1, e2} under (A M B)^T reaches 0 mod 3
     M, D = system
     res = _outcome(spectrality_criterion, M, D)
-    assume(not isinstance(res, tuple))
+    assume(isinstance(res, SpectralityVerdict))
     level = DigitSystem(res.Mt, THREE).orbit(3)[1]
     assert (res.verdict == "Spectral") == (level == 1)
 

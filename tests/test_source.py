@@ -1,7 +1,6 @@
 """Static checks on the library source, and what importing it loads."""
 
 import ast
-import dataclasses
 import importlib
 import os
 import subprocess
@@ -45,6 +44,63 @@ def test_no_module_imports_numpy_at_module_level():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    # building a dataclass compiles its generated methods with exec;
+    # with bytecode, that was two thirds of importing the package
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in _imported_roots(ast.parse(path.read_text()))
+    ]
+    assert importers == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    code = "import sys, spectral_affine.cli\nprint('dataclasses' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
+
+
+RECORDS = {
+    ("conjugacy", "SpectralityVerdict"): ("verdict", "A", "B", "Mt"),
+    ("conjugacy", "Conjugacy"): ("M", "D", "p", "A", "B", "mode", "Mt", "Dt"),
+    ("fourier", "AttractorSample"): ("points", "eps", "mode", "detail"),
+    ("fourier", "SpectrumCandidate"): (
+        "base", "levels", "frequencies", "orthogonal", "failing_pair",
+    ),
+    ("fourier", "EtaSuggestion"): ("eta", "distance", "sampling_error"),
+    ("fourier", "QScanResult"): (
+        "eta", "resolution", "depth", "axis", "values", "min_q", "max_q",
+    ),
+    ("hadamard", "HadamardSearch"): ("status", "S", "search_space", "examined"),
+    ("ortho", "NStarBounds"): (
+        "lower", "witness", "upper", "method", "search_nodes", "search_complete",
+    ),
+    ("ortho", "TransportReport"): (
+        "c1", "c2", "forward_hits", "backward_hits", "ok",
+        "conjugate_matrix", "conjugate_digits",
+    ),
+    ("ortho", "NonSpectralCertificate"): (
+        "L", "j0", "difference_closure", "window_empty", "tail_integral", "valid", "verdict",
+    ),
+}
+
+
+@pytest.mark.parametrize("module, name", sorted(RECORDS))
+def test_records_keep_their_fields_and_refuse_assignment(module, name):
+    # results are named tuples: a field moved or renamed changes what
+    # unpacking or indexing a result gives
+    record = getattr(importlib.import_module(f"spectral_affine.{module}"), name)
+    assert record._fields == RECORDS[module, name]
+    value = record._make(range(len(record._fields)))
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
 
 
 def test_no_assert_statements():
@@ -99,7 +155,7 @@ def test_layer_trace_names_resolve():
         assert callable(func), f"{mod}.{fn}"
         if field is not None:
             returned = typing.get_type_hints(func)["return"]
-            assert field in {f.name for f in dataclasses.fields(returned)}
+            assert field in returned._fields
     for mod, fn in tables["CALL_SITES"]:
         assert callable(getattr(module(mod), fn)), f"{mod}.{fn}"
     for mod, cls, meth in tables["METHODS"]:
