@@ -5,9 +5,12 @@ frequencies s, s' in S, that the mask of D vanishes exactly at
 M^{-T}(s - s'). The search for S enumerates subsets of a canonical coset
 transversal of Z^n / M^T Z^n, which is complete because a valid S can
 always be translated to contain 0 and reduced coset-wise without changing
-any of the vanishing conditions. Moving a dual set across a GL_n(p)
-similarity is conjugacy.Conjugacy.transport, which verifies with
-verify_triple on both sides.
+any of the vanishing conditions. When the zero set is complete, the
+candidates come from the listed zeros: the classes of M^T rho / q for the
+residues rho, each as its transversal member, with no transversal built.
+Otherwise every class is enumerated and tested. Moving a dual set across
+a GL_n(p) similarity is conjugacy.Conjugacy.transport, which verifies
+with verify_triple on both sides.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import WrongDimension
 from .linalg import (
     Matrix,
     as_matrix,
+    coset_representatives,
     coset_transversal,
     mat_vec,
     sign_canonical,
@@ -118,8 +122,14 @@ def find_spectrum_set(
     representatives, always together with 0, enumerated in lexicographic
     order of transversal position. Representatives that fail the vanishing
     condition against 0 are pruned first; this loses no solutions because
-    every member of a valid S containing 0 must satisfy it. Exceeding the
-    budget yields status "undetermined" rather than a guess.
+    every member of a valid S containing 0 must satisfy it. With a complete
+    zero set the survivors are read off the listed zeros: the class of r
+    vanishes iff it holds M^T rho / q for a residue rho, so only those
+    classes are reduced to their members, by coset_representatives, in
+    O(|zeros|) rather than O(|det M|). An incomplete zero set proves no
+    non-vanishing, so there every representative of coset_transversal
+    takes the cyclotomic test. Exceeding the budget yields status
+    "undetermined" rather than a guess.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -135,10 +145,20 @@ def find_spectrum_set(
     if nreps - 1 < k:
         return HadamardSearch("none", None, search_space, 0)
 
-    reps = coset_transversal(transpose(M))
+    Mt = transpose(M)
     vanishes = ds.vanishes
-    nonzero = [r for r in reps if any(r)]
-    filtered = [r for r in nonzero if vanishes(r)]
+    if ds.zs.complete:
+        # M^{-T} r is a listed zero rho / q mod Z^n iff r is in the class
+        # of M^T rho / q mod M^T Z^n, which needs q | M^T rho; distinct
+        # residues give distinct classes, and 0, where the mask is 1, is
+        # no residue, so the zero class is not among them
+        q = ds.q
+        images = [[sum(map(mul, row, rho)) for row in Mt] for rho in ds.zs.residues]
+        filtered = coset_representatives(
+            Mt, [[c // q for c in v] for v in images if not any(c % q for c in v)]
+        )
+    else:
+        filtered = [r for r in coset_transversal(Mt) if any(r) and vanishes(r)]
 
     pair_cache: dict[tuple[int, ...], bool] = {}
 

@@ -10,8 +10,8 @@ of modulus exactly 1 gives a plain "not expanding".
 
 from __future__ import annotations
 
-from operator import add, neg
-from typing import Iterator, Optional, Sequence
+from operator import add, mul, neg
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import SingularMatrix, SingularModP, WrongDimension
 
@@ -373,25 +373,49 @@ def unimodular_inverse(U: Matrix) -> Matrix:
     return mat_scale(adj, d)
 
 
+def _smith_box(A: Matrix) -> tuple[IntVector, Matrix, Matrix]:
+    """The Smith diagonal s of L*A*R = diag(s), with L and L^{-1}: the box
+    coordinate of an integer vector v mod A Z^n is L v mod s."""
+    if det(A) == 0:
+        raise SingularMatrix("lattice matrix must be nonsingular")
+    S, L, _ = smith_normal_form(A)
+    return tuple(S[i][i] for i in range(len(A))), L, unimodular_inverse(L)
+
+
 def coset_transversal(M: Matrix) -> tuple[IntVector, ...]:
     """Canonical coset representatives of Z^n / M Z^n, zero vector first.
 
     Derived from the Smith form L*M*R = S: the boxes [0, s_i) pushed through
     L^{-1} enumerate each coset exactly once, and the count is |det M|.
     """
-    d = det(M)
-    if d == 0:
-        raise SingularMatrix("lattice matrix must be nonsingular")
-    S, L, _ = smith_normal_form(M)
+    s, _, Linv = _smith_box(M)
     # L^{-1} u for u over the box in lexicographic order, summed one
     # column of L^{-1} at a time
     reps = [(0,) * len(M)]
-    for i, col in enumerate(zip(*unimodular_inverse(L))):
-        steps = [tuple(u * c for c in col) for u in range(S[i][i])]
+    for si, col in zip(s, zip(*Linv)):
+        steps = [tuple(u * c for c in col) for u in range(si)]
         reps = [tuple(map(add, v, w)) for v in reps for w in steps]
-    if len(reps) != abs(d):
+    if len(reps) != abs(det(M)):
         raise AssertionError("transversal size must equal |det|")
     return tuple(reps)
+
+
+def coset_representatives(
+    M: Matrix, vectors: Iterable[Sequence[int]]
+) -> tuple[IntVector, ...]:
+    """The coset_transversal(M) members of the classes of the given integer
+    vectors mod M Z^n, each once and in transversal order: the class of v
+    has box coordinate u = L v mod s and member L^{-1} u, and the
+    transversal lists its members in lexicographic order of u.
+    """
+    s, L, Linv = _smith_box(M)
+    box = {
+        tuple([sum(map(mul, row, v)) % si for row, si in zip(L, s)])
+        for v in vectors
+    }
+    return tuple(
+        tuple([sum(map(mul, row, u)) for row in Linv]) for u in sorted(box)
+    )
 
 
 def in_lattice(M: Matrix, v: Sequence[int]) -> bool:

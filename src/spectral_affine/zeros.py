@@ -60,7 +60,6 @@ from .errors import (
 from .linalg import (
     IntVector,
     Matrix,
-    coset_transversal,
     det_and_adjugate,
     is_expanding,
     mat_vec,
@@ -249,9 +248,13 @@ def _lattice_preimage(
     """All x in [0,1)^2 with B^T x congruent mod Z^2 to a base point b/m,
     as their least common denominator q and the sorted vectors q*x.
 
-    Those x are adj(B)^T (b + m r) / (m det B) for the representatives r of
-    Z^2 / B^T Z^2: exactly |det B| classes mod Z^2 per base point, found as
-    integer numerators over m |det B|, then divided by their common factor.
+    Those x are adj(B)^T (b + m r) / (m det B) for r over any transversal
+    of Z^2 / B^T Z^2: exactly |det B| classes mod Z^2 per base point, found
+    as integer numerators over m |det B|, reduced mod m |det B| and sorted,
+    so the transversal chosen does not show. The one taken is the Hermite
+    box [0, g) x [0, |det B| / g), g the gcd of the first coordinates of
+    the columns of B^T: those coordinates of B^T Z^2 are gZ, and the
+    lattice vectors with first coordinate 0 are {0} x (|det B| / g)Z.
     Both base sets are closed under negation, so the sign of det B only
     permutes the preimages and is dropped.
     """
@@ -261,18 +264,19 @@ def _lattice_preimage(
     m, numerators = base
     den = m * abs(d)
     (a00, a01), (a10, a11) = adj
-    reps = coset_transversal(transpose(B))
-    found = set()
-    for b0, b1 in numerators:
-        for r0, r1 in reps:
-            y0 = b0 + m * r0
-            y1 = b1 + m * r1
-            found.add(((a00 * y0 + a10 * y1) % den, (a01 * y0 + a11 * y1) % den))
-    # distinct cosets and distinct base classes give distinct preimages
+    g = gcd(B[0][0], B[1][0])
+    found = {
+        ((a00 * y0 + a10 * y1) % den, (a01 * y0 + a11 * y1) % den)
+        for b0, b1 in numerators
+        for y0 in range(b0, b0 + m * g, m)
+        for y1 in range(b1, b1 + den // g, m)
+    }
+    # distinct cosets and distinct base classes give distinct preimages, so
+    # the count also certifies that the box is a transversal
     if len(found) != len(numerators) * abs(d):
         raise AssertionError("preimage count must equal |base| * |det|")
-    g = gcd(den, *[v for x in found for v in x])
-    return den // g, tuple(sorted([(x // g, y // g) for x, y in found]))
+    c = gcd(den, *[v for x in found for v in x])
+    return den // c, tuple(sorted([(x // c, y // c) for x, y in found]))
 
 
 def three_digit_frame(D: DigitSet) -> Matrix:

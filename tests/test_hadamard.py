@@ -1,6 +1,7 @@
 """Triple verification, spectrum-set search, and the transport of dual
 sets across a conjugacy, which verify_triple checks on both sides."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from spectral_affine.errors import (
 )
 from spectral_affine.hadamard import find_spectrum_set, unitarity_defect, verify_triple
 from spectral_affine.linalg import coset_transversal, det, det_and_adjugate, mat_vec, transpose
-from spectral_affine.zeros import is_zero_exact, zero_set, zero_set_in_punctured_grid
+from spectral_affine.zeros import DigitSystem, is_zero_exact, zero_set, zero_set_in_punctured_grid
 
 THREE = ((0, 0), (1, 0), (0, 1))
 FOUR = ((0, 0), (1, 0), (0, 1), (-1, -1))
@@ -229,6 +230,89 @@ def test_find_spectrum_set_matches_reference_search(system):
         out = find_spectrum_set(M, D, budget=budget)
         assert (out.status, out.S, out.examined) == _reference_search(M, D, budget)
         assert out.search_space == full.search_space
+
+
+def _enumerating_search(M, D, budget):
+    """find_spectrum_set as it was before it read the candidates off the
+    listed zeros: every member of coset_transversal(M^T) through
+    DigitSystem.vanishes, then the same subset walk."""
+    ds = DigitSystem(M, D)
+    k = len(D) - 1
+    nreps = abs(det(M))
+    search_space = math.comb(max(0, nreps - 1), k)
+    filtered = [r for r in coset_transversal(transpose(M)) if any(r) and ds.vanishes(r)]
+    examined = 0
+    for subset in combinations(filtered, k):
+        if examined >= budget:
+            return "undetermined", None, search_space, examined
+        examined += 1
+        if all(ds.vanishes(tuple(x - y for x, y in zip(a, b))) for a, b in combinations(subset, 2)):
+            return "found", ((0,) * len(D[0]), *subset), search_space, examined
+    return "none", None, search_space, examined
+
+
+wide = st.integers(-30, 30)
+
+
+@st.composite
+def wide_planar_systems(draw):
+    # |det M| into the hundreds: three-digit and antipodal four-digit sets,
+    # whose zero sets are complete
+    M = ((draw(wide), draw(wide)), (draw(wide), draw(wide)))
+    assume(det(M) != 0)
+    c = (draw(small), draw(small))
+    alpha = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    beta = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    assume(alpha[0] * beta[1] - alpha[1] * beta[0] != 0)
+    shape = [(0, 0), alpha, beta]
+    if draw(st.booleans()):
+        shape.append((-alpha[0] - beta[0], -alpha[1] - beta[1]))
+    D = tuple((c[0] + v[0], c[1] + v[1]) for v in shape)
+    assume(len(set(D)) == len(D))
+    return M, D
+
+
+@st.composite
+def hint_mode_systems(draw):
+    # five planar digits, and digit sets on the line and in space: no
+    # closed form, so the zero set is incomplete
+    n, count = draw(st.sampled_from([(2, 5), (1, 2), (1, 3), (1, 4), (3, 2), (3, 3), (3, 4)]))
+    M = tuple(tuple(draw(st.integers(-5, 5)) for _ in range(n)) for _ in range(n))
+    assume(0 < abs(det(M)) <= 150)
+    digit = st.tuples(*[st.integers(-3, 3)] * n)
+    D = tuple(draw(st.lists(digit, min_size=count, max_size=count, unique=True)))
+    return M, D
+
+
+def _check_against_enumeration(M, D):
+    full = find_spectrum_set(M, D, budget=2000)
+    assert tuple(full) == _enumerating_search(M, D, 2000)
+    if full.examined:
+        cut = find_spectrum_set(M, D, budget=full.examined - 1)
+        assert tuple(cut) == _enumerating_search(M, D, full.examined - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_planar_systems())
+@example((((30, -29), (17, 25)), ((0, 0), (1, 2), (3, -1))))
+@example((((-24, 12), (18, 30)), ((1, 1), (3, 2), (0, 4), (0, -3))))
+@example((((-6, 9), (0, 3)), ((0, 0), (-3, 1), (0, 2))))
+@example((((-12, -12), (8, 4)), ((0, 0), (-3, -3), (-3, 3), (6, 0))))
+def test_find_spectrum_set_matches_the_enumeration_on_complete_zero_sets(system):
+    M, D = system
+    assert zero_set(D).complete
+    _check_against_enumeration(M, D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hint_mode_systems())
+@example((((4, 0), (6, -5)), ((-1, 3), (0, -1), (1, 3), (2, 0), (3, 3))))
+@example((((6,),), ((0,), (1,), (2,))))
+@example((((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 0), (1, 0, 0))))
+def test_find_spectrum_set_matches_the_enumeration_on_incomplete_zero_sets(system):
+    M, D = system
+    assert not zero_set(D).complete
+    _check_against_enumeration(M, D)
 
 
 def test_find_spectrum_set_singular():

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_affine.errors import SingularMatrix, SingularModP, WrongDimension
@@ -15,6 +15,7 @@ from spectral_affine.linalg import (
     _is_snf,
     as_matrix,
     char_poly,
+    coset_representatives,
     coset_transversal,
     det,
     det_and_adjugate,
@@ -435,6 +436,51 @@ def test_coset_transversal_matches_the_mat_vec_reference(rows):
     Linv = unimodular_inverse(L)
     box = product(*(range(S[i][i]) for i in range(len(M))))
     assert coset_transversal(M) == tuple(mat_vec(Linv, u) for u in box)
+
+
+planar_lattices = st.tuples(*[st.integers(-12, 12)] * 4).map(
+    lambda e: ((e[0], e[1]), (e[2], e[3]))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices)
+@example([[0, 3], [2, 1]])  # a zero first-column entry, det -6
+@example([[3, 0], [0, 5]])  # g = |det|: the Smith form is not the matrix
+@example([[2, 1], [0, -3]])  # a negative det
+def test_coset_representatives_fix_the_transversal(rows):
+    # every member is its own representative, in its own position, and a
+    # lattice translate of it is taken back to it
+    M = as_matrix(rows)
+    if det(M) == 0 or abs(det(M)) > 200:
+        return
+    t = coset_transversal(M)
+    assert coset_representatives(M, t) == t
+    shift = mat_vec(M, tuple(range(1, len(M) + 1)))
+    moved = [tuple(a - 7 * b for a, b in zip(r, shift)) for r in reversed(t)]
+    assert coset_representatives(M, moved) == t
+
+
+@settings(max_examples=100, deadline=None)
+@given(planar_lattices, st.lists(st.tuples(*[st.integers(-40, 40)] * 2), max_size=12))
+@example(((0, 4), (3, 5)), [(1, 1), (13, 9), (0, 0)])
+@example(((6, 0), (0, 6)), [(5, 5), (-1, -1), (7, 1)])
+@example(((1, 5), (2, -3)), [(2, 2), (-2, 3)])
+def test_coset_representatives_match_the_transversal_scan(A, vectors):
+    # reference: the transversal members whose class holds one of the
+    # vectors, found by in_lattice, in transversal order
+    if det(A) == 0 or abs(det(A)) > 150:
+        return
+    expected = tuple(
+        r for r in coset_transversal(A)
+        if any(in_lattice(A, tuple(a - b for a, b in zip(v, r))) for v in vectors)
+    )
+    assert coset_representatives(A, vectors) == expected
+
+
+def test_coset_representatives_refuse_a_singular_lattice():
+    with pytest.raises(SingularMatrix, match="lattice matrix must be nonsingular"):
+        coset_representatives(((1, 2), (2, 4)), [(1, 0)])
 
 
 def test_in_lattice():

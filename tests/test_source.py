@@ -221,6 +221,34 @@ def test_only_zeros_and_hadamard_import_sign_canonical():
     assert importers == {"zeros", "hadamard"}
 
 
+def test_coset_transversal_is_enumerated_for_incomplete_zero_sets_only():
+    # zero sets come from a gcd box, and a complete zero set hands the
+    # search its classes; only the cyclotomic test of an incomplete one
+    # walks every representative
+    importers = {
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "coset_transversal"
+    }
+    assert importers == {"hadamard", "__init__"}
+    tree = ast.parse((PACKAGE / "hadamard.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "coset_transversal"
+    ]
+    (branch,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "ds.zs.complete"
+    ]
+    incomplete = {id(node) for stmt in branch.orelse for node in ast.walk(stmt)}
+    assert len(calls) == 1 and id(calls[0]) in incomplete
+
+
 def test_ortho_takes_the_zero_images_from_the_digit_system():
     # DigitSystem.orbit, shells and window give every image of the mask
     # zeros under powers of M^T: ortho keeps no running matrix product, no

@@ -1,6 +1,7 @@
 """Exact mask zero sets."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from spectral_affine.errors import (
     IncompleteZeroSet,
     WrongDimension,
 )
-from spectral_affine.linalg import coset_transversal, det_and_adjugate, transpose
+from spectral_affine.linalg import coset_transversal, det_and_adjugate, in_lattice, transpose
 from spectral_affine.zeros import (
     DigitSystem,
+    _lattice_preimage,
     ZeroSet,
     as_digit_set,
     as_rational_point,
@@ -331,6 +333,49 @@ def test_zero_set_residues_match_fraction_reference(d0, alpha, beta, four):
     assert "points" not in zs.__dict__
     assert zs.points == expected
     assert lattice_form(zs.points) == (zs.q, zs.residues)
+
+
+difference_frames = st.tuples(*[st.integers(-12, 12)] * 4).map(
+    lambda e: ((e[0], e[1]), (e[2], e[3]))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(difference_frames)
+@example(((0, 2), (3, 1)))  # a zero first-column entry
+@example(((4, 0), (0, 3)))  # g = 4 on the diagonal
+@example(((1, 0), (0, 7)))  # g = 1: one column
+@example(((5, 1), (0, 1)))  # g = |det B| = 5: one row
+@example(((2, 5), (1, 1)))  # a negative det
+def test_gcd_box_is_a_transversal(B):
+    # the box [0, g) x [0, |det B| / g), g the gcd of the first coordinates
+    # of the columns of B^T, has |det B| members in distinct classes mod
+    # B^T Z^2
+    d, _ = det_and_adjugate(B)
+    assume(d != 0 and abs(d) <= 60)
+    A = transpose(B)
+    g = math.gcd(A[0][0], A[0][1])
+    box = [(x, y) for x in range(g) for y in range(abs(d) // g)]
+    assert len(box) == abs(d)
+    for i, a in enumerate(box):
+        for b in box[:i]:
+            assert not in_lattice(A, (a[0] - b[0], a[1] - b[1]))
+
+
+THIRD_BASE = (3, ((1, 2), (2, 1)))
+HALF_BASE = (2, ((0, 1), (1, 0), (1, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(difference_frames, st.sampled_from([THIRD_BASE, HALF_BASE]))
+@example(((0, 2), (3, 1)), HALF_BASE)
+@example(((5, 1), (0, 1)), THIRD_BASE)
+@example(((2, 5), (1, 1)), HALF_BASE)
+def test_lattice_preimage_matches_the_transversal_reference(B, base):
+    d, _ = det_and_adjugate(B)
+    assume(d != 0 and abs(d) <= 120)
+    # the reference runs over coset_transversal(B^T)
+    assert _lattice_preimage(B, base) == lattice_form(_fraction_preimage(B, base))
 
 
 def four_digit_frame_reference(D):
