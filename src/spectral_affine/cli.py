@@ -13,7 +13,6 @@ undetermined (budget exhausted, incomplete zero set, failed certificate),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -21,7 +20,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import __version__
 from .conjugacy import (
@@ -49,6 +48,9 @@ from .ortho import (
 )
 from .zeros import digit_set_shape, zero_set
 
+if TYPE_CHECKING:
+    import argparse
+
 COMMANDS = (
     "zero-set",
     "find-hadamard",
@@ -65,6 +67,8 @@ COMMANDS = (
     "spectrum",
     "q-scan",
 )
+FORMATS = ("json", "text", "csv")
+DEFAULT_FORMAT = "text"
 
 
 # ---------------------------------------------------------------- parsing
@@ -488,33 +492,64 @@ def emit(report: dict, fmt: str, csv_rows: Optional[list]) -> str:
     raise ProblemFormatError(f"unknown format: {fmt}")
 
 
+def read_documented(argv: Sequence[str]) -> Optional[tuple[str, str, str]]:
+    """(command, input, format) of an argv in the documented form, or None.
+
+    The documented form is a command, then --input FILE and optionally
+    --format F, in either order, each value nonempty and not starting with
+    "-". argparse reads such an argv the same way; any other argv, an
+    abbreviation, --opt=value, -h, --, a repeated option or a usage error,
+    is left to it.
+    """
+    if len(argv) not in (3, 5) or argv[0] not in COMMANDS:
+        return None
+    opts = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in ("--input", "--format") or flag in opts or value[:1] in ("", "-"):
+            return None
+        opts[flag] = value
+    fmt = opts.get("--format", DEFAULT_FORMAT)
+    if "--input" not in opts or fmt not in FORMATS:
+        return None
+    return argv[0], opts["--input"], fmt
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused: parsing
-    keeps no state in the parser, and every option's default is immutable."""
+    """The argument parser for any argv outside the documented form, built
+    on the first call and reused: parsing keeps no state in the parser, and
+    every option's default is immutable. argparse is imported here, so a
+    documented call neither imports nor builds it."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="spectral-affine",
         description="Exact spectrality tools for self-affine digit systems.",
     )
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--input", required=True, help="JSON problem file")
-    ap.add_argument("--format", default="text", choices=("json", "text", "csv"))
+    ap.add_argument("--format", default=DEFAULT_FORMAT, choices=FORMATS)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    opts = build_parser().parse_args(argv)
+    args = sys.argv[1:] if argv is None else list(argv)
+    call = read_documented(args)
+    if call is None:
+        opts = build_parser().parse_args(args)
+        call = opts.command, opts.input, opts.format
+    command, path, fmt = call
     start = time.perf_counter()
     envelope = {
         "library": {"name": "spectral-affine", "version": __version__},
         "schema": 1,
-        "command": opts.command,
+        "command": command,
     }
     try:
-        problem = parse_problem(opts.input)
-        result, code, csv_rows = dispatch(opts.command, problem)
+        problem = parse_problem(path)
+        result, code, csv_rows = dispatch(command, problem)
         report = {**envelope, "result": result, "timing_seconds": time.perf_counter() - start}
-        rendered = emit(report, opts.format, csv_rows)
+        rendered = emit(report, fmt, csv_rows)
     except Exception as exc:
         # every failure, an overflow in the float layer included, gets the
         # same parseable report with the exception's class name
@@ -522,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = {**envelope, "error": error, "timing_seconds": time.perf_counter() - start}
         out = (
             _dumps(report) + "\n"
-            if opts.format == "json"
+            if fmt == "json"
             else f"error ({type(exc).__name__}): {exc}\n"
         )
         sys.stderr.write(out)

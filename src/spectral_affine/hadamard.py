@@ -8,7 +8,8 @@ always be translated to contain 0 and reduced coset-wise without changing
 any of the vanishing conditions. When the zero set is complete, the
 candidates come from the listed zeros: the classes of M^T rho / q for the
 residues rho, each as its transversal member, with no transversal built.
-Otherwise every class is enumerated and tested. Moving a dual set across
+Otherwise (an incomplete zero set, or a singular digit frame, whose zeros
+fill lines) every class is enumerated and tested. Moving a dual set across
 a GL_n(p) similarity is conjugacy.Conjugacy.transport, which verifies
 with verify_triple on both sides.
 """
@@ -127,9 +128,10 @@ def find_spectrum_set(
     vanishes iff it holds M^T rho / q for a residue rho, so only those
     classes are reduced to their members, by coset_representatives, in
     O(|zeros|) rather than O(|det M|). An incomplete zero set proves no
-    non-vanishing, so there every representative of coset_transversal
-    takes the cyclotomic test. Exceeding the budget yields status
-    "undetermined" rather than a guess.
+    non-vanishing, and a singular digit frame has no finite zero set to
+    list, so there every representative of coset_transversal takes the
+    cyclotomic test. Exceeding the budget yields status "undetermined"
+    rather than a guess.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -147,7 +149,7 @@ def find_spectrum_set(
 
     Mt = transpose(M)
     vanishes = ds.vanishes
-    if ds.zs.complete:
+    if ds.listed:
         # M^{-T} r is a listed zero rho / q mod Z^n iff r is in the class
         # of M^T rho / q mod M^T Z^n, which needs q | M^T rho; distinct
         # residues give distinct classes, and 0, where the mask is 1, is

@@ -305,6 +305,16 @@ def four_digit_frame(D: DigitSet) -> Matrix | None:
     return ((a[0], b[0]), (a[1], b[1]))
 
 
+def _closed_form(D: DigitSet) -> tuple[Matrix, tuple[int, Sequence[IntVector]]] | None:
+    """The difference frame and base zeros of a planar three-digit set or a
+    planar translate of an antipodal four-digit set, the shapes whose zeros
+    have a closed form; None for any other shape."""
+    if len(D) == 3 and len(D[0]) == 2:
+        return three_digit_frame(D), _THIRD_PAIR
+    B = four_digit_frame(D)
+    return None if B is None else (B, _HALF_TRIPLE)
+
+
 def zero_set(D: DigitSet, q_hints: Sequence[int] = ()) -> ZeroSet:
     """Mask zeros of a digit set in the unit cube.
 
@@ -320,12 +330,9 @@ def zero_set(D: DigitSet, q_hints: Sequence[int] = ()) -> ZeroSet:
     if len(D) == 1:
         # a unimodular exponential never vanishes
         return ZeroSet(1, (), complete=True)
-    if len(D) == 3 and n == 2:
-        B, base = three_digit_frame(D), _THIRD_PAIR
-    else:
-        B, base = four_digit_frame(D), _HALF_TRIPLE
-    if B is not None:
-        return ZeroSet(*_lattice_preimage(B, base), complete=True)
+    form = _closed_form(D)
+    if form is not None:
+        return ZeroSet(*_lattice_preimage(*form), complete=True)
     # hint mode: exact scan of each (1/q)Z^n grid, on integers
     if any(qh < 1 for qh in q_hints):
         raise ValueError("grid denominators must be positive")
@@ -412,12 +419,23 @@ class DigitSystem:
                 return frozenset(U), first
             U |= level
 
+    @functools.cached_property
+    def listed(self) -> bool:
+        """Whether zs lists every zero, so that its residues decide
+        vanishing. False, without building zs, for a closed-form shape with
+        a singular frame (a collinear three-digit set, say): its zeros fill
+        lines, and zs refuses it with DegenerateDigits."""
+        form = _closed_form(self.D)
+        if form is not None and det_and_adjugate(form[0])[0] == 0:
+            return False
+        return self.zs.complete
+
     def vanishes(self, v: IntVector) -> bool:
         """Whether the mask vanishes at M^{-T} v, v an integer vector and M
-        invertible: on the residues when the zero set is complete, by
-        cyclotomic_zero otherwise."""
+        invertible: on the residues when listed, by cyclotomic_zero
+        otherwise."""
         w = [sum(map(mul, row, v)) for row in self.adjT]
-        if self.zs.complete:
+        if self.listed:
             return self.zs.is_zero(w, self.absdet)
         return self.cyclotomic_zero(w)
 
@@ -481,7 +499,12 @@ class DigitSystem:
         """The distinct nonzero vectors q*(M^{T j} z + v), for the mask
         zeros z, 1 <= j <= J and integer offsets v of max-norm at most R,
         that lie in the Fourier zero set; in shell, residue and offset
-        order, the offsets in lexicographic order."""
+        order, the offsets in lexicographic order. A candidate at offset 0
+        is kept without a walk: q*M^{T j} z is a zero image, whose integral
+        iterates reach the nonzero residue q*z, so its walk ends at a level
+        of at most j."""
+        if not self.walkable:
+            return []
         q = self.q
         box = [(q * i, q * k) for i in range(-R, R + 1) for k in range(-R, R + 1)]
         candidates: list[IntVector] = []
@@ -493,7 +516,7 @@ class DigitSystem:
                     if cand in seen or cand == (0, 0):
                         continue
                     seen.add(cand)
-                    if self.membership(cand, q) is not None:
+                    if not (ox or oy) or self.membership(cand, q) is not None:
                         candidates.append(cand)
         return candidates
 

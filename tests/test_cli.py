@@ -1,16 +1,17 @@
 """Command-line interface: parsing, dispatch, formats, exit codes."""
 
 import inspect
+import itertools
 import json
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_affine.cli import COMMANDS, _dumps, build_parser, main
+from spectral_affine.cli import COMMANDS, _dumps, build_parser, main, read_documented
 from spectral_affine.fourier import mu_hat_numeric
 from spectral_affine.zeros import ZeroSet
 
@@ -692,12 +693,15 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys):
     (tmp_path / "wide.json").write_text(
         json.dumps(dict(M=[[2, 0], [0, 2]], D=THREE, p=3, J=5, R=2))
     )
+    # argparse-only spellings, so that every call goes through the parser
     calls = [
-        ["nstar", "--input", narrow, "--format", "json"],
-        ["nstar", "--input", wide, "--format", "json"],
-        ["classify", "--input", wide],
+        ["nstar", "--inp", narrow, "--form", "json"],
+        ["nstar", "--inp", wide, "--form", "json"],
+        ["classify", "--inp", wide],
     ]
+    build_parser.cache_clear()
     reused = [untimed(capsys, argv) for argv in calls]
+    assert build_parser.cache_info().hits == len(calls) - 1
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
@@ -716,6 +720,88 @@ def test_the_problem_file_is_the_only_input(tmp_path, capsys):
     assert stop.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments: --J 8" in err
+
+
+ARGV_TOKENS = (
+    *COMMANDS,
+    "--input",
+    "--format",
+    "--inp",
+    "--form",
+    "--input=a.json",
+    "--format=json",
+    "-h",
+    "--help",
+    "--",
+    "-",
+    "-1",
+    "",
+    "a b.json",
+    "@f",
+    "json",
+    "text",
+    "csv",
+    "xml",
+)
+
+
+def read_by_both(argv):
+    """read_documented's triple for argv, after checking that argparse
+    reads an argv it accepts the same way; None when it leaves argv to
+    argparse."""
+    call = read_documented(argv)
+    if call is not None:
+        try:
+            opts = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}, which is read directly")
+        assert (opts.command, opts.input, opts.format) == call
+    return call
+
+
+tokens = st.sampled_from(ARGV_TOKENS)
+# near the documented form, which few lists of arbitrary tokens reach
+commands = st.sampled_from(COMMANDS)
+flags = st.sampled_from(["--input", "--format", "--inp", "--form"])
+values = st.sampled_from(["a b.json", "@f", "json", "csv", "xml", "", "-1", "--format"])
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(tokens, max_size=7),
+        st.tuples(commands, flags, values).map(list),
+        st.tuples(commands, flags, values, flags, values).map(list),
+    )
+)
+def test_a_documented_argv_is_read_as_argparse_reads_it(argv):
+    read_by_both(argv)
+
+
+def test_every_documented_five_token_argv_is_read_as_argparse_reads_it():
+    alphabet = ("classify", "nstar", *ARGV_TOKENS[len(COMMANDS) :])
+    accepted = [
+        argv for argv in itertools.product(alphabet, repeat=5) if read_documented(argv)
+    ]
+    # 2 commands x 2 option orders x 8 input values x 3 formats: every
+    # token that is nonempty and does not start with "-" is a file name
+    assert len(alphabet) == 20 and len(accepted) == 96
+    for argv in accepted:
+        assert read_by_both(list(argv)) == read_documented(argv)
+
+
+def test_only_an_undocumented_argv_builds_the_parser(tmp_path, capsys, monkeypatch):
+    path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE)
+    documented = untimed(capsys, ["classify", "--format", "json", "--input", path])
+    monkeypatch.setattr("sys.argv", ["spectral-affine", "classify", "--input", path])
+    build_parser.cache_clear()
+    assert untimed(capsys, ["classify", "--inp", path, "--form", "json"]) == documented
+    # main(None) reads sys.argv[1:] the same way
+    assert main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    text = untimed(capsys, ["classify", "--input", path])
+    assert (0, [line for line in lines if not line.startswith("elapsed:")]) == text
+    assert build_parser.cache_info().misses == 1
 
 
 def test_text_format(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spectral_affine.conjugacy import make_conjugate
 from spectral_affine.errors import (
+    DegenerateDigits,
     HypothesisViolation,
     IncompleteZeroSet,
     SingularMatrix,
@@ -313,6 +314,46 @@ def test_find_spectrum_set_matches_the_enumeration_on_incomplete_zero_sets(syste
     M, D = system
     assert not zero_set(D).complete
     _check_against_enumeration(M, D)
+
+
+@st.composite
+def singular_frame_systems(draw):
+    """A planar three-digit set on a line, or a translate of {0, a, b, -a-b}
+    with a and b parallel: the closed-form shapes whose frame is singular,
+    so that their zeros fill lines and no finite zero set lists them."""
+    four = draw(st.booleans())
+    M = ((draw(small), draw(small)), (draw(small), draw(small)))
+    if draw(st.booleans()):
+        M = tuple(tuple((3 + four) * x for x in row) for row in M)
+    assume(2 <= abs(det(M)) <= 48)
+    c = (draw(small), draw(small))
+    u = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    shape = [(0, 0), (s * u[0], s * u[1]), (t * u[0], t * u[1])]
+    if four:
+        shape.append((-(s + t) * u[0], -(s + t) * u[1]))
+    D = tuple((c[0] + v[0], c[1] + v[1]) for v in shape)
+    assume(len(set(D)) == len(D))
+    return M, D
+
+
+@settings(max_examples=150, deadline=None)
+@given(singular_frame_systems())
+@example((((3, 0), (0, 3)), ((0, 0), (1, 0), (2, 0))))
+@example((((4, 0), (0, 2)), ((0, 0), (1, 1), (2, 2), (-3, -3))))
+def test_find_spectrum_set_decides_a_singular_frame_by_the_cyclotomic_test(system):
+    M, D = system
+    with pytest.raises(DegenerateDigits):
+        zero_set(D)
+    ds = DigitSystem(M, D)
+    assert ds.listed is False and "zs" not in ds.__dict__
+    found = find_spectrum_set(M, D)
+    assert (found.status, found.S, found.examined) == _reference_search(M, D, 10_000_000)
+    if found.S is not None:
+        assert verify_triple(M, D, found.S)
+    # the measure's questions still refuse: no finite zero set exists
+    with pytest.raises(DegenerateDigits):
+        ds.walkable
 
 
 def test_find_spectrum_set_singular():

@@ -320,6 +320,31 @@ def test_lattice_membership_matches_fraction_walk(system, data):
     assert eng.membership(*lattice_point(xi)) == fraction_membership(M, D, xi)
 
 
+def window_walking_every_candidate(eng, J, R):
+    """DigitSystem.window as it was before it kept the offset-0 candidates
+    unwalked: every distinct nonzero candidate takes a membership walk."""
+    q = eng.q
+    kept, seen = [], set()
+    for shell in eng.shells(J):
+        for x, y in shell:
+            for ox, oy in product(range(-R, R + 1), repeat=2):
+                cand = (x + q * ox, y + q * oy)
+                if cand in seen or cand == (0, 0):
+                    continue
+                seen.add(cand)
+                if eng.membership(cand, q) is not None:
+                    kept.append(cand)
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_systems(), st.integers(1, 6), st.integers(0, 2))
+def test_window_matches_a_walk_of_every_candidate(system, J, R):
+    M, D = system
+    eng = measure(M, D)
+    assert eng.window(J, R) == window_walking_every_candidate(eng, J, R)
+
+
 def mat_t_vec(M, v):
     return tuple(sum(M[k][i] * v[k] for k in range(len(v))) for i in range(len(v)))
 

@@ -66,6 +66,24 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert done.stdout == "False\n"
 
 
+@pytest.mark.parametrize("flag, loaded", [("--input", False), ("--inp", True)])
+def test_a_documented_call_loads_no_argparse(tmp_path, flag, loaded):
+    # argparse and gettext were about 1.9 ms of a cold start; a call in the
+    # documented form reads its argv directly, an abbreviation needs the parser
+    path = tmp_path / "problem.json"
+    path.write_text('{"M": [[3, 1], [1, 4]], "D": [[0, 0], [1, 0], [0, 1]]}')
+    code = (
+        "import sys, spectral_affine.cli\n"
+        f"code = spectral_affine.cli.main(['classify', {flag!r}, {str(path)!r}, '--format', 'json'])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
 RECORDS = {
     ("conjugacy", "SpectralityVerdict"): ("verdict", "A", "B", "Mt"),
     ("conjugacy", "Conjugacy"): ("M", "D", "p", "A", "B", "mode", "Mt", "Dt"),
@@ -222,9 +240,9 @@ def test_only_zeros_and_hadamard_import_sign_canonical():
 
 
 def test_coset_transversal_is_enumerated_for_incomplete_zero_sets_only():
-    # zero sets come from a gcd box, and a complete zero set hands the
-    # search its classes; only the cyclotomic test of an incomplete one
-    # walks every representative
+    # zero sets come from a gcd box, and a listed zero set hands the
+    # search its classes; only the cyclotomic test of an incomplete one, or
+    # of a singular digit frame, walks every representative
     importers = {
         path.stem
         for path in sorted(PACKAGE.glob("*.py"))
@@ -243,7 +261,7 @@ def test_coset_transversal_is_enumerated_for_incomplete_zero_sets_only():
     (branch,) = [
         node
         for node in ast.walk(tree)
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "ds.zs.complete"
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "ds.listed"
     ]
     incomplete = {id(node) for stmt in branch.orelse for node in ast.walk(stmt)}
     assert len(calls) == 1 and id(calls[0]) in incomplete
