@@ -36,8 +36,6 @@ from .linalg import (
     is_expanding,
     is_prime,
     order_mod,
-    smith_normal_form,
-    unimodular_inverse,
 )
 from .zeros import (
     DigitSystem,

@@ -379,6 +379,7 @@ def spectrum_candidate(
         raise ValueError("base must contain the zero vector")
     if levels < 1:
         raise ValueError("level count must be positive")
+    ds.walkable  # the gate's refusals come before the level sums
 
     # the level sums run on the integer vectors Q*x, Q the base points'
     # common denominator; one positive denominator keeps the sort order of

@@ -2,12 +2,13 @@
 
 A triple (M, D, S) is verified by testing, for every pair of distinct
 frequencies s, s' in S, that the mask of D vanishes exactly at
-M^{-T}(s - s'). The search for S enumerates subsets of a canonical coset
-transversal of Z^n / M^T Z^n, which is complete because a valid S can
-always be translated to contain 0 and reduced coset-wise without changing
-any of the vanishing conditions. When the zero set is complete, the
-candidates come from the listed zeros: the classes of M^T rho / q for the
-residues rho, each as its transversal member, with no transversal built.
+M^{-T}(s - s'). The search for S enumerates subsets of the Hermite box of
+Z^n / M^T Z^n (linalg.coset_transversal: 0 <= x_i < H[i][i], H the
+lower-triangular basis of M^T Z^n), which is complete because a valid S
+can always be translated to contain 0 and reduced coset-wise without
+changing any of the vanishing conditions. When the zero set is complete,
+the candidates come from the listed zeros: the classes of M^T rho / q for
+the residues rho, each moved into the box, with no box enumerated.
 Otherwise (an incomplete zero set, or a singular digit frame, whose zeros
 fill lines) every class is enumerated and tested. Moving a dual set across
 a GL_n(p) similarity is conjugacy.Conjugacy.transport, which verifies
@@ -119,19 +120,19 @@ def find_spectrum_set(
 ) -> HadamardSearch:
     """Deterministic search for a frequency set making (M, D, S) Hadamard.
 
-    Candidates are (|D|-1)-subsets of the nonzero canonical transversal
-    representatives, always together with 0, enumerated in lexicographic
-    order of transversal position. Representatives that fail the vanishing
-    condition against 0 are pruned first; this loses no solutions because
-    every member of a valid S containing 0 must satisfy it. With a complete
-    zero set the survivors are read off the listed zeros: the class of r
-    vanishes iff it holds M^T rho / q for a residue rho, so only those
-    classes are reduced to their members, by coset_representatives, in
-    O(|zeros|) rather than O(|det M|). An incomplete zero set proves no
-    non-vanishing, and a singular digit frame has no finite zero set to
-    list, so there every representative of coset_transversal takes the
-    cyclotomic test. Exceeding the budget yields status "undetermined"
-    rather than a guess.
+    Candidates are (|D|-1)-subsets of the nonzero points of the Hermite
+    box of M^T, always together with 0, enumerated in lexicographic order
+    of the points; a dual set found has entries in [0, H[i][i]). Points
+    that fail the vanishing condition against 0 are pruned first; this
+    loses no solutions because every member of a valid S containing 0 must
+    satisfy it. With a complete zero set the survivors are read off the
+    listed zeros: the class of r vanishes iff it holds M^T rho / q for a
+    residue rho, so only those classes are moved into the box, by
+    coset_representatives, in O(|zeros|) rather than O(|det M|). An
+    incomplete zero set proves no non-vanishing, and a singular digit
+    frame has no finite zero set to list, so there every point of
+    coset_transversal takes the cyclotomic test. Exceeding the budget
+    yields status "undetermined" rather than a guess.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")

@@ -1,16 +1,22 @@
 """Exact integer linear algebra and matrix arithmetic over F_p.
 
 Matrices are immutable tuples of tuples of Python ints, so determinants,
-adjugates, Smith normal forms and coset transversals are computed without
-floating point. The expansion test is exact too: the Schur-Cohn recursion
-on the integer characteristic polynomial decides whether every eigenvalue
-lies strictly outside the unit circle, with no tolerance, so an eigenvalue
-of modulus exactly 1 gives a plain "not expanding".
+adjugates and coset transversals are computed without floating point. The
+one lattice normal form is the Hermite basis: a lower-triangular basis H of
+M Z^n with a positive diagonal, whose box 0 <= x_i < H[i][i] is the
+transversal of Z^n / M Z^n. coset_transversal lists the box in
+lexicographic order, and coset_representatives moves vectors into it, so a
+dual set found over it has entries in [0, H[i][i]). The expansion test is
+exact too: the Schur-Cohn recursion on the integer characteristic
+polynomial decides whether every eigenvalue lies strictly outside the unit
+circle, with no tolerance, so an eigenvalue of modulus exactly 1 gives a
+plain "not expanding".
 """
 
 from __future__ import annotations
 
-from operator import add, mul, neg
+from itertools import product
+from operator import neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import SingularMatrix, SingularModP, WrongDimension
@@ -66,10 +72,6 @@ def sign_canonical(v: IntVector) -> Optional[IntVector]:
         if c:
             return v if c > 0 else tuple(map(neg, v))
     return None
-
-
-def mat_scale(M: Matrix, c: int) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in M)
 
 
 def mat_pow(M: Matrix, k: int) -> Matrix:
@@ -249,173 +251,58 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _is_snf(A: Matrix) -> bool:
-    n = len(A)
-    for i in range(n):
-        for j in range(n):
-            if i != j and A[i][j] != 0:
-                return False
-        if A[i][i] < 0:
-            return False
-    diag = [A[i][i] for i in range(n)]
-    # zero entries must come last, nonzero ones must divide their successor
-    for a, b in zip(diag, diag[1:]):
-        if a == 0 and b != 0:
-            return False
-        if a != 0 and b != 0 and b % a != 0:
-            return False
-    return True
+def hermite_basis(M: Matrix) -> Matrix:
+    """The lower-triangular basis H of the column lattice M Z^n with a
+    positive diagonal (column i is zero above row i), by unimodular column
+    operations: one Euclid pass per row gathers the gcd of that row's
+    remaining entries into the diagonal column.
 
-
-def smith_normal_form(A: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (S, L, R) with L*A*R = S diagonal, diag ascending divisibility.
-
-    L and R are unimodular. A matrix already in Smith form is returned
-    unchanged with identity factors, which keeps canonical transversals of
-    diagonal lattices in their natural coordinates.
+    The diagonal depends on the lattice alone: H[0][0] generates the first
+    coordinates of M Z^n, and H[i][i] the i-th coordinates of its vectors
+    whose earlier coordinates are 0. So the box 0 <= x_i < H[i][i] holds
+    exactly one point of each class of Z^n / M Z^n, and |det M| is the
+    product of the diagonal.
     """
-    n = len(A)
-    if _is_snf(A):
-        return A, identity(n), identity(n)
-
-    a = [[int(x) for x in row] for row in A]
-    L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        L[i], L[j] = L[j], L[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in R:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        for j in range(n):
-            a[dst][j] += c * a[src][j]
-            L[dst][j] += c * L[src][j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in R:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        for j in range(n):
-            a[i][j] = -a[i][j]
-            L[i][j] = -L[i][j]
-
-    for k in range(n):
-        while True:
-            # locate a pivot of minimal absolute value in the submatrix
-            pivot = None
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    v = abs(a[i][j])
-                    if v != 0 and (best is None or v < best):
-                        best = v
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != k:
-                swap_rows(k, pi)
-            if pj != k:
-                swap_cols(k, pj)
-            p = a[k][k]
-            done = True
-            for i in range(k + 1, n):
-                if a[i][k] % p != 0:
-                    done = False
-                add_row(k, i, -(a[i][k] // p))
-            for j in range(k + 1, n):
-                if a[k][j] % p != 0:
-                    done = False
-                add_col(k, j, -(a[k][j] // p))
-            if not done:
-                continue
-            # pivot must divide every remaining entry
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, k, 1)
-        if a[k][k] < 0:
-            negate_row(k)
-
-    S = tuple(tuple(row) for row in a)
-    Lm = tuple(tuple(row) for row in L)
-    Rm = tuple(tuple(row) for row in R)
-    if not _is_snf(S):
-        raise AssertionError("Smith reduction did not reach normal form")
-    if abs(det(Lm)) != 1 or abs(det(Rm)) != 1:
-        raise AssertionError("Smith factors must be unimodular")
-    if mat_mul(mat_mul(Lm, A), Rm) != S:
-        raise AssertionError("Smith factorization check failed")
-    return S, Lm, Rm
-
-
-def unimodular_inverse(U: Matrix) -> Matrix:
-    d, adj = det_and_adjugate(U)
-    if d not in (1, -1):
-        raise SingularMatrix("matrix is not unimodular")
-    return mat_scale(adj, d)
-
-
-def _smith_box(A: Matrix) -> tuple[IntVector, Matrix, Matrix]:
-    """The Smith diagonal s of L*A*R = diag(s), with L and L^{-1}: the box
-    coordinate of an integer vector v mod A Z^n is L v mod s."""
-    if det(A) == 0:
-        raise SingularMatrix("lattice matrix must be nonsingular")
-    S, L, _ = smith_normal_form(A)
-    return tuple(S[i][i] for i in range(len(A))), L, unimodular_inverse(L)
+    cols = [list(c) for c in zip(*M)]
+    for i, a in enumerate(cols):
+        for j in range(i + 1, len(cols)):
+            b = cols[j]
+            while b[i]:
+                t = a[i] // b[i]
+                a, b = b, [x - t * y for x, y in zip(a, b)]
+            cols[j] = b
+        if not a[i]:
+            raise SingularMatrix("lattice matrix must be nonsingular")
+        cols[i] = a if a[i] > 0 else [-x for x in a]
+    return transpose(cols)
 
 
 def coset_transversal(M: Matrix) -> tuple[IntVector, ...]:
-    """Canonical coset representatives of Z^n / M Z^n, zero vector first.
-
-    Derived from the Smith form L*M*R = S: the boxes [0, s_i) pushed through
-    L^{-1} enumerate each coset exactly once, and the count is |det M|.
-    """
-    s, _, Linv = _smith_box(M)
-    # L^{-1} u for u over the box in lexicographic order, summed one
-    # column of L^{-1} at a time
-    reps = [(0,) * len(M)]
-    for si, col in zip(s, zip(*Linv)):
-        steps = [tuple(u * c for c in col) for u in range(si)]
-        reps = [tuple(map(add, v, w)) for v in reps for w in steps]
-    if len(reps) != abs(det(M)):
-        raise AssertionError("transversal size must equal |det|")
-    return tuple(reps)
+    """Canonical coset representatives of Z^n / M Z^n: the Hermite box
+    0 <= x_i < H[i][i] of hermite_basis(M) in lexicographic order, zero
+    first, |det M| points."""
+    H = hermite_basis(M)
+    return tuple(product(*[range(H[i][i]) for i in range(len(H))]))
 
 
 def coset_representatives(
     M: Matrix, vectors: Iterable[Sequence[int]]
 ) -> tuple[IntVector, ...]:
     """The coset_transversal(M) members of the classes of the given integer
-    vectors mod M Z^n, each once and in transversal order: the class of v
-    has box coordinate u = L v mod s and member L^{-1} u, and the
-    transversal lists its members in lexicographic order of u.
+    vectors mod M Z^n, each once and in transversal order. A vector moves
+    into the Hermite box one coordinate at a time: x_i is reduced mod
+    H[i][i] by a multiple of column i, which leaves coordinates 0..i-1 as
+    they are.
     """
-    s, L, Linv = _smith_box(M)
-    box = {
-        tuple([sum(map(mul, row, v)) % si for row, si in zip(L, s)])
-        for v in vectors
-    }
-    return tuple(
-        tuple([sum(map(mul, row, u)) for row in Linv]) for u in sorted(box)
-    )
+    cols = tuple(enumerate(zip(*hermite_basis(M))))
+    box = set()
+    for v in vectors:
+        for i, col in cols:
+            t = v[i] // col[i]
+            if t:
+                v = [x - t * c for x, c in zip(v, col)]
+        box.add(tuple(v))
+    return tuple(sorted(box))
 
 
 def in_lattice(M: Matrix, v: Sequence[int]) -> bool:

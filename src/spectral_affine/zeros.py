@@ -252,8 +252,9 @@ def _lattice_preimage(
     of Z^2 / B^T Z^2: exactly |det B| classes mod Z^2 per base point, found
     as integer numerators over m |det B|, reduced mod m |det B| and sorted,
     so the transversal chosen does not show. The one taken is the Hermite
-    box [0, g) x [0, |det B| / g), g the gcd of the first coordinates of
-    the columns of B^T: those coordinates of B^T Z^2 are gZ, and the
+    box of linalg.coset_transversal(B^T) in its 2x2 case, [0, g) x
+    [0, |det B| / g), g the gcd of the first coordinates of the columns of
+    B^T, looped inline: those coordinates of B^T Z^2 are gZ, and the
     lattice vectors with first coordinate 0 are {0} x (|det B| / g)Z.
     Both base sets are closed under negation, so the sign of det B only
     permutes the preimages and is dropped.

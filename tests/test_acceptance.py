@@ -30,7 +30,6 @@ from spectral_affine import (
     suggest_certificate,
     suggest_eta,
     transport_inclusion_check,
-    unimodular_inverse,
     verify_triple,
     zero_set,
     zero_set_in_punctured_grid,

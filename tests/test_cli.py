@@ -502,14 +502,45 @@ def test_q_scan_csv_off_the_plane(tmp_path, capsys, n, header):
 
 @pytest.mark.parametrize("command", ["spectrum", "q-scan"])
 def test_colliding_level_sums_reported(tmp_path, capsys, command):
-    # 2*2 + 4*0 = 2*0 + 4*1: the level sums of C collide at two levels
-    path = problem(tmp_path, M=[[2]], D=[[0], [1]], C=[[0], [1], [2]], levels=2)
+    # (3, 6) = M^T (1, 2): the level sums of C collide at two levels
+    path = problem(
+        tmp_path, M=[[3, 0], [0, 3]], D=THREE, C=[[0, 0], [3, 6], [1, 2]], levels=2
+    )
     code, payload = run_json(capsys, command, "--input", path)
     assert code == 1
     assert payload["error"] == {
         "type": "ValueError",
         "message": "level sums must be distinct",
     }
+
+
+@pytest.mark.parametrize("command", ["spectrum", "q-scan"])
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        (
+            {"M": [[0]], "D": [[0], [1]], "C": [[0], [1], [2]]},
+            {"type": "SingularMatrix", "message": "expanding map must be invertible"},
+        ),
+        (
+            {"M": [[2, 0], [0, 0]], "D": THREE, "C": [[0, 0], [0, 1], [0, 2]]},
+            {"type": "SingularMatrix", "message": "expanding map must be invertible"},
+        ),
+        (
+            {"M": [[1, 0], [0, 1]], "D": THREE, "C": [[0, 0], [1, 0]], "levels": 2},
+            {
+                "type": "HypothesisViolation",
+                "message": "inverse-transpose powers do not contract; matrix not expanding",
+            },
+        ),
+    ],
+)
+def test_the_gate_refuses_before_the_level_sums(tmp_path, capsys, command, fields, error):
+    # each C gives colliding level sums; the measure's refusal comes first
+    path = problem(tmp_path, **fields)
+    code, payload = run_json(capsys, command, "--input", path)
+    assert code == 1 and "result" not in payload
+    assert payload["error"] == error
 
 
 @pytest.mark.parametrize(

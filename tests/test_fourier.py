@@ -701,6 +701,9 @@ def _fraction_spectrum_candidate(M, D, base, levels):
         raise ValueError("base must contain the zero vector")
     if levels < 1:
         raise ValueError("level count must be positive")
+    # the measure's gate, asked before the level sums and even of a
+    # one-point base with no pair to walk
+    DigitSystem(M, D).walkable
     Mt = transpose(M)
     freqs = {zero}
     power = Mt
@@ -711,8 +714,6 @@ def _fraction_spectrum_candidate(M, D, base, levels):
     if len(freqs) != len(pts) ** levels:
         raise ValueError("level sums must be distinct")
     ordered = tuple(sorted(freqs))
-    # the measure's gate, asked even of a one-point base with no pair to walk
-    DigitSystem(M, D).walkable
     memo = {}
     failing = None
     for i, a in enumerate(ordered):

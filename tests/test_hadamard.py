@@ -3,7 +3,7 @@ sets across a conjugacy, which verify_triple checks on both sides."""
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -152,12 +152,12 @@ def test_find_spectrum_set_budget_cutoff():
     M = ((4, 0), (6, -5))
     D = ((-1, 3), (0, -1), (1, 3), (2, 0))
     full = find_spectrum_set(M, D)
-    assert full.status == "found" and full.examined == 21
-    assert full.S == ((0, 0), (-5, 15), (-10, 30), (-15, 45))
-    assert find_spectrum_set(M, D, budget=21) == full
-    cut = find_spectrum_set(M, D, budget=20)
+    assert full.status == "found" and full.examined == 31
+    assert full.S == ((0, 0), (0, 5), (1, 0), (1, 5))
+    assert find_spectrum_set(M, D, budget=31) == full
+    cut = find_spectrum_set(M, D, budget=30)
     assert cut.status == "undetermined" and cut.S is None
-    assert cut.examined == 20 and cut.search_space == full.search_space
+    assert cut.examined == 30 and cut.search_space == full.search_space
 
 
 def test_find_spectrum_set_negative_budget():
@@ -231,6 +231,50 @@ def test_find_spectrum_set_matches_reference_search(system):
         out = find_spectrum_set(M, D, budget=budget)
         assert (out.status, out.S, out.examined) == _reference_search(M, D, budget)
         assert out.search_space == full.search_space
+
+
+def _box_status(M, D):
+    """Whether (M, D) has a dual set through 0, decided with no transversal:
+    |det M| Z^n lies in M^T Z^n, and the mask at M^{-T} s depends on s only
+    mod M^T Z^n, so reducing each member of a dual set mod |det M| keeps it
+    one. The members stay distinct, as two in one class would difference
+    to an integer point, where the mask is 1. So the box [0, |det M|)^n
+    decides, by is_zero_exact on every difference."""
+    d, adj = det_and_adjugate(M)
+    adjT = transpose(adj)
+
+    def vanishes(v):
+        return is_zero_exact(D, tuple(Fraction(c, d) for c in mat_vec(adjT, v)))
+
+    box = [x for x in product(range(abs(d)), repeat=len(M)) if any(x) and vanishes(x)]
+    for subset in combinations(box, len(D) - 1):
+        if all(vanishes(tuple(a - b for a, b in zip(x, y))) for x, y in combinations(subset, 2)):
+            return "found"
+    return "none"
+
+
+@st.composite
+def small_det_systems(draw):
+    """1-D M up to 12 and planar M with 2 <= |det M| <= 8, with two to four
+    distinct digits."""
+    n = draw(st.sampled_from((1, 2)))
+    if n == 1:
+        M = ((draw(st.integers(2, 12)) * draw(st.sampled_from((1, -1))),),)
+    else:
+        M = ((draw(small), draw(small)), (draw(small), draw(small)))
+        assume(2 <= abs(det(M)) <= 8)
+    D = draw(st.lists(st.tuples(*[small] * n), min_size=2, max_size=4, unique=True))
+    return M, tuple(D)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_det_systems())
+@example((((3,),), ((0,), (1,), (2,))))
+@example((((2, 0), (0, 2)), FOUR))
+@example((((3, 1), (1, 4)), THREE))
+def test_find_spectrum_set_status_matches_the_box_search(system):
+    M, D = system
+    assert find_spectrum_set(M, D).status == _box_status(M, D)
 
 
 def _enumerating_search(M, D, budget):
@@ -415,8 +459,8 @@ def test_transport_refuses_zeros_off_the_grid():
     # dual set S becomes ((0, 0), (2, 0), (4, 0)), which is not a spectrum
     # of the conjugate, although ((0, 0), (4, 0), (8, 0)) is
     conj = make_conjugate(((-2, 1), (0, 3)), ((0, 1), (3, 2), (1, 0)), ((-1, 0), (0, 1)), 3)
-    S = find_spectrum_set(conj.M, conj.D).S
-    assert S == ((0, 0), (1, 0), (2, 0))
+    S = ((0, 0), (1, 0), (2, 0))
+    assert verify_triple(conj.M, conj.D, S)
     assert not verify_triple(conj.Mt, conj.Dt, ((0, 0), (2, 0), (4, 0)))
     with pytest.raises(HypothesisViolation, match="punctured"):
         conj.transport(S)

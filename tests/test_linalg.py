@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from spectral_affine.errors import SingularMatrix, SingularModP, WrongDimension
 from spectral_affine.linalg import (
-    _is_snf,
     as_matrix,
     char_poly,
     coset_representatives,
@@ -21,18 +20,16 @@ from spectral_affine.linalg import (
     det_and_adjugate,
     euler_phi,
     gl_inverse_mod,
+    hermite_basis,
     identity,
     in_lattice,
     is_expanding,
     is_prime,
     mat_mul,
-    mat_scale,
     mat_vec,
     order_mod,
     sign_canonical,
-    smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 
 small_matrices = st.integers(1, 3).flatmap(
@@ -148,7 +145,7 @@ def test_is_expanding_refuses_unit_eigenvalues():
         C = _companion(coeffs)
         assert char_poly(C) == (1,) + tuple(reversed(coeffs))
         assert is_expanding(C) is False
-        assert is_expanding(mat_scale(C, 2)) is True
+        assert is_expanding(tuple(tuple(2 * x for x in row) for row in C)) is True
     diag_2_rot90 = ((2, 0, 0), (0, 0, -1), (0, 1, 0))
     for M in (((1, 1), (0, 2)), ((0, -1), (1, 0)), diag_2_rot90):
         assert is_expanding(M) is False
@@ -243,156 +240,75 @@ def _gcd(a, b):
     return a
 
 
-def test_smith_normal_form_fixtures():
-    S, L, R = smith_normal_form(((2, 4), (6, 8)))
-    assert S == ((2, 0), (0, 4))
-    S, L, R = smith_normal_form(((1, 0), (0, 2)))
-    # already in normal form: factors stay the identity
-    assert (S, L, R) == (((1, 0), (0, 2)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))
-    S, _, _ = smith_normal_form(((3, 1), (1, 4)))
-    assert S == ((1, 0), (0, 11))
-    # diagonal, but a zero before a nonzero entry is not the normal form
-    A = ((0, 0), (0, 5))
-    assert not _is_snf(A)
-    S, L, R = smith_normal_form(A)
-    assert S == ((5, 0), (0, 0)) and mat_mul(mat_mul(L, A), R) == S
-    assert abs(det(L)) == abs(det(R)) == 1
-
-
-@settings(max_examples=80)
-@given(small_matrices)
-def test_smith_normal_form_properties(rows):
-    M = as_matrix(rows)
-    S, L, R = smith_normal_form(M)
-    assert mat_mul(mat_mul(L, M), R) == S
-    assert abs(det(L)) == 1 and abs(det(R)) == 1
-    diag = [S[i][i] for i in range(len(M))]
-    for i in range(len(M)):
-        for j in range(len(M)):
-            if i != j:
-                assert S[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0 and b >= 0
-        if a != 0:
-            assert b % a == 0 or b == 0
-        else:
-            assert b == 0
-
-
-def smith_normal_form_reference(A):
-    """smith_normal_form as it was with a second zero check after the
-    row and column reductions, which only ran once every remainder was
-    zero; the reductions had then cleared the pivot's row and column."""
-    n = len(A)
-    if _is_snf(A):
-        return A, identity(n), identity(n)
-    a = [[int(x) for x in row] for row in A]
-    L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def add_row(src, dst, c):
-        for j in range(n):
-            a[dst][j] += c * a[src][j]
-            L[dst][j] += c * L[src][j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in R:
-            row[dst] += c * row[src]
-
-    for k in range(n):
-        while True:
-            pivot = None
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    v = abs(a[i][j])
-                    if v != 0 and (best is None or v < best):
-                        best = v
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != k:
-                a[k], a[pi] = a[pi], a[k]
-                L[k], L[pi] = L[pi], L[k]
-            if pj != k:
-                for row in a + R:
-                    row[k], row[pj] = row[pj], row[k]
-            p = a[k][k]
-            done = True
-            for i in range(k + 1, n):
-                if a[i][k] % p != 0:
-                    done = False
-                add_row(k, i, -(a[i][k] // p))
-            for j in range(k + 1, n):
-                if a[k][j] % p != 0:
-                    done = False
-                add_col(k, j, -(a[k][j] // p))
-            if not done:
-                continue
-            if any(a[i][k] != 0 for i in range(k + 1, n)) or any(
-                a[k][j] != 0 for j in range(k + 1, n)
-            ):
-                continue
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, k, 1)
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            L[k] = [-x for x in L[k]]
-    return tuple(map(tuple, a)), tuple(map(tuple, L)), tuple(map(tuple, R))
-
-
-def _diagonal(d):
-    return tuple(tuple(x if i == j else 0 for j in range(len(d))) for i, x in enumerate(d))
-
-
-square_2_3 = st.integers(2, 3).flatmap(
+square_1_3 = st.integers(1, 3).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-12, 12), min_size=n, max_size=n),
         min_size=n,
         max_size=n,
     )
-)
-snf_inputs = st.one_of(
-    square_2_3,
-    # singular: the last row a multiple of the first
-    st.tuples(square_2_3, st.integers(-3, 3)).map(
-        lambda t: t[0][:-1] + [[t[1] * x for x in t[0][0]]]
-    ),
-    # diagonal, in Smith form or not
-    st.lists(st.integers(-12, 12), min_size=2, max_size=3).map(_diagonal),
-    # already in Smith form: a divisibility chain, zeros last
-    st.tuples(
-        st.lists(st.integers(1, 4), min_size=2, max_size=3), st.integers(0, 2)
-    ).map(
-        lambda t: _diagonal(
-            [
-                0 if i >= len(t[0]) - t[1] else math.prod(t[0][: i + 1])
-                for i in range(len(t[0]))
-            ]
-        )
-    ),
-)
+).map(as_matrix).filter(lambda M: det(M) != 0)
 
 
-@settings(max_examples=300, deadline=None)
-@given(snf_inputs)
-def test_smith_normal_form_matches_reference(rows):
-    # L fixes the order of coset_transversal, and so find_spectrum_set's
-    # answers: the factors must match, not only S
-    M = as_matrix(rows)
-    assert smith_normal_form(M) == smith_normal_form_reference(M)
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary column operations and a sign: det +-1."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        if n == 1:
+            break
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        c = draw(st.integers(-3, 3))
+        for row in U:
+            row[j] += c * row[i]
+    if draw(st.booleans()):
+        U[0] = [-x for x in U[0]]
+    return as_matrix(U)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_1_3)
+@example(((3, 1), (1, 4)))
+@example(((0, 9), (10, 0)))
+@example(((0, 0, 2), (0, 3, 0), (5, 0, 0)))
+def test_hermite_basis_is_lower_triangular_and_spans_the_lattice(M):
+    H = hermite_basis(M)
+    n = len(M)
+    assert all(H[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+    assert all(H[i][i] > 0 for i in range(n))
+    assert math.prod(H[i][i] for i in range(n)) == abs(det(M))
+    # H Z^n = M Z^n: each basis lies in the other's lattice
+    assert all(in_lattice(M, col) for col in zip(*H))
+    assert all(in_lattice(H, col) for col in zip(*M))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coset_transversal_depends_on_the_lattice_alone(data):
+    M = data.draw(square_1_3.filter(lambda M: abs(det(M)) <= 300))
+    U = data.draw(unimodular(len(M)))
+    assert coset_transversal(mat_mul(M, U)) == coset_transversal(M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_reduced_vector_lies_in_the_box_and_in_its_own_class(data):
+    M = data.draw(square_1_3)
+    n = len(M)
+    v = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * n))
+    H = hermite_basis(M)
+    (x,) = coset_representatives(M, [v])
+    assert all(0 <= x[i] < H[i][i] for i in range(n))
+    assert in_lattice(M, tuple(a - b for a, b in zip(v, x)))
+
+
+def test_coset_transversal_pinned_on_non_diagonal_lattices():
+    # the order of the box fixes find_spectrum_set's witnesses
+    assert coset_transversal(((3, 1), (1, 4))) == tuple((0, k) for k in range(11))
+    t = coset_transversal(((0, 9), (10, 0)))
+    assert t == tuple((a, b) for a in range(9) for b in range(10))
+    assert t[:3] == ((0, 0), (0, 1), (0, 2)) and t[-1] == (8, 9)
+    assert coset_representatives(((3, 1), (1, 4)), [(5, 7), (-1, 0)]) == ((0, 4), (0, 9))
+    assert coset_representatives(((0, 9), (10, 0)), [(-1, -1), (10, 9)]) == ((1, 9), (8, 9))
 
 
 def test_coset_transversal_fixtures():
@@ -424,20 +340,6 @@ def test_coset_transversal_is_complete(rows):
     assert len(seen) == len(t)
 
 
-@settings(max_examples=80, deadline=None)
-@given(small_matrices)
-def test_coset_transversal_matches_the_mat_vec_reference(rows):
-    # the representatives, in order, are L^{-1} u with u running over the
-    # Smith box in itertools.product order
-    M = as_matrix(rows)
-    if det(M) == 0 or abs(det(M)) > 200:
-        return
-    S, L, _ = smith_normal_form(M)
-    Linv = unimodular_inverse(L)
-    box = product(*(range(S[i][i]) for i in range(len(M))))
-    assert coset_transversal(M) == tuple(mat_vec(Linv, u) for u in box)
-
-
 planar_lattices = st.tuples(*[st.integers(-12, 12)] * 4).map(
     lambda e: ((e[0], e[1]), (e[2], e[3]))
 )
@@ -446,7 +348,7 @@ planar_lattices = st.tuples(*[st.integers(-12, 12)] * 4).map(
 @settings(max_examples=80, deadline=None)
 @given(small_matrices)
 @example([[0, 3], [2, 1]])  # a zero first-column entry, det -6
-@example([[3, 0], [0, 5]])  # g = |det|: the Smith form is not the matrix
+@example([[3, 0], [0, 5]])  # diagonal: the box is [0, 3) x [0, 5)
 @example([[2, 1], [0, -3]])  # a negative det
 def test_coset_representatives_fix_the_transversal(rows):
     # every member is its own representative, in its own position, and a
@@ -492,14 +394,6 @@ def test_in_lattice():
     assert not in_lattice(M, (0, 1))
     with pytest.raises(SingularMatrix, match="lattice matrix must be nonsingular"):
         in_lattice(((1, 2), (2, 4)), (1, 2))
-
-
-def test_unimodular_inverse():
-    B = ((1, 0), (1, 1))
-    Binv = unimodular_inverse(B)
-    assert mat_mul(B, Binv) == identity(2)
-    with pytest.raises(SingularMatrix):
-        unimodular_inverse(((2, 0), (0, 1)))
 
 
 def test_transpose_and_mat_vec_fraction_support():
