@@ -302,7 +302,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
         return {"infinite": infinite, "witness_level": level}, 0, None
 
     if command == "nstar":
-        if "J" not in problem:  # the default window comes from p
+        if "J" not in problem:  # the default cap J comes from p
             _need(problem, "p", command)
         bounds = nstar_bounds(
             M, D, **_given(problem, p="p", J="J", R="R", node_budget="budget")

@@ -201,9 +201,10 @@ class NStarBounds(NamedTuple):
     pairwise differences were re-verified one walk each. upper is the
     Cayley-graph count on the orbit of the mask zeros, tagged "clique", or
     None, tagged "infinite", when some power M^{T j} maps a mask zero into
-    Z^n and the family is unbounded. search_nodes counts the nodes of the
-    lower search, the only one the node budget stops; search_complete holds
-    when that search ran to its end or the witness reaches upper.
+    Z^n and the family is unbounded. search_nodes sums the nodes of the
+    lower search over the windows it searched, the only search the node
+    budget stops; search_complete holds when the last window's search ran
+    to its end or the witness reaches upper.
     """
 
     lower: int
@@ -232,9 +233,16 @@ def nstar_bounds(
     mod the least divisor m of their common denominator q that keeps 0 out
     of it, one prime of m at a time (1 without zeros), and is None when the
     orbit reaches 0 mod q. Neither bound needs a condition on det M or p;
-    p, any integer >= 2 (the paper's similarity takes a prime), only sets
-    the default window J = 2(p^n - 1). The candidates are DigitSystem.window
-    (J, R). The search is complete at the upper bound.
+    p, any integer >= 2 (the paper's similarity takes a prime), only caps
+    the window at the default J = 2(p^n - 1).
+
+    J and R are caps. With a finite upper bound the search runs on nested
+    windows DigitSystem.window(j, r): the zero images (r = 0) of j = 1, 2,
+    4, ... < J shells, then (J, 0), then (J, R) when R > 0, and it stops at
+    the first window whose family reaches upper, which proves it maximum.
+    The last window is the whole (J, R), so lower is never below that
+    window's search. Each window's search gets the whole node budget, and
+    search_nodes sums them. With upper None only (J, R) is searched.
     """
     M = as_matrix(M)
     D = as_digit_set(D)
@@ -252,15 +260,24 @@ def nstar_bounds(
         J = 2 * (p**n - 1)
 
     upper = _cayley_upper(eng)
+    windows = [(J, R)]
+    if upper is not None:
+        staged = [(1 << k, 0) for k in range((J - 1).bit_length())] + [(J, 0)]
+        windows = staged + windows if R else staged
 
     # every candidate M^{T j} z + v lies on the (1/q)-grid, so the search
     # runs on the integer vectors q*x and converts the chosen clique back
     q = eng.q
-    vertices: list[IntVector] = [(0,) * eng.n] + eng.window(J, R)
-    adj = eng.orthogonality_graph(vertices)
-    best, nodes, complete = _max_clique(adj, node_budget, upper)
-    # vertex 0 is joined to every candidate, so a stopped search keeps it too
-    chosen = [vertices[i] for i in sorted({0, *best})]
+    nodes = 0
+    for j, r in windows:
+        vertices: list[IntVector] = [(0,) * n] + eng.window(j, r)
+        adj = eng.orthogonality_graph(vertices)
+        best, spent, complete = _max_clique(adj, node_budget, upper)
+        nodes += spent
+        # vertex 0 is joined to every candidate, so a stopped search keeps it too
+        chosen = [vertices[i] for i in sorted({0, *best})]
+        if len(chosen) == upper:
+            break
     # an independent walk per difference up to sign
     if eng.first_failing_pair(chosen, q) is not None:
         raise AssertionError("witness family failed re-verification")

@@ -253,20 +253,23 @@ def test_corpus_commands_build_no_zero_points(tmp_path, capsys, monkeypatch):
 
 
 def test_nstar_zero_budget(tmp_path, capsys):
-    # the search stops at its first node; frequency 0 alone is a verified
-    # family, and the stopped search exits 2
+    # the search of each window, of 1, 2, 4 and 8 shells, stops at its first
+    # node; frequency 0 alone is a verified family, and the stopped search
+    # exits 2
     path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0, budget=0)
     code, payload = run_json(capsys, "nstar", "--input", path)
     assert code == 2
     result = payload["result"]
     assert (result["lower"], result["upper"], result["method"]) == (1, 9, "clique")
     assert result["witness"] == [[0, 0]] and result["witness_verified"] is True
-    assert (result["search_nodes"], result["search_complete"]) == (1, False)
+    assert (result["search_nodes"], result["search_complete"]) == (4, False)
 
 
 def test_nstar_budget_stop_at_the_upper_bound_exits_0(tmp_path, capsys):
-    # budget 9 stops the search at its tenth node, on a path whose family
-    # with frequency 0 already has the upper bound's 9 members: decided
+    # the windows of 1, 2 and 4 shells are searched to their end in 4, 4
+    # and 6 nodes, short of the bound; budget 9 stops the search of 8 shells
+    # at its tenth node, on a path whose family with frequency 0 already has
+    # the upper bound's 9 members: decided
     path = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0)
     _, full = run_json(capsys, "nstar", "--input", path)
     stopped = problem(tmp_path, M=[[3, 1], [1, 4]], D=THREE, p=3, J=8, R=0, budget=9)
@@ -274,7 +277,7 @@ def test_nstar_budget_stop_at_the_upper_bound_exits_0(tmp_path, capsys):
     assert code == 0
     result = payload["result"]
     assert (result["lower"], result["upper"]) == (9, 9)
-    assert (result["search_nodes"], result["search_complete"]) == (10, True)
+    assert (result["search_nodes"], result["search_complete"]) == (24, True)
     assert result["witness"] == full["result"]["witness"]
 
 

@@ -506,7 +506,7 @@ def test_nstar_nine_exponentials():
         (
             SKEW,
             dict(J=8, R=0),
-            10,
+            24,
             [
                 (0, 0),
                 ("2446/3", 1329),
@@ -523,11 +523,14 @@ def test_nstar_nine_exponentials():
             ((2, 0), (0, 2)),
             dict(J=8, R=2),
             4,
-            [(0, 0), ("262/3", "518/3"), ("518/3", "262/3")],
+            [(0, 0), ("2/3", "4/3"), ("4/3", "2/3")],
         ),
     ],
 )
 def test_nstar_pinned_witness(M, window, nodes, witness):
+    # SKEW's zero images reach its bound 9 only at J = 8, after windows of
+    # 1, 2 and 4 shells whose searches took 4, 4 and 6 nodes; those of 2I
+    # reach its bound 3 at one shell
     out = nstar_bounds(M, THREE, 3, **window)
     assert out.search_nodes == nodes and out.search_complete
     assert out.witness == tuple(
@@ -536,14 +539,15 @@ def test_nstar_pinned_witness(M, window, nodes, witness):
 
 
 def test_nstar_2i_default_window():
-    # 721 vertices: the whole graph is built, then searched
+    # the window J = 16, R = 4 has 721 vertices; the zero images of its
+    # first shell, 3 vertices with frequency 0, reach the bound already
     out = nstar_bounds(((2, 0), (0, 2)), THREE, 3)
     assert (out.lower, out.upper, out.method) == (3, 3, "clique")
     assert out.search_nodes == 4 and out.search_complete
     assert out.witness == (
         (0, 0),
-        (Fraction(65548, 3), Fraction(131084, 3)),
-        (Fraction(131084, 3), Fraction(65548, 3)),
+        (Fraction(2, 3), Fraction(4, 3)),
+        (Fraction(4, 3), Fraction(2, 3)),
     )
 
 
@@ -725,13 +729,33 @@ def test_max_clique_stops_at_a_proven_target(adj):
 
 def test_nstar_stops_at_the_upper_bound():
     # at the default window J = 16 the search without a target ran into the
-    # 500,000-node budget with lower 9 = upper 9 and this witness; the bound
-    # proves its first 9-clique maximal
+    # 500,000-node budget with lower 9 = upper 9; the bound proves a first
+    # 9-clique maximal, here among the zero images of 2 shells, searched in
+    # 10 nodes after 8 on one shell
     out = nstar_bounds(((-4, -1), (3, 2)), ((2, 2), (4, 1), (0, 0)), 3)
     assert (out.lower, out.upper, out.method) == (9, 9, "clique")
-    assert (out.search_nodes, out.search_complete) == (10, True)
+    assert (out.search_nodes, out.search_complete) == (18, True)
     digest = hashlib.sha256(repr(out.witness).encode()).hexdigest()
-    assert digest == "7771cfa9c4618aeb8dcadcfc1da4644a2b2ae941a16469043310d37b2aaf0ed0"
+    assert digest == "67eb9f9223ccd8b01145116380560f64a85c25235dae498272f670c5508a0f5d"
+
+
+@settings(max_examples=40, deadline=None)
+@given(planar_systems(), st.integers(1, 4), st.integers(0, 1))
+def test_nstar_staged_windows_match_the_whole_window(system, J, R):
+    # the zero images of 1, 2, 4, ... shells first, then (J, 0) and (J, R):
+    # the same lower bound as one exact search of the whole window (J, R)
+    M, D = system
+    assume(not has_infinite_orthogonal(M, D)[0])
+    out = nstar_bounds(M, D, J=J, R=R)
+    eng = measure(M, D)
+    vertices = [(0, 0)] + eng.window(J, R)
+    best, _, complete = _max_clique(eng.orthogonality_graph(vertices), None)
+    assert complete and out.lower == len({0, *best}) <= out.upper
+    q = eng.q
+    family = [tuple(int(c * q) for c in f) for f in out.witness]
+    assert family[0] == (0, 0) and eng.first_failing_pair(family, q) is None
+    if out.lower == out.upper:
+        assert out.search_complete
 
 
 def test_max_clique_beyond_the_recursion_limit():
@@ -748,10 +772,13 @@ def test_nstar_budget_truncation():
     # a stopped search keeps the longer of its best clique and its current
     # path, and frequency 0, joined to every candidate: here the path down
     # the first branch, one member per search node, then frequency 0; from
-    # budget 8 that family reaches the upper bound 9, which proves it maximum
+    # budget 8 that family reaches the upper bound 9, which proves it maximum.
+    # Each of the windows of 1, 2, 4 and 8 shells spends up to the budget;
+    # their full searches take 4, 4, 6 and 10 nodes, the last one decides
+    nodes = [4, 8, 12, 16, 18, 20, 21, 22, 23, 24]
     for budget in range(10):
         out = nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=budget)
-        assert out.search_nodes == budget + 1
+        assert out.search_nodes == nodes[budget]
         family = out.witness
         assert out.lower == min(budget + 1, 9) == len(family)
         assert out.upper == 9 and out.search_complete == (out.lower == 9)
