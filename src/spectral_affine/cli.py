@@ -477,6 +477,19 @@ def _emit_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(rows: Sequence[Sequence]) -> str:
+    """A header and its rows, one line each, cells joined by commas: one
+    "%s" template per line, repeated for all lines and filled at once. %s
+    is str, so a float is written as its repr and a Fraction as n/d. A row
+    whose width differs from the header's is refused, since the filled
+    template would shift every later cell."""
+    width = len(rows[0])
+    if set(map(len, rows)) != {width}:
+        raise ValueError("every csv row must have the header's width")
+    line = ",".join(["%s"] * width) + "\n"
+    return line * len(rows) % tuple(itertools.chain.from_iterable(rows))
+
+
 def emit(report: dict, fmt: str, csv_rows: Optional[list]) -> str:
     if fmt == "json":
         return _dumps(report) + "\n"
@@ -487,8 +500,7 @@ def emit(report: dict, fmt: str, csv_rows: Optional[list]) -> str:
             raise ProblemFormatError(
                 "csv output is only available for point-producing commands"
             )
-        # str of a float is its repr, and of a Fraction its n/d form
-        return "\n".join(",".join(map(str, row)) for row in csv_rows) + "\n"
+        return _csv(csv_rows)
     raise ProblemFormatError(f"unknown format: {fmt}")
 
 

@@ -365,8 +365,9 @@ def spectrum_candidate(
 
     The family at n levels is all sums over i = 1..n of the i-th
     transpose power applied to a base point. Distinctness of the sums is
-    asserted, each difference is tested exactly for membership in the
-    Fourier zero set, and the first failing pair, if any, is reported.
+    asserted, the orthogonality graph of DigitSystem decides exactly which
+    differences lie in the Fourier zero set, and the first failing pair,
+    if any, is reported.
     """
     M = as_matrix(M)
     ds = DigitSystem(M, as_digit_set(D))
@@ -383,7 +384,7 @@ def spectrum_candidate(
 
     # the level sums run on the integer vectors Q*x, Q the base points'
     # common denominator; one positive denominator keeps the sort order of
-    # the rational points, and a difference goes to the walk as (N, Q)
+    # the rational points, and the family goes to the graph over Q
     Q, scaled = lattice_form(pts)
     Mt = transpose(M)
     sums: set[IntVector] = {(0,) * n}
@@ -396,7 +397,7 @@ def spectrum_candidate(
         raise ValueError("level sums must be distinct")
     ordered = sorted(sums)
 
-    failing = ds.first_failing_pair(ordered, Q)
+    failing = ds.first_unjoined_pair(ordered, Q)
     freqs = tuple(tuple(Fraction(c, Q) for c in f) for f in ordered)
     return SpectrumCandidate(
         base=pts,

@@ -37,7 +37,10 @@ The orthogonality graph is built without pairwise walks: a - b is in the
 zero set iff a = b mod M^{T j} Z^n and M^{-T j}(a - b) mod q is a residue
 for some j >= 1, so the vertices are split level by level into classes
 mod M^{T j} Z^n, and within a class a dict on the scaled iterate mod q
-joins the pairs whose difference is a residue.
+joins the pairs whose difference is a residue. Over a denominator L, a
+multiple of q, the dict is on the iterate mod L and the residues are scaled
+by L/q; spectrum's level sums are lifted to such an L, and their first
+failing pair is read from the graph with no walk.
 """
 
 from __future__ import annotations
@@ -463,6 +466,24 @@ class DigitSystem:
                 return i, j
         return None
 
+    def first_unjoined_pair(
+        self, vectors: Sequence[IntVector], Q: int
+    ) -> Optional[tuple[int, int]]:
+        """first_failing_pair's answer read from the orthogonality graph,
+        with no walk: the vectors are lifted from denominator Q to lcm(Q, q),
+        and the pair is the first vertex whose bitmask misses a later vertex,
+        with the first vertex it misses. Without zeros every pair fails. The
+        gate's refusals come first, as in first_failing_pair."""
+        self.walkable
+        L = lcm(Q, self.q)
+        s = L // Q
+        adj = self.orthogonality_graph([tuple([s * c for c in v]) for v in vectors], L)
+        for i, row in enumerate(adj, 1):
+            missing = ((1 << len(adj)) - (1 << i)) & ~row
+            if missing:
+                return i - 1, (missing & -missing).bit_length() - 1
+        return None
+
     @functools.cached_property
     def invertible(self) -> bool:
         """True, or the refusal of a singular M: the one place it is decided."""
@@ -553,17 +574,22 @@ class DigitSystem:
             if not (x or y):
                 return None
 
-    def orthogonality_graph(self, vertices: Sequence[IntVector]) -> list[int]:
-        """Adjacency bitmasks of the relation "a - b is in the Fourier zero
-        set" on distinct integer vectors a, b of the (1/q)-grid scaled by q.
+    def orthogonality_graph(
+        self, vertices: Sequence[IntVector], den: Optional[int] = None
+    ) -> list[int]:
+        """Adjacency bitmasks of the relation "(a - b)/den is in the Fourier
+        zero set" on distinct integer vectors a, b; den, q when None, is a
+        positive multiple of q, so the vertices are points of the
+        (1/den)-grid scaled by den.
 
-        a - b is in the zero set iff for some j >= 1, a = b mod M^{T j} Z^n
-        and M^{-T j}(a - b) mod q is a residue. Level by level, every
-        vertex a carries an integer t with a = c + M^{T j} t, c constant on
-        its class of a mod M^{T j} Z^n: the next level splits a class by
-        adjT*t mod |det M| and takes t <- adjT*t // |det M|, so two members
-        of one class have M^{-T j}(a - b) = t_a - t_b, and a dict on t mod q
-        joins each member with those differing from it by a residue (the
+        (a - b)/den is in the zero set iff for some j >= 1, a = b mod
+        M^{T j} Z^n and M^{-T j}(a - b) mod den is a residue scaled by
+        den/q. Level by level, every vertex a carries an integer t with
+        a = c + M^{T j} t, c constant on its class of a mod M^{T j} Z^n:
+        the next level splits a class by adjT*t mod |det M| and takes
+        t <- adjT*t // |det M|, so two members of one class have
+        M^{-T j}(a - b) = t_a - t_b, and a dict on t mod den joins each
+        member with those differing from it by a scaled residue (the
         residues are closed under negation, so the relation is symmetric).
         A class with one member is dropped. Since M is expanding (certified
         exactly by is_expanding in walkable), the powers of M^{-T} tend
@@ -578,8 +604,12 @@ class DigitSystem:
             return adj
         (a, b), (c, d) = self.adjT
         absdet = self.absdet
-        q = self.q
-        residues = self.residues
+        if den is None:
+            den = self.q
+        if den < 1 or den % self.q:
+            raise ValueError("graph denominator must be a positive multiple of q")
+        s = den // self.q
+        residues = [(s * rx, s * ry) for rx, ry in self.zs.residues]
         t = list(vertices)
         classes = [list(range(len(vertices)))]
         while classes:
@@ -596,12 +626,12 @@ class DigitSystem:
                 groups: dict[IntVector, list[int]] = {}
                 for i in part:
                     x, y = t[i]
-                    groups.setdefault((x % q, y % q), []).append(i)
+                    groups.setdefault((x % den, y % den), []).append(i)
                 masks = {g: sum(1 << i for i in grp) for g, grp in groups.items()}
                 for (x, y), grp in groups.items():
                     hit = 0
                     for rx, ry in residues:
-                        hit |= masks.get(((x - rx) % q, (y - ry) % q), 0)
+                        hit |= masks.get(((x - rx) % den, (y - ry) % den), 0)
                     if hit:
                         for i in grp:
                             adj[i] |= hit

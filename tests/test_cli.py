@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_affine.cli import COMMANDS, _dumps, build_parser, main, read_documented
+from spectral_affine.cli import COMMANDS, _dumps, build_parser, emit, main, read_documented
 from spectral_affine.fourier import mu_hat_numeric
 from spectral_affine.zeros import ZeroSet
 
@@ -700,6 +700,44 @@ def test_csv_rejected_for_scalar_commands(tmp_path, capsys):
     path = problem(tmp_path, M=[[3, 0], [0, 3]], D=THREE)
     code, _, err = run(capsys, "classify", "--input", path, "--format", "csv")
     assert code == 1 and "csv" in err
+
+
+csv_cells = st.one_of(
+    st.sampled_from((-0.0, 0.0, 1e16, -1e16, 5e-324, 0.1, 1 / 3, float("inf"))),
+    st.floats(allow_nan=False),
+    st.fractions(max_denominator=1000),
+    st.integers(-(10**20), 10**20),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header of width 1 to 4, then zero or more rows of that width."""
+    width = draw(st.integers(1, 4))
+    header = ["x", "y", "z", "q"][:width]
+    rows = draw(st.lists(st.lists(csv_cells, min_size=width, max_size=width).map(tuple)))
+    return [header, *rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_csv_matches_the_joined_rows(rows):
+    joined = "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+    assert emit({}, "csv", rows) == joined
+
+
+def test_csv_header_only_and_fixed_cells():
+    assert emit({}, "csv", [["x", "y"]]) == "x,y\n"
+    rows = [["x", "y"], (-0.0, 5e-324), (Fraction(-1, 3), 1e16), (0.1, 7)]
+    assert emit({}, "csv", rows) == "x,y\n-0.0,5e-324\n-1/3,1e+16\n0.1,7\n"
+
+
+def test_csv_refuses_a_row_of_another_width():
+    # the last table has as many cells as three full rows: a flat template
+    # would fill it without complaint, shifted by one cell
+    for rows in ([["x", "y"], (1, 2), (3,)], [["x"], (1,), (2, 3)], [["x", "y"], (1,), (2, 3, 4)]):
+        with pytest.raises(ValueError, match="width"):
+            emit({}, "csv", rows)
 
 
 def test_json_reports_are_deterministic(tmp_path, capsys):

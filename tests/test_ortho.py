@@ -485,6 +485,93 @@ def test_orthogonality_graph_edge_cases():
         eng.orthogonality_graph([(0, 0), (1, 2), (0, 0)])
 
 
+def level_sums(M, base, levels):
+    """Every sum over i = 1..levels of M^{T i} c_i, c_i in base, in
+    Fractions; the family spectrum_candidate builds, in no fixed order."""
+    sums = {(Fraction(0), Fraction(0))}
+    power = [tuple(c) for c in base]
+    for _ in range(levels):
+        power = [mat_t_vec(M, c) for c in power]
+        sums = {tuple(map(sum, zip(f, t))) for f in sums for t in power}
+    return list(sums)
+
+
+@st.composite
+def pair_check_problems(draw):
+    """(eng, vectors, Q): distinct integer vectors over a denominator Q.
+    Either the level sums of a dual set S of (M, D), found by
+    find_spectrum_set, with base S or M^{-T} S (orthogonal at every level),
+    perturbed or not and written over a multiple of their denominator; or
+    graph_vertices' zero images and random points of the (1/q)-grid,
+    lifted to Q when q divides it and read over Q as they are otherwise,
+    with Q one of 1, 2, 3, q, 2q or a value that does not divide q. The
+    order is shuffled, so the first pair is not always read from sorted
+    vectors."""
+    M, D = draw(planar_systems())
+    found = None
+    if draw(st.booleans()):
+        # m K: (m K, D) often has a dual set
+        m = 3 if len(D) == 3 else 2
+        M = tuple(tuple(m * x for x in row) for row in M)
+        assume(max(map(abs, sum(M, ()))) <= 12)
+        found = find_spectrum_set(M, D, budget=20_000)
+    eng = measure(M, D)
+    q = eng.q
+    if found is not None and found.status == "found":
+        base = [tuple(map(Fraction, s)) for s in found.S]
+        if draw(st.booleans()):
+            d = det(M)
+            base = [
+                (Fraction(M[1][1] * x - M[1][0] * y, d), Fraction(-M[0][1] * x + M[0][0] * y, d))
+                for x, y in base
+            ]
+        levels = draw(st.integers(1, 3 if len(base) == 3 else 2))
+        Q, vectors = lattice_form(level_sums(M, base, levels))
+        f = draw(st.sampled_from((1, 2, 3)))
+        Q, vectors = f * Q, [tuple(f * c for c in v) for v in vectors]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(vectors) - 1))
+            delta = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+            vectors[i] = tuple(map(sum, zip(vectors[i], delta)))
+    else:
+        Q = draw(
+            st.one_of(
+                st.sampled_from((1, 2, 3, q, 2 * q)),
+                st.integers(1, 40).filter(lambda Q: q % Q),
+            )
+        )
+        # vectors over q, lifted to Q when q divides it and read over Q
+        # as they are otherwise
+        s = Q // q if Q % q == 0 else 1
+        vectors = [tuple(s * c for c in v) for v in graph_vertices(M, eng, draw(picks))]
+    vectors = list(dict.fromkeys(vectors))
+    return eng, draw(st.permutations(vectors)), Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_check_problems())
+def test_graph_pair_check_matches_the_walk(problem):
+    eng, vectors, Q = problem
+    assert eng.first_unjoined_pair(vectors, Q) == eng.first_failing_pair(vectors, Q)
+
+
+def test_graph_pair_check_fixed_cases():
+    eng = measure(SKEW, THREE)
+    assert eng.first_unjoined_pair([], 1) is None
+    assert eng.first_unjoined_pair([(0, 0)], 7) is None
+    # (5, 9)/3 is the level-1 image of the mask zero (1, 2)/3; over Q = 6
+    # the same point is (10, 18), and (5, 9)/6 is not in the zero set
+    assert eng.first_unjoined_pair([(0, 0), (5, 9)], 3) is None
+    assert eng.first_unjoined_pair([(0, 0), (10, 18), (5, 9)], 6) == (0, 2)
+    assert eng.first_failing_pair([(0, 0), (10, 18), (5, 9)], 6) == (0, 2)
+    # without zeros every pair fails
+    none = measure(M3, ((0, 0),))
+    assert none.first_unjoined_pair([(0, 0), (1, 0), (2, 0)], 1) == (0, 1)
+    assert none.first_failing_pair([(0, 0), (1, 0), (2, 0)], 1) == (0, 1)
+    with pytest.raises(ValueError, match="multiple of q"):
+        eng.orthogonality_graph([(0, 0)], 4)
+
+
 def test_nstar_clique_small():
     out = nstar_bounds(((2, 0), (0, 2)), THREE, 3, J=1, R=0)
     assert (out.lower, out.upper) == (3, 3)

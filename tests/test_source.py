@@ -226,8 +226,9 @@ def test_only_fourier_imports_power_norms():
 
 def test_only_zeros_and_hadamard_import_sign_canonical():
     # DigitSystem.first_failing_pair walks each pair difference once up to
-    # sign for spectrum_candidate and nstar_bounds alike; the Hadamard
-    # search keeps its own cache on the mask test
+    # sign to re-verify the nstar_bounds witness (spectrum_candidate reads
+    # the orthogonality graph instead); the Hadamard search keeps its own
+    # cache on the mask test
     importers = {
         path.stem
         for path in sorted(PACKAGE.glob("*.py"))
