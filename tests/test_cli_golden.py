@@ -4,9 +4,12 @@ Every exact command runs on a fixed set of problem files: the paper's
 SKEW, 2I and 3I instances, a GL_2(3) conjugate pair, certificate and
 swap-matrix systems, an infinite orthogonal family, refusals (collinear,
 singular, unit-eigenvalue, five-digit, single-digit and 1-D systems),
-and malformed inputs. The attractor's point clouds are replayed in csv,
-both modes, on SKEW, the swap matrix with its rational C, the 1-D [[4]]
-and 2I in 3-D: their floats come from IEEE + * / alone, never from libm.
+and malformed inputs. q-scan and fourier-eval are replayed where they
+refuse, which every refusal problem reaches with its C and xi: their
+other reports carry libm floats. The attractor's point clouds are
+replayed in csv, both modes, on SKEW, the swap matrix with its rational
+C, the 1-D [[4]] and 2I in 3-D: their floats come from IEEE + * / alone,
+never from libm.
 stdout, stderr and the exit code must match tests/golden/cli_reports.json
 byte for byte, apart from two masked values: timing_seconds, and
 verify-triple's float unitarity_defect, whose last bits follow the
@@ -32,7 +35,8 @@ SKEW = [[3, 1], [1, 4]]
 COLLINEAR = [[0, 0], [1, 1], [2, 2]]
 FIVE = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0]]
 REFUSAL_FIELDS = dict(
-    p=3, J=2, R=1, B=[[1, 0], [0, 1]], S=THREE, C=[[0, 0], [1, 0]], L=1, j0=2
+    p=3, J=2, R=1, B=[[1, 0], [0, 1]], S=THREE, C=[[0, 0], [1, 0]], xi=[1, [1, 3]],
+    L=1, j0=2,
 )
 
 PROBLEMS = {
@@ -64,15 +68,15 @@ PROBLEMS = {
     "unit_eigenvalue": dict(M=[[1, 1], [0, 2]], D=THREE, **REFUSAL_FIELDS),
     "five_digits": dict(
         M=SKEW, D=FIVE, p=3, J=2, R=1, B=[[1, 0], [0, 1]], S=FIVE,
-        C=[[0, 0], [1, 0]], L=1, j0=2,
+        C=[[0, 0], [1, 0]], xi=[1, [1, 3]], L=1, j0=2,
     ),
     "single_digit": dict(
         M=SKEW, D=[[0, 0]], p=3, J=2, R=1, B=[[1, 0], [0, 1]], S=[[0, 0]],
-        C=[[0, 0], [1, 0]], L=1, j0=2,
+        C=[[0, 0], [1, 0]], xi=[1, [1, 3]], L=1, j0=2,
     ),
     "line": dict(
         M=[[4]], D=[[0], [2]], p=2, J=2, R=1, B=[[1]], S=[[0], [1]],
-        C=[[0], [[1, 2]]], L=1, j0=2,
+        C=[[0], [[1, 2]]], xi=[[1, 3]], L=1, j0=2,
     ),
 }
 ATTRACTOR = {
@@ -110,6 +114,15 @@ EXACT_COMMANDS = (
     "transport-check",
     "spectrum",
 )
+# the successful q-scan and fourier-eval reports among the problems
+NUMERIC_COMMANDS = ("q-scan", "fourier-eval")
+NUMERIC_REPORTS = {
+    "2i q-scan",
+    "swap q-scan",
+    "five_digits fourier-eval",
+    "single_digit fourier-eval",
+    "line fourier-eval",
+}
 MASKS = (
     (re.compile(r'"timing_seconds": [^\n]*'), '"timing_seconds": "masked"'),
     (re.compile(r'"unitarity_defect": [^,\n]*'), '"unitarity_defect": "masked"'),
@@ -143,6 +156,11 @@ CASES = [
     (name, command, "json")
     for name in [*PROBLEMS, *MALFORMED, "missing_file"]
     for command in EXACT_COMMANDS
+] + [
+    (name, command, "json")
+    for name in PROBLEMS
+    for command in NUMERIC_COMMANDS
+    if f"{name} {command}" not in NUMERIC_REPORTS
 ] + [(name, "attractor", "csv") for name in ATTRACTOR]
 
 
