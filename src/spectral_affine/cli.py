@@ -46,7 +46,7 @@ from .ortho import (
     suggest_certificate,
     transport_inclusion_check,
 )
-from .zeros import digit_set_shape, zero_set
+from .zeros import DigitSystem, digit_set_shape, zero_set
 
 if TYPE_CHECKING:
     import argparse
@@ -218,8 +218,8 @@ def _csv_header(n: int) -> list[str]:
     return [f"x{i}" for i in range(1, n + 1)]
 
 
-def _criterion(M, D) -> dict:
-    verdict = spectrality_criterion(M, D)
+def _criterion(system: DigitSystem) -> dict:
+    verdict = spectrality_criterion(system)
     return {"verdict": verdict.verdict, "A": verdict.A, "B": verdict.B}
 
 
@@ -232,10 +232,14 @@ def _given(problem: dict, **params: str) -> dict:
 def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
     """Run one command; returns (result-dict, exit-code, csv-rows). The
     result and the rows, a header then one tuple per point, hold library
-    values (tuples, Fractions, floats) that emit renders."""
+    values (tuples, Fractions, floats) that emit renders. A command that
+    asks about the measure of (M, D) builds its one DigitSystem here and
+    hands it to every library call."""
     M = problem["M"]
     if command not in ("classify", "attractor"):
         D = _need(problem, "D", command)
+        if command not in ("zero-set", "conjugate"):
+            system = DigitSystem(M, D)
 
     if command == "zero-set":
         zs = zero_set(D, **_given(problem, q_hints="q_hints"))
@@ -248,7 +252,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
         return result, 0 if zs.complete else 2, rows
 
     if command == "find-hadamard":
-        found = find_spectrum_set(M, D, **_given(problem, budget="budget"))
+        found = find_spectrum_set(system, **_given(problem, budget="budget"))
         result = {
             "status": found.status,
             "S": found.S,
@@ -260,10 +264,10 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
 
     if command == "verify-triple":
         S = _need(problem, "S", command)
-        ok = verify_triple(M, D, S)
+        ok = verify_triple(system, S)
         result = {
             "admissible_with_S": ok,
-            "unitarity_defect": unitarity_defect(M, D, S),
+            "unitarity_defect": unitarity_defect(system, S),
         }
         return result, 0, None
 
@@ -291,21 +295,21 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
             "theorem18": None,
         }
         if "D" in problem and len(problem["D"]) == 3:
-            result["theorem18"] = _criterion(M, problem["D"])
+            result["theorem18"] = _criterion(DigitSystem(M, problem["D"]))
         return result, 0, None
 
     if command == "criterion-1-8":
-        return _criterion(M, D), 0, None
+        return _criterion(system), 0, None
 
     if command == "infinite-orthogonal":
-        infinite, level = has_infinite_orthogonal(M, D)
+        infinite, level = has_infinite_orthogonal(system)
         return {"infinite": infinite, "witness_level": level}, 0, None
 
     if command == "nstar":
         if "J" not in problem:  # the default cap J comes from p
             _need(problem, "p", command)
         bounds = nstar_bounds(
-            M, D, **_given(problem, p="p", J="J", R="R", node_budget="budget")
+            system, **_given(problem, p="p", J="J", R="R", node_budget="budget")
         )
         result = {
             "lower": bounds.lower,
@@ -323,7 +327,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
         # a certificate is given whole or suggested whole
         suggested = "L" not in problem and "j0" not in problem
         if suggested:
-            pair = suggest_certificate(M, D)
+            pair = suggest_certificate(system)
             if pair is None:
                 result = {
                     "verdict": "inconclusive",
@@ -333,7 +337,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
             L, j0 = pair
         else:
             L, j0 = _need(problem, "L", command), _need(problem, "j0", command)
-        cert = nonspectral_certificate(M, D, L, j0)
+        cert = nonspectral_certificate(system, L, j0)
         result = {
             "verdict": cert.verdict,
             "L": cert.L,
@@ -351,7 +355,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
         B = _need(problem, "B", command)
         p = _need(problem, "p", command)
         report = transport_inclusion_check(
-            M, D, problem.get("A"), B, p, **_given(problem, J="J", mode="mode")
+            system, problem.get("A"), B, p, **_given(problem, J="J", mode="mode")
         )
         result = {
             "c1": report.c1,
@@ -367,7 +371,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
     if command == "fourier-eval":
         xi = _need(problem, "xi", command)
         depth = problem.get("depth", DEFAULT_DEPTH)
-        val = mu_hat_numeric(M, D, xi, depth=depth)
+        val = mu_hat_numeric(system, xi, depth=depth)
         return {"re": val.real, "im": val.imag, "depth": depth}, 0, None
 
     if command == "attractor":
@@ -386,7 +390,7 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
 
     if command == "spectrum":
         C = _need(problem, "C", command)
-        cand = spectrum_candidate(M, D, C, **_given(problem, levels="levels"))
+        cand = spectrum_candidate(system, C, **_given(problem, levels="levels"))
         rows = [_csv_header(len(M)), *cand.frequencies]
         result = {
             "levels": cand.levels,
@@ -399,14 +403,14 @@ def dispatch(command: str, problem: dict) -> tuple[dict, int, Optional[list]]:
 
     if command == "q-scan":
         C = _need(problem, "C", command)
-        cand = spectrum_candidate(M, D, C, **_given(problem, levels="levels"))
+        cand = spectrum_candidate(system, C, **_given(problem, levels="levels"))
         eta = problem.get("eta")
         eta_source = "given"
         if eta is None:
-            eta = suggest_eta(M, D, C).eta
+            eta = suggest_eta(system, C).eta
             eta_source = "computed"
         scan = completeness_scan(
-            M, D, cand, float(eta), **_given(problem, resolution="grid", depth="depth")
+            system, cand, float(eta), **_given(problem, resolution="grid", depth="depth")
         )
         flat = [q for row in scan.values for q in row]
         grid = itertools.product(scan.axis, repeat=len(M))

@@ -43,7 +43,6 @@ from .zeros import (
     DigitSet,
     DigitSystem,
     as_digit_set,
-    require_expanding,
     three_digit_frame,
     zero_set_in_punctured_grid,
 )
@@ -81,28 +80,27 @@ class SpectralityVerdict(NamedTuple):
     Mt: Matrix  # A M B, whose rows the criterion compares mod 3
 
 
-def spectrality_criterion(M: Matrix, D: DigitSet) -> SpectralityVerdict:
+def spectrality_criterion(system: DigitSystem) -> SpectralityVerdict:
     """Decide spectrality for a planar three-digit system.
 
     The digit set must consist of three points whose difference frame
     B = [d1-d0 | d2-d0] is invertible mod 3; a translate of {0, alpha, beta}
     is accepted since translating digits changes neither the mask zeros nor
-    spectrality. With A the canonical mod-3 inverse of B, the measure is
-    spectral iff the rows of A M B agree mod 3.
+    spectrality. The system's expanding gate refuses a map with no measure.
+    With A the canonical mod-3 inverse of B, the measure is spectral iff the
+    rows of A M B agree mod 3.
     """
-    M = as_matrix(M)
-    D = as_digit_set(D)
-    if len(M) != 2 or len(D[0]) != 2:
+    if system.n != 2:
         raise WrongDimension("criterion is defined in the plane")
-    if len(D) != 3:
+    if len(system.D) != 3:
         raise BadDigitForm("criterion needs exactly three digits")
-    require_expanding(M)
-    B = three_digit_frame(D)
+    system.expanding
+    B = three_digit_frame(system.D)
     try:
         A = gl_inverse_mod(B, 3)
     except SingularModP:
         raise DegenerateDigits("digit difference frame is singular mod 3") from None
-    Mt = mat_mul(mat_mul(A, M), B)
+    Mt = mat_mul(mat_mul(A, system.M), B)
     verdict = "Spectral" if spectral_residue_criterion(Mt) else "NonSpectral"
     return SpectralityVerdict(verdict=verdict, A=A, B=B, Mt=Mt)
 
@@ -152,11 +150,12 @@ class Conjugacy(NamedTuple):
         """
         if direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
-        if not zero_set_in_punctured_grid(DigitSystem(self.M, self.D).zs, self.p):
+        src = DigitSystem(self.M, self.D)
+        if not zero_set_in_punctured_grid(src.zs, self.p):
             raise HypothesisViolation(
                 "mask zeros of D must lie in the punctured (1/p)-grid"
             )
-        src, dst = (self.M, self.D), (self.Mt, self.Dt)
+        dst = DigitSystem(self.Mt, self.Dt)
         dB, adjB = det_and_adjugate(self.B)
         if direction == "forward":
             T, scale = transpose(self.B), det(self.A) * dB
@@ -164,10 +163,10 @@ class Conjugacy(NamedTuple):
             src, dst = dst, src
             # phi(p) = p - 1 >= 1, so det B divides |det B|^phi(p)
             T, scale = transpose(adjB), abs(dB) ** (self.p - 1) // dB
-        if not verify_triple(*src, S):
+        if not verify_triple(src, S):
             raise HypothesisViolation("S is not a spectrum of the source system")
         out = tuple(tuple(scale * x for x in mat_vec(T, s)) for s in S)
-        if not verify_triple(*dst, out):
+        if not verify_triple(dst, out):
             raise AssertionError("transported set failed re-verification")
         return out
 

@@ -39,10 +39,8 @@ from .linalg import (
     transpose,
 )
 from .zeros import (
-    DigitSet,
     DigitSystem,
     RationalPoint,
-    as_digit_set,
     as_rational_point,
     lattice_form,
     mask_eval,
@@ -117,15 +115,14 @@ class AttractorSample(NamedTuple):
 
 def _expansion_setup(
     M: Matrix, digits: Sequence[Sequence]
-) -> tuple[Matrix, tuple[RationalPoint, ...], int, Matrix]:
-    """Validated map, digits, det M and adj M of an attractor expansion."""
-    M = as_matrix(M)
-    require_expanding(M)
+) -> tuple[tuple[RationalPoint, ...], int, Matrix]:
+    """Validated digits, det M and adj M of an expansion under the map M,
+    which the caller has found expanding."""
     pts = _rational_points(digits)
     if len(pts[0]) != len(M):
         raise WrongDimension("digit dimension does not match the map")
     det_m, adj = det_and_adjugate(M)
-    return M, pts, det_m, adj
+    return pts, det_m, adj
 
 
 def _level_terms(
@@ -169,7 +166,9 @@ def attractor_sample(
     from the origin; the seed is mandatory so runs are reproducible. Digit
     coordinates may be rational.
     """
-    M, pts, det_m, adj = _expansion_setup(M, digits)
+    M = as_matrix(M)
+    require_expanding(M)
+    pts, det_m, adj = _expansion_setup(M, digits)
 
     if mode == "digit_expansion":
         den, levels = _level_terms(det_m, adj, pts, k)
@@ -225,15 +224,15 @@ def attractor_sample(
 
 
 class _MuHat:
-    """Truncated-product evaluator with precomputed float inverse."""
+    """Truncated-product evaluator with precomputed float inverse, for a
+    system whose expanding gate has passed."""
 
-    def __init__(self, M: Matrix, D: DigitSet, depth: int):
+    def __init__(self, system: DigitSystem, depth: int):
         if depth < 1:
             raise ValueError("product depth must be positive")
-        require_expanding(M)
-        ds = DigitSystem(M, D)
-        self.minvT = tuple(tuple(x / ds.absdet for x in row) for row in ds.adjT)
-        self.D = D
+        system.expanding
+        self.minvT = tuple(tuple(x / system.absdet for x in row) for row in system.adjT)
+        self.D = system.D
         self.depth = depth
 
     def value(self, xi: Sequence) -> complex:
@@ -329,9 +328,7 @@ def _dot(coeffs: Sequence, ys: Sequence) -> float | np.ndarray:
 DEFAULT_DEPTH = 40
 
 
-def mu_hat_numeric(
-    M: Matrix, D: DigitSet, xi: Sequence, depth: int = DEFAULT_DEPTH
-) -> complex:
+def mu_hat_numeric(system: DigitSystem, xi: Sequence, depth: int = DEFAULT_DEPTH) -> complex:
     """Truncated product of mask values along inverse-transpose iterates.
 
     Since the map is expanding, the iterates decay geometrically and the
@@ -339,7 +336,7 @@ def mu_hat_numeric(
     decays geometrically in depth; depth doubling is the practical
     convergence check.
     """
-    return _MuHat(as_matrix(M), as_digit_set(D), depth).value(xi)
+    return _MuHat(system, depth).value(xi)
 
 
 class SpectrumCandidate(NamedTuple):
@@ -359,7 +356,7 @@ class SpectrumCandidate(NamedTuple):
 
 
 def spectrum_candidate(
-    M: Matrix, D: DigitSet, base: Sequence[Sequence], levels: int = 1
+    system: DigitSystem, base: Sequence[Sequence], levels: int = 1
 ) -> SpectrumCandidate:
     """Build the level-sum frequency family and verify orthogonality.
 
@@ -369,9 +366,7 @@ def spectrum_candidate(
     differences lie in the Fourier zero set, and the first failing pair,
     if any, is reported.
     """
-    M = as_matrix(M)
-    ds = DigitSystem(M, as_digit_set(D))
-    n = len(M)
+    n = system.n
     pts = _rational_points(base)
     if len(pts[0]) != n:
         raise WrongDimension("base dimension does not match the map")
@@ -380,13 +375,13 @@ def spectrum_candidate(
         raise ValueError("base must contain the zero vector")
     if levels < 1:
         raise ValueError("level count must be positive")
-    ds.walkable  # the gate's refusals come before the level sums
+    system.walkable  # the gate's refusals come before the level sums
 
     # the level sums run on the integer vectors Q*x, Q the base points'
     # common denominator; one positive denominator keeps the sort order of
     # the rational points, and the family goes to the graph over Q
     Q, scaled = lattice_form(pts)
-    Mt = transpose(M)
+    Mt = transpose(system.M)
     sums: set[IntVector] = {(0,) * n}
     power = Mt
     for _ in range(levels):
@@ -397,7 +392,7 @@ def spectrum_candidate(
         raise ValueError("level sums must be distinct")
     ordered = sorted(sums)
 
-    failing = ds.first_unjoined_pair(ordered, Q)
+    failing = system.first_unjoined_pair(ordered, Q)
     freqs = tuple(tuple(Fraction(c, Q) for c in f) for f in ordered)
     return SpectrumCandidate(
         base=pts,
@@ -514,7 +509,7 @@ def _nearest_leaf_square(
 
 
 def suggest_eta(
-    M: Matrix, D: DigitSet, base: Sequence[Sequence], k: int = 8
+    system: DigitSystem, base: Sequence[Sequence], k: int = 8
 ) -> EtaSuggestion:
     """Scan radius from the distance between the base's attractor and the
     mask zeros of D.
@@ -533,11 +528,10 @@ def suggest_eta(
     truncated expansions; a nonpositive eta is refused. DigitSystem.walkable
     raises its refusals first, and a mask with no zeros is refused.
     """
-    ds = DigitSystem(as_matrix(M), as_digit_set(D))
-    if not ds.walkable:
+    if not system.walkable:
         raise HypothesisViolation("mask has no zeros; any radius works")
-    zs = ds.zs
-    _, pts, det_m, adj = _expansion_setup(M, base)
+    zs = system.zs
+    pts, det_m, adj = _expansion_setup(system.M, base)
     den, levels = _level_terms(det_m, adj, pts, k)
     # int true division is correctly rounded, as float(Fraction) is
     zeros = [tuple([c / zs.q for c in r]) for r in zs.residues]
@@ -576,8 +570,7 @@ _BATCH = 1 << 16
 
 
 def completeness_scan(
-    M: Matrix,
-    D: DigitSet,
+    system: DigitSystem,
     candidate: SpectrumCandidate,
     eta: float,
     resolution: int = 11,
@@ -591,8 +584,6 @@ def completeness_scan(
     for bit.
     """
     import numpy as np
-    M = as_matrix(M)
-    D = as_digit_set(D)
     if eta <= 0:
         raise ValueError("scan radius must be positive")
     if not math.isfinite(2 * eta):
@@ -600,8 +591,8 @@ def completeness_scan(
         raise ValueError("scan radius must give a finite grid")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    n = len(M)
-    engine = _MuHat(M, D, depth)
+    n = system.n
+    engine = _MuHat(system, depth)
     freqs = np.array([[float(c) for c in f] for f in candidate.frequencies])
     nf = len(freqs)
     axis = tuple(

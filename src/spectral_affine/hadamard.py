@@ -25,20 +25,18 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import WrongDimension
 from .linalg import (
-    Matrix,
-    as_matrix,
     coset_representatives,
     coset_transversal,
     mat_vec,
     sign_canonical,
     transpose,
 )
-from .zeros import DigitSet, DigitSystem, as_digit_set
+from .zeros import DigitSystem
 
 FrequencySet = tuple[tuple[int, ...], ...]
 
 
-def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
+def unitarity_defect(system: DigitSystem, S: FrequencySet) -> float:
     """Max-norm distance of the normalized exponential matrix from unitarity.
 
     Entry (d, s) is exp(2 pi i <d, M^{-T} s>). The phase is the integer
@@ -46,16 +44,14 @@ def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
     becomes a float only once it lies in [0, 1) and the defect keeps its
     precision however large s is.
     """
-    D = as_digit_set(D)
-    ds = DigitSystem(as_matrix(M), D)
-    ds.invertible  # refuses a singular M
-    absdet = ds.absdet
+    system.invertible  # refuses a singular M
+    absdet = system.absdet
     rows = []
     for s in S:
-        v = mat_vec(ds.adjT, s)
+        v = mat_vec(system.adjT, s)
         rows.append([
             cmath.exp(2j * math.pi * (sum(map(mul, d, v)) % absdet / absdet))
-            for d in D
+            for d in system.D
         ])
     return max(
         abs(sum(x.conjugate() * y for x, y in zip(a, b)) / len(S) - (i == j))
@@ -64,7 +60,7 @@ def unitarity_defect(M: Matrix, D: DigitSet, S: FrequencySet) -> float:
     )
 
 
-def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
+def verify_triple(system: DigitSystem, S: Sequence[Sequence[int]]) -> bool:
     """Exact Hadamard-triple check, cross-validated numerically.
 
     Returns True iff every pairwise frequency difference lands in the mask
@@ -75,7 +71,7 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     exponential system is additionally required to be unitary to within
     1e-9, as a guard against bookkeeping errors between the two routes.
     """
-    D = as_digit_set(D)
+    D = system.D
     S = tuple(tuple(int(x) for x in s) for s in S)
     if len(S) != len(D):
         raise WrongDimension("frequency set size must match digit set size")
@@ -84,14 +80,13 @@ def verify_triple(M: Matrix, D: DigitSet, S: Sequence[Sequence[int]]) -> bool:
     for s in S:
         if len(s) != len(D[0]):
             raise WrongDimension("frequency dimension does not match digits")
-    ds = DigitSystem(as_matrix(M), D)
-    ds.invertible  # refuses a singular M
+    system.invertible  # refuses a singular M
     ok = all(
-        ds.cyclotomic_zero(mat_vec(ds.adjT, [a - b for a, b in zip(s, t)]))
+        system.cyclotomic_zero(mat_vec(system.adjT, [a - b for a, b in zip(s, t)]))
         for s, t in combinations(S, 2)
     )
     if ok:
-        defect = unitarity_defect(M, D, S)
+        defect = unitarity_defect(system, S)
         if not defect < 1e-9:
             raise AssertionError(
                 f"exact check passed but numeric unitarity defect is {defect}"
@@ -113,11 +108,7 @@ class HadamardSearch(NamedTuple):
     examined: int
 
 
-def find_spectrum_set(
-    M: Matrix,
-    D: DigitSet,
-    budget: int = 10_000_000,
-) -> HadamardSearch:
+def find_spectrum_set(system: DigitSystem, budget: int = 10_000_000) -> HadamardSearch:
     """Deterministic search for a frequency set making (M, D, S) Hadamard.
 
     Candidates are (|D|-1)-subsets of the nonzero points of the Hermite
@@ -136,27 +127,25 @@ def find_spectrum_set(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    D = as_digit_set(D)
-    M = as_matrix(M)
-    ds = DigitSystem(M, D)
-    ds.invertible  # refuses a singular M
-    k = len(D) - 1
-    nreps = ds.absdet
+    system.invertible  # refuses a singular M
+    k = len(system.D) - 1
+    nreps = system.absdet
     search_space = math.comb(max(0, nreps - 1), k)
+    zero = (0,) * system.n
     if k == 0:
-        return HadamardSearch("found", ((0,) * len(D[0]),), search_space, 0)
+        return HadamardSearch("found", (zero,), search_space, 0)
     if nreps - 1 < k:
         return HadamardSearch("none", None, search_space, 0)
 
-    Mt = transpose(M)
-    vanishes = ds.vanishes
-    if ds.listed:
+    Mt = transpose(system.M)
+    vanishes = system.vanishes
+    if system.listed:
         # M^{-T} r is a listed zero rho / q mod Z^n iff r is in the class
         # of M^T rho / q mod M^T Z^n, which needs q | M^T rho; distinct
         # residues give distinct classes, and 0, where the mask is 1, is
         # no residue, so the zero class is not among them
-        q = ds.q
-        images = [[sum(map(mul, row, rho)) for row in Mt] for rho in ds.zs.residues]
+        q = system.q
+        images = [[sum(map(mul, row, rho)) for row in Mt] for rho in system.zs.residues]
         filtered = coset_representatives(
             Mt, [[c // q for c in v] for v in images if not any(c % q for c in v)]
         )
@@ -178,8 +167,8 @@ def find_spectrum_set(
             return HadamardSearch("undetermined", None, search_space, examined)
         examined += 1
         if all(pair_ok(a, b) for a, b in combinations(subset, 2)):
-            S = ((0,) * len(D[0]), *subset)
-            if not verify_triple(M, D, S):
+            S = (zero, *subset)
+            if not verify_triple(system, S):
                 raise AssertionError("search result failed re-verification")
             return HadamardSearch("found", S, search_space, examined)
     return HadamardSearch("none", None, search_space, examined)

@@ -15,8 +15,8 @@ plain "not expanding".
 
 from __future__ import annotations
 
-from itertools import product
-from operator import neg
+from itertools import chain, product
+from operator import ne, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import SingularMatrix, SingularModP, WrongDimension
@@ -25,9 +25,19 @@ Matrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
+def integer_rows(rows: Sequence[Sequence], what: str) -> tuple[IntVector, ...]:
+    """The rows frozen as tuples of ints; an entry that is not an integer,
+    such as 3.5 or Fraction(10, 3), is refused rather than truncated."""
+    out = tuple([tuple([int(x) for x in row]) for row in rows])
+    # rows that are already tuples of ints compare equal at once
+    if out != rows and any(map(ne, chain.from_iterable(rows), chain.from_iterable(out))):
+        raise ValueError(f"{what} entries must be integers")
+    return out
+
+
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     """Validate and freeze a square integer matrix."""
-    return square_matrix(tuple(tuple(int(x) for x in row) for row in rows))
+    return square_matrix(integer_rows(rows, "matrix"))
 
 
 def square_matrix(M: Matrix) -> Matrix:

@@ -3,13 +3,14 @@
 Two frequencies are orthogonal for the self-affine measure of (M, D) iff
 their difference lies in the measure's Fourier-transform zero set, which
 is the union over j >= 1 of M^{T j} applied to the mask zeros plus Z^n.
-Membership is decided exactly by the walk of zeros.DigitSystem. The
-candidate frequencies of the orthogonal-family search, the transported
-zeros and the zero orbits all lie on the (1/q)-grid of the mask zeros
-and are handled as integer vectors q*x, and the non-spectrality
-certificate, at an integer scale, runs its three parts as residue tests
-mod q on the residues and their shells.
-Fractions appear only at the public boundary.
+Each question here takes that measure as one zeros.DigitSystem, whose
+gate, walkable, raises its refusals first, and whose walk decides
+membership exactly. The candidate frequencies of the orthogonal-family
+search, the transported zeros and the zero orbits all lie on the
+(1/q)-grid of the mask zeros and are handled as integer vectors q*x, and
+the non-spectrality certificate, at an integer scale, runs its three
+parts as residue tests mod q on the residues and their shells. Fractions
+appear only at the public boundary.
 
 On top of that decision procedure sit the maximal-orthogonal-family
 bounds (exact max clique below, Cayley-graph counting above), the scaled
@@ -28,7 +29,6 @@ from .errors import HypothesisViolation, WrongDimension
 from .linalg import (
     IntVector,
     Matrix,
-    as_matrix,
     det,
     mat_pow,
     mat_vec,
@@ -38,7 +38,6 @@ from .zeros import (
     DigitSet,
     DigitSystem,
     RationalPoint,
-    as_digit_set,
     as_rational_point,
     lattice_form,
     reduce_mod1,  # unused here; perfbench --trace 1 wraps ortho.reduce_mod1
@@ -50,15 +49,7 @@ from .zeros import (
 _Measure = DigitSystem
 
 
-def measure(M: Matrix, D: DigitSet) -> DigitSystem:
-    """DigitSystem(M, D), M and D validated, once walkable, the one gate
-    of every question about the measure, has raised its refusals."""
-    ds = DigitSystem(M, D)
-    ds.walkable  # raises the walk's refusals
-    return ds
-
-
-def zero_membership(M: Matrix, D: DigitSet, xi: Sequence) -> Optional[int]:
+def zero_membership(system: DigitSystem, xi: Sequence) -> Optional[int]:
     """Least level j at which xi enters the Fourier zero set, or None.
 
     Returns the smallest j >= 1 such that M^{-T j} xi reduced mod 1 is a
@@ -66,16 +57,14 @@ def zero_membership(M: Matrix, D: DigitSet, xi: Sequence) -> Optional[int]:
     leaves it or reaches 0, which is never a mask zero, so None is a proof
     of non-membership rather than a timeout.
     """
-    eng = measure(as_matrix(M), as_digit_set(D))
+    system.walkable  # raises the gate's refusals
     Q, (N,) = lattice_form((as_rational_point(xi),))
-    if len(N) != eng.n:
+    if len(N) != system.n:
         raise WrongDimension("frequency dimension does not match the map")
-    return eng.membership(N, Q)
+    return system.membership(N, Q)
 
 
-def has_infinite_orthogonal(
-    M: Matrix, D: DigitSet
-) -> tuple[bool, Optional[int]]:
+def has_infinite_orthogonal(system: DigitSystem) -> tuple[bool, Optional[int]]:
     """Whether some power M^{T j} maps a mask zero into Z^n.
 
     When it does, scaling that zero through successive powers yields
@@ -84,8 +73,8 @@ def has_infinite_orthogonal(
     DigitSystem.orbit(q), the orbit of the residues q*z mod q, q the common
     denominator of the mask zeros.
     """
-    ds = measure(as_matrix(M), as_digit_set(D))
-    level = ds.orbit(ds.q)[1]
+    system.walkable  # raises the gate's refusals
+    level = system.orbit(system.q)[1]
     return (level is not None, level)
 
 
@@ -216,8 +205,7 @@ class NStarBounds(NamedTuple):
 
 
 def nstar_bounds(
-    M: Matrix,
-    D: DigitSet,
+    system: DigitSystem,
     p: Optional[int] = None,
     J: Optional[int] = None,
     R: int = 4,
@@ -244,8 +232,6 @@ def nstar_bounds(
     window's search. Each window's search gets the whole node budget, and
     search_nodes sums them. With upper None only (J, R) is searched.
     """
-    M = as_matrix(M)
-    D = as_digit_set(D)
     if J is None and p is None:
         raise ValueError("the default window J needs p")
     if p is not None and p < 2:
@@ -254,12 +240,12 @@ def nstar_bounds(
         raise ValueError("search window must be positive")
     if node_budget < 0:
         raise ValueError("node budget must be nonnegative")
-    eng = measure(M, D)
-    n = eng.n
+    system.walkable  # raises the gate's refusals
+    n = system.n
     if J is None:
         J = 2 * (p**n - 1)
 
-    upper = _cayley_upper(eng)
+    upper = _cayley_upper(system)
     windows = [(J, R)]
     if upper is not None:
         staged = [(1 << k, 0) for k in range((J - 1).bit_length())] + [(J, 0)]
@@ -267,11 +253,11 @@ def nstar_bounds(
 
     # every candidate M^{T j} z + v lies on the (1/q)-grid, so the search
     # runs on the integer vectors q*x and converts the chosen clique back
-    q = eng.q
+    q = system.q
     nodes = 0
     for j, r in windows:
-        vertices: list[IntVector] = [(0,) * n] + eng.window(j, r)
-        adj = eng.orthogonality_graph(vertices)
+        vertices: list[IntVector] = [(0,) * n] + system.window(j, r)
+        adj = system.orthogonality_graph(vertices)
         best, spent, complete = _max_clique(adj, node_budget, upper)
         nodes += spent
         # vertex 0 is joined to every candidate, so a stopped search keeps it too
@@ -279,7 +265,7 @@ def nstar_bounds(
         if len(chosen) == upper:
             break
     # an independent walk per difference up to sign
-    if eng.first_failing_pair(chosen, q) is not None:
+    if system.first_failing_pair(chosen, q) is not None:
         raise AssertionError("witness family failed re-verification")
     witness = tuple(tuple(Fraction(c, q) for c in v) for v in chosen)
     return NStarBounds(
@@ -311,8 +297,7 @@ class TransportReport(NamedTuple):
 
 
 def transport_inclusion_check(
-    M: Matrix,
-    D: DigitSet,
+    system: DigitSystem,
     A: Optional[Matrix],
     B: Matrix,
     p: int,
@@ -324,24 +309,26 @@ def transport_inclusion_check(
     Requires det M coprime to p and the conjugated digits' mask zeros
     inside the punctured (1/p)-grid. With e = (p-1)(p^n - 1), the scalings
     are c1 = det(AB) |det(AMB)|^e and c2 = |det M|^e; both are congruent
-    to 1 mod p, which is what lets them re-enter the grid classes.
+    to 1 mod p, which is what lets them re-enter the grid classes. The
+    system is the source (M, D); its conjugate is built here.
     """
     if J < 1:
         raise ValueError("level window must be positive")
-    conj = make_conjugate(M, D, B, p, mode, A)
-    n = len(conj.M)
-    dM = det(conj.M)
+    conj = make_conjugate(system.M, system.D, B, p, mode, A)
+    n = system.n
+    dM = system.det
     if dM % p == 0:
         raise HypothesisViolation("transport needs det M coprime to p")
-    src = measure(conj.M, conj.D)
-    dst = measure(conj.Mt, conj.Dt)
+    system.walkable  # raises the gate's refusals
+    dst = DigitSystem(conj.Mt, conj.Dt)
+    dst.walkable
     if not zero_set_in_punctured_grid(dst.zs, p):
         raise HypothesisViolation(
             "conjugated mask zeros must lie in the punctured (1/p)-grid"
         )
 
     e = (p - 1) * (p**n - 1)
-    c1 = det(conj.A) * det(conj.B) * abs(det(conj.Mt)) ** e
+    c1 = det(conj.A) * det(conj.B) * abs(dst.det) ** e
     c2 = abs(dM) ** e
 
     def hits(frm: DigitSystem, to: DigitSystem, T: Matrix, c: int) -> list:
@@ -355,8 +342,8 @@ def transport_inclusion_check(
                 out.append((j, z, -1 if hit is None else hit))
         return out
 
-    forward = hits(src, dst, conj.B, c1)
-    backward = hits(dst, src, conj.A, c2)
+    forward = hits(system, dst, conj.B, c1)
+    backward = hits(dst, system, conj.A, c2)
     ok = all(hit != -1 for _, _, hit in forward + backward)
 
     return TransportReport(
@@ -392,7 +379,7 @@ class NonSpectralCertificate(NamedTuple):
 
 
 def nonspectral_certificate(
-    M: Matrix, D: DigitSet, L, j0: int
+    system: DigitSystem, L, j0: int
 ) -> NonSpectralCertificate:
     """Check the three-part certificate at a positive integer scale L (an
     int or an integral Fraction) and tail level j0.
@@ -403,16 +390,14 @@ def nonspectral_certificate(
     incomplete zero set, as for every other question about the measure.
     Each part is a residue test, as L x / q is integral iff L x = 0 mod q.
     """
-    M = as_matrix(M)
-    D = as_digit_set(D)
     L = Fraction(L)
     if L.denominator != 1 or L <= 0:
         raise ValueError("scale L must be a positive integer")
     L = L.numerator
     if j0 < 2:
         raise ValueError("tail level j0 must be at least 2")
-    ds = measure(M, D)
-    zs = ds.zs
+    system.walkable  # raises the gate's refusals
+    zs = system.zs
     q = zs.q
     res = zs.residues
 
@@ -426,12 +411,12 @@ def nonspectral_certificate(
     # integer, so L M^{Tj} (r/q + k) is integral iff L M^{Tj} r / q is:
     # no vector of the residue shells may have every L c = 0 mod q
     window_empty = all(
-        any(L * c % q for c in x) for shell in ds.shells(j0 - 1) for x in shell
+        any(L * c % q for c in x) for shell in system.shells(j0 - 1) for x in shell
     )
 
     # (c) integral tail at j0: the scaled zero set clears into Z^n, and
     # every later level with it, as M^T keeps the integer lattice
-    T = mat_pow(transpose(M), j0)
+    T = mat_pow(transpose(system.M), j0)
     tail_integral = not any(L * c % q for r in res for c in mat_vec(T, r))
 
     valid = difference_closure and window_empty and tail_integral
@@ -446,7 +431,7 @@ def nonspectral_certificate(
     )
 
 
-def suggest_certificate(M: Matrix, D: DigitSet) -> Optional[tuple[int, int]]:
+def suggest_certificate(system: DigitSystem) -> Optional[tuple[int, int]]:
     """Suggest a certificate scale and tail level for a three-digit system.
 
     Follows the residue criterion sequence N^j v mod 3, v = (1, -1), N =
@@ -459,7 +444,7 @@ def suggest_certificate(M: Matrix, D: DigitSet) -> Optional[tuple[int, int]]:
     (tr N = 0). The suggested scale is |det(AB)|^(j0 + 1). Returns None
     unless the level is two.
     """
-    res = spectrality_criterion(M, D)
+    res = spectrality_criterion(system)
     if res.verdict == "Spectral":
         return None
     N = transpose(res.Mt)

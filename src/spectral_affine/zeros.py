@@ -12,13 +12,14 @@ A zero set is stored as the integer residues q*z over the zeros' least
 common denominator q, which every exact decision reads; its Fraction
 points are built only when a report asks for them.
 
-DigitSystem holds the integer data of one pair (M, D) that every exact
-question about its measure reads. Its walk decides whether a frequency
-lies in the Fourier zero set of the measure, the union over j >= 1 of
-M^{T j} applied to the mask zeros plus Z^n: iterate xi <- M^{-T} xi
-and compare against the finite mask zero set mod Z^n. The walk runs on
-the integer lattice. The zero set lies on the (1/q)-grid, and M^T maps
-that grid into itself: an iterate that leaves the grid never comes back.
+DigitSystem is the measure of one pair (M, D): it holds the integer data
+that every question about the measure reads, and every such question
+takes it. Its walk decides whether a frequency lies in the Fourier zero
+set of the measure, the union over j >= 1 of M^{T j} applied to the mask
+zeros plus Z^n: iterate xi <- M^{-T} xi and compare against the finite
+mask zero set mod Z^n. The walk runs on the integer lattice. The zero
+set lies on the (1/q)-grid, and M^T maps that grid into itself: an
+iterate that leaves the grid never comes back.
 A frequency N/Q is therefore mapped to the integer vector u = q*N/Q (not
 in the zero set when that is not integral), and one step is an integer
 mat-vec with adj(M)^T followed by an exact division by |det M|; the
@@ -63,7 +64,9 @@ from .errors import (
 from .linalg import (
     IntVector,
     Matrix,
+    as_matrix,
     det_and_adjugate,
+    integer_rows,
     is_expanding,
     mat_vec,
     sign_canonical,
@@ -76,11 +79,7 @@ RationalPoint = tuple[Fraction, ...]
 
 def as_digit_set(rows: Sequence[Sequence[int]]) -> DigitSet:
     """Validate and freeze a set of distinct integer digit vectors."""
-    for row in rows:
-        for x in row:
-            if x != int(x):
-                raise ValueError("digit entries must be integers")
-    return digit_set_shape(tuple(tuple(int(x) for x in row) for row in rows))
+    return digit_set_shape(integer_rows(rows, "digit"))
 
 
 def digit_set_shape(D: DigitSet) -> DigitSet:
@@ -372,14 +371,19 @@ def require_expanding(M: Matrix) -> None:
 
 
 class DigitSystem:
-    """Exact data of (M, D), both validated tuples: det M, M^{-T} as
+    """The measure of (M, D), the one argument of every question about it:
+    M and D validated by as_matrix and as_digit_set, det M, M^{-T} as
     adjT = sign(det M) adj(M)^T over absdet = |det M|, and the zero set
-    zs, built on first use. Building it checks only the digit dimension;
-    walkable is the one gate of every question about the measure, which
+    zs, built on first use. Building it checks the inputs and the digit
+    dimension only. Each hypothesis is decided once, on first use, by a
+    cached gate: expanding, for the float layer and the criterion, and
+    walkable, the gate of every exact question about the measure, which
     exists for an expanding M only: the walk, the orbit test, the
     certificate and the scan radius raise its refusals."""
 
-    def __init__(self, M: Matrix, D: DigitSet):
+    def __init__(self, M: Sequence[Sequence[int]], D: Sequence[Sequence[int]]):
+        M = as_matrix(M)
+        D = as_digit_set(D)
         if len(D[0]) != len(M):
             raise WrongDimension("digit dimension does not match the map")
         self.M = M
@@ -492,6 +496,14 @@ class DigitSystem:
         return True
 
     @functools.cached_property
+    def expanding(self) -> bool:
+        """True, or the refusal of an M that is not expanding: the one place
+        a system decides it. A singular M is not expanding, and is refused
+        as such here; invertible is not asked first."""
+        require_expanding(self.M)
+        return True
+
+    @functools.cached_property
     def walkable(self) -> bool:
         """Whether there are zeros to walk to. Refuses, in this order, a
         singular M, an incomplete zero set, zeros off the plane and an M
@@ -503,7 +515,7 @@ class DigitSystem:
             )
         if self.zs.residues and self.n != 2:
             raise WrongDimension("mask zeros are walked in the plane only")
-        require_expanding(self.M)
+        self.expanding
         return bool(self.residues)
 
     def shells(self, J: int) -> Iterator[list[IntVector]]:

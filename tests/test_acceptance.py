@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from spectral_affine import (
+    DigitSystem,
     completeness_scan,
     det,
     euler_phi,
@@ -104,8 +105,8 @@ def test_acceptance_3_criterion_agrees_with_search_on_random_corpus():
             continue
         cases.append((M, ((0, 0), alpha, beta)))
     for M, D in cases:
-        verdict = spectrality_criterion(M, D).verdict
-        search = find_spectrum_set(M, D)
+        verdict = spectrality_criterion(DigitSystem(M, D)).verdict
+        search = find_spectrum_set(DigitSystem(M, D))
         assert search.status != "undetermined"
         assert (verdict == "Spectral") == (search.status == "found")
     finish(3, t0, 300.0)
@@ -113,13 +114,13 @@ def test_acceptance_3_criterion_agrees_with_search_on_random_corpus():
 
 def test_acceptance_4_nine_exponentials_reached_exactly_on_m2():
     t0 = time.perf_counter()
-    res = nstar_bounds(SKEW, D1, 3, J=8, R=0)
+    res = nstar_bounds(DigitSystem(SKEW, D1), 3, J=8, R=0)
     assert res.lower == 9 and res.upper == 9
     assert len(res.witness) == 9
     assert res.method == "clique" and res.search_complete
     other = ((2, 0), (0, 2))
     assert sierpinski_class(other) == "Other" and det(other) % 3 != 0
-    capped = nstar_bounds(other, D1, 3)
+    capped = nstar_bounds(DigitSystem(other, D1), 3)
     assert capped.upper is not None and capped.upper < 9
     assert capped.search_complete
     finish(4, t0, 120.0)
@@ -127,7 +128,7 @@ def test_acceptance_4_nine_exponentials_reached_exactly_on_m2():
 
 def test_acceptance_5_four_exponentials_for_odd_determinant():
     t0 = time.perf_counter()
-    res = nstar_bounds(((3, 0), (0, 3)), D2, 2)
+    res = nstar_bounds(DigitSystem(((3, 0), (0, 3)), D2), 2)
     assert res.lower == 4 and res.upper == 4
     assert res.search_complete
     finish(5, t0, 60.0)
@@ -182,33 +183,33 @@ def test_acceptance_6_conjugate_pairs_agree_on_all_verdicts():
             continue
         pairs.append((p, M, D, Mt, Dt, conj))
     for p, M, D, Mt, Dt, conj in pairs:
-        first = find_spectrum_set(M, D)
-        second = find_spectrum_set(Mt, Dt)
+        first = find_spectrum_set(DigitSystem(M, D))
+        second = find_spectrum_set(DigitSystem(Mt, Dt))
         assert first.status != "undetermined"
         assert first.status == second.status
         if first.status == "found":
             moved = conj.transport(first.S)
-            assert verify_triple(Mt, Dt, moved)
-        ours = nstar_bounds(M, D, p, J=8, R=0)
-        theirs = nstar_bounds(Mt, Dt, p, J=8, R=0)
+            assert verify_triple(DigitSystem(Mt, Dt), moved)
+        ours = nstar_bounds(DigitSystem(M, D), p, J=8, R=0)
+        theirs = nstar_bounds(DigitSystem(Mt, Dt), p, J=8, R=0)
         assert (ours.lower, ours.upper) == (theirs.lower, theirs.upper)
     finish(6, t0, 300.0)
 
 
 def test_acceptance_7_swap_instance_full_reproduction():
     t0 = time.perf_counter()
-    search = find_spectrum_set(SWAP, SWAP_D)
+    search = find_spectrum_set(DigitSystem(SWAP, SWAP_D))
     assert search.status == "none"
     assert search.search_space == 3916
-    top = spectrum_candidate(SWAP, SWAP_D, SWAP_C, 4)
+    top = spectrum_candidate(DigitSystem(SWAP, SWAP_D), SWAP_C, 4)
     assert len(top.frequencies) == 81 and top.orthogonal
-    eta = suggest_eta(SWAP, SWAP_D, SWAP_C).eta
+    eta = suggest_eta(DigitSystem(SWAP, SWAP_D), SWAP_C).eta
     minima = {}
     for levels in (2, 3, 4):
-        cand = spectrum_candidate(SWAP, SWAP_D, SWAP_C, levels)
+        cand = spectrum_candidate(DigitSystem(SWAP, SWAP_D), SWAP_C, levels)
         assert cand.orthogonal
         scan = completeness_scan(
-            SWAP, SWAP_D, cand, eta, resolution=11, depth=40
+            DigitSystem(SWAP, SWAP_D), cand, eta, resolution=11, depth=40
         )
         assert scan.max_q <= 1 + 1e-9
         minima[levels] = scan.min_q
@@ -254,14 +255,14 @@ def test_acceptance_8_group_theory_identities():
 
 def test_acceptance_9_transport_constants_exact():
     t0 = time.perf_counter()
-    rep = transport_inclusion_check(SKEW, D1, None, ((1, 0), (0, 1)), 3, J=4)
+    rep = transport_inclusion_check(DigitSystem(SKEW, D1), None, ((1, 0), (0, 1)), 3, J=4)
     assert rep.ok and rep.c1 == 11**16 and rep.c2 == 11**16
     rep = transport_inclusion_check(
-        SKEW, STRETCH, None, ((1, 0), (0, 2)), 3, J=4, mode="b"
+        DigitSystem(SKEW, STRETCH), None, ((1, 0), (0, 2)), 3, J=4, mode="b"
     )
     assert rep.ok and rep.c1 == 4 * 44**16 and rep.c2 == 11**16
     rep = transport_inclusion_check(
-        SKEW, D1, None, ((1, 0), (1, 1)), 3, J=4, mode="a"
+        DigitSystem(SKEW, D1), None, ((1, 0), (1, 1)), 3, J=4, mode="a"
     )
     assert rep.ok and rep.c1 == 11**16 and rep.c2 == 11**16
     finish(9, t0, 60.0)
@@ -270,13 +271,13 @@ def test_acceptance_9_transport_constants_exact():
 def test_acceptance_10_certificate_validates_and_perturbation_fails():
     t0 = time.perf_counter()
     M = ((4, 2), (1, 5))
-    suggestion = suggest_certificate(M, STRETCH)
+    suggestion = suggest_certificate(DigitSystem(M, STRETCH))
     assert suggestion == (64, 2)
-    cert = nonspectral_certificate(M, STRETCH, 64, 2)
+    cert = nonspectral_certificate(DigitSystem(M, STRETCH), 64, 2)
     assert cert.difference_closure and cert.window_empty
     assert cert.tail_integral and cert.valid
     assert cert.verdict == "NonSpectral"
-    bad = nonspectral_certificate(M, STRETCH, 65, 2)
+    bad = nonspectral_certificate(DigitSystem(M, STRETCH), 65, 2)
     assert not bad.valid
     assert not bad.difference_closure and not bad.tail_integral
     assert bad.window_empty

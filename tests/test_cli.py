@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from spectral_affine.cli import COMMANDS, _dumps, build_parser, emit, main, read_documented
 from spectral_affine.fourier import mu_hat_numeric
-from spectral_affine.zeros import ZeroSet
+from spectral_affine.zeros import DigitSystem, ZeroSet
 
 THREE = [[0, 0], [1, 0], [0, 1]]
 SWAP = [[0, 10], [9, 0]]
@@ -382,9 +382,9 @@ def test_fourier_eval_reports_the_library_default_depth(tmp_path, capsys):
     path = problem(tmp_path, M=M, D=THREE, xi=xi)
     code, payload = run_json(capsys, "fourier-eval", "--input", path)
     assert code == 0 and payload["result"]["depth"] == default
-    value = mu_hat_numeric(M, THREE, [Fraction(1, 7), Fraction(2, 5)])
+    value = mu_hat_numeric(DigitSystem(M, THREE), [Fraction(1, 7), Fraction(2, 5)])
     assert (payload["result"]["re"], payload["result"]["im"]) == (value.real, value.imag)
-    assert value != mu_hat_numeric(M, THREE, [Fraction(1, 7), Fraction(2, 5)], depth=1)
+    assert value != mu_hat_numeric(DigitSystem(M, THREE), [Fraction(1, 7), Fraction(2, 5)], depth=1)
 
 
 def test_attractor_csv_and_chaos(tmp_path, capsys):

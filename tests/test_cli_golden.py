@@ -5,8 +5,8 @@ SKEW, 2I and 3I instances, a GL_2(3) conjugate pair, certificate and
 swap-matrix systems, an infinite orthogonal family, refusals (collinear,
 singular, unit-eigenvalue, five-digit, single-digit and 1-D systems),
 and malformed inputs. q-scan and fourier-eval are replayed where they
-refuse, which every refusal problem reaches with its C and xi: their
-other reports carry libm floats. The attractor's point clouds are
+refuse in the library, which every refusal problem reaches with its C
+and xi: their other reports carry libm floats. The attractor's point clouds are
 replayed in csv, both modes, on SKEW, the swap matrix with its rational
 C, the 1-D [[4]] and 2I in 3-D: their floats come from IEEE + * / alone,
 never from libm.
@@ -23,6 +23,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -114,8 +115,9 @@ EXACT_COMMANDS = (
     "transport-check",
     "spectrum",
 )
-# the successful q-scan and fourier-eval reports among the problems
-NUMERIC_COMMANDS = ("q-scan", "fourier-eval")
+# q-scan and fourier-eval, with the field each needs, and their successful
+# reports among the problems that carry it
+NUMERIC_INPUTS = {"q-scan": "C", "fourier-eval": "xi"}
 NUMERIC_REPORTS = {
     "2i q-scan",
     "swap q-scan",
@@ -158,9 +160,9 @@ CASES = [
     for command in EXACT_COMMANDS
 ] + [
     (name, command, "json")
-    for name in PROBLEMS
-    for command in NUMERIC_COMMANDS
-    if f"{name} {command}" not in NUMERIC_REPORTS
+    for name, problem in PROBLEMS.items()
+    for command, field in NUMERIC_INPUTS.items()
+    if field in problem and f"{name} {command}" not in NUMERIC_REPORTS
 ] + [(name, "attractor", "csv") for name in ATTRACTOR]
 
 
@@ -178,6 +180,63 @@ def test_cli_matches_golden_reports(tmp_path):
         if replay(tmp_path, name, command, fmt) != golden[f"{name} {command}"]
     ]
     assert mismatches == []
+
+
+def test_each_command_builds_one_system_and_decides_each_hypothesis_once(
+    tmp_path, monkeypatch
+):
+    # every command on every problem, and the numeric ones on the swap
+    # instance too: one DigitSystem for the (M, D) the command asks about
+    # (two for transport-check, the source and its conjugate, which may be
+    # equal), and per system at most one zero-set build and one expansion
+    # decision
+    from spectral_affine import zeros
+    from spectral_affine.cli import COMMANDS
+
+    systems, calls = [], Counter()
+    init = zeros.DigitSystem.__init__
+
+    def counted_init(self, M, D):
+        init(self, M, D)
+        systems.append((self.M, self.D))
+
+    monkeypatch.setattr(zeros.DigitSystem, "__init__", counted_init)
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("spectral_affine")]
+    for name in ("zero_set", "is_expanding"):
+        orig = getattr(zeros, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+
+    write_problems(tmp_path)
+    (tmp_path / "swap_xi.json").write_text(json.dumps(dict(PROBLEMS["swap"], xi=[1, [1, 3]])))
+    cases = [
+        *((name, command) for name in PROBLEMS for command in COMMANDS if command != "attractor"),
+        *((name, "attractor") for name in ATTRACTOR),
+        ("swap_xi", "q-scan"),
+        ("swap_xi", "fourier-eval"),
+    ]
+    over = []
+    for name, command in cases:
+        systems.clear()
+        calls.clear()
+        replay(tmp_path, name, command)
+        allowed = max(1, len(systems))
+        if (
+            len(systems) > (2 if command == "transport-check" else 1)
+            or calls["zero_set"] > allowed
+            or calls["is_expanding"] > allowed
+        ):
+            over.append(
+                f"{name} {command}: {len(systems)} systems, {calls['zero_set']} zero sets, "
+                f"{calls['is_expanding']} expansion decisions"
+            )
+    assert over == []
 
 
 if __name__ == "__main__":

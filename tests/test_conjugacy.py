@@ -21,6 +21,7 @@ from spectral_affine.errors import (
     WrongDimension,
 )
 from spectral_affine.linalg import det, identity, mat_mod, mat_mul, order_mod
+from spectral_affine.zeros import DigitSystem
 
 THREE = ((0, 0), (1, 0), (0, 1))
 
@@ -85,11 +86,11 @@ def test_residue_criterion_matches_first_class():
 
 
 def test_spectrality_criterion_canonical():
-    out = spectrality_criterion(((3, 0), (0, 3)), THREE)
+    out = spectrality_criterion(DigitSystem(((3, 0), (0, 3)), THREE))
     assert out.verdict == "Spectral"
     assert out.B == ((1, 0), (0, 1)) and out.A == ((1, 0), (0, 1))
-    assert spectrality_criterion(((3, 1), (1, 4)), THREE).verdict == "NonSpectral"
-    assert spectrality_criterion(((0, 10), (9, 0)), THREE).verdict == "NonSpectral"
+    assert spectrality_criterion(DigitSystem(((3, 1), (1, 4)), THREE)).verdict == "NonSpectral"
+    assert spectrality_criterion(DigitSystem(((0, 10), (9, 0)), THREE)).verdict == "NonSpectral"
 
 
 def test_spectrality_criterion_digit_frame_matters():
@@ -97,7 +98,7 @@ def test_spectrality_criterion_digit_frame_matters():
     # follows the conjugated residue, not the bare one
     M = ((3, 1), (1, 4))
     D = ((0, 0), (1, 0), (1, 1))
-    out = spectrality_criterion(M, D)
+    out = spectrality_criterion(DigitSystem(M, D))
     B = ((1, 1), (0, 1))
     assert out.B == B
     AMB = mat_mul(mat_mul(out.A, M), B)
@@ -108,21 +109,21 @@ def test_spectrality_criterion_digit_frame_matters():
 
 def test_spectrality_criterion_translation_invariant():
     M = ((3, 1), (1, 4))
-    base = spectrality_criterion(M, THREE).verdict
-    shifted = spectrality_criterion(M, ((2, 3), (3, 3), (2, 4))).verdict
+    base = spectrality_criterion(DigitSystem(M, THREE)).verdict
+    shifted = spectrality_criterion(DigitSystem(M, ((2, 3), (3, 3), (2, 4)))).verdict
     assert base == shifted
 
 
 def test_spectrality_criterion_validations():
     with pytest.raises(BadDigitForm):
-        spectrality_criterion(((3, 0), (0, 3)), ((0, 0), (1, 0)))
+        spectrality_criterion(DigitSystem(((3, 0), (0, 3)), ((0, 0), (1, 0))))
     with pytest.raises(DegenerateDigits):
-        spectrality_criterion(((3, 0), (0, 3)), ((0, 0), (1, 0), (2, 0)))
+        spectrality_criterion(DigitSystem(((3, 0), (0, 3)), ((0, 0), (1, 0), (2, 0))))
     with pytest.raises(DegenerateDigits):
         # frame invertible over Q but singular mod 3
-        spectrality_criterion(((3, 0), (0, 3)), ((0, 0), (3, 0), (0, 1)))
+        spectrality_criterion(DigitSystem(((3, 0), (0, 3)), ((0, 0), (3, 0), (0, 1))))
     with pytest.raises(HypothesisViolation):
-        spectrality_criterion(((1, 0), (0, 3)), THREE)
+        spectrality_criterion(DigitSystem(((1, 0), (0, 3)), THREE))
 
 
 def test_make_conjugate_identity_witness():
@@ -221,7 +222,7 @@ def test_conjugation_preserves_spectrality_verdict(M, B):
         return
     c = make_conjugate(M, D, B, 3, mode="b")
     assert c.Dt == THREE
-    left = spectrality_criterion(M, D).verdict
+    left = spectrality_criterion(DigitSystem(M, D)).verdict
     # for canonical digits the criterion reduces to the bare residue test,
     # which needs no expansion hypothesis on the conjugated matrix
     assert (left == "Spectral") == spectral_residue_criterion(c.Mt)

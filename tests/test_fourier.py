@@ -52,30 +52,30 @@ SWAP_C = ((0, 0), (Fraction(1, 3), 0), (Fraction(2, 3), 0))
 
 
 def test_mu_hat_at_zero_and_at_a_mask_zero_image():
-    assert mu_hat_numeric(M3, THREE, (0, 0)) == pytest.approx(1.0)
+    assert mu_hat_numeric(DigitSystem(M3, THREE), (0, 0)) == pytest.approx(1.0)
     # (1,2) pulls back to the mask zero (1/3,2/3) at the first factor
-    assert abs(mu_hat_numeric(M3, THREE, (1, 2))) < 1e-12
-    assert abs(mu_hat_numeric(M3, THREE, (3, 6))) < 1e-12
+    assert abs(mu_hat_numeric(DigitSystem(M3, THREE), (1, 2))) < 1e-12
+    assert abs(mu_hat_numeric(DigitSystem(M3, THREE), (3, 6))) < 1e-12
 
 
 def test_mu_hat_depth_stability():
     for xi in ((0.1, 0.2), (1.7, -4.2), (9.9, 9.9), (-3.3, 0.0)):
-        a = mu_hat_numeric(SWAP, SWAP_D, xi, depth=40)
-        b = mu_hat_numeric(SWAP, SWAP_D, xi, depth=80)
+        a = mu_hat_numeric(DigitSystem(SWAP, SWAP_D), xi, depth=40)
+        b = mu_hat_numeric(DigitSystem(SWAP, SWAP_D), xi, depth=80)
         assert abs(a - b) < 1e-10
 
 
 @settings(max_examples=40)
 @given(st.tuples(st.floats(-20, 20), st.floats(-20, 20)))
 def test_mu_hat_bounded_by_one(xi):
-    assert abs(mu_hat_numeric(M3, THREE, xi)) <= 1 + 1e-12
+    assert abs(mu_hat_numeric(DigitSystem(M3, THREE), xi)) <= 1 + 1e-12
 
 
 def test_mu_hat_validations():
     with pytest.raises(ValueError):
-        mu_hat_numeric(M3, THREE, (0, 0), depth=0)
+        mu_hat_numeric(DigitSystem(M3, THREE), (0, 0), depth=0)
     with pytest.raises(HypothesisViolation):
-        mu_hat_numeric(((1, 0), (0, 2)), THREE, (0, 0))
+        mu_hat_numeric(DigitSystem(((1, 0), (0, 2)), THREE), (0, 0))
 
 
 def test_attractor_digit_expansion_exact_level():
@@ -124,20 +124,20 @@ def test_attractor_validations():
 
 
 def test_spectrum_candidate_level_one():
-    cand = spectrum_candidate(M3, THREE, S3, 1)
+    cand = spectrum_candidate(DigitSystem(M3, THREE), S3, 1)
     assert cand.orthogonal and cand.failing_pair is None
     assert cand.frequencies == ((0, 0), (3, 6), (6, 3))
 
 
 def test_spectrum_candidate_grows_exponentially():
     for n in (1, 2, 3):
-        cand = spectrum_candidate(M3, THREE, S3, n)
+        cand = spectrum_candidate(DigitSystem(M3, THREE), S3, n)
         assert len(cand.frequencies) == 3**n
         assert cand.orthogonal
 
 
 def test_spectrum_candidate_swap_form_rational_base():
-    cand = spectrum_candidate(SWAP, SWAP_D, SWAP_C, 1)
+    cand = spectrum_candidate(DigitSystem(SWAP, SWAP_D), SWAP_C, 1)
     assert cand.orthogonal
     assert cand.frequencies == (
         (0, 0),
@@ -147,31 +147,31 @@ def test_spectrum_candidate_swap_form_rational_base():
 
 
 def test_spectrum_candidate_detects_failure():
-    cand = spectrum_candidate(M3, THREE, ((0, 0), (1, 0)), 1)
+    cand = spectrum_candidate(DigitSystem(M3, THREE), ((0, 0), (1, 0)), 1)
     assert not cand.orthogonal
     assert cand.failing_pair == ((0, 0), (3, 0))
 
 
 def test_spectrum_candidate_validations():
     with pytest.raises(ValueError):
-        spectrum_candidate(M3, THREE, ((1, 2), (2, 1)), 1)
+        spectrum_candidate(DigitSystem(M3, THREE), ((1, 2), (2, 1)), 1)
     with pytest.raises(ValueError):
-        spectrum_candidate(M3, THREE, S3, 0)
+        spectrum_candidate(DigitSystem(M3, THREE), S3, 0)
     with pytest.raises(ValueError, match="level sums must be distinct"):
         # (3,6) = M^T (1,2) collides across levels
-        spectrum_candidate(M3, THREE, ((0, 0), (3, 6), (1, 2)), 2)
+        spectrum_candidate(DigitSystem(M3, THREE), ((0, 0), (3, 6), (1, 2)), 2)
     with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
-        spectrum_candidate(((2, 0), (0, 2)), ((5,),), ((0, 0), (1, 0)), 1)
+        spectrum_candidate(DigitSystem(((2, 0), (0, 2)), ((5,),)), ((0, 0), (1, 0)), 1)
     with pytest.raises(WrongDimension, match="base dimension does not match the map"):
-        spectrum_candidate(M3, THREE, ((0,), (1,)), 1)
+        spectrum_candidate(DigitSystem(M3, THREE), ((0,), (1,)), 1)
     with pytest.raises(ValueError, match="point list must be nonempty"):
-        spectrum_candidate(M3, THREE, (), 1)
+        spectrum_candidate(DigitSystem(M3, THREE), (), 1)
     with pytest.raises(WrongDimension, match="points must share one dimension"):
-        spectrum_candidate(M3, THREE, ((0, 0), (1,)), 1)
+        spectrum_candidate(DigitSystem(M3, THREE), ((0, 0), (1,)), 1)
 
 
 def test_suggest_eta_swap_form():
-    e = suggest_eta(SWAP, SWAP_D, SWAP_C, k=8)
+    e = suggest_eta(DigitSystem(SWAP, SWAP_D), SWAP_C, k=8)
     assert e.eta == pytest.approx(0.16292134, abs=1e-6)
     assert e.distance == pytest.approx(2 * e.eta + e.sampling_error)
     assert e.sampling_error < 1e-8
@@ -180,27 +180,27 @@ def test_suggest_eta_swap_form():
 def test_suggest_eta_rejects_touching_attractor():
     # the level-one truncated expansion lands exactly on a mask zero
     with pytest.raises(HypothesisViolation):
-        suggest_eta(M3, THREE, ((0, 0), (1, 2), (2, 1)), k=3)
+        suggest_eta(DigitSystem(M3, THREE), ((0, 0), (1, 2), (2, 1)), k=3)
 
 
 @pytest.mark.parametrize("D", [((0,), (1,), (2,)), ((0,),)])
 def test_suggest_eta_digit_dimension_must_match_the_map(D):
     # 1-D digits under a planar map: not an incomplete or empty zero set
     with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
-        suggest_eta(((2, 0), (0, 2)), D, ((0, 0), (1, 0)))
+        suggest_eta(DigitSystem(((2, 0), (0, 2)), D), ((0, 0), (1, 0)))
 
 
 def test_suggest_eta_validations():
     with pytest.raises(IncompleteZeroSet):
-        suggest_eta(M3, ((0, 0), (1, 1)), ((0, 0),), k=2)
+        suggest_eta(DigitSystem(M3, ((0, 0), (1, 1))), ((0, 0),), k=2)
     with pytest.raises(HypothesisViolation):
         # single-digit masks never vanish
-        suggest_eta(M3, ((1, 1),), ((0, 0),), k=2)
+        suggest_eta(DigitSystem(M3, ((1, 1),)), ((0, 0),), k=2)
 
 
 def test_completeness_scan_shape_and_bound():
-    cand = spectrum_candidate(SWAP, SWAP_D, SWAP_C, 2)
-    scan = completeness_scan(SWAP, SWAP_D, cand, 0.16, resolution=5, depth=40)
+    cand = spectrum_candidate(DigitSystem(SWAP, SWAP_D), SWAP_C, 2)
+    scan = completeness_scan(DigitSystem(SWAP, SWAP_D), cand, 0.16, resolution=5, depth=40)
     assert scan.resolution == 5 and scan.depth == 40
     assert len(scan.axis) == 5 and len(scan.values) == 5
     assert all(len(row) == 5 for row in scan.values)
@@ -215,24 +215,24 @@ def test_completeness_scan_monotone_in_levels():
     eta = 0.16
     mins = []
     for n in (1, 2, 3):
-        cand = spectrum_candidate(SWAP, SWAP_D, SWAP_C, n)
-        scan = completeness_scan(SWAP, SWAP_D, cand, eta, resolution=3, depth=40)
+        cand = spectrum_candidate(DigitSystem(SWAP, SWAP_D), SWAP_C, n)
+        scan = completeness_scan(DigitSystem(SWAP, SWAP_D), cand, eta, resolution=3, depth=40)
         mins.append(scan.min_q)
     assert mins[0] <= mins[1] <= mins[2]
 
 
 def test_completeness_scan_validations():
-    cand = spectrum_candidate(M3, THREE, S3, 1)
+    cand = spectrum_candidate(DigitSystem(M3, THREE), S3, 1)
     with pytest.raises(ValueError):
-        completeness_scan(M3, THREE, cand, 0.0)
+        completeness_scan(DigitSystem(M3, THREE), cand, 0.0)
     with pytest.raises(ValueError):
-        completeness_scan(M3, THREE, cand, 0.1, resolution=1)
+        completeness_scan(DigitSystem(M3, THREE), cand, 0.1, resolution=1)
     # 2 * 1e308 overflows to inf, and inf * 0 is NaN on the axis; the swap
     # family is orthogonal, so a NaN axis would fail its frame-sum bound
-    swap = spectrum_candidate(SWAP, SWAP_D, SWAP_C, 1)
+    swap = spectrum_candidate(DigitSystem(SWAP, SWAP_D), SWAP_C, 1)
     for eta in (math.nan, math.inf, 1e308):
         with pytest.raises(ValueError, match="scan radius must give a finite grid"):
-            completeness_scan(SWAP, SWAP_D, swap, eta, resolution=3)
+            completeness_scan(DigitSystem(SWAP, SWAP_D), swap, eta, resolution=3)
 
 
 # ------------------------------------------- differential: batch and integer
@@ -394,7 +394,7 @@ def test_mu_hat_batch_matches_scalar(M, coords, orbits, free):
     D = ((0,) * n, a, b)
     z = (Fraction(1, 3),) + (Fraction(0),) * (n - 1)
     xs = [_orbit(M, z, o[:n], o[3]) for o in orbits] + [tuple(f[:n]) for f in free]
-    engine = _MuHat(M, D, 30)
+    engine = _MuHat(DigitSystem(M, D), 30)
     assert _bits(engine.values(np.array(xs))) == _bits([engine.value(x) for x in xs])
 
 
@@ -408,7 +408,7 @@ def test_mu_hat_batch_cutoff_matches_scalar(n):
     D = ((0,) * n, e, tuple(2 * c for c in e))
     z = (Fraction(1, 3),) + (Fraction(0),) * (n - 1)
     xs = [_orbit(M, z, (0,) * n, m) for m in range(18, 32)] + [(0.3,) * n]
-    engine = _MuHat(M, D, 40)
+    engine = _MuHat(DigitSystem(M, D), 40)
     want = [engine.value(x) for x in xs]
     assert _bits(engine.values(np.array(xs))) == _bits(want)
     assert want[24 - 18] != 0 and want[25 - 18] == 0
@@ -420,7 +420,7 @@ def test_mu_hat_batch_cutoff_matches_scalar(n):
 def _expansion_loop(M, digits, k):
     """The digit expansion's n-dimensional loop, the reference for the
     planar path."""
-    _, pts, det_m, adj = fourier._expansion_setup(M, digits)
+    pts, det_m, adj = fourier._expansion_setup(M, digits)
     den, levels = fourier._level_terms(det_m, adj, pts, k)
     sums = {(0,) * len(M)}
     for terms in levels:
@@ -438,7 +438,7 @@ def _float_mat_vec(M, v):
 
 def _chaos_loop(M, digits, N, seed, burn_in=50):
     """The chaos game's n-dimensional loop through _float_mat_vec."""
-    _, pts, det_m, adj = fourier._expansion_setup(M, digits)
+    pts, det_m, adj = fourier._expansion_setup(M, digits)
     rng = random.Random(seed)
     Mf = tuple(tuple(x / det_m for x in row) for row in adj)
     df = [tuple(float(c) for c in d) for d in pts]
@@ -455,7 +455,7 @@ def _chaos_loop(M, digits, N, seed, burn_in=50):
 def _mu_hat_loop(M, D, xi, depth):
     """The truncated product's n-dimensional loop through _float_mat_vec
     and mask_eval."""
-    minvT = _MuHat(as_matrix(M), as_digit_set(D), depth).minvT
+    minvT = _MuHat(DigitSystem(M, D), depth).minvT
     y = tuple(float(c) for c in xi)
     prod = complex(1.0)
     for _ in range(depth):
@@ -540,7 +540,7 @@ def test_attractor_matches_loops_bitwise(M, rows, zero, k, seed, burn_in):
 def test_mu_hat_matches_loop_bitwise(M, rows, xi, depth):
     D = tuple({tuple(r[: len(M)]) for r in rows})
     xi = xi[: len(M)]
-    assert _bits(mu_hat_numeric(M, D, xi, depth)) == _bits(_mu_hat_loop(M, D, xi, depth))
+    assert _bits(mu_hat_numeric(DigitSystem(M, D), xi, depth)) == _bits(_mu_hat_loop(M, D, xi, depth))
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,7 +555,7 @@ def test_mu_hat_matches_loop_bitwise_at_mask_zero_images(M, coords, k, m, depth)
     # z = (1/3, 0) is a zero of the mask, as in the batch test above
     D = ((0, 0), (1 + 3 * coords[0], coords[2]), (2 + 3 * coords[1], coords[3]))
     xi = _orbit(M, (Fraction(1, 3), Fraction(0)), k, m)
-    assert _bits(mu_hat_numeric(M, D, xi, depth)) == _bits(_mu_hat_loop(M, D, xi, depth))
+    assert _bits(mu_hat_numeric(DigitSystem(M, D), xi, depth)) == _bits(_mu_hat_loop(M, D, xi, depth))
 
 
 def test_mu_hat_matches_loop_bitwise_across_the_cutoff():
@@ -566,7 +566,7 @@ def test_mu_hat_matches_loop_bitwise_across_the_cutoff():
     for m in range(18, 32):
         xi = _orbit(M, (Fraction(1, 3), Fraction(0)), (0, 0), m)
         want = _mu_hat_loop(M, D, xi, 40)
-        assert _bits(mu_hat_numeric(M, D, xi, 40)) == _bits(want)
+        assert _bits(mu_hat_numeric(DigitSystem(M, D), xi, 40)) == _bits(want)
         assert (want == 0) == (m >= 25)
 
 
@@ -590,7 +590,7 @@ I3_D = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 def test_mu_hat_refuses_a_frequency_too_large_for_floats(M, D, xi):
     shown = ", ".join(map(str, xi))
     with pytest.raises(OverflowError) as exc:
-        mu_hat_numeric(M, D, xi)
+        mu_hat_numeric(DigitSystem(M, D), xi)
     assert str(exc.value) == f"frequency ({shown}) is too large for the float product"
 
 
@@ -598,7 +598,7 @@ def test_mu_hat_refuses_a_frequency_too_large_for_floats(M, D, xi):
     "M, D, xi", [(SWAP, SWAP_D, (10**306, 10**306)), (I3, I3_D, (10**306,) * 3)]
 )
 def test_mu_hat_keeps_large_finite_frequencies(M, D, xi):
-    assert _bits(mu_hat_numeric(M, D, xi)) == _bits(_mu_hat_loop(M, D, xi, 40))
+    assert _bits(mu_hat_numeric(DigitSystem(M, D), xi)) == _bits(_mu_hat_loop(M, D, xi, 40))
 
 
 @pytest.mark.parametrize(
@@ -611,13 +611,13 @@ def test_mu_hat_keeps_large_finite_frequencies(M, D, xi):
     ],
 )
 def test_mu_hat_refusals_match_loop(M, D, xi):
-    got = _outcome(mu_hat_numeric, M, D, xi, 5)
+    got = _outcome(on_system(mu_hat_numeric), M, D, xi, 5)
     assert got == _outcome(_mu_hat_loop, M, D, xi, 5)
     assert got[0] is WrongDimension
 
 
 def _scalar_scan(M, D, freqs, eta, resolution, depth):
-    engine = _MuHat(M, D, depth)
+    engine = _MuHat(DigitSystem(M, D), depth)
     axis = tuple(-eta + 2 * eta * i / (resolution - 1) for i in range(resolution))
     fl = [tuple(float(c) for c in f) for f in freqs]
     return [
@@ -637,8 +637,8 @@ def _candidate(freqs):
 @pytest.mark.parametrize(
     "M, D, cand, eta, resolution",
     [
-        (SWAP, SWAP_D, spectrum_candidate(SWAP, SWAP_D, SWAP_C, 2), 0.16, 5),
-        (M3, THREE, spectrum_candidate(M3, THREE, S3, 2), 0.3, 4),
+        (SWAP, SWAP_D, spectrum_candidate(DigitSystem(SWAP, SWAP_D), SWAP_C, 2), 0.16, 5),
+        (M3, THREE, spectrum_candidate(DigitSystem(M3, THREE), S3, 2), 0.3, 4),
         (
             ((3,),),
             ((0,), (1,), (2,)),
@@ -670,7 +670,7 @@ def test_completeness_scan_matches_scalar_loop(
 ):
     # a small batch splits the grid into uneven blocks
     monkeypatch.setattr(fourier, "_BATCH", batch)
-    scan = completeness_scan(M, D, cand, eta, resolution=resolution, depth=40)
+    scan = completeness_scan(DigitSystem(M, D), cand, eta, resolution=resolution, depth=40)
     want = _scalar_scan(M, D, cand.frequencies, eta, resolution, 40)
     assert [q for row in scan.values for q in row] == want
     assert (scan.min_q, scan.max_q) == (min(want), max(want))
@@ -685,6 +685,13 @@ def _outcome(f, *args):
         return f(*args)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
+
+
+def on_system(f):
+    """f called on (M, D, ...) as on (DigitSystem(M, D), ...), so that the
+    system's own refusals are part of the outcome, as for a reference that
+    takes (M, D)."""
+    return lambda M, D, *args: f(DigitSystem(M, D), *args)
 
 
 def _fraction_spectrum_candidate(M, D, base, levels):
@@ -703,7 +710,8 @@ def _fraction_spectrum_candidate(M, D, base, levels):
         raise ValueError("level count must be positive")
     # the measure's gate, asked before the level sums and even of a
     # one-point base with no pair to walk
-    DigitSystem(M, D).walkable
+    system = DigitSystem(M, D)
+    system.walkable
     Mt = transpose(M)
     freqs = {zero}
     power = Mt
@@ -726,7 +734,7 @@ def _fraction_spectrum_candidate(M, D, base, levels):
                     break
             hit = memo.get(w)
             if hit is None:
-                hit = zero_membership(M, D, w) is not None
+                hit = zero_membership(system, w) is not None
                 memo[w] = hit
             if not hit:
                 failing = (a, b)
@@ -818,7 +826,7 @@ def spectrum_problems(draw):
     M, D, zeros = draw(digit_systems())
     n = len(M)
     base = {(Fraction(0),) * n}
-    found = find_spectrum_set(M, D) if zeros else None
+    found = find_spectrum_set(DigitSystem(M, D)) if zeros else None
     if found is not None and found.status == "found" and draw(st.booleans()):
         d, adj = det_and_adjugate(M)
         minvT = [[Fraction(x, d) for x in row] for row in transpose(adj)]
@@ -858,14 +866,14 @@ def _walked(f, *args):
 def test_spectrum_candidate_matches_fraction_reference(problem):
     M, D, base, levels = problem
     # the orthogonality graph decides with no walk; the reference walks
-    got, walks = _walked(spectrum_candidate, M, D, base, levels)
+    got, walks = _walked(on_system(spectrum_candidate), M, D, base, levels)
     assert got == _walked(_fraction_spectrum_candidate, M, D, base, levels)[0]
     assert walks == 0
 
 
 @pytest.mark.parametrize("levels, reference_walks", [(1, 2), (2, 12), (3, 62), (4, 312)])
 def test_spectrum_candidate_swap_matches_fraction_reference(levels, reference_walks):
-    got = _walked(spectrum_candidate, SWAP, SWAP_D, SWAP_C, levels)
+    got = _walked(on_system(spectrum_candidate), SWAP, SWAP_D, SWAP_C, levels)
     want = _walked(_fraction_spectrum_candidate, SWAP, SWAP_D, SWAP_C, levels)
     assert got[0] == want[0]
     assert got[1] == 0
@@ -892,14 +900,14 @@ def eta_problems(draw):
 @given(eta_problems())
 def test_suggest_eta_matches_full_box(problem):
     M, D, base, k = problem
-    got = _outcome(suggest_eta, M, D, base, k)
+    got = _outcome(on_system(suggest_eta), M, D, base, k)
     want = _outcome(_full_box_suggest_eta, M, D, base, k)
     # float equality is exact: equal results have bit-identical floats
     assert got == want
 
 
 def test_suggest_eta_swap_matches_full_box():
-    assert suggest_eta(SWAP, SWAP_D, SWAP_C) == _full_box_suggest_eta(SWAP, SWAP_D, SWAP_C, 8)
+    assert suggest_eta(DigitSystem(SWAP, SWAP_D), SWAP_C) == _full_box_suggest_eta(SWAP, SWAP_D, SWAP_C, 8)
 
 
 def test_suggest_eta_swap_scores_few_leaves():
@@ -912,7 +920,7 @@ def test_suggest_eta_swap_scores_few_leaves():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fourier, "_leaf_square", counted)
-        got = suggest_eta(SWAP, SWAP_D, SWAP_C)
+        got = suggest_eta(DigitSystem(SWAP, SWAP_D), SWAP_C)
     assert got.distance == 0.3258426967433826
     # the branch and bound leaves all but a handful of the 3^8 leaves
     assert 1 <= len(leaves) < 3**8 // 100
@@ -942,7 +950,7 @@ def deep_eta_problems(draw):
 @given(deep_eta_problems())
 def test_suggest_eta_deep_matches_full_box(problem):
     M, D, base, k = problem
-    got = _outcome(suggest_eta, M, D, base, k)
+    got = _outcome(on_system(suggest_eta), M, D, base, k)
     assert got == _outcome(_full_box_suggest_eta, M, D, base, k)
     if isinstance(got, EtaSuggestion):
         return

@@ -28,24 +28,24 @@ S3 = ((0, 0), (1, 2), (2, 1))
 
 
 def test_verify_triple_canonical_pairs():
-    assert verify_triple(M3, THREE, S3)
-    assert verify_triple(M3, THREE, ((0, 0), (2, 1), (1, 2)))
+    assert verify_triple(DigitSystem(M3, THREE), S3)
+    assert verify_triple(DigitSystem(M3, THREE), ((0, 0), (2, 1), (1, 2)))
     # lattice translates of single frequencies keep the property
-    assert verify_triple(M3, THREE, ((0, 0), (1, 2), (2, 4)))
-    assert verify_triple(((2, 0), (0, 2)), FOUR, ((0, 0), (1, 0), (0, 1), (1, 1)))
+    assert verify_triple(DigitSystem(M3, THREE), ((0, 0), (1, 2), (2, 4)))
+    assert verify_triple(DigitSystem(((2, 0), (0, 2)), FOUR), ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 
 def test_verify_triple_rejections():
-    assert not verify_triple(M3, THREE, ((0, 0), (1, 0), (0, 1)))
+    assert not verify_triple(DigitSystem(M3, THREE), ((0, 0), (1, 0), (0, 1)))
     # the pair (1,2), (1,5) collides: their difference maps into the lattice
-    assert not verify_triple(M3, THREE, ((0, 0), (1, 2), (1, 5)))
-    assert not verify_triple(((3, 1), (1, 4)), THREE, S3)
+    assert not verify_triple(DigitSystem(M3, THREE), ((0, 0), (1, 2), (1, 5)))
+    assert not verify_triple(DigitSystem(((3, 1), (1, 4)), THREE), S3)
     with pytest.raises(WrongDimension):
-        verify_triple(M3, THREE, ((0, 0), (1, 2)))
+        verify_triple(DigitSystem(M3, THREE), ((0, 0), (1, 2)))
     with pytest.raises(WrongDimension):
-        verify_triple(M3, THREE, ((0, 0), (1, 2), (1, 2)))
+        verify_triple(DigitSystem(M3, THREE), ((0, 0), (1, 2), (1, 2)))
     with pytest.raises(WrongDimension):
-        verify_triple(M3, THREE, ((0,), (1,), (2,)))
+        verify_triple(DigitSystem(M3, THREE), ((0,), (1,), (2,)))
 
 
 @pytest.mark.parametrize("D", [((0,), (1,)), ((0,),)])
@@ -53,18 +53,18 @@ def test_verify_triple_refuses_digits_off_the_map(D):
     # 1-D digits and frequencies under a planar map: consistent with each
     # other, so the digit system's own check names the mismatch
     with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
-        verify_triple(((2, 0), (0, 2)), D, D)
+        verify_triple(DigitSystem(((2, 0), (0, 2)), D), D)
 
 
 def test_verify_triple_translation_invariance():
     # shifting every frequency by one lattice vector preserves the property
     shifted = tuple((s[0] + 5, s[1] - 7) for s in S3)
-    assert verify_triple(M3, THREE, shifted)
+    assert verify_triple(DigitSystem(M3, THREE), shifted)
 
 
 def test_unitarity_defect_values():
-    assert unitarity_defect(M3, THREE, S3) < 1e-12
-    assert unitarity_defect(M3, THREE, ((0, 0), (1, 0), (0, 1))) > 0.1
+    assert unitarity_defect(DigitSystem(M3, THREE), S3) < 1e-12
+    assert unitarity_defect(DigitSystem(M3, THREE), ((0, 0), (1, 0), (0, 1))) > 0.1
 
 
 @pytest.mark.parametrize("e", [9, 15, 30])
@@ -72,8 +72,8 @@ def test_far_shifted_dual_set_verifies(e):
     # (3 10^e, 0) lies in M^T Z^2, so the shifted set is still dual; float
     # phases of adj(M)^T s / det M lost the defect to |s| from e = 9 on
     S = ((0, 0), (1 + 3 * 10**e, 2), (2, 1))
-    assert verify_triple(M3, THREE, S) is True
-    assert unitarity_defect(M3, THREE, S) < 1e-12
+    assert verify_triple(DigitSystem(M3, THREE), S) is True
+    assert unitarity_defect(DigitSystem(M3, THREE), S) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -83,34 +83,34 @@ def test_far_shifted_dual_set_verifies(e):
 )
 def test_dual_sets_survive_large_lattice_shifts(M, ks):
     D = FOUR if det(M) % 2 == 0 else THREE
-    found = find_spectrum_set(M, D)
+    found = find_spectrum_set(DigitSystem(M, D))
     assume(found.status == "found")
     MT = transpose(M)
     S = tuple(
         tuple(a + b for a, b in zip(s, mat_vec(MT, k))) for s, k in zip(found.S, ks)
     )
-    assert verify_triple(M, D, S) is True
+    assert verify_triple(DigitSystem(M, D), S) is True
 
 
 def test_find_spectrum_set_canonical():
-    out = find_spectrum_set(M3, THREE)
+    out = find_spectrum_set(DigitSystem(M3, THREE))
     assert out.status == "found"
     assert out.S is not None and out.S[0] == (0, 0)
-    assert verify_triple(M3, THREE, out.S)
+    assert verify_triple(DigitSystem(M3, THREE), out.S)
     assert out.search_space == 28
 
 
 def test_find_spectrum_set_skew_has_no_solution():
     # the mask zeros have denominator 3 but the transversal images have
     # denominator 11, so the zero-difference prefilter removes everything
-    out = find_spectrum_set(((3, 1), (1, 4)), THREE)
+    out = find_spectrum_set(DigitSystem(((3, 1), (1, 4)), THREE))
     assert out.status == "none" and out.S is None
     assert out.search_space == 45 and out.examined == 0
 
 
 def test_find_spectrum_set_four_digits():
     M = ((2, 0), (0, 2))
-    out = find_spectrum_set(M, FOUR)
+    out = find_spectrum_set(DigitSystem(M, FOUR))
     assert out.status == "found"
     assert out.S == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert out.search_space == 1
@@ -118,13 +118,13 @@ def test_find_spectrum_set_four_digits():
 
 def test_find_spectrum_set_none():
     # mask zeros of this digit set miss every nonzero coset representative
-    out = find_spectrum_set(((2, 0), (0, 2)), THREE)
+    out = find_spectrum_set(DigitSystem(((2, 0), (0, 2)), THREE))
     assert out.status == "none" and out.S is None
     assert out.search_space == 3
 
 
 def test_find_spectrum_set_none_large():
-    out = find_spectrum_set(((0, 10), (9, 0)), FOUR)
+    out = find_spectrum_set(DigitSystem(((0, 10), (9, 0)), FOUR))
     assert out.status == "none" and out.S is None
     assert out.search_space == 113564 and out.examined == 0
 
@@ -132,18 +132,18 @@ def test_find_spectrum_set_none_large():
 def test_find_spectrum_set_digit_dimension_must_match_the_map():
     # a one-dimensional digit set under a planar map
     with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
-        find_spectrum_set(((2, 0), (0, 2)), ((5,),))
+        find_spectrum_set(DigitSystem(((2, 0), (0, 2)), ((5,),)))
 
 
 def test_unitarity_defect_digit_dimension_must_match_the_map():
     # one coordinate of S was dropped against a 1-D digit, so the planar
     # map with two digits passed as unitary
     with pytest.raises(WrongDimension, match="digit dimension does not match the map"):
-        unitarity_defect(((2, 0), (0, 2)), ((0,), (1,)), ((0, 0), (1, 0)))
+        unitarity_defect(DigitSystem(((2, 0), (0, 2)), ((0,), (1,))), ((0, 0), (1, 0)))
 
 
 def test_find_spectrum_set_budget_zero():
-    out = find_spectrum_set(M3, THREE, budget=0)
+    out = find_spectrum_set(DigitSystem(M3, THREE), budget=0)
     assert out.status == "undetermined" and out.examined == 0
 
 
@@ -151,21 +151,21 @@ def test_find_spectrum_set_budget_cutoff():
     # a hint-mode zero set and a long prefix of failing subsets
     M = ((4, 0), (6, -5))
     D = ((-1, 3), (0, -1), (1, 3), (2, 0))
-    full = find_spectrum_set(M, D)
+    full = find_spectrum_set(DigitSystem(M, D))
     assert full.status == "found" and full.examined == 31
     assert full.S == ((0, 0), (0, 5), (1, 0), (1, 5))
-    assert find_spectrum_set(M, D, budget=31) == full
-    cut = find_spectrum_set(M, D, budget=30)
+    assert find_spectrum_set(DigitSystem(M, D), budget=31) == full
+    cut = find_spectrum_set(DigitSystem(M, D), budget=30)
     assert cut.status == "undetermined" and cut.S is None
     assert cut.examined == 30 and cut.search_space == full.search_space
 
 
 def test_find_spectrum_set_negative_budget():
     with pytest.raises(ValueError, match="budget"):
-        find_spectrum_set(M3, THREE, budget=-1)
+        find_spectrum_set(DigitSystem(M3, THREE), budget=-1)
     # refused before the trivial one-digit answer, too
     with pytest.raises(ValueError, match="budget"):
-        find_spectrum_set(M3, ((0, 0),), budget=-1)
+        find_spectrum_set(DigitSystem(M3, ((0, 0),)), budget=-1)
 
 
 def _reference_search(M, D, budget):
@@ -224,11 +224,11 @@ def planar_systems(draw):
 @example((((8, -12), (-4, 8)), ((0, 0), (-2, -2), (2, -2), (0, 4))))
 def test_find_spectrum_set_matches_reference_search(system):
     M, D = system
-    full = find_spectrum_set(M, D)
+    full = find_spectrum_set(DigitSystem(M, D))
     status, S, examined = _reference_search(M, D, 10_000_000)
     assert (full.status, full.S, full.examined) == (status, S, examined)
     for budget in sorted({0, 1, max(examined - 1, 0), examined}):
-        out = find_spectrum_set(M, D, budget=budget)
+        out = find_spectrum_set(DigitSystem(M, D), budget=budget)
         assert (out.status, out.S, out.examined) == _reference_search(M, D, budget)
         assert out.search_space == full.search_space
 
@@ -274,7 +274,7 @@ def small_det_systems(draw):
 @example((((3, 1), (1, 4)), THREE))
 def test_find_spectrum_set_status_matches_the_box_search(system):
     M, D = system
-    assert find_spectrum_set(M, D).status == _box_status(M, D)
+    assert find_spectrum_set(DigitSystem(M, D)).status == _box_status(M, D)
 
 
 def _enumerating_search(M, D, budget):
@@ -330,10 +330,10 @@ def hint_mode_systems(draw):
 
 
 def _check_against_enumeration(M, D):
-    full = find_spectrum_set(M, D, budget=2000)
+    full = find_spectrum_set(DigitSystem(M, D), budget=2000)
     assert tuple(full) == _enumerating_search(M, D, 2000)
     if full.examined:
-        cut = find_spectrum_set(M, D, budget=full.examined - 1)
+        cut = find_spectrum_set(DigitSystem(M, D), budget=full.examined - 1)
         assert tuple(cut) == _enumerating_search(M, D, full.examined - 1)
 
 
@@ -402,10 +402,10 @@ def test_find_spectrum_set_decides_a_singular_frame_by_the_cyclotomic_test(syste
         zero_set(D)
     ds = DigitSystem(M, D)
     assert ds.listed is False and "zs" not in ds.__dict__
-    found = find_spectrum_set(M, D)
+    found = find_spectrum_set(DigitSystem(M, D))
     assert (found.status, found.S, found.examined) == _reference_search(M, D, 10_000_000)
     if found.S is not None:
-        assert verify_triple(M, D, found.S)
+        assert verify_triple(DigitSystem(M, D), found.S)
     # the measure's questions still refuse: no finite zero set exists
     with pytest.raises(DegenerateDigits):
         ds.walkable
@@ -413,12 +413,12 @@ def test_find_spectrum_set_decides_a_singular_frame_by_the_cyclotomic_test(syste
 
 def test_find_spectrum_set_singular():
     with pytest.raises(SingularMatrix):
-        find_spectrum_set(((1, 2), (2, 4)), THREE)
+        find_spectrum_set(DigitSystem(((1, 2), (2, 4)), THREE))
 
 
 def test_unitarity_defect_singular():
     with pytest.raises(SingularMatrix, match="expanding map must be invertible"):
-        unitarity_defect(((1, 2), (2, 4)), THREE, S3)
+        unitarity_defect(DigitSystem(((1, 2), (2, 4)), THREE), S3)
 
 
 def _fixture_conjugacy():
@@ -431,7 +431,7 @@ def test_transport_forward_fixture():
     assert conj.A == ((1, 0), (0, 2))
     out = conj.transport(S3, direction="forward")
     assert out == ((0, 0), (4, 16), (8, 8))
-    assert verify_triple(conj.Mt, conj.Dt, out)
+    assert verify_triple(DigitSystem(conj.Mt, conj.Dt), out)
 
 
 def test_transport_backward_inverts_classes_mod_p():
@@ -439,7 +439,7 @@ def test_transport_backward_inverts_classes_mod_p():
     fwd = conj.transport(S3, direction="forward")
     back = conj.transport(fwd, direction="backward")
     assert back == ((0, 0), (16, 32), (32, 16))
-    assert verify_triple(M3, THREE, back)
+    assert verify_triple(DigitSystem(M3, THREE), back)
     # the round trip multiplies by a scalar congruent to 1 mod p
     for s, t in zip(S3, back):
         assert tuple(x % 3 for x in s) == tuple(x % 3 for x in t)
@@ -471,11 +471,11 @@ def test_transport_refuses_zeros_off_the_grid():
     # of the conjugate, although ((0, 0), (4, 0), (8, 0)) is
     conj = make_conjugate(((-2, 1), (0, 3)), ((0, 1), (3, 2), (1, 0)), ((-1, 0), (0, 1)), 3)
     S = ((0, 0), (1, 0), (2, 0))
-    assert verify_triple(conj.M, conj.D, S)
-    assert not verify_triple(conj.Mt, conj.Dt, ((0, 0), (2, 0), (4, 0)))
+    assert verify_triple(DigitSystem(conj.M, conj.D), S)
+    assert not verify_triple(DigitSystem(conj.Mt, conj.Dt), ((0, 0), (2, 0), (4, 0)))
     with pytest.raises(HypothesisViolation, match="punctured"):
         conj.transport(S)
-    assert verify_triple(conj.Mt, conj.Dt, ((0, 0), (4, 0), (8, 0)))
+    assert verify_triple(DigitSystem(conj.Mt, conj.Dt), ((0, 0), (4, 0), (8, 0)))
     with pytest.raises(HypothesisViolation, match="punctured"):
         conj.transport(((0, 0), (4, 0), (8, 0)), direction="backward")
 
@@ -528,7 +528,7 @@ def test_transport_round_trip_preserves_residues(conj):
     # the transport theorem: with the mask zeros of D in the punctured
     # (1/p)-grid a dual set moves to one of the conjugate and back, to
     # the same classes mod p; without that hypothesis transport refuses
-    found = find_spectrum_set(conj.M, conj.D)
+    found = find_spectrum_set(DigitSystem(conj.M, conj.D))
     if not zero_set_in_punctured_grid(zero_set(conj.D), conj.p):
         S = found.S or tuple((i, 0) for i in range(len(conj.D)))
         for direction in ("forward", "backward"):
@@ -538,9 +538,9 @@ def test_transport_round_trip_preserves_residues(conj):
     if found.status != "found":
         return
     fwd = conj.transport(found.S)
-    assert verify_triple(conj.Mt, conj.Dt, fwd)
+    assert verify_triple(DigitSystem(conj.Mt, conj.Dt), fwd)
     back = conj.transport(fwd, direction="backward")
-    assert verify_triple(conj.M, conj.D, back)
+    assert verify_triple(DigitSystem(conj.M, conj.D), back)
     p = conj.p
     for s, t in zip(found.S, back):
         assert tuple(x % p for x in s) == tuple(x % p for x in t)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spectral_affine.conjugacy import make_conjugate
 from spectral_affine.errors import SingularMatrix, SingularModP, WrongDimension
+from spectral_affine.hadamard import find_spectrum_set
 from spectral_affine.linalg import (
     as_matrix,
     char_poly,
@@ -31,6 +33,8 @@ from spectral_affine.linalg import (
     sign_canonical,
     transpose,
 )
+from spectral_affine.ortho import nstar_bounds
+from spectral_affine.zeros import DigitSystem
 
 small_matrices = st.integers(1, 3).flatmap(
     lambda n: st.lists(
@@ -48,6 +52,26 @@ def test_as_matrix_validates_shape():
     with pytest.raises(WrongDimension):
         as_matrix([])
 
+
+
+@pytest.mark.parametrize("entry", [3.5, Fraction(10, 3), 1e-9])
+def test_as_matrix_refuses_a_non_integer_entry(entry):
+    # such an entry was truncated without a word, to another map's answers
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        as_matrix([[entry, 1], [1, 4]])
+    # integral values of other types are exact and kept
+    assert as_matrix([[Fraction(6, 2), 1.0], [1, 4]]) == ((3, 1), (1, 4))
+
+
+def test_measure_questions_and_conjugacy_refuse_a_non_integer_matrix():
+    D = ((0, 0), (1, 0), (0, 1))
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        nstar_bounds(DigitSystem([[3.5, 1], [1, 4]], D), 3, J=8, R=0)
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        find_spectrum_set(DigitSystem([[Fraction(10, 3), 0], [0, 3]], D))
+    for A, B in [(None, [[1, 0], [0, 1.5]]), ([[1, 0], [0, Fraction(1, 2)]], [[1, 0], [0, 1]])]:
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            make_conjugate(((3, 1), (1, 4)), D, B, 3, "a", A)
 
 def test_det_known_values():
     assert det(((3, 0), (0, 3))) == 9

@@ -46,7 +46,6 @@ from spectral_affine.linalg import (
 from spectral_affine.ortho import (
     _max_clique,
     has_infinite_orthogonal,
-    measure,
     nonspectral_certificate,
     nstar_bounds,
     suggest_certificate,
@@ -82,31 +81,38 @@ LARGE_DET = [
 ]
 
 
+def measure(M, D):
+    """DigitSystem(M, D) once its gate, walkable, has raised its refusals."""
+    system = DigitSystem(M, D)
+    system.walkable
+    return system
+
+
 def test_zero_membership_levels():
-    assert zero_membership(M3, THREE, (1, 2)) == 1
-    assert zero_membership(M3, THREE, (3, 6)) == 2
-    assert zero_membership(M3, THREE, (9, 18)) == 3
-    assert zero_membership(M3, THREE, (2, 1)) == 1
-    assert zero_membership(M3, THREE, (1, 1)) is None
-    assert zero_membership(M3, THREE, (0, 0)) is None
+    assert zero_membership(DigitSystem(M3, THREE), (1, 2)) == 1
+    assert zero_membership(DigitSystem(M3, THREE), (3, 6)) == 2
+    assert zero_membership(DigitSystem(M3, THREE), (9, 18)) == 3
+    assert zero_membership(DigitSystem(M3, THREE), (2, 1)) == 1
+    assert zero_membership(DigitSystem(M3, THREE), (1, 1)) is None
+    assert zero_membership(DigitSystem(M3, THREE), (0, 0)) is None
     # a mask zero itself sits below every level for this map
-    assert zero_membership(M3, THREE, (Fraction(1, 3), Fraction(2, 3))) is None
+    assert zero_membership(DigitSystem(M3, THREE), (Fraction(1, 3), Fraction(2, 3))) is None
 
 
 def test_zero_membership_none_is_certified():
     # levels shrink geometrically, so None is a proof, not a timeout;
     # spot-check against a wide direct sweep
     for xi in ((1, 0), (0, 1), (1, 1), (2, 2), (5, 8)):
-        assert zero_membership(M3, THREE, xi) is None
+        assert zero_membership(DigitSystem(M3, THREE), xi) is None
 
 
 def test_zero_membership_validations():
     with pytest.raises(IncompleteZeroSet):
-        zero_membership(M3, ((0, 0), (1, 1)), (1, 1))
+        zero_membership(DigitSystem(M3, ((0, 0), (1, 1))), (1, 1))
     with pytest.raises(HypothesisViolation):
-        zero_membership(((1, 0), (0, 2)), THREE, (1, 1))
+        zero_membership(DigitSystem(((1, 0), (0, 2)), THREE), (1, 1))
     with pytest.raises(WrongDimension, match="frequency dimension does not match the map"):
-        zero_membership(M3, THREE, (1, 1, 1))
+        zero_membership(DigitSystem(M3, THREE), (1, 1, 1))
 
 
 NOT_EXPANDING = "inverse-transpose powers do not contract; matrix not expanding"
@@ -117,23 +123,23 @@ def test_unit_eigenvalue_refusals():
     # from the search and from a single membership query
     M = ((1, 1), (0, 2))
     with pytest.raises(HypothesisViolation) as exc:
-        nstar_bounds(M, THREE, 3)
+        nstar_bounds(DigitSystem(M, THREE), 3)
     assert str(exc.value) == NOT_EXPANDING
     with pytest.raises(HypothesisViolation) as exc:
-        zero_membership(M, THREE, (1, 1))
+        zero_membership(DigitSystem(M, THREE), (1, 1))
     assert str(exc.value) == NOT_EXPANDING
     # off the plane the incomplete zero set is reported before the map
     diag_2_rot90 = ((2, 0, 0), (0, 0, -1), (0, 1, 0))
     with pytest.raises(IncompleteZeroSet):
-        zero_membership(diag_2_rot90, ((0, 0, 0), (1, 0, 0), (0, 1, 0)), (1, 0, 0))
+        zero_membership(DigitSystem(diag_2_rot90, ((0, 0, 0), (1, 0, 0), (0, 1, 0))), (1, 0, 0))
 
 
 def test_has_infinite_orthogonal():
-    assert has_infinite_orthogonal(M3, THREE) == (True, 1)
-    assert has_infinite_orthogonal(SKEW, THREE) == (False, None)
-    assert has_infinite_orthogonal(((0, 10), (9, 0)), FOUR) == (True, 1)
+    assert has_infinite_orthogonal(DigitSystem(M3, THREE)) == (True, 1)
+    assert has_infinite_orthogonal(DigitSystem(SKEW, THREE)) == (False, None)
+    assert has_infinite_orthogonal(DigitSystem(((0, 10), (9, 0)), FOUR)) == (True, 1)
     # non-spectral systems can still carry infinite orthogonal families
-    assert has_infinite_orthogonal(((4, 1), (2, 5)), THREE) == (True, 2)
+    assert has_infinite_orthogonal(DigitSystem(((4, 1), (2, 5)), THREE)) == (True, 2)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +148,7 @@ def test_has_infinite_orthogonal():
 def test_has_infinite_orthogonal_needs_expanding_matrix(M):
     # the measure, and with it n*, is not defined for these maps
     with pytest.raises(HypothesisViolation, match="expanding"):
-        has_infinite_orthogonal(M, THREE)
+        has_infinite_orthogonal(DigitSystem(M, THREE))
 
 
 # the measure of (M, D) exists for an expanding M only, and its questions
@@ -158,13 +164,13 @@ GATE_REFUSALS = {
     ),
 }
 QUESTIONS = {
-    "zero_membership": lambda M, D: zero_membership(M, D, (1, 1)),
-    "has_infinite_orthogonal": has_infinite_orthogonal,
-    "nstar_bounds": lambda M, D: nstar_bounds(M, D, 3, J=1, R=0),
-    "nonspectral_certificate": lambda M, D: nonspectral_certificate(M, D, 1, 2),
-    "suggest_eta": lambda M, D: suggest_eta(M, D, ((0, 0), (1, 0))),
+    "zero_membership": lambda M, D: zero_membership(DigitSystem(M, D), (1, 1)),
+    "has_infinite_orthogonal": lambda M, D: has_infinite_orthogonal(DigitSystem(M, D)),
+    "nstar_bounds": lambda M, D: nstar_bounds(DigitSystem(M, D), 3, J=1, R=0),
+    "nonspectral_certificate": lambda M, D: nonspectral_certificate(DigitSystem(M, D), 1, 2),
+    "suggest_eta": lambda M, D: suggest_eta(DigitSystem(M, D), ((0, 0), (1, 0))),
     # one base point, so no pair is walked
-    "spectrum_candidate": lambda M, D: spectrum_candidate(M, D, ((0, 0),), 1),
+    "spectrum_candidate": lambda M, D: spectrum_candidate(DigitSystem(M, D), ((0, 0),), 1),
 }
 
 
@@ -181,14 +187,14 @@ def test_every_question_about_the_measure_refuses_through_the_gate(question, sys
 # the gate, refuse it with the gate's type and message
 OUTSIDE_THE_GATE = {
     "singular": {
-        "find_spectrum_set": lambda M: find_spectrum_set(M, THREE),
-        "verify_triple": lambda M: verify_triple(M, THREE, THREE),
-        "unitarity_defect": lambda M: unitarity_defect(M, THREE, THREE),
+        "find_spectrum_set": lambda M: find_spectrum_set(DigitSystem(M, THREE)),
+        "verify_triple": lambda M: verify_triple(DigitSystem(M, THREE), THREE),
+        "unitarity_defect": lambda M: unitarity_defect(DigitSystem(M, THREE), THREE),
     },
     "not_expanding": {
-        "mu_hat_numeric": lambda M: mu_hat_numeric(M, THREE, (1, 1)),
+        "mu_hat_numeric": lambda M: mu_hat_numeric(DigitSystem(M, THREE), (1, 1)),
         "attractor_sample": lambda M: attractor_sample(M, THREE),
-        "spectrality_criterion": lambda M: spectrality_criterion(M, THREE),
+        "spectrality_criterion": lambda M: spectrality_criterion(DigitSystem(M, THREE)),
     },
 }
 
@@ -219,7 +225,7 @@ def test_no_certificate_for_a_map_that_is_not_expanding():
         for L in (1, 2, 3, 4, 6, 9, 27):
             for j0 in (2, 3, 4):
                 with pytest.raises(error):
-                    nonspectral_certificate(M, THREE, L, j0)
+                    nonspectral_certificate(DigitSystem(M, THREE), L, j0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -229,10 +235,10 @@ def test_no_certificate_for_a_map_that_is_not_expanding():
 )
 def test_membership_is_shift_covariant(v, j):
     # multiplying by M^T raises the entry level by exactly one
-    base = zero_membership(M3, THREE, v)
+    base = zero_membership(DigitSystem(M3, THREE), v)
     Mt = ((3, 0), (0, 3))
     w = tuple(sum(Mt[i][k] * v[k] for k in range(2)) for i in range(2))
-    lifted = zero_membership(M3, THREE, w)
+    lifted = zero_membership(DigitSystem(M3, THREE), w)
     if base is not None:
         assert lifted == base + 1
 
@@ -514,7 +520,7 @@ def pair_check_problems(draw):
         m = 3 if len(D) == 3 else 2
         M = tuple(tuple(m * x for x in row) for row in M)
         assume(max(map(abs, sum(M, ()))) <= 12)
-        found = find_spectrum_set(M, D, budget=20_000)
+        found = find_spectrum_set(DigitSystem(M, D), budget=20_000)
     eng = measure(M, D)
     q = eng.q
     if found is not None and found.status == "found":
@@ -573,7 +579,7 @@ def test_graph_pair_check_fixed_cases():
 
 
 def test_nstar_clique_small():
-    out = nstar_bounds(((2, 0), (0, 2)), THREE, 3, J=1, R=0)
+    out = nstar_bounds(DigitSystem(((2, 0), (0, 2)), THREE), 3, J=1, R=0)
     assert (out.lower, out.upper) == (3, 3)
     assert out.method == "clique" and out.search_complete
     assert len(out.witness) == 3
@@ -581,7 +587,7 @@ def test_nstar_clique_small():
 
 
 def test_nstar_nine_exponentials():
-    out = nstar_bounds(SKEW, THREE, 3, J=8, R=0)
+    out = nstar_bounds(DigitSystem(SKEW, THREE), 3, J=8, R=0)
     assert (out.lower, out.upper) == (9, 9)
     assert out.method == "clique"
     assert len(out.witness) == 9
@@ -618,7 +624,7 @@ def test_nstar_pinned_witness(M, window, nodes, witness):
     # SKEW's zero images reach its bound 9 only at J = 8, after windows of
     # 1, 2 and 4 shells whose searches took 4, 4 and 6 nodes; those of 2I
     # reach its bound 3 at one shell
-    out = nstar_bounds(M, THREE, 3, **window)
+    out = nstar_bounds(DigitSystem(M, THREE), 3, **window)
     assert out.search_nodes == nodes and out.search_complete
     assert out.witness == tuple(
         tuple(Fraction(c) for c in f) for f in witness
@@ -628,7 +634,7 @@ def test_nstar_pinned_witness(M, window, nodes, witness):
 def test_nstar_2i_default_window():
     # the window J = 16, R = 4 has 721 vertices; the zero images of its
     # first shell, 3 vertices with frequency 0, reach the bound already
-    out = nstar_bounds(((2, 0), (0, 2)), THREE, 3)
+    out = nstar_bounds(DigitSystem(((2, 0), (0, 2)), THREE), 3)
     assert (out.lower, out.upper, out.method) == (3, 3, "clique")
     assert out.search_nodes == 4 and out.search_complete
     assert out.witness == (
@@ -657,7 +663,7 @@ def test_nstar_reverifies_each_difference_once():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DigitSystem, "membership", walk)
         mp.setattr(DigitSystem, "orthogonality_graph", graph)
-        out = nstar_bounds(M, D, 3, J=2)
+        out = nstar_bounds(DigitSystem(M, D), 3, J=2)
     family = out.witness
     diffs = {
         sign_canonical(tuple(map(sub, a, b)))
@@ -682,7 +688,7 @@ def test_nstar_reverifies_each_difference_once():
 )
 def test_nstar_without_zeros_off_the_plane(M, D, upper, method):
     # a single digit has no mask zeros, so no candidate and no edge
-    out = nstar_bounds(M, D, 3)
+    out = nstar_bounds(DigitSystem(M, D), 3)
     zero = (Fraction(0),) * len(M)
     assert (out.lower, out.upper, out.method) == (1, upper, method)
     assert out.witness == (zero,)
@@ -704,7 +710,7 @@ def test_measure_refuses_zeros_off_the_plane(monkeypatch):
 
 def test_nstar_inapplicable_when_det_shares_p():
     # 3I maps the zeros (1/3, 2/3) and (2/3, 1/3) into Z^2 at once
-    out = nstar_bounds(M3, THREE, 3, J=2, R=0)
+    out = nstar_bounds(DigitSystem(M3, THREE), 3, J=2, R=0)
     assert out.upper is None and out.method == "infinite"
     assert out.lower == 5
     assert out.witness == (
@@ -719,7 +725,7 @@ def test_nstar_inapplicable_when_det_shares_p():
 def test_nstar_family_cap_without_grid_zeros():
     # zeros of the stretched digits leave the (1/3)-grid (q = 6); their
     # orbit reaches 0 mod 2, and mod 3 it is all of the punctured (Z/3)^2
-    out = nstar_bounds(SKEW, STRETCH, 3, J=2, R=1)
+    out = nstar_bounds(DigitSystem(SKEW, STRETCH), 3, J=2, R=1)
     assert out.method == "clique" and out.upper == 9
     assert out.lower >= 3
 
@@ -819,7 +825,7 @@ def test_nstar_stops_at_the_upper_bound():
     # 500,000-node budget with lower 9 = upper 9; the bound proves a first
     # 9-clique maximal, here among the zero images of 2 shells, searched in
     # 10 nodes after 8 on one shell
-    out = nstar_bounds(((-4, -1), (3, 2)), ((2, 2), (4, 1), (0, 0)), 3)
+    out = nstar_bounds(DigitSystem(((-4, -1), (3, 2)), ((2, 2), (4, 1), (0, 0))), 3)
     assert (out.lower, out.upper, out.method) == (9, 9, "clique")
     assert (out.search_nodes, out.search_complete) == (18, True)
     digest = hashlib.sha256(repr(out.witness).encode()).hexdigest()
@@ -832,8 +838,8 @@ def test_nstar_staged_windows_match_the_whole_window(system, J, R):
     # the zero images of 1, 2, 4, ... shells first, then (J, 0) and (J, R):
     # the same lower bound as one exact search of the whole window (J, R)
     M, D = system
-    assume(not has_infinite_orthogonal(M, D)[0])
-    out = nstar_bounds(M, D, J=J, R=R)
+    assume(not has_infinite_orthogonal(DigitSystem(M, D))[0])
+    out = nstar_bounds(DigitSystem(M, D), J=J, R=R)
     eng = measure(M, D)
     vertices = [(0, 0)] + eng.window(J, R)
     best, _, complete = _max_clique(eng.orthogonality_graph(vertices), None)
@@ -843,6 +849,16 @@ def test_nstar_staged_windows_match_the_whole_window(system, J, R):
     assert family[0] == (0, 0) and eng.first_failing_pair(family, q) is None
     if out.lower == out.upper:
         assert out.search_complete
+
+
+def test_nstar_offset_window_raises_a_finite_lower_bound():
+    # the one system of a census of 1,235 seeded finite planar systems on
+    # which the zero images (J, 0) fell short of the upper bound and the
+    # offsets (J, R) raised the lower bound, so the offset window is kept
+    M, D = ((-5, -3), (9, 4)), ((0, 0), (-6, 3), (6, 1), (0, -4))
+    whole = nstar_bounds(DigitSystem(M, D), 2)
+    images = nstar_bounds(DigitSystem(M, D), 2, R=0)
+    assert (images.lower, whole.lower, whole.upper) == (14, 16, 136)
 
 
 def test_max_clique_beyond_the_recursion_limit():
@@ -864,14 +880,14 @@ def test_nstar_budget_truncation():
     # their full searches take 4, 4, 6 and 10 nodes, the last one decides
     nodes = [4, 8, 12, 16, 18, 20, 21, 22, 23, 24]
     for budget in range(10):
-        out = nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=budget)
+        out = nstar_bounds(DigitSystem(SKEW, THREE), 3, J=8, R=0, node_budget=budget)
         assert out.search_nodes == nodes[budget]
         family = out.witness
         assert out.lower == min(budget + 1, 9) == len(family)
         assert out.upper == 9 and out.search_complete == (out.lower == 9)
         assert family[0] == (0, 0)
         assert all(
-            zero_membership(SKEW, THREE, tuple(map(sub, a, b))) is not None
+            zero_membership(DigitSystem(SKEW, THREE), tuple(map(sub, a, b))) is not None
             for i, a in enumerate(family)
             for b in family[:i]
         )
@@ -879,23 +895,23 @@ def test_nstar_budget_truncation():
 
 def test_nstar_validations():
     with pytest.raises(ValueError, match="at least 2"):
-        nstar_bounds(M3, THREE, 1)
+        nstar_bounds(DigitSystem(M3, THREE), 1)
     with pytest.raises(ValueError, match="the default window J needs p"):
-        nstar_bounds(M3, THREE)
+        nstar_bounds(DigitSystem(M3, THREE))
     # with J given, p sets nothing, so a composite p is no refusal
-    assert nstar_bounds(M3, THREE, 4, J=2, R=1) == nstar_bounds(M3, THREE, 3, J=2, R=1)
+    assert nstar_bounds(DigitSystem(M3, THREE), 4, J=2, R=1) == nstar_bounds(DigitSystem(M3, THREE), 3, J=2, R=1)
     with pytest.raises(ValueError):
-        nstar_bounds(M3, THREE, 3, J=0)
+        nstar_bounds(DigitSystem(M3, THREE), 3, J=0)
     with pytest.raises(ValueError):
-        nstar_bounds(M3, THREE, 3, R=-1)
+        nstar_bounds(DigitSystem(M3, THREE), 3, R=-1)
     with pytest.raises(ValueError, match="budget"):
-        nstar_bounds(M3, THREE, 3, node_budget=-1)
+        nstar_bounds(DigitSystem(M3, THREE), 3, node_budget=-1)
     # a zero budget is an honest, truncated search
-    assert not nstar_bounds(SKEW, THREE, 3, J=8, R=0, node_budget=0).search_complete
+    assert not nstar_bounds(DigitSystem(SKEW, THREE), 3, J=8, R=0, node_budget=0).search_complete
 
 
 def test_transport_identity_witness():
-    rep = transport_inclusion_check(SKEW, THREE, None, ((1, 0), (0, 1)), 3, J=4)
+    rep = transport_inclusion_check(DigitSystem(SKEW, THREE), None, ((1, 0), (0, 1)), 3, J=4)
     assert rep.ok
     assert rep.c1 == 11**16 and rep.c2 == 11**16
     assert rep.conjugate_matrix == SKEW and rep.conjugate_digits == THREE
@@ -906,7 +922,7 @@ def test_transport_identity_witness():
 
 def test_transport_mode_b_fixture():
     B = ((1, 0), (0, 2))
-    rep = transport_inclusion_check(SKEW, STRETCH, None, B, 3, J=4, mode="b")
+    rep = transport_inclusion_check(DigitSystem(SKEW, STRETCH), None, B, 3, J=4, mode="b")
     assert rep.ok
     assert rep.conjugate_matrix == ((3, 2), (2, 16))
     assert rep.conjugate_digits == THREE
@@ -916,7 +932,7 @@ def test_transport_mode_b_fixture():
 
 def test_transport_mode_a_fixture():
     B = ((1, 0), (1, 1))
-    rep = transport_inclusion_check(SKEW, THREE, None, B, 3, J=4, mode="a")
+    rep = transport_inclusion_check(DigitSystem(SKEW, THREE), None, B, 3, J=4, mode="a")
     assert rep.ok
     assert rep.conjugate_matrix == ((4, 1), (13, 6))
     assert rep.conjugate_digits == ((0, 0), (1, 2), (0, 1))
@@ -926,7 +942,7 @@ def test_transport_mode_a_fixture():
 def test_transport_explicit_witness():
     # a non-canonical A reaches the report through make_conjugate
     B, A = ((1, 0), (0, 2)), ((4, 0), (0, 5))
-    rep = transport_inclusion_check(SKEW, STRETCH, A, B, 3, J=4, mode="b")
+    rep = transport_inclusion_check(DigitSystem(SKEW, STRETCH), A, B, 3, J=4, mode="b")
     assert rep.ok
     assert rep.conjugate_matrix == make_conjugate(SKEW, STRETCH, B, 3, A=A).Mt
     assert rep.conjugate_matrix == ((12, 8), (5, 40))
@@ -935,44 +951,44 @@ def test_transport_explicit_witness():
 
 def test_transport_validations():
     with pytest.raises(HypothesisViolation):
-        transport_inclusion_check(M3, THREE, None, ((1, 0), (0, 1)), 3)
+        transport_inclusion_check(DigitSystem(M3, THREE), None, ((1, 0), (0, 1)), 3)
     with pytest.raises(HypothesisViolation):
-        transport_inclusion_check(SKEW, STRETCH, None, ((1, 0), (0, 1)), 3)
+        transport_inclusion_check(DigitSystem(SKEW, STRETCH), None, ((1, 0), (0, 1)), 3)
     with pytest.raises(HypothesisViolation):
         transport_inclusion_check(
-            SKEW, THREE, ((1, 0), (1, 1)), ((1, 0), (1, 1)), 3
+            DigitSystem(SKEW, THREE), ((1, 0), (1, 1)), ((1, 0), (1, 1)), 3
         )
     with pytest.raises(NonIntegerDigits):
-        transport_inclusion_check(SKEW, THREE, None, ((1, 0), (0, 2)), 3, mode="b")
+        transport_inclusion_check(DigitSystem(SKEW, THREE), None, ((1, 0), (0, 2)), 3, mode="b")
     with pytest.raises(ValueError):
-        transport_inclusion_check(SKEW, THREE, None, ((1, 0), (0, 1)), 6)
+        transport_inclusion_check(DigitSystem(SKEW, THREE), None, ((1, 0), (0, 1)), 6)
     with pytest.raises(ValueError):
-        transport_inclusion_check(SKEW, THREE, None, ((1, 0), (0, 1)), 3, J=0)
+        transport_inclusion_check(DigitSystem(SKEW, THREE), None, ((1, 0), (0, 1)), 3, J=0)
     with pytest.raises(ValueError):
-        transport_inclusion_check(SKEW, THREE, None, ((1, 0), (0, 1)), 3, mode="x")
+        transport_inclusion_check(DigitSystem(SKEW, THREE), None, ((1, 0), (0, 1)), 3, mode="x")
 
 
 def test_certificate_plain_scale():
     M = ((4, 1), (2, 5))
-    cert = nonspectral_certificate(M, THREE, 1, 2)
+    cert = nonspectral_certificate(DigitSystem(M, THREE), 1, 2)
     assert cert.difference_closure and cert.window_empty and cert.tail_integral
     assert cert.valid and cert.verdict == "NonSpectral"
-    assert suggest_certificate(M, THREE) == (1, 2)
+    assert suggest_certificate(DigitSystem(M, THREE)) == (1, 2)
 
 
 def test_certificate_plain_scale_perturbations():
     M = ((4, 1), (2, 5))
-    c3 = nonspectral_certificate(M, THREE, 3, 2)
+    c3 = nonspectral_certificate(DigitSystem(M, THREE), 3, 2)
     assert not c3.difference_closure and not c3.window_empty
     assert c3.tail_integral and not c3.valid
 
 
 def test_certificate_stretched_digits():
     M = ((4, 2), (1, 5))
-    cert = nonspectral_certificate(M, STRETCH, 64, 2)
+    cert = nonspectral_certificate(DigitSystem(M, STRETCH), 64, 2)
     assert cert.valid
-    assert suggest_certificate(M, STRETCH) == (64, 2)
-    off = nonspectral_certificate(M, STRETCH, 65, 2)
+    assert suggest_certificate(DigitSystem(M, STRETCH)) == (64, 2)
+    off = nonspectral_certificate(DigitSystem(M, STRETCH), 65, 2)
     assert not off.difference_closure and off.window_empty
     assert not off.tail_integral and not off.valid
 
@@ -994,16 +1010,16 @@ def test_certificate_refuses_a_scale_that_is_not_a_positive_integer(M, D, L, j0)
     refused = [(M, D, j0), (M, D, 1), (((1, 2), (2, 4)), D, j0), (M, ((0, 0), (1, 1)), j0)]
     for M, D, j0 in refused:
         with pytest.raises(ValueError) as exc:
-            nonspectral_certificate(M, D, L, j0)
+            nonspectral_certificate(DigitSystem(M, D), L, j0)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "scale L must be a positive integer"
 
 
 def test_certificate_validations():
     with pytest.raises(ValueError):
-        nonspectral_certificate(M3, THREE, 1, 1)
+        nonspectral_certificate(DigitSystem(M3, THREE), 1, 1)
     with pytest.raises(IncompleteZeroSet):
-        nonspectral_certificate(M3, ((0, 0), (1, 1)), 1, 2)
+        nonspectral_certificate(DigitSystem(M3, ((0, 0), (1, 1))), 1, 2)
 
 
 def fraction_certificate(M, D, L, j0):
@@ -1081,7 +1097,7 @@ scales = st.one_of(
 @given(planar_systems(), scales, st.integers(2, 5))
 def test_certificate_matches_fraction_reference(system, L, j0):
     M, D = system
-    cert = nonspectral_certificate(M, D, L, j0)
+    cert = nonspectral_certificate(DigitSystem(M, D), L, j0)
     parts = (cert.difference_closure, cert.window_empty, cert.tail_integral)
     assert parts == fraction_certificate(M, D, L, j0)
     assert cert.valid == all(parts) and cert.L == L and cert.j0 == j0
@@ -1101,7 +1117,7 @@ def test_certificate_matches_fraction_reference(system, L, j0):
     ],
 )
 def test_certificate_matches_fraction_reference_fixed(M, D, L, j0):
-    cert = nonspectral_certificate(M, D, L, j0)
+    cert = nonspectral_certificate(DigitSystem(M, D), L, j0)
     parts = (cert.difference_closure, cert.window_empty, cert.tail_integral)
     assert parts == fraction_certificate(M, D, L, j0)
 
@@ -1119,12 +1135,12 @@ def test_certificate_window_matches_enumeration(system, data):
     j0 = data.draw(st.integers(2, 4))
     if det(M) == 0:
         with pytest.raises(SingularMatrix, match="expanding map must be invertible"):
-            nonspectral_certificate(M, D, L, j0)
+            nonspectral_certificate(DigitSystem(M, D), L, j0)
     elif not is_expanding(M):
         with pytest.raises(HypothesisViolation, match=NOT_EXPANDING):
-            nonspectral_certificate(M, D, L, j0)
+            nonspectral_certificate(DigitSystem(M, D), L, j0)
     else:
-        cert = nonspectral_certificate(M, D, L, j0)
+        cert = nonspectral_certificate(DigitSystem(M, D), L, j0)
         assert cert.window_empty == fraction_certificate(M, D, L, j0)[1]
 
 
@@ -1134,7 +1150,7 @@ def test_certificate_holds_no_memory_once_it_returns():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cert = nonspectral_certificate(SKEW, THREE, 1, 2000)
+        cert = nonspectral_certificate(DigitSystem(SKEW, THREE), 1, 2000)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -1146,25 +1162,25 @@ def test_digit_dimension_must_match_the_map():
     M, D = ((2, 0), (0, 2)), ((5,),)
     message = "digit dimension does not match the map"
     with pytest.raises(WrongDimension, match=message):
-        nstar_bounds(M, D, 3, J=1, R=0)
+        nstar_bounds(DigitSystem(M, D), 3, J=1, R=0)
     with pytest.raises(WrongDimension, match=message):
-        has_infinite_orthogonal(M, D)
+        has_infinite_orthogonal(DigitSystem(M, D))
     with pytest.raises(WrongDimension, match=message):
-        nonspectral_certificate(M, D, 1, 2)
+        nonspectral_certificate(DigitSystem(M, D), 1, 2)
     with pytest.raises(WrongDimension, match=message):
-        zero_membership(((3,),), THREE, (1,))
+        zero_membership(DigitSystem(((3,),), THREE), (1,))
 
 
 def test_suggest_certificate_none_cases():
     # spectral systems enter at level one; this one never enters at all
-    assert suggest_certificate(M3, THREE) is None
-    assert suggest_certificate(SKEW, THREE) is None
+    assert suggest_certificate(DigitSystem(M3, THREE)) is None
+    assert suggest_certificate(DigitSystem(SKEW, THREE)) is None
 
 
 def loop_certificate(M, D, max_j=64):
     """Reference for suggest_certificate: the criterion sequence
     (A M B)^{T j} (1, -1) on unreduced integers, up to a 64-step cap."""
-    res = spectrality_criterion(M, D)
+    res = spectrality_criterion(DigitSystem(M, D))
     MtT = transpose(res.Mt)
     w = (1, -1)
     for j in range(1, max_j + 1):
@@ -1181,7 +1197,7 @@ def loop_certificate(M, D, max_j=64):
 def orbit_certificate(M, D):
     """Reference for suggest_certificate: j0 is the level at which the
     orbit of the conjugate's zeros mod 3 reaches 0 (DigitSystem.orbit)."""
-    res = spectrality_criterion(M, D)
+    res = spectrality_criterion(DigitSystem(M, D))
     j0 = DigitSystem(res.Mt, THREE).orbit(3)[1]
     if j0 is None or j0 < 2:
         return None
@@ -1215,7 +1231,7 @@ def test_suggest_certificate_matches_the_step_loop(system):
     # the closed form, the capped loop and the orbit of the conjugate's
     # zeros mod 3 agree; a refusal comes from the criterion in each
     M, D = system
-    suggested = _outcome(suggest_certificate, M, D)
+    suggested = _outcome(lambda: suggest_certificate(DigitSystem(M, D)))
     assert suggested == _outcome(loop_certificate, M, D) == _outcome(orbit_certificate, M, D)
 
 
@@ -1225,7 +1241,7 @@ def test_suggest_certificate_matches_the_orbit_level_on_every_residue_matrix():
     levels = set()
     for a, b, c, d in product(range(3), repeat=4):
         M = ((a + 6, b), (c, d + 6))
-        assert suggest_certificate(M, THREE) == orbit_certificate(M, THREE), M
+        assert suggest_certificate(DigitSystem(M, THREE)) == orbit_certificate(M, THREE), M
         levels.add(orbit_certificate(M, THREE))
     assert levels == {None, (1, 2)}
 
@@ -1235,10 +1251,10 @@ def test_suggest_certificate_builds_no_zero_set(monkeypatch):
         raise AssertionError("zero_set called")
 
     monkeypatch.setattr(zeros, "zero_set", refuse)
-    assert suggest_certificate(((4, 1), (2, 5)), THREE) == (1, 2)
-    assert suggest_certificate(((4, 2), (1, 5)), STRETCH) == (64, 2)
-    assert suggest_certificate(M3, THREE) is None
-    assert suggest_certificate(SKEW, THREE) is None
+    assert suggest_certificate(DigitSystem(((4, 1), (2, 5)), THREE)) == (1, 2)
+    assert suggest_certificate(DigitSystem(((4, 2), (1, 5)), STRETCH)) == (64, 2)
+    assert suggest_certificate(DigitSystem(M3, THREE)) is None
+    assert suggest_certificate(DigitSystem(SKEW, THREE)) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -1248,7 +1264,7 @@ def test_criterion_is_spectral_iff_the_conjugate_orbit_level_is_one(system):
     # at which DigitSystem's orbit of the zeros (1, 2)/3, (2, 1)/3 of
     # {0, e1, e2} under (A M B)^T reaches 0 mod 3
     M, D = system
-    res = _outcome(spectrality_criterion, M, D)
+    res = _outcome(lambda: spectrality_criterion(DigitSystem(M, D)))
     assume(isinstance(res, SpectralityVerdict))
     level = DigitSystem(res.Mt, THREE).orbit(3)[1]
     assert (res.verdict == "Spectral") == (level == 1)
@@ -1281,7 +1297,7 @@ def per_zero_orbit_walk(M, D):
 @given(planar_systems())
 def test_has_infinite_orthogonal_matches_per_zero_walk(system):
     M, D = system
-    assert has_infinite_orthogonal(M, D) == per_zero_orbit_walk(M, D)
+    assert has_infinite_orthogonal(DigitSystem(M, D)) == per_zero_orbit_walk(M, D)
 
 
 @pytest.mark.parametrize(
@@ -1294,7 +1310,7 @@ def test_has_infinite_orthogonal_matches_per_zero_walk(system):
     ],
 )
 def test_has_infinite_orthogonal_matches_per_zero_walk_fixed(M, D):
-    assert has_infinite_orthogonal(M, D) == per_zero_orbit_walk(M, D)
+    assert has_infinite_orthogonal(DigitSystem(M, D)) == per_zero_orbit_walk(M, D)
 
 
 def fraction_orbit_level(M, D):
@@ -1338,7 +1354,7 @@ def residue_orbit_closure(M, D):
 def test_orbit_matches_fraction_iteration(system):
     M, D = system
     level = fraction_orbit_level(M, D)
-    assert has_infinite_orthogonal(M, D) == (level is not None, level)
+    assert has_infinite_orthogonal(DigitSystem(M, D)) == (level is not None, level)
     eng = measure(M, D)
     U, first = eng.orbit(eng.q)
     assert first == level
@@ -1401,8 +1417,8 @@ def old_upper(M, D, p):
 @given(planar_systems(), st.sampled_from([2, 3]))
 def test_nstar_upper_against_the_former_rule(system, p):
     M, D = system
-    out = nstar_bounds(M, D, p, J=2, R=0)
-    infinite, _ = has_infinite_orthogonal(M, D)
+    out = nstar_bounds(DigitSystem(M, D), p, J=2, R=0)
+    infinite, _ = has_infinite_orthogonal(DigitSystem(M, D))
     assert (out.upper is None) == infinite
     assert out.method == ("infinite" if infinite else "clique")
     if not infinite:
@@ -1440,10 +1456,10 @@ def test_former_rule_reference_fixed(M, D, p, before):
 def test_nstar_upper_ignores_the_node_budget(M, D, p, upper):
     # the budget stops the lower search only; the upper search on the
     # prime-step graphs runs to the end, as the p^n clique search did
-    out = nstar_bounds(M, D, p, J=1, R=0, node_budget=1)
+    out = nstar_bounds(DigitSystem(M, D), p, J=1, R=0, node_budget=1)
     assert not out.search_complete
     assert (out.upper, out.method) == (upper, "clique")
-    assert nstar_bounds(M, D, p, J=1, R=0).upper == upper
+    assert nstar_bounds(DigitSystem(M, D), p, J=1, R=0).upper == upper
 
 
 def least_orbit_modulus(M, D):
@@ -1477,7 +1493,7 @@ def least_orbit_modulus(M, D):
 )
 def test_nstar_upper_on_a_prime_power(M, D, q, m, upper):
     assert measure(M, D).q == q and least_orbit_modulus(M, D)[0] == m
-    out = nstar_bounds(M, D, 2, J=1, R=0)
+    out = nstar_bounds(DigitSystem(M, D), 2, J=1, R=0)
     assert (out.upper, out.method) == (upper, "clique")
     assert out.lower <= upper
 
@@ -1503,7 +1519,7 @@ def test_nstar_upper_bounds_the_clique_count_mod_m(system):
     ]
     best, _, complete = _max_clique(adj, None)
     assert complete
-    upper = nstar_bounds(M, D, 2, J=1, R=0).upper
+    upper = nstar_bounds(DigitSystem(M, D), 2, J=1, R=0).upper
     assert 1 + len(best) <= upper <= 1 + len(Um)
     if all(m % d for d in range(2, m)):
         assert upper == 1 + len(best)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -262,7 +263,7 @@ def test_coset_transversal_is_enumerated_for_incomplete_zero_sets_only():
     (branch,) = [
         node
         for node in ast.walk(tree)
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "ds.listed"
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "system.listed"
     ]
     incomplete = {id(node) for stmt in branch.orelse for node in ast.walk(stmt)}
     assert len(calls) == 1 and id(calls[0]) in incomplete
@@ -285,7 +286,28 @@ def test_ortho_takes_the_zero_images_from_the_digit_system():
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "suggest_certificate"
     ]
-    assert [arg.arg for arg in suggest.args.args + suggest.args.kwonlyargs] == ["M", "D"]
+    assert [arg.arg for arg in suggest.args.args + suggest.args.kwonlyargs] == ["system"]
+
+
+MEASURE_QUESTIONS = {
+    "hadamard": ("verify_triple", "unitarity_defect", "find_spectrum_set"),
+    "conjugacy": ("spectrality_criterion",),
+    "ortho": (
+        "suggest_certificate", "zero_membership", "has_infinite_orthogonal",
+        "nstar_bounds", "nonspectral_certificate", "transport_inclusion_check",
+    ),
+    "fourier": ("mu_hat_numeric", "spectrum_candidate", "suggest_eta", "completeness_scan"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(MEASURE_QUESTIONS))
+def test_measure_questions_take_one_digit_system(module):
+    # the measure of (M, D) is named one way: a DigitSystem, never the pair
+    # beside it, so each hypothesis is decided once on the caller's system
+    mod = importlib.import_module(f"spectral_affine.{module}")
+    for name in MEASURE_QUESTIONS[module]:
+        params = list(inspect.signature(getattr(mod, name)).parameters)
+        assert params[0] == "system" and not {"M", "D"} & set(params), name
 
 
 def test_digit_system_lives_for_one_call():
