@@ -27,6 +27,7 @@ from .errors import WrongDimension
 from .linalg import (
     coset_representatives,
     coset_transversal,
+    integer_rows,
     mat_vec,
     sign_canonical,
     transpose,
@@ -72,7 +73,7 @@ def verify_triple(system: DigitSystem, S: Sequence[Sequence[int]]) -> bool:
     1e-9, as a guard against bookkeeping errors between the two routes.
     """
     D = system.D
-    S = tuple(tuple(int(x) for x in s) for s in S)
+    S = integer_rows(S, "frequency")
     if len(S) != len(D):
         raise WrongDimension("frequency set size must match digit set size")
     if len(set(S)) != len(S):

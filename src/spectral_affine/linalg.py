@@ -1,8 +1,9 @@
 """Exact integer linear algebra and matrix arithmetic over F_p.
 
-Matrices are immutable tuples of tuples of Python ints, so determinants,
-adjugates and coset transversals are computed without floating point. The
-one lattice normal form is the Hermite basis: a lower-triangular basis H of
+Matrices are immutable tuples of tuples of Python ints, so nothing here
+uses floating point. One integer Faddeev-LeVerrier recursion gives the
+characteristic polynomial, the adjugate and the determinant. The one
+lattice normal form is the Hermite basis: a lower-triangular basis H of
 M Z^n with a positive diagonal, whose box 0 <= x_i < H[i][i] is the
 transversal of Z^n / M Z^n. coset_transversal lists the box in
 lexicographic order, and coset_representatives moves vectors into it, so a
@@ -101,73 +102,50 @@ def mat_mod(M: Matrix, p: int) -> Matrix:
     return tuple(tuple(x % p for x in row) for row in M)
 
 
-def det(M: Matrix) -> int:
-    # Bareiss fraction-free elimination; exact for integer matrices.
+def _faddeev_leverrier(M: Matrix) -> tuple[tuple[int, ...], Matrix]:
+    """The characteristic polynomial's coefficients 1, c_1, ..., c_n,
+    highest degree first, and N_n of the integer Faddeev-LeVerrier
+    recursion N_1 = I, c_k = -tr(M N_k) / k, N_{k+1} = M N_k + c_k I: n - 1
+    products, and every division by k is exact for an integer matrix."""
     n = len(M)
-    a = [[int(x) for x in row] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    coeffs = [1]
+    N, MN = identity(n), M
+    for k in range(1, n + 1):
+        t = sum(MN[i][i] for i in range(n))
+        if t % k:
+            raise AssertionError("characteristic polynomial must be integral")
+        c = -t // k
+        coeffs.append(c)
+        if k < n:
+            N = tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(MN)
+            )
+            MN = mat_mul(M, N)
+    return tuple(coeffs), N
 
 
-def _minor(M: Matrix, i: int, j: int) -> Matrix:
-    return tuple(
-        tuple(x for cj, x in enumerate(row) if cj != j)
-        for ri, row in enumerate(M)
-        if ri != i
-    )
+def det(M: Matrix) -> int:
+    return det_and_adjugate(M)[0]
 
 
 def det_and_adjugate(M: Matrix) -> tuple[int, Matrix]:
-    """Exact determinant and adjugate, satisfying M * adj = det * I."""
-    n = len(M)
-    if n == 1:
-        return M[0][0], ((1,),)
-    if n == 2:
+    """Exact determinant and adjugate, satisfying M * adj = det * I: by
+    Cayley-Hamilton (-1)^n c_n and (-1)^(n+1) N_n of the recursion, a
+    singular M included, with the closed form in the plane."""
+    if len(M) == 2:
         (a, b), (c, d) = M
         return a * d - b * c, ((d, -b), (-c, a))
-    d = det(M)
-    # adj[j][i] is the (i, j) cofactor.
-    adj = tuple(
-        tuple((-1) ** (i + j) * det(_minor(M, i, j)) for i in range(n))
-        for j in range(n)
-    )
-    return d, adj
+    coeffs, N = _faddeev_leverrier(M)
+    if len(M) % 2:
+        return -coeffs[-1], N
+    return coeffs[-1], tuple(tuple(map(neg, row)) for row in N)
 
 
 def char_poly(M: Matrix) -> tuple[int, ...]:
-    """Monic characteristic polynomial coefficients, highest degree first.
-
-    Computed by the trace recursion on powers of M (Newton identities) in
-    integers; every division by k is exact for an integer matrix.
-    """
-    n = len(M)
-    traces = []
-    P = M
-    for _ in range(n):
-        traces.append(sum(P[i][i] for i in range(n)))
-        P = mat_mul(P, M)
-    coeffs = [1]
-    for k in range(1, n + 1):
-        s = sum(coeffs[k - i] * traces[i - 1] for i in range(1, k + 1))
-        if s % k:
-            raise AssertionError("characteristic polynomial must be integral")
-        coeffs.append(-s // k)
-    return tuple(coeffs)
+    """Monic characteristic polynomial coefficients, highest degree first,
+    by the Faddeev-LeVerrier recursion in integers."""
+    return _faddeev_leverrier(M)[0]
 
 
 def is_expanding(M: Matrix) -> bool:

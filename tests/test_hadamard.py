@@ -56,6 +56,19 @@ def test_verify_triple_refuses_digits_off_the_map(D):
         verify_triple(DigitSystem(((2, 0), (0, 2)), D), D)
 
 
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 1.9])
+def test_verify_triple_refuses_a_non_integer_frequency(entry):
+    # truncated to 1, either entry would turn S into the dual set S3
+    S = ((0, 0), (entry, 2), (2, 1))
+    with pytest.raises(ValueError, match="frequency entries must be integers"):
+        verify_triple(DigitSystem(M3, THREE), S)
+    for direction in ("forward", "backward"):
+        with pytest.raises(ValueError, match="frequency entries must be integers"):
+            _fixture_conjugacy().transport(S, direction)
+    # integral values of other types are exact and kept
+    assert verify_triple(DigitSystem(M3, THREE), ((0, 0), (Fraction(2, 2), 2.0), (2, 1)))
+
+
 def test_verify_triple_translation_invariance():
     # shifting every frequency by one lattice vector preserves the property
     shifted = tuple((s[0] + 5, s[1] - 7) for s in S3)

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -100,9 +100,20 @@ def test_adjugate_identity(rows):
     )
 
 
-def _cofactor_adjugate(M):
-    """Reference: det by Bareiss elimination and adj[j][i] the (i, j)
-    cofactor, each minor's determinant by elimination too."""
+def _leibniz_det(M):
+    """Reference: the permutation expansion, sum over sigma of
+    sign(sigma) prod_i M[i][sigma(i)], with no elimination or recursion."""
+    n = len(M)
+    total = 0
+    for sigma in permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][sigma[i]] for i in range(n))
+    return total
+
+
+def _leibniz_adjugate(M):
+    """Reference: adj[j][i] is the (i, j) cofactor, each minor's
+    determinant by the permutation expansion."""
     n = len(M)
 
     def minor(i, j):
@@ -112,9 +123,56 @@ def _cofactor_adjugate(M):
             if r != i
         )
 
-    return det(M), tuple(
-        tuple((-1) ** (i + j) * det(minor(i, j)) for i in range(n)) for j in range(n)
+    return tuple(
+        tuple((-1) ** (i + j) * _leibniz_det(minor(i, j)) for i in range(n))
+        for j in range(n)
     )
+
+
+def _leibniz_char_poly(M):
+    """Reference: the coefficient of t^(n-k) in det(t I - M) is (-1)^k
+    times the sum of the principal k x k minors of M."""
+    n = len(M)
+    return tuple(
+        (-1) ** k * sum(
+            _leibniz_det(tuple(tuple(M[i][j] for j in rows) for i in rows))
+            for rows in combinations(range(n), k)
+        )
+        for k in range(n + 1)
+    )
+
+
+@st.composite
+def square_of_low_rank(draw):
+    """An n x n integer matrix, n = 1..4, of rank at most r: U V with U
+    n x r and V r x n. r < n makes it singular, and r = n - 1 usually gives
+    a nonzero adjugate."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n))
+    entries = st.integers(-6, 6)
+    U = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    V = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    return tuple(
+        tuple(sum(U[i][k] * V[k][j] for k in range(r)) for j in range(n))
+        for i in range(n)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices.map(as_matrix), square_of_low_rank()))
+@example(((0,),))
+@example(((1, 2), (2, 4)))
+# rank n - 1, adjugates ((-3, 6, -3), (6, -12, 6), (-3, 6, -3)) and
+# diag(8 adj((2, 4), (1, 2)), 0)
+@example(((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+@example(((2, 4, 0, 0), (1, 2, 0, 0), (0, 0, 3, 1), (0, 0, 1, 3)))
+# rank n - 2: the adjugate is zero
+@example(((1, 2, 3), (2, 4, 6), (3, 6, 9)))
+def test_invariants_match_the_permutation_expansion(M):
+    d, adj = det_and_adjugate(M)
+    assert d == det(M) == _leibniz_det(M)
+    assert adj == _leibniz_adjugate(M)
+    assert char_poly(M) == _leibniz_char_poly(M)
 
 
 big = st.integers(-(10**6), 10**6)
@@ -125,7 +183,7 @@ big = st.integers(-(10**6), 10**6)
 def test_planar_adjugate_closed_form(M):
     d, adj = det_and_adjugate(M)
     assert mat_mul(M, adj) == ((d, 0), (0, d))
-    assert (d, adj) == _cofactor_adjugate(M)
+    assert d == _leibniz_det(M) and adj == _leibniz_adjugate(M)
 
 
 @settings(max_examples=40)
@@ -140,7 +198,7 @@ def test_char_poly_matches_resolvent_determinant(rows):
             tuple(t * (i == j) - M[i][j] for j in range(n)) for i in range(n)
         )
         value = sum(c * t ** (n - k) for k, c in enumerate(coeffs))
-        assert value == det(shifted)
+        assert value == _leibniz_det(shifted)
 
 
 def test_is_expanding():
