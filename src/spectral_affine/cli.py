@@ -13,7 +13,6 @@ undetermined (budget exhausted, incomplete zero set, failed certificate),
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -530,11 +529,9 @@ def read_documented(argv: Sequence[str]) -> Optional[tuple[str, str, str]]:
     return argv[0], opts["--input"], fmt
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for any argv outside the documented form, built
-    on the first call and reused: parsing keeps no state in the parser, and
-    every option's default is immutable. argparse is imported here, so a
+    once per call of main that needs it. argparse is imported here, so a
     documented call neither imports nor builds it."""
     import argparse
 

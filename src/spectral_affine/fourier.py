@@ -48,16 +48,19 @@ from .zeros import (
 )
 
 
-def _rational_points(rows: Sequence[Sequence]) -> tuple[RationalPoint, ...]:
+def _rational_points(rows: Sequence[Sequence], n: int, noun: str) -> tuple[RationalPoint, ...]:
+    """The rows as distinct rational points of the map's dimension n; noun
+    names them in the refusal of another dimension."""
     out = tuple(as_rational_point(row) for row in rows)
     if not out:
         raise ValueError("point list must be nonempty")
-    n = len(out[0])
     for row in out:
-        if len(row) != n:
+        if len(row) != len(out[0]):
             raise WrongDimension("points must share one dimension")
     if len(set(out)) != len(out):
         raise ValueError("points must be distinct")
+    if len(out[0]) != n:
+        raise WrongDimension(f"{noun} dimension does not match the map")
     return out
 
 
@@ -113,40 +116,30 @@ class AttractorSample(NamedTuple):
     detail: int
 
 
-def _expansion_setup(
-    M: Matrix, digits: Sequence[Sequence]
-) -> tuple[tuple[RationalPoint, ...], int, Matrix]:
-    """Validated digits, det M and adj M of an expansion under the map M,
-    which the caller has found expanding."""
-    pts = _rational_points(digits)
-    if len(pts[0]) != len(M):
-        raise WrongDimension("digit dimension does not match the map")
-    det_m, adj = det_and_adjugate(M)
-    return pts, det_m, adj
-
-
 def _level_terms(
-    det_m: int, adj: Matrix, pts: Sequence[RationalPoint], k: int
+    scale: int, A: Matrix, pts: Sequence[RationalPoint], k: int
 ) -> tuple[int, list[list[IntVector]]]:
-    """Integer numerators of the k-term sums of M^{-j} d_j, j = 1..k.
+    """Integer numerators of the k-level expansions sum_j (A/scale)^j p_j,
+    j = 1..k, p_j among the points: attractor points under (det M, adj M),
+    whose A/scale is M^{-1}, and spectrum candidates under (1, M^T).
 
-    With q the digits' common denominator, such a sum is the integer
-    vector sum_j det^{k-j} adj^j (q d_j) over den = q |det|^k; the sign of
-    det^k moves into the numerators, so they sort like the points and
+    With q the points' common denominator, such a sum is the integer
+    vector sum_j scale^{k-j} A^j (q p_j) over den = q |scale|^k; the sign
+    of scale^k moves into the numerators, so they sort like the points and
     divide once, correctly rounded. Returns den and, for each level j, the
-    terms det^{k-j} adj^j (q d) in digit order.
+    terms scale^{k-j} A^j (q p) in point order.
     """
     if k < 1:
         raise ValueError("expansion length must be positive")
     q, scaled = lattice_form(pts)
-    sign = -1 if det_m**k < 0 else 1
-    den = q * abs(det_m) ** k
+    sign = -1 if scale**k < 0 else 1
+    den = q * abs(scale) ** k
     levels = []
-    power = adj
+    power = A
     for j in range(1, k + 1):
-        scale = sign * det_m ** (k - j)
-        levels.append([tuple(scale * x for x in mat_vec(power, d)) for d in scaled])
-        power = mat_mul(power, adj)
+        c = sign * scale ** (k - j)
+        levels.append([tuple(c * x for x in mat_vec(power, p)) for p in scaled])
+        power = mat_mul(power, A)
     return den, levels
 
 
@@ -168,7 +161,8 @@ def attractor_sample(
     """
     M = as_matrix(M)
     require_expanding(M)
-    pts, det_m, adj = _expansion_setup(M, digits)
+    pts = _rational_points(digits, len(M), "digit")
+    det_m, adj = det_and_adjugate(M)
 
     if mode == "digit_expansion":
         den, levels = _level_terms(det_m, adj, pts, k)
@@ -367,9 +361,7 @@ def spectrum_candidate(
     if any, is reported.
     """
     n = system.n
-    pts = _rational_points(base)
-    if len(pts[0]) != n:
-        raise WrongDimension("base dimension does not match the map")
+    pts = _rational_points(base, n, "base")
     zero = (Fraction(0),) * n
     if zero not in pts:
         raise ValueError("base must contain the zero vector")
@@ -380,14 +372,10 @@ def spectrum_candidate(
     # the level sums run on the integer vectors Q*x, Q the base points'
     # common denominator; one positive denominator keeps the sort order of
     # the rational points, and the family goes to the graph over Q
-    Q, scaled = lattice_form(pts)
-    Mt = transpose(system.M)
+    Q, terms_by_level = _level_terms(1, transpose(system.M), pts, levels)
     sums: set[IntVector] = {(0,) * n}
-    power = Mt
-    for _ in range(levels):
-        terms = [mat_vec(power, c) for c in scaled]
+    for terms in terms_by_level:
         sums = {tuple(map(add, f, t)) for f in sums for t in terms}
-        power = mat_mul(power, Mt)
     if len(sums) != len(pts) ** levels:
         raise ValueError("level sums must be distinct")
     ordered = sorted(sums)
@@ -531,7 +519,8 @@ def suggest_eta(
     if not system.walkable:
         raise HypothesisViolation("mask has no zeros; any radius works")
     zs = system.zs
-    pts, det_m, adj = _expansion_setup(system.M, base)
+    pts = _rational_points(base, system.n, "base")
+    det_m, adj = det_and_adjugate(system.M)
     den, levels = _level_terms(det_m, adj, pts, k)
     # int true division is correctly rounded, as float(Fraction) is
     zeros = [tuple([c / zs.q for c in r]) for r in zs.residues]

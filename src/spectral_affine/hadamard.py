@@ -146,7 +146,7 @@ def find_spectrum_set(system: DigitSystem, budget: int = 10_000_000) -> Hadamard
         # residues give distinct classes, and 0, where the mask is 1, is
         # no residue, so the zero class is not among them
         q = system.q
-        images = [[sum(map(mul, row, rho)) for row in Mt] for rho in system.zs.residues]
+        images = [v for shell in system.shells(1) for v in shell]
         filtered = coset_representatives(
             Mt, [[c // q for c in v] for v in images if not any(c % q for c in v)]
         )

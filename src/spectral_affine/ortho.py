@@ -30,7 +30,6 @@ from .linalg import (
     IntVector,
     Matrix,
     det,
-    mat_pow,
     mat_vec,
     transpose,
 )
@@ -406,18 +405,16 @@ def nonspectral_certificate(
     nonint = [w for w in diffs if any(L * c % q for c in w)]
     difference_closure = bool(nonint) and all(zs.is_zero(w, q) for w in nonint)
 
-    # (b) empty window below j0: at each level j < j0 the scaled image of
-    # the zero set plus the integer lattice must miss Z^n entirely. L is an
-    # integer, so L M^{Tj} (r/q + k) is integral iff L M^{Tj} r / q is:
-    # no vector of the residue shells may have every L c = 0 mod q
-    window_empty = all(
-        any(L * c % q for c in x) for shell in system.shells(j0 - 1) for x in shell
-    )
-
-    # (c) integral tail at j0: the scaled zero set clears into Z^n, and
-    # every later level with it, as M^T keeps the integer lattice
-    T = mat_pow(transpose(system.M), j0)
-    tail_integral = not any(L * c % q for r in res for c in mat_vec(T, r))
+    # (b) empty window below j0 and (c) integral tail at j0, from one pass
+    # over the residue shells M^{Tj} r. L is an integer, so L M^{Tj} (r/q + k)
+    # is integral iff every L c = 0 mod q for c in M^{Tj} r: the vector
+    # clears. (b) no vector below level j0 clears; (c) every vector of level
+    # j0 clears, and so every later level, as M^T keeps the integer lattice
+    cleared = [
+        [not any(L * c % q for c in x) for x in shell] for shell in system.shells(j0)
+    ]
+    window_empty = not any(map(any, cleared[:-1]))
+    tail_integral = all(map(all, cleared[-1:]))
 
     valid = difference_closure and window_empty and tail_integral
     return NonSpectralCertificate(

@@ -181,7 +181,10 @@ def is_zero_exact(D: DigitSet, x: Sequence) -> bool:
 
 
 def _vanishes_at(D: DigitSet, N: IntVector, q: int) -> bool:
-    """is_zero_exact at N/q, N an integer vector and q > 0, in any terms."""
+    """is_zero_exact at N/q, N an integer vector and q > 0, in any terms:
+    the test runs at the point's order, N/q in lowest terms."""
+    g = gcd(q, *N)
+    q, N = q // g, [c // g for c in N]
     coeffs = [0] * q
     for d in D:
         coeffs[sum(map(mul, d, N)) % q] += 1
@@ -521,7 +524,8 @@ class DigitSystem:
     def shells(self, J: int) -> Iterator[list[IntVector]]:
         """The residue shells M^{T j} r for j = 1..J, each in residue
         order; each level is built from the previous one when reached, so a
-        caller that stops early builds no later level. None without zeros."""
+        caller that stops early builds no later level. Without zeros it
+        yields no shell."""
         if self.residues:
             (a, b), (c, d) = self.M
             shell = self.zs.residues

@@ -196,6 +196,8 @@ def test_suggest_eta_validations():
     with pytest.raises(HypothesisViolation):
         # single-digit masks never vanish
         suggest_eta(DigitSystem(M3, ((1, 1),)), ((0, 0),), k=2)
+    with pytest.raises(WrongDimension, match="^base dimension does not match the map$"):
+        suggest_eta(DigitSystem(SWAP, SWAP_D), ((0, 0, 0), (1, 0, 0)), k=2)
 
 
 def test_completeness_scan_shape_and_bound():
@@ -420,7 +422,8 @@ def test_mu_hat_batch_cutoff_matches_scalar(n):
 def _expansion_loop(M, digits, k):
     """The digit expansion's n-dimensional loop, the reference for the
     planar path."""
-    pts, det_m, adj = fourier._expansion_setup(M, digits)
+    pts = fourier._rational_points(digits, len(M), "digit")
+    det_m, adj = det_and_adjugate(M)
     den, levels = fourier._level_terms(det_m, adj, pts, k)
     sums = {(0,) * len(M)}
     for terms in levels:
@@ -438,7 +441,8 @@ def _float_mat_vec(M, v):
 
 def _chaos_loop(M, digits, N, seed, burn_in=50):
     """The chaos game's n-dimensional loop through _float_mat_vec."""
-    pts, det_m, adj = fourier._expansion_setup(M, digits)
+    pts = fourier._rational_points(digits, len(M), "digit")
+    det_m, adj = det_and_adjugate(M)
     rng = random.Random(seed)
     Mf = tuple(tuple(x / det_m for x in row) for row in adj)
     df = [tuple(float(c) for c in d) for d in pts]
@@ -699,10 +703,8 @@ def _fraction_spectrum_candidate(M, D, base, levels):
     canonical difference walked by zero_membership."""
     M = as_matrix(M)
     D = as_digit_set(D)
-    pts = fourier._rational_points(base)
     n = len(M)
-    if len(pts[0]) != n:
-        raise WrongDimension("base dimension does not match the map")
+    pts = fourier._rational_points(base, n, "base")
     zero = (Fraction(0),) * n
     if zero not in pts:
         raise ValueError("base must contain the zero vector")

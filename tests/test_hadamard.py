@@ -2,6 +2,7 @@
 sets across a conjugacy, which verify_triple checks on both sides."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -33,6 +34,15 @@ def test_verify_triple_canonical_pairs():
     # lattice translates of single frequencies keep the property
     assert verify_triple(DigitSystem(M3, THREE), ((0, 0), (1, 2), (2, 4)))
     assert verify_triple(DigitSystem(((2, 0), (0, 2)), FOUR), ((0, 0), (1, 0), (0, 1), (1, 1)))
+
+
+def test_verify_triple_tests_each_difference_at_its_order():
+    # |det M| = 90000, but M^{-T}(s - s') has order 3; the cyclotomic test
+    # at |det M| divided by Phi_90000 and took tens of seconds
+    t0 = time.perf_counter()
+    got = find_spectrum_set(DigitSystem(((30000, 0), (0, 3)), THREE))
+    assert got.S == ((0, 0), (10000, 2), (20000, 1)) and got.examined == 1
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_triple_rejections():

@@ -280,13 +280,40 @@ def test_ortho_takes_the_zero_images_from_the_digit_system():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert imported.isdisjoint({"identity", "mat_mul", "product", "itertools"})
+    assert imported.isdisjoint({"identity", "mat_mul", "mat_pow", "product", "itertools"})
     (suggest,) = [
         node
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "suggest_certificate"
     ]
     assert [arg.arg for arg in suggest.args.args + suggest.args.kwonlyargs] == ["system"]
+
+
+def test_hadamard_takes_the_zero_images_from_the_digit_system():
+    # the listed search reads M^T rho from DigitSystem.shells(1), never
+    # the residues themselves
+    tree = ast.parse((PACKAGE / "hadamard.py").read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "residues"
+    ]
+    assert reads == []
+
+
+def test_fourier_builds_its_level_terms_in_one_place():
+    # attractor points and spectrum candidates are both k-level expansions
+    # sum_j (A/s)^j p_j; _level_terms is the one running matrix product
+    tree = ast.parse((PACKAGE / "fourier.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    callers = {
+        f.name
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "mat_mul"
+    }
+    assert callers == {"_level_terms"}
+    assert "_expansion_setup" not in {f.name for f in functions}
 
 
 MEASURE_QUESTIONS = {

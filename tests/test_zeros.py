@@ -17,6 +17,7 @@ from spectral_affine.linalg import coset_transversal, det_and_adjugate, in_latti
 from spectral_affine.zeros import (
     DigitSystem,
     _lattice_preimage,
+    _vanishes_at,
     ZeroSet,
     as_digit_set,
     as_rational_point,
@@ -127,6 +128,26 @@ def test_is_zero_exact_matches_numeric_mask(digits, num):
     x = (F(num[0], 12), F(num[1], 12))
     numeric = abs(mask_eval(D, (float(x[0]), float(x[1]))))
     assert is_zero_exact(D, x) == (numeric < 1e-9)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        min_size=2,
+        max_size=5,
+        unique=True,
+    ),
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    st.integers(1, 12),
+    st.integers(1, 60),
+)
+def test_vanishes_at_any_terms_matches_numeric_mask(digits, N, q, k):
+    # the exact test reduces k N / (k q) to lowest terms before it builds
+    # a cyclotomic polynomial
+    D = tuple(digits)
+    numeric = abs(mask_eval(D, (N[0] / q, N[1] / q)))
+    assert _vanishes_at(D, (k * N[0], k * N[1]), k * q) == (numeric < 1e-9)
 
 
 def test_zero_set_three_digit_canonical():
